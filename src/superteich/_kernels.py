@@ -1,121 +1,58 @@
-"""Coefficient-level kernels for Grassmann arithmetic.
+"""Coefficient-level kernel for Grassmann arithmetic.
 
 The product of two elements stored as dense coefficient vectors (index =
 generator-subset bitmask) is an XOR-convolution with a sign given by the
 parity of the transposition count needed to interleave the two sorted
-generator lists.  That product is the hot loop of the whole library, so it
-ships in two interchangeable implementations:
-
-  * a numba @njit kernel (default when numba imports cleanly),
-  * a pure-numpy path based on precomputed sign/index tables.
-
-Selection: environment variable SUPERTEICH_BACKEND = auto | numba | numpy,
-read once at import time.  `multiply_coeffs` is the only entry point.
+generator lists.  Operands are nearly empty in practice, so the product
+visits only pairs of nonzero coefficients, at every rank.
+`multiply_coeffs` is the only entry point.
 """
-
-import os
 
 import numpy as np
 
-_choice = os.environ.get("SUPERTEICH_BACKEND", "auto").lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError("SUPERTEICH_BACKEND must be auto, numba or numpy")
-
-_have_numba = False
-if _choice in ("auto", "numba"):
-    try:
-        import numba
-
-        _have_numba = True
-    except ImportError:
-        if _choice == "numba":
-            raise
-
-BACKEND = "numba" if _have_numba else "numpy"
-
-# Tables get large as 4^rank; above this cap the numpy path falls back to a
-# per-nonzero loop instead.
-_TABLE_RANK_CAP = 10
-_tables = {}
+_SIGNS = np.array([1.0, -1.0])
+_MAX_PAIRS = 1 << 20
+_sign_masks = {}
 
 
-def _build_tables(rank):
-    n = 1 << rank
-    idx = np.arange(n, dtype=np.int64)
-    xor = (idx[:, None] ^ idx[None, :]).astype(np.intp)
-    inv = np.zeros((n, n), dtype=np.int64)
-    for p in range(rank):
-        jbit = (idx[None, :] >> p) & 1
-        above = np.bitwise_count(idx[:, None] >> (p + 1)).astype(np.int64)
-        inv += jbit * above
-    sign = np.where(inv & 1, -1.0, 1.0)
-    sign[(idx[:, None] & idx[None, :]) != 0] = 0.0  # repeated generator kills the term
-    return xor, sign
-
-
-def _get_tables(rank):
-    t = _tables.get(rank)
+def _sign_mask(rank):
+    """Length-2**rank table: bit p of t[i] is the parity of the generators
+    of i above p, so the pair (i, j) has sign (-1)**popcount(t[i] & j)."""
+    t = _sign_masks.get(rank)
     if t is None:
-        t = _build_tables(rank)
-        _tables[rank] = t
+        idx = np.arange(1 << rank, dtype=np.int64)
+        t = np.zeros_like(idx)
+        for p in range(rank):
+            t |= (np.bitwise_count(idx >> (p + 1)).astype(np.int64) & 1) << p
+        _sign_masks[rank] = t
     return t
 
 
-def _multiply_numpy(a, b, rank):
-    n = a.shape[0]
-    if rank <= _TABLE_RANK_CAP:
-        xor, sign = _get_tables(rank)
-        w = (a[:, None] * b[None, :]) * sign
-        return np.bincount(xor.ravel(), weights=w.ravel(), minlength=n)
-    out = np.zeros(n)
-    js = np.nonzero(b)[0]
-    for i in np.nonzero(a)[0]:
-        ok = (int(i) & js) == 0
-        jk = js[ok]
-        if jk.size == 0:
-            continue
-        inv = np.zeros(jk.shape, dtype=np.int64)
-        for p in range(rank):
-            cnt = int(np.bitwise_count(np.int64(int(i) >> (p + 1))))
-            if cnt:
-                inv += ((jk >> p) & 1) * cnt
-        s = np.where(inv & 1, -1.0, 1.0)
-        np.add.at(out, int(i) ^ jk, a[i] * b[jk] * s)
-    return out
-
-
-if _have_numba:
-
-    @numba.njit(cache=True)
-    def _multiply_numba(a, b):  # pragma: no cover - exercised via multiply_coeffs
-        n = a.shape[0]
-        out = np.zeros(n)
-        for i in range(n):
-            ai = a[i]
-            if ai == 0.0:
-                continue
-            for j in range(n):
-                bj = b[j]
-                if bj == 0.0 or (i & j) != 0:
-                    continue
-                inv = 0
-                p = 0
-                while (j >> p) != 0:
-                    if (j >> p) & 1:
-                        hi = i >> (p + 1)
-                        while hi != 0:
-                            inv += hi & 1
-                            hi >>= 1
-                    p += 1
-                if inv & 1:
-                    out[i ^ j] -= ai * bj
-                else:
-                    out[i ^ j] += ai * bj
-        return out
+def _pair_product(ia, jb, a, b, rank):
+    """Product of the terms of a at ia with the terms of b at jb."""
+    # pairs sharing a generator vanish
+    r, c = ((ia[:, None] & jb) == 0).nonzero()
+    if r.size == 0:
+        return np.zeros(a.shape[0])  # bincount of nothing would come back as integers
+    i, j = ia[r], jb[c]
+    odd = np.bitwise_count(_sign_mask(rank)[i] & j) & 1
+    return np.bincount(i ^ j, weights=a[i] * b[j] * _SIGNS[odd], minlength=a.shape[0])
 
 
 def multiply_coeffs(a, b, rank):
     """Grassmann product of two dense coefficient vectors of length 2**rank."""
-    if BACKEND == "numba":
-        return _multiply_numba(a, b)
-    return _multiply_numpy(a, b, rank)
+    ia = a.nonzero()[0]
+    jb = b.nonzero()[0]
+    if ia.size == 0 or jb.size == 0:
+        return np.zeros(a.shape[0])
+    # a body-only operand scales the other one
+    if ia.size == 1 and ia[0] == 0:
+        return a[0] * b
+    if jb.size == 1 and jb[0] == 0:
+        return b[0] * a
+    # the pair arrays grow as nnz(a) * nnz(b), gigabytes for a full rank-14
+    # product; take a's terms in blocks of about _MAX_PAIRS pairs
+    step = max(1, _MAX_PAIRS // jb.size)
+    if ia.size <= step:
+        return _pair_product(ia, jb, a, b, rank)
+    return sum(_pair_product(ia[k : k + step], jb, a, b, rank) for k in range(0, ia.size, step))

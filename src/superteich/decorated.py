@@ -34,9 +34,6 @@ from .minkowski import (
 
 EQ_TOL = 1e-9
 
-# internal dictionary probe: which new vertex wears nu, and which window
-# completion the plain values pair with.  Zeros are the shipped convention.
-
 # finite-difference step for even partial derivatives, relative to the body
 FD_STEP = 1e-6
 
@@ -412,7 +409,7 @@ def bipartite_flip_path(graph, max_flips=4):
 
 class LiftedTriangle:
     """One triangle of the lifted triangulation: its fatgraph vertex, the
-    three point ids (corner k opposite the k-th half-edge, counterclockwise),
+    three point ids (corner k opposite the k-th half-edge, clockwise),
     the alternating sign delta, and the parent triangle index (-1 for the
     base)."""
 
@@ -460,7 +457,8 @@ class LiftedTriangulation:
         the assigned vertex coordinate, up to overall sign."""
         worst = 0.0
         for tri in self.triangles:
-            a, b, c = (self.points[i] for i in tri.corners)
+            # corners are stored clockwise; mu is defined on positive triples
+            a, c, b = (self.points[i] for i in tri.corners)
             rep, _ = mu_invariant(a, b, c)
             target = self.coords.mus[tri.vertex]
             gap = min((rep - target).max_abs(), (rep + target).max_abs())
@@ -1093,10 +1091,10 @@ def parse_coords(text, rank=DEFAULT_RANK):
             _, name, val = ln.split(None, 2)
             mus[int(name[1:])] = parse_grassmann(val, rank)
         elif ln.startswith("gauge "):
-            tok = ln.split()[1]
-            if tok not in "+-":
-                raise ValueError("gauge must be + or -")
-            gauge = 1 if tok == "+" else -1
+            parts = ln.split()
+            if len(parts) != 2 or parts[1] not in ("+", "-"):
+                raise ValueError("gauge must be + or -, in line %r" % ln)
+            gauge = 1 if parts[1] == "+" else -1
         else:
             raise ValueError("unrecognized line %r" % ln)
     if any(x is None for x in lambdas):

@@ -290,10 +290,6 @@ def add(a, b):
     return a + b
 
 
-def mul(a, b):
-    return a * b
-
-
 def inverse(a):
     return a.inverse()
 

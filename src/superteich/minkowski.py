@@ -157,12 +157,6 @@ def is_light_cone(a, tol=1e-9):
     return a.x1.body >= -tol and a.x2.body >= -tol
 
 
-def is_hyperboloid(a, tol=1e-9):
-    if (pairing(a, a) - 1).max_abs() > tol:
-        return False
-    return a.x1.body >= -tol and a.x2.body >= -tol
-
-
 def fermion_label(a, tol=1e-9):
     """Odd orbit invariant of a light-cone point, canonical up to sign.
 
@@ -248,21 +242,6 @@ def is_positive_triple(a, b, c, tol=1e-9):
         and is_special(c, tol)
         and triple_orientation(a, b, c) > 1e-12
     )
-
-
-class PositiveTriple:
-    """Ordered triple of special-light-cone points, positively oriented."""
-
-    def __init__(self, a, b, c, tol=1e-9):
-        if not is_positive_triple(a, b, c, tol):
-            raise ValueError("not a positive triple on the special light cone")
-        self.a, self.b, self.c = a, b, c
-
-    def normalize(self):
-        return normalize_triple(self.a, self.b, self.c)
-
-    def mu(self):
-        return mu_invariant(self.a, self.b, self.c)
 
 
 class TripleInvariants:

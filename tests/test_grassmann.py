@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from superteich import _kernels
 from superteich.grassmann import (
     GrassmannNumber,
     format_grassmann,
@@ -236,3 +237,94 @@ def test_random_element_parity_restriction():
             a = random_element(rng, rank=RANK, parity=parity)
             assert a.parity() in (parity, "even")  # zero draws classify as even
             assert (a.is_even() if parity == "even" else a.is_odd())
+
+
+# -- the product kernel against a plain per-pair product ------------------------
+
+
+def _reference_product(a, b, rank):
+    """Sum over nonzero pairs (i, j) of disjoint generator sets; the sign
+    counts the pairs (p in i, q in j) with p > q, the transpositions that
+    sort the concatenated generator list."""
+    out = np.zeros(1 << rank)
+    js = np.nonzero(b)[0]
+    for i in np.nonzero(a)[0]:
+        jk = js[(js & i) == 0]
+        swaps = np.zeros(jk.shape, dtype=np.int64)
+        for q in range(rank):
+            swaps += ((jk >> q) & 1) * bin(int(i) >> (q + 1)).count("1")
+        out[i ^ jk] += a[i] * b[jk] * np.where(swaps & 1, -1.0, 1.0)
+    return out
+
+
+KERNEL_FILLS = ("zero", "body", "monomial", "sparse", "full")
+
+nonzero_coeff = st.floats(0.125, 2, width=32).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+
+
+@st.composite
+def coeff_vector(draw, rank, fill):
+    n = 1 << rank
+    c = np.zeros(n)
+    if fill == "body":
+        c[0] = draw(nonzero_coeff)
+    elif fill == "monomial":
+        c[draw(st.integers(1, n - 1))] = draw(nonzero_coeff)
+    elif fill == "sparse":
+        masks = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=12, unique=True))
+        c[masks] = draw(st.lists(nonzero_coeff, min_size=len(masks), max_size=len(masks)))
+    elif fill == "full":
+        c = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, n)
+    return c
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+# the reference visits all 4**rank pairs of full operands, so Hypothesis
+# draws full fill up to rank 10 only; test_kernel_full_fill_in_blocks
+# covers rank 12
+@pytest.mark.parametrize("rank", range(1, 15))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_reference(rank, data):
+    fills = KERNEL_FILLS if rank <= 10 else KERNEL_FILLS[:-1]
+    a = data.draw(coeff_vector(rank, data.draw(st.sampled_from(fills))))
+    b = data.draw(coeff_vector(rank, data.draw(st.sampled_from(fills))))
+    _assert_close(_kernels.multiply_coeffs(a, b, rank), _reference_product(a, b, rank))
+
+
+def test_kernel_full_fill_in_blocks():
+    """At rank 12 a full-fill product has 4**12 pairs, above the kernel's
+    block size, so its terms are taken in several blocks."""
+    rng = np.random.default_rng(12)
+    a, b = rng.uniform(-1, 1, (2, 1 << 12))
+    assert a.size * b.size > _kernels._MAX_PAIRS
+    _assert_close(_kernels.multiply_coeffs(a, b, 12), _reference_product(a, b, 12))
+
+
+def test_generators_anticommute_at_rank_14():
+    rank = 14
+    zero = GrassmannNumber(rank)
+    for i in range(1, rank + 1):
+        assert (gen(i, rank) * gen(i, rank)).isclose(zero, 0.0)
+        for j in range(i + 1, rank + 1):
+            gij, gji = gen(i, rank) * gen(j, rank), gen(j, rank) * gen(i, rank)
+            assert gij.isclose(-gji, 0.0)
+            assert gij.extract_coefficient([i, j]) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeff_vector(12, "sparse"),
+    coeff_vector(12, "sparse"),
+    coeff_vector(12, "sparse"),
+)
+def test_kernel_associative_at_rank_12(a, b, c):
+    ab_c = _kernels.multiply_coeffs(_kernels.multiply_coeffs(a, b, 12), c, 12)
+    a_bc = _kernels.multiply_coeffs(a, _kernels.multiply_coeffs(b, c, 12), 12)
+    _assert_close(ab_c, a_bc)
