@@ -136,33 +136,18 @@ def standard_chart(graph, orientation=None, odd="generators", rank=DEFAULT_RANK)
 # -- gauge classes -------------------------------------------------------------
 
 
-def _reflection_solution(graph, target_bits):
-    """Vertex set whose reflections reverse exactly the target edge set,
-    normalized to exclude vertex 0 (the kernel is {none, all})."""
-    nv = graph.num_vertices
-    basis = []
-    for v in range(nv):
-        row = graph.incidence_row(v)
-        combo = 1 << v
-        for b, bc in basis:
-            p = int(np.argmax(b))
-            if row[p]:
-                row = row ^ b
-                combo ^= bc
-        if row.any():
-            basis.append((row, combo))
-    t = np.asarray(target_bits, dtype=np.uint8).copy()
-    combo = 0
-    for b, bc in basis:
-        p = int(np.argmax(b))
-        if t[p]:
-            t ^= b
-            combo ^= bc
-    if t.any():
+def _reflection_solution(graph, target_bits, skip_edges=()):
+    """Vertex set whose reflections reverse exactly the target edges, edges
+    in skip_edges left unconstrained, normalized to exclude vertex 0
+    (reflecting every vertex reverses nothing)."""
+    rows = [graph.incidence_row(v) for v in range(graph.num_vertices)]
+    keep = [j not in skip_edges for j in range(graph.num_edges)]
+    combo, rest, _ = fg.gf2_solve(rows, target_bits, keep)
+    if rest.any():
         raise ValueError("orientations differ by more than vertex reflections")
-    if combo & 1:
-        combo ^= (1 << nv) - 1
-    return [v for v in range(nv) if (combo >> v) & 1]
+    if combo[0]:
+        combo ^= 1
+    return [v for v in range(graph.num_vertices) if combo[v]]
 
 
 def canonical_gauge(coords):
@@ -223,36 +208,6 @@ def _quad_labels(coords, e):
     return a, b, c, d, graph.vertex_of(h_theta), graph.vertex_of(h_sigma)
 
 
-def _masked_reflection_solution(graph, target_bits, skip_edges):
-    """Vertex set whose reflections reverse the target edges, where edges in
-    skip_edges are unconstrained.  Gaussian elimination over GF(2)."""
-    nv = graph.num_vertices
-    keep = np.array(
-        [j not in skip_edges for j in range(graph.num_edges)], dtype=bool
-    )
-    basis = []
-    for v in range(nv):
-        row = graph.incidence_row(v) & keep
-        combo = 1 << v
-        for b, bc in basis:
-            p = int(np.argmax(b))
-            if row[p]:
-                row = row ^ b
-                combo ^= bc
-        if row.any():
-            basis.append((row, combo))
-    t = (np.asarray(target_bits, dtype=np.uint8) != 0) & keep
-    combo = 0
-    for b, bc in basis:
-        p = int(np.argmax(b))
-        if t[p]:
-            t = t ^ b
-            combo ^= bc
-    if t.any():
-        raise ValueError("orientations differ by more than vertex reflections")
-    return [v for v in range(nv) if (combo >> v) & 1]
-
-
 def _spectator_aligned(graph, e, om, res):
     """Representative of the evolved orientation class keeping every arrow
     outside the flip window as it was before the flip."""
@@ -262,7 +217,7 @@ def _spectator_aligned(graph, e, om, res):
         window.add(graph.edge_of(graph.sigma(h)))
         window.add(graph.edge_of(graph.sigma(graph.sigma(h))))
     delta = tuple(x ^ y for x, y in zip(res.orientation.bits, om.bits))
-    refl = _masked_reflection_solution(res.graph, delta, window)
+    refl = _reflection_solution(res.graph, delta, window)
     flip_set = set()
     for v in refl:
         row = res.graph.incidence_row(v)

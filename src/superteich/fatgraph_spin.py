@@ -256,47 +256,67 @@ class Orientation:
         return hash(self.tails)
 
 
-def _reflection_space(graph):
-    """Row-reduced basis of the mod-2 span of fatgraph reflections."""
-    rows = [graph.incidence_row(v) for v in range(graph.num_vertices)]
-    basis = []
-    for row in rows:
-        row = row.copy()
-        for b in basis:
-            p = int(np.argmax(b))
+def gf2_solve(rows, target, mask=None):
+    """Write target as a sum of rows over GF(2), comparing only the columns
+    where mask is set (every column by default).
+
+    Each row is reduced against the rows kept before it and kept when
+    anything is left; its lowest nonzero column is its pivot, and the pivots
+    of the kept rows are the leading columns of the whole span.  Returns
+    (combo, rest, pivots): combo is a 0/1 vector over the rows, supported on
+    the kept ones, and rest, target plus the combo's rows, is zero at every
+    pivot.  Target lies in the span exactly when rest is zero.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    rest = np.asarray(target, dtype=np.uint8).copy()
+    if mask is not None:
+        keep = np.asarray(mask, dtype=np.uint8)
+        rows = rows & keep
+        rest &= keep
+    kept = []
+    for i, row in enumerate(rows):
+        combo = np.zeros(len(rows), dtype=np.uint8)
+        combo[i] = 1
+        for b, bc, p in kept:
             if row[p]:
-                row ^= b
+                row = row ^ b
+                combo ^= bc
         if row.any():
-            basis.append(row)
-    basis.sort(key=lambda b: int(np.argmax(b)))
-    # back-substitute to reduced echelon form
-    for i, b in enumerate(basis):
-        p = int(np.argmax(b))
-        for k in range(len(basis)):
-            if k != i and basis[k][p]:
-                basis[k] ^= b
-    return basis
+            kept.append((row, combo, int(np.argmax(row))))
+    combo = np.zeros(len(rows), dtype=np.uint8)
+    for b, bc, p in kept:
+        if rest[p]:
+            rest ^= b
+            combo ^= bc
+    return combo, rest, [p for _, _, p in kept]
+
+
+def _reflection_rows(graph):
+    return [graph.incidence_row(v) for v in range(graph.num_vertices)]
 
 
 def orientation_class(orientation):
     """Canonical representative of the reflection class: lexicographically
-    least bit-vector in the coset of the reflection span."""
+    least bit-vector in the coset of the reflection span, the one vanishing
+    at every pivot of the span."""
     graph = orientation.graph
-    bits = np.array(orientation.bits, dtype=np.uint8)
-    for b in _reflection_space(graph):
-        p = int(np.argmax(b))
-        if bits[p]:
-            bits ^= b
-    return Orientation.from_bits(graph, tuple(int(x) for x in bits))
+    _, rest, _ = gf2_solve(_reflection_rows(graph), orientation.bits)
+    return Orientation.from_bits(graph, tuple(int(x) for x in rest))
 
 
 def orientation_classes(graph):
-    """All reflection classes, as canonical representatives."""
-    reps = {}
-    for raw in itertools.product((0, 1), repeat=graph.num_edges):
-        can = orientation_class(Orientation.from_bits(graph, raw))
-        reps[can.bits] = can
-    return [reps[k] for k in sorted(reps)]
+    """All reflection classes, as canonical representatives in increasing
+    bit order: every bit-vector vanishing at the pivots of the reflection
+    span, with any bits on the other E - V + 1 edges."""
+    _, _, pivots = gf2_solve(_reflection_rows(graph), np.zeros(graph.num_edges))
+    free = [j for j in range(graph.num_edges) if j not in pivots]
+    out = []
+    for choice in itertools.product((0, 1), repeat=len(free)):
+        bits = [0] * graph.num_edges
+        for j, b in zip(free, choice):
+            bits[j] = b
+        out.append(Orientation.from_bits(graph, bits))
+    return out
 
 
 # -- the skinny surface -------------------------------------------------------
@@ -832,7 +852,7 @@ def _transport_vec(graph, locals_, e, vec):
     if vec[e]:
         if nw == sw or se == ne:
             # a loop leaf fills both corners, leaving no room for the edge
-            raise AssertionError("cycle cannot cross the edge beside a loop leaf")
+            raise AssertionError("cycle cannot cross edge %d beside a loop leaf" % e)
         new_bit = 1 if bool(vec[nw]) == bool(vec[se]) else 0
     else:
         if _corner_passage(vec, nw, sw):
@@ -851,15 +871,21 @@ def _corner_passage(vec, leaf1, leaf2):
 
 
 def flip(graph, e, orientation):
-    """Flip a non-loop edge and evolve the orientation by the local rule.
+    """Flip a non-loop edge and evolve the orientation with the spin class.
 
-    The window state of the five local edges is read off directly; among
-    the four reflection-equivalent solutions the first one assigning a
-    consistent direction to every leaf edge is used (leaves of the
-    quadrilateral may coincide as edges of the graph).
+    When the four leaves of the quadrilateral are distinct edges, the window
+    state of the five local edges is looked up in the flip-rule table and
+    its canonical solution (NW inward, new edge directed upward) is written
+    onto them; every other edge keeps its direction.  When leaves coincide
+    as edges the window rule does not apply, and the class is solved from
+    the defining property instead: the new form must agree with the old one
+    on the transported cycle basis.  Reversing the edges of a mod-2 cochain
+    c changes the form on a cycle x by c.x, so starting from the old arrows
+    on the new graph one GF(2) system on the transported basis gives c; the
+    canonical representative of the result is returned.
     """
     if graph.is_loop(e):
-        raise ValueError("cannot flip a loop edge")
+        raise ValueError("cannot flip loop edge %d" % e)
     h_eu, h_ew = graph.edges[e]
     u, w = graph.vertex_of(h_eu), graph.vertex_of(h_ew)
     h_nw, h_sw = graph.sigma(h_eu), graph.sigma(graph.sigma(h_eu))
@@ -888,21 +914,28 @@ def flip(graph, e, orientation):
         new_or = Orientation(new_graph, tails)
         return FlipResult(new_graph, new_or, e, locals_)
 
-    # leaves of the quadrilateral coincide as edges, so the generic window
-    # does not apply; fall back on the defining property and search for the
-    # class whose form matches across the homology transport
-    basis = graph.cycle_basis()
+    # leaves of the quadrilateral coincide as edges: solve the defining
+    # property q_new(transport(b)) = q_old(b) on the cycle basis b
     q_old = QuadraticForm(graph, orientation)
-    want = [q_old.value(b) for b in basis]
-    moved = [_transport_vec(graph, locals_, e, b) for b in basis]
-    matches = []
-    for cand in orientation_classes(new_graph):
-        q_new = QuadraticForm(new_graph, cand)
-        if [q_new.value(x) for x in moved] == want:
-            matches.append(cand)
-    if len(matches) != 1:
-        raise AssertionError("flip matched %d orientation classes" % len(matches))
-    return FlipResult(new_graph, matches[0], e, locals_)
+    want = q_old.basis_values()
+    moved = [_transport_vec(graph, locals_, e, b) for b in q_old.basis]
+    start = Orientation(new_graph, orientation.tails)
+    q_start = QuadraticForm(new_graph, start)
+    rhs = [w ^ q_start.value(x) for w, x in zip(want, moved)]
+    # rows are edges: sum of c_j * (moved_i)_j over j must equal rhs_i
+    c, _, pivots = gf2_solve(np.array(moved).T, rhs)
+    if len(pivots) != len(moved):
+        raise AssertionError(
+            "flip of edge %d: transported cycles have rank %d, not %d"
+            % (e, len(pivots), len(moved))
+        )
+    new_or = orientation_class(start.xor_cochain(c))
+    q_new = QuadraticForm(new_graph, new_or)
+    if tuple(q_new.value(x) for x in moved) != want:
+        raise AssertionError(
+            "flip of edge %d: solved class breaks the transported form" % e
+        )
+    return FlipResult(new_graph, new_or, e, locals_)
 
 
 # -- duality -------------------------------------------------------------------

@@ -1,5 +1,9 @@
-"""Decorated charts: the coords text format and the light-cone lift."""
+"""Decorated charts: the coords text format, the gauge and the light-cone
+lift."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from superteich import decorated as dc
@@ -44,3 +48,35 @@ class TestLift:
         assert len(lifted.triangles) == 1 + 3 * (2**depth - 1)
         assert lifted.pairing_residual() <= 1e-9
         assert lifted.mu_residual() <= 1e-9
+
+
+class TestGauge:
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_canonical_gauge_ignores_reflections_and_sign(self, name):
+        g = SPINES[name]()
+        bits = tuple(j % 2 for j in range(g.num_edges))
+        chart = dc.standard_chart(g, fg.Orientation.from_bits(g, bits), rank=RANK)
+        can = dc.canonical_gauge(chart)
+        assert dc.canonical_gauge(chart.flip_gauge()).isclose(can)
+        for v in range(g.num_vertices):
+            moved = chart.reflect_vertex(v)
+            assert dc.canonical_gauge(moved).isclose(can)
+            assert dc.canonical_gauge(moved.flip_gauge()).isclose(can)
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_reflection_solution_skipping_edges(self, name):
+        g = SPINES[name]()
+        rows = [g.incidence_row(v) for v in range(g.num_vertices)]
+        skip = {1, 2}
+        outside = np.array([j not in skip for j in range(g.num_edges)])
+        for flips in itertools.product((0, 1), repeat=g.num_vertices):
+            target = sum((r for r, f in zip(rows, flips) if f), np.zeros_like(rows[0])) % 2
+            target[sorted(skip)] ^= 1
+            sol = dc._reflection_solution(g, target, skip)
+            assert 0 not in sol
+            got = sum((rows[v] for v in sol), np.zeros_like(rows[0])) % 2
+            assert np.array_equal(got[outside], target[outside])
+        # an edge on a cycle cannot be reversed alone
+        on_cycle = int(np.argmax(g.cycle_basis()[0]))
+        with pytest.raises(ValueError):
+            dc._reflection_solution(g, np.eye(g.num_edges, dtype=np.uint8)[on_cycle])

@@ -20,6 +20,57 @@ def flippable(graph):
     return [e for e in range(graph.num_edges) if not graph.is_loop(e)]
 
 
+def random_fatgraph(rng, num_vertices):
+    """Connected trivalent fatgraph: half-edges dealt to vertices and paired
+    at random, drawn again until connected (loops and multi-edges allowed)."""
+    n = 3 * num_vertices
+    while True:
+        deal = [int(h) for h in rng.permutation(n)]
+        pairs = [int(h) for h in rng.permutation(n)]
+        g = fg.Fatgraph(
+            [deal[3 * i : 3 * i + 3] for i in range(num_vertices)],
+            [sorted(pairs[2 * j : 2 * j + 2]) for j in range(n // 2)],
+        )
+        seen, stack = {0}, [0]
+        while stack:
+            v = stack.pop()
+            for h in g.vertices[v]:
+                w = g.vertex_of(g.partner(h))
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == num_vertices:
+            return g
+
+
+def random_graphs(seed, num_vertices, count):
+    rng = np.random.default_rng(seed)
+    return [random_fatgraph(rng, num_vertices) for _ in range(count)]
+
+
+def coinciding_leaves(graph, e):
+    """Whether two leaves of the quadrilateral around e are one edge."""
+    local = {e}
+    for h in graph.edges[e]:
+        local.add(graph.edge_of(graph.sigma(h)))
+        local.add(graph.edge_of(graph.sigma(graph.sigma(h))))
+    return len(local) < 5
+
+
+def search_flip_class(graph, om, res):
+    """Every class of the flipped graph whose form matches the old one on
+    the transported cycle basis, found by trying them all."""
+    q = fg.QuadraticForm(graph, om)
+    want = [q.value(b) for b in q.basis]
+    moved = [res.transport(b) for b in q.basis]
+    matches = []
+    for cand in fg.orientation_classes(res.graph):
+        qq = fg.QuadraticForm(res.graph, cand)
+        if [qq.value(x) for x in moved] == want:
+            matches.append(cand)
+    return matches
+
+
 class TestFatgraph:
     def test_spine_invariants(self):
         expected = {
@@ -89,6 +140,43 @@ class TestOrientation:
             g = make()
             classes = fg.orientation_classes(g)
             assert len(classes) == 2 ** (g.num_edges - g.num_vertices + 1)
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            pytest.param(lambda: [make() for make in SPINES.values()], id="spines"),
+            pytest.param(lambda: random_graphs(4, 4, 6), id="random-V4"),
+            pytest.param(lambda: random_graphs(6, 6, 4), id="random-V6"),
+        ],
+    )
+    def test_classes_match_brute_force_cosets(self, graphs):
+        for g in graphs():
+            span = {(0,) * g.num_edges}
+            for v in range(g.num_vertices):
+                row = tuple(int(x) for x in g.incidence_row(v))
+                span |= {tuple(a ^ b for a, b in zip(s, row)) for s in span}
+            least = {
+                min(tuple(a ^ b for a, b in zip(raw, s)) for s in span)
+                for raw in itertools.product((0, 1), repeat=g.num_edges)
+            }
+            assert [om.bits for om in fg.orientation_classes(g)] == sorted(least)
+
+    def test_gf2_solve_against_brute_force(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n, m = (int(x) for x in rng.integers(1, 6, size=2))
+            rows = rng.integers(0, 2, size=(n, m)).astype(np.uint8)
+            target = rng.integers(0, 2, size=m).astype(np.uint8)
+            mask = rng.integers(0, 2, size=m).astype(np.uint8)
+            combo, rest, pivots = fg.gf2_solve(rows, target, mask)
+            sums = {
+                tuple((np.array(x, dtype=np.uint8) @ rows % 2) & mask)
+                for x in itertools.product((0, 1), repeat=n)
+            }
+            assert len(pivots) == len(set(pivots)) and 2 ** len(pivots) == len(sums)
+            assert not rest[pivots].any() and not (rest & (1 - mask)).any()
+            assert np.array_equal((combo @ rows + target + rest) % 2 & mask, np.zeros(m))
+            assert (not rest.any()) == (tuple(target & mask) in sums)
 
     def test_canonical_form_is_reflection_invariant_and_minimal(self):
         g = fg.theta_graph()
@@ -267,6 +355,20 @@ class TestQuadraticForm:
                 ]
                 assert len(hits) == 2  # cochains over a class: 2^(V-1)
 
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_reversing_an_edge_adds_its_bit(self, name):
+        # the fact the flip's GF(2) solve rests on: q changes on x by c.x
+        g = SPINES[name]()
+        classes = fg.orientation_classes(g)
+        if name == "genus_two":
+            classes = classes[:4]
+        for om in classes:
+            q = fg.QuadraticForm(g, om)
+            for j in range(g.num_edges):
+                qj = fg.QuadraticForm(g, om.flip_edges([j]))
+                for x in q.basis:
+                    assert qj.value(x) == q.value(x) ^ x[j]
+
     def test_ramond_count_is_even(self):
         for make in SPINES.values():
             g = make()
@@ -330,19 +432,43 @@ class TestFlipRule:
 
     def test_generic_flip_matches_defining_property(self):
         g = fg.genus_two_spine()
-        basis = g.cycle_basis()
         om = fg.orientation_classes(g)[5]
         for e in flippable(g)[:4]:
             res = fg.flip(g, e, om)
-            want = [fg.QuadraticForm(g, om).value(b) for b in basis]
-            moved = [res.transport(b) for b in basis]
-            matches = []
-            for cand in fg.orientation_classes(res.graph):
-                qq = fg.QuadraticForm(res.graph, cand)
-                if [qq.value(x) for x in moved] == want:
-                    matches.append(cand)
+            matches = search_flip_class(g, om, res)
             assert len(matches) == 1
             assert fg.orientation_class(res.orientation).bits == matches[0].bits
+
+    @pytest.mark.parametrize("num_vertices, count", [(4, 40), (6, 30)])
+    def test_coinciding_leaves_match_the_class_search(self, num_vertices, count):
+        rng = np.random.default_rng(10 + num_vertices)
+        hits = 0
+        for g in random_graphs(num_vertices, num_vertices, count):
+            bits = tuple(int(b) for b in rng.integers(0, 2, size=g.num_edges))
+            om = fg.Orientation.from_bits(g, bits)
+            for e in flippable(g):
+                if not coinciding_leaves(g, e):
+                    continue
+                hits += 1
+                res = fg.flip(g, e, om)
+                matches = search_flip_class(g, om, res)
+                assert len(matches) == 1
+                assert res.orientation.bits == matches[0].bits
+        assert hits >= count
+
+    def test_long_walk_keeps_the_form(self):
+        # V=8, E=12: far past what trying all 2^E orientations allows
+        rng = np.random.default_rng(8)
+        g = random_fatgraph(rng, 8)
+        om = fg.Orientation.from_bits(g, rng.integers(0, 2, size=g.num_edges))
+        shape = (g.genus, g.punctures)
+        for _ in range(20):
+            e = int(rng.choice(flippable(g)))
+            res = fg.flip(g, e, om)
+            q, q2 = fg.QuadraticForm(g, om), fg.QuadraticForm(res.graph, res.orientation)
+            assert [q.value(b) for b in q.basis] == [q2.value(res.transport(b)) for b in q.basis]
+            g, om = res.graph, res.orientation
+            assert (g.genus, g.punctures) == shape
 
     def test_double_flip_is_isomorphic_with_stable_form(self):
         g = fg.theta_graph()
@@ -370,7 +496,7 @@ class TestFlipRule:
     def test_loop_flip_rejected(self):
         g = fg.dumbbell_graph()
         om = fg.orientation_classes(g)[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="loop edge 1$"):
             fg.flip(g, 1, om)
 
     def test_flip_result_graph_shape(self):
