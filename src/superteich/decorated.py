@@ -16,6 +16,7 @@ from . import superlinalg as sl
 from .grassmann import (
     DEFAULT_RANK,
     GrassmannNumber,
+    common_rank,
     format_grassmann,
     grassmann,
     odd_derivative,
@@ -71,13 +72,7 @@ class DecoratedCoords:
             raise ValueError("orientation belongs to a different fatgraph")
         if gauge not in (1, -1):
             raise ValueError("gauge must be +1 or -1")
-        if rank is None:
-            for x in list(lambdas) + list(mus):
-                if isinstance(x, GrassmannNumber):
-                    rank = x.rank
-                    break
-            else:
-                rank = DEFAULT_RANK
+        rank = common_rank(list(lambdas) + list(mus), rank)
         self.graph = graph
         self.lambdas = tuple(
             _even_coord(x, rank, "lambda[%d]" % j) for j, x in enumerate(lambdas)
@@ -434,10 +429,9 @@ def _base_triangle_points(coords, v, side, rank):
     s = ROOT2 * b * e * a.inverse()
     t = ROOT2 * a * b * e.inverse()
     m = coords.mus[v] * float(coords.gauge)
-    zero = GrassmannNumber(rank)
     pt_b = SuperVector(t, t, t, t * m, t * m, rank=rank)
-    pt_a = SuperVector(zero, r, zero, zero, zero, rank=rank)
-    pt_c = SuperVector(s, zero, zero, zero, zero, rank=rank)
+    pt_a = SuperVector(0, r, 0, 0, 0, rank=rank)
+    pt_c = SuperVector(s, 0, 0, 0, 0, rank=rank)
     pts = [None, None, None]
     pts[side] = pt_b
     pts[(side + 1) % 3] = pt_a
@@ -953,13 +947,7 @@ def ptolemy_form_identity(sigma, theta, chi, rank=None):
     """Max residual coefficient of the odd-flip form identity: the squares
     of the new mu differentials minus the old ones minus the cross term
     d(theta*sigma) d(chi) / ((1+chi) sqrt(chi))."""
-    if rank is None:
-        for x in (sigma, theta, chi):
-            if isinstance(x, GrassmannNumber):
-                rank = x.rank
-                break
-        else:
-            rank = DEFAULT_RANK
+    rank = common_rank((sigma, theta, chi), rank)
     sigma, theta, chi = (grassmann(x, rank) for x in (sigma, theta, chi))
     if chi.body <= 0:
         raise ValueError("chi needs a positive body")

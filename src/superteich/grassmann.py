@@ -51,6 +51,14 @@ class GrassmannNumber:
                 raise ValueError("coefficient vector must have length 2**rank")
             self.coeffs = c.copy()
 
+    @classmethod
+    def wrap(cls, rank, coeffs):
+        """Element over a length-2**rank float array, taken without a copy."""
+        g = cls.__new__(cls)
+        g.rank = rank
+        g.coeffs = coeffs
+        return g
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -160,7 +168,7 @@ class GrassmannNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GrassmannNumber(self.rank, self.coeffs + o.coeffs)
+        return GrassmannNumber.wrap(self.rank, self.coeffs + o.coeffs)
 
     __radd__ = __add__
 
@@ -168,35 +176,35 @@ class GrassmannNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GrassmannNumber(self.rank, self.coeffs - o.coeffs)
+        return GrassmannNumber.wrap(self.rank, self.coeffs - o.coeffs)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GrassmannNumber(self.rank, o.coeffs - self.coeffs)
+        return GrassmannNumber.wrap(self.rank, o.coeffs - self.coeffs)
 
     def __neg__(self):
-        return GrassmannNumber(self.rank, -self.coeffs)
+        return GrassmannNumber.wrap(self.rank, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.integer, np.floating)):
-            return GrassmannNumber(self.rank, self.coeffs * float(other))
+            return GrassmannNumber.wrap(self.rank, self.coeffs * float(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GrassmannNumber(
+        return GrassmannNumber.wrap(
             self.rank, _kernels.multiply_coeffs(self.coeffs, o.coeffs, self.rank)
         )
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, np.integer, np.floating)):
-            return GrassmannNumber(self.rank, self.coeffs * float(other))
+            return GrassmannNumber.wrap(self.rank, self.coeffs * float(other))
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.integer, np.floating)):
-            return GrassmannNumber(self.rank, self.coeffs / float(other))
+            return GrassmannNumber.wrap(self.rank, self.coeffs / float(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -277,33 +285,67 @@ class GrassmannNumber:
         return "GrassmannNumber(rank=%d, %s)" % (self.rank, format_grassmann(self))
 
 
+class GrassmannArray:
+    """Fixed-shape array of elements in one read-only float array `coeffs`
+    (last axis: the 2**rank coefficients); entries are read-only views."""
+
+    __slots__ = ("rank", "coeffs")
+
+    @classmethod
+    def wrap(cls, rank, coeffs):
+        """Instance over coeffs, taken without a copy and made read-only."""
+        out = cls.__new__(cls)
+        out._own(rank, coeffs)
+        return out
+
+    def _own(self, rank, coeffs):
+        coeffs.flags.writeable = False
+        self.rank = rank
+        self.coeffs = coeffs
+
+    def _entry(self, index):
+        return GrassmannNumber.wrap(self.rank, self.coeffs[index])
+
+    def _other(self, other):
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
+        return other.coeffs
+
+    def isclose(self, other, tol=1e-9):
+        return bool(np.all(np.abs(self.coeffs - self._other(other)) <= tol))
+
+    def max_coeff_diff(self, other):
+        return float(np.max(np.abs(self.coeffs - self._other(other))))
+
+
+def stack_entries(values, rank=None):
+    """(common_rank(values, rank), one coefficient row per value)."""
+    rank = common_rank(values, rank)
+    c = np.zeros((len(values), 1 << rank))
+    for k, v in enumerate(values):
+        if isinstance(v, GrassmannNumber):
+            c[k] = v.coeffs
+        else:
+            c[k, 0] = float(v)
+    return rank, c
+
+
+def common_rank(values, rank=None):
+    """The rank of the GrassmannNumbers among values, and of rank if given;
+    DEFAULT_RANK when there is neither.  Mixed ranks raise ValueError."""
+    ranks = {v.rank for v in values if isinstance(v, GrassmannNumber)}
+    if rank is not None:
+        ranks.add(rank)
+    if len(ranks) > 1:
+        raise ValueError("rank mismatch: %s" % sorted(ranks))
+    return ranks.pop() if ranks else DEFAULT_RANK
+
+
 def grassmann(value, rank=DEFAULT_RANK):
     """Coerce a real number or GrassmannNumber to a GrassmannNumber."""
     if isinstance(value, GrassmannNumber):
         return value
     return GrassmannNumber.scalar(float(value), rank)
-
-
-# module-level aliases matching the operation names used elsewhere
-
-def add(a, b):
-    return a + b
-
-
-def inverse(a):
-    return a.inverse()
-
-
-def sqrt(a):
-    return a.sqrt()
-
-
-def parity(a):
-    return a.parity()
-
-
-def extract_coefficient(a, indices):
-    return a.extract_coefficient(indices)
 
 
 def fourth_root(a):
@@ -334,11 +376,9 @@ def canonicalize_sign(a, tol=1e-9):
     Significance is judged relative to the largest coefficient so that
     roundoff junk below real terms never decides the sign."""
     thresh = tol * max(1.0, a.max_abs())
-    for c in a.coeffs:
-        if abs(c) > thresh:
-            if c < 0:
-                return -a, -1.0
-            return a, 1.0
+    first = np.flatnonzero(np.abs(a.coeffs) > thresh)
+    if first.size and a.coeffs[first[0]] < 0:
+        return -a, -1.0
     return a, 1.0
 
 

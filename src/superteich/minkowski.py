@@ -4,9 +4,12 @@ A point is A = (x1, x2, y, phi, theta) with the pairing
 
     <A,A'> = (x1 x2' + x1' x2)/2 - y y' + phi theta' + phi' theta,
 
-so <A,A> = x1 x2 - y^2 + 2 phi theta.  The group acts through the matrix
-form M_A = (x1 y phi / y x2 theta / -phi -theta 0) by A -> st(g) M_A g,
-which makes it a right action: acting by g then h equals acting by g*h.
+so <A,A> = x1 x2 - y^2 + 2 phi theta.  A point is stored as one read-only
+(5, 2**rank) coefficient array.  The group acts through the matrix form
+M_A = (x1 y phi / y x2 theta / -phi -theta 0) by A -> st(g) M_A g, two
+signed contractions of coefficient arrays (`_kernels.smul_coeffs`, with the
+sign table `_kernels.SMUL_SIGNS`).  This is a right action: acting by g
+then h equals acting by g*h.
 
 Light cone: <A,A> = 0 with non-negative x1, x2 bodies.  The fermion label
 (odd, defined up to sign) separates orbits; the label-zero orbit of
@@ -19,78 +22,57 @@ invariant of a positive triple read off in standard position
 
 import numpy as np
 
+from . import _kernels
 from .grassmann import (
     DEFAULT_RANK,
+    GrassmannArray,
     GrassmannNumber,
     canonicalize_sign,
+    common_rank,
     fourth_root,
     grassmann,
     format_grassmann,
     parse_grassmann,
     random_element,
+    stack_entries,
 )
 from . import superlinalg as sl
 
 
-class SuperVector:
-    """Point of R^{2,1|2}: three even and two odd Grassmann coordinates."""
+class SuperVector(GrassmannArray):
+    """Point of R^{2,1|2}: three even and two odd Grassmann coordinates, the
+    rows x1, x2, y, phi, theta of one read-only (5, 2**rank) array."""
 
-    __slots__ = ("rank", "x1", "x2", "y", "phi", "theta")
+    __slots__ = ()
 
     def __init__(self, x1, x2, y, phi, theta, rank=None):
-        if rank is None:
-            for v in (x1, x2, y, phi, theta):
-                if isinstance(v, GrassmannNumber):
-                    rank = v.rank
-                    break
-            else:
-                rank = DEFAULT_RANK
-        self.rank = rank
-        self.x1 = grassmann(x1, rank)
-        self.x2 = grassmann(x2, rank)
-        self.y = grassmann(y, rank)
-        self.phi = grassmann(phi, rank)
-        self.theta = grassmann(theta, rank)
-        for v in self.components():
-            if v.rank != rank:
-                raise ValueError("rank mismatch in SuperVector components")
+        self._own(*stack_entries((x1, x2, y, phi, theta), rank))
+
+    x1 = property(lambda self: self._entry(0))
+    x2 = property(lambda self: self._entry(1))
+    y = property(lambda self: self._entry(2))
+    phi = property(lambda self: self._entry(3))
+    theta = property(lambda self: self._entry(4))
 
     def components(self):
-        return (self.x1, self.x2, self.y, self.phi, self.theta)
+        return tuple(self._entry(k) for k in range(5))
 
     def scale(self, s):
         s = grassmann(s, self.rank)
         return SuperVector(*(s * v for v in self.components()), rank=self.rank)
 
     def __add__(self, other):
-        return SuperVector(
-            *(a + b for a, b in zip(self.components(), other.components())),
-            rank=self.rank,
-        )
+        return SuperVector.wrap(self.rank, self.coeffs + self._other(other))
 
     def __sub__(self, other):
-        return SuperVector(
-            *(a - b for a, b in zip(self.components(), other.components())),
-            rank=self.rank,
-        )
+        return SuperVector.wrap(self.rank, self.coeffs - self._other(other))
 
     def __neg__(self):
-        return SuperVector(*(-v for v in self.components()), rank=self.rank)
-
-    def isclose(self, other, tol=1e-9):
-        return all(
-            a.isclose(b, tol) for a, b in zip(self.components(), other.components())
-        )
-
-    def max_coeff_diff(self, other):
-        return max(
-            float(np.max(np.abs(a.coeffs - b.coeffs)))
-            for a, b in zip(self.components(), other.components())
-        )
+        return SuperVector.wrap(self.rank, -self.coeffs)
 
     def body3(self):
         """Bosonic body (x1, x2, y) as a numpy vector."""
-        return np.array([self.x1.body, self.x2.body, self.y.body])
+        return self.coeffs[:3, 0].copy()
 
     def __str__(self):
         return format_supervector(self)
@@ -99,16 +81,8 @@ class SuperVector:
         return "SuperVector%s" % format_supervector(self)
 
 
-def zero_vector(rank=DEFAULT_RANK):
-    z = GrassmannNumber(rank)
-    return SuperVector(z, z, z, z, z, rank=rank)
-
-
 def e_theta(theta, rank=None):
-    rank = rank or (theta.rank if isinstance(theta, GrassmannNumber) else DEFAULT_RANK)
-    z = GrassmannNumber(rank)
-    one = GrassmannNumber.scalar(1, rank)
-    return SuperVector(one, z, z, z, grassmann(theta, rank), rank=rank)
+    return SuperVector(1, 0, 0, 0, theta, rank=rank)
 
 
 def e_zero(rank=DEFAULT_RANK):
@@ -126,29 +100,28 @@ def pairing(a, b):
     )
 
 
-def lambda_length(a, b):
-    return pairing(a, b).sqrt()
+# M_A as (source row, sign) per flat entry; the corner's sign is 0
+_FORM_SRC = [0, 2, 3, 2, 1, 4, 3, 4, 0]
+_FORM_SIGN = np.array([1, 1, 1, 1, 1, 1, -1, -1, 0.0])[:, None]
+# act reads x1, x2, phi, theta (and y, from two entries) off st(g) M_A g
+_ACT_SRC = [0, 4, 1, 2, 5]
 
 
-def matrix_form(a, c=0.0):
-    """The symmetric matrix presentation (with optional diagonal shift c)."""
-    return sl.SuperMatrix(
-        [
-            [a.x1, a.y - c, a.phi],
-            [a.y + c, a.x2, a.theta],
-            [-a.phi, -a.theta, grassmann(c, a.rank)],
-        ],
-        a.rank,
-    )
+def matrix_form(a):
+    """The symmetric matrix presentation M_A."""
+    return sl.SuperMatrix.wrap(a.rank, sl.signed_gather(a.coeffs, _FORM_SRC, _FORM_SIGN))
 
 
 def act(g, a):
-    """Right action st(g) M_a g, read back off the matrix form."""
-    m = sl.smul_many(sl.supertranspose(g), matrix_form(a), g)
-    r = m.rows
-    return SuperVector(
-        r[0][0], r[1][1], (r[0][1] + r[1][0]) * 0.5, r[0][2], r[1][2], rank=a.rank
-    )
+    """Right action st(g) M_a g (two signed contractions), read back off
+    the matrix form."""
+    if g.rank != a.rank:
+        raise ValueError("rank mismatch: %d vs %d" % (g.rank, a.rank))
+    m = _kernels.smul_coeffs(sl.supertranspose(g).coeffs, matrix_form(a).coeffs, a.rank)
+    m = _kernels.smul_coeffs(m, g.coeffs, a.rank)
+    out = m.reshape(9, -1)[_ACT_SRC]
+    out[2] = (m[0, 1] + m[1, 0]) * 0.5
+    return SuperVector.wrap(a.rank, out)
 
 
 def is_light_cone(a, tol=1e-9):
@@ -169,13 +142,6 @@ def fermion_label(a, tol=1e-9):
     else:
         raise ValueError("fermion label needs an invertible x1 or x2")
     return canonicalize_sign(raw)
-
-
-def is_special(a, tol=1e-9):
-    if not is_light_cone(a, tol):
-        return False
-    rep, _ = fermion_label(a, tol)
-    return rep.is_zero(tol)
 
 
 # -- orbit normal forms -------------------------------------------------------
@@ -233,15 +199,6 @@ def normalize_pair(a, b, tol=1e-9):
 def triple_orientation(a, b, c):
     """Determinant of the bosonic bodies; positive for a positive triple."""
     return float(np.linalg.det(np.array([a.body3(), b.body3(), c.body3()])))
-
-
-def is_positive_triple(a, b, c, tol=1e-9):
-    return (
-        is_special(a, tol)
-        and is_special(b, tol)
-        and is_special(c, tol)
-        and triple_orientation(a, b, c) > 1e-12
-    )
 
 
 class TripleInvariants:
@@ -318,11 +275,7 @@ def mu_invariant(a, b, c, tol=1e-9):
 
 def prime_element(phi, rank=None):
     """Order-3 element rotating a standard triple one slot, fixing phi."""
-    rank = rank or (phi.rank if isinstance(phi, GrassmannNumber) else DEFAULT_RANK)
-    phi = grassmann(phi, rank)
-    one = GrassmannNumber.scalar(1, rank)
-    z = GrassmannNumber(rank)
-    return sl.SuperMatrix([[z, one, z], [-one, -one, -phi], [z, -phi, one]], rank)
+    return sl.SuperMatrix([[0, 1, 0], [-1, -1, -phi], [0, -phi, 1]], rank)
 
 
 def prime_transform(r, s, t, phi):
@@ -354,13 +307,7 @@ def basic_calculation(a, b, c, d, e, sigma, rank=None):
     """Fourth point of a quadrilateral from five lambda-lengths and the odd
     invariant sigma of the far triangle, in the frame where the near triangle
     sits in standard position."""
-    if rank is None:
-        for v in (a, b, c, d, e, sigma):
-            if isinstance(v, GrassmannNumber):
-                rank = v.rank
-                break
-        else:
-            rank = DEFAULT_RANK
+    rank = common_rank((a, b, c, d, e, sigma), rank)
     a, b, c, d, e, sigma = (grassmann(v, rank) for v in (a, b, c, d, e, sigma))
     chi = a * c * (d * b).inverse()
     k = np.sqrt(2.0) * c * d * e.inverse()
@@ -377,13 +324,7 @@ def basic_calculation(a, b, c, d, e, sigma, rank=None):
 
 def ptolemy_even(a, b, c, d, e, sigma, theta, rank=None):
     """Flipped-diagonal lambda-length f with the odd correction term."""
-    if rank is None:
-        for v in (a, b, c, d, e, sigma, theta):
-            if isinstance(v, GrassmannNumber):
-                rank = v.rank
-                break
-        else:
-            rank = DEFAULT_RANK
+    rank = common_rank((a, b, c, d, e, sigma, theta), rank)
     a, b, c, d, e, sigma, theta = (
         grassmann(v, rank) for v in (a, b, c, d, e, sigma, theta)
     )

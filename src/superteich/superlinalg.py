@@ -1,9 +1,11 @@
 """(2|1)x(2|1) supermatrices and the supergroup OSp(1|2).
 
 Layout is fixed as rows (a b | alpha / c d | beta / gamma delta | f) with the
-2x2 block and f even, the remaining entries odd.  Products carry the signs of
-the super tensor structure (see smul); the supertranspose is NOT an involution
-on odd entries, st has order 4.
+2x2 block and f even, the remaining entries odd, stored as one read-only
+(3, 3, 2**rank) coefficient array.  Products carry the signs of the super
+tensor structure: smul is one sparse contraction, with the sign table
+`_kernels.SMUL_SIGNS`.  The supertranspose is NOT an involution on odd
+entries, st has order 4; it and inverse_osp only move and negate entries.
 
 Membership: g is in OSp(1|2) when st(g) J g = J and sdet(g) = 1, where
 
@@ -14,37 +16,82 @@ and sdet uses the det(A + B D^-1 C) / det(D) convention (plus sign).
 
 import numpy as np
 
-from .grassmann import DEFAULT_RANK, GrassmannNumber, grassmann, format_grassmann, parse_grassmann
+from . import _kernels
+from .grassmann import (
+    DEFAULT_RANK,
+    EQ_TOL,
+    GrassmannArray,
+    GrassmannNumber,
+    _popcount,
+    common_rank,
+    format_grassmann,
+    grassmann,
+    parse_grassmann,
+    random_element,
+    stack_entries,
+)
 
-# slots holding even entries; the complement is odd
-_EVEN_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+# parity of each entry: the 2x2 block and f even, the rest odd
+_SLOT_PARITY = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+
+# st(g)[i, j] = sign * g[j, i], as (source entry, sign) over the flat entries
+_ST_SRC = [0, 3, 6, 1, 4, 7, 2, 5, 8]
+_ST_SIGN = np.array([1, 1, 1, 1, 1, 1, -1, -1, 1.0])[:, None]
+# J^-1 st(g) J = (d -b delta / -c a -gamma / -beta alpha f), J being a signed permutation
+_INV_SRC = [4, 1, 7, 3, 0, 6, 5, 2, 8]
+_INV_SIGN = np.array([1, -1, 1, -1, 1, -1, -1, 1, 1.0])[:, None]
 
 
-class SuperMatrix:
-    """3x3 matrix of GrassmannNumbers with the even|odd block layout."""
+def signed_gather(coeffs, src, sign):
+    """Flat entries coeffs[src] times sign, as a new (3, 3, n) array."""
+    n = coeffs.shape[-1]
+    out = coeffs.reshape(-1, n)[src]
+    out *= sign
+    return out.reshape(3, 3, n)
 
-    __slots__ = ("rank", "rows")
+
+class _Row:
+    """Row i of a SuperMatrix: reads and writes go to the matrix."""
+
+    __slots__ = ("_m", "_i")
+
+    def __init__(self, m, i):
+        self._m, self._i = m, i
+
+    def __getitem__(self, j):
+        return self._m[self._i, j]
+
+    def __setitem__(self, j, value):
+        self._m[self._i, j] = value
+
+    def __iter__(self):
+        return (self._m[self._i, j] for j in range(3))
+
+
+class SuperMatrix(GrassmannArray):
+    """3x3 matrix of GrassmannNumbers with the even|odd block layout, stored
+    as one read-only (3, 3, 2**rank) coefficient array."""
+
+    __slots__ = ()
 
     def __init__(self, rows, rank=None):
         flat = [e for row in rows for e in row]
         if len(flat) != 9:
             raise ValueError("SuperMatrix needs a 3x3 entry grid")
-        if rank is None:
-            for e in flat:
-                if isinstance(e, GrassmannNumber):
-                    rank = e.rank
-                    break
-            else:
-                rank = DEFAULT_RANK
-        self.rank = rank
-        self.rows = [[grassmann(e, rank) for e in row] for row in rows]
-        for row in self.rows:
-            for e in row:
-                if e.rank != rank:
-                    raise ValueError("rank mismatch in SuperMatrix entries")
+        rank, c = stack_entries(flat, rank)
+        self._own(rank, c.reshape(3, 3, -1))
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+    __getitem__ = GrassmannArray._entry
+
+    def __setitem__(self, ij, value):
+        """Replace one entry; entries handed out before keep their values."""
+        c = self.coeffs.copy()
+        c[ij] = stack_entries([value], self.rank)[1]
+        self._own(self.rank, c)
+
+    @property
+    def rows(self):
+        return [_Row(self, i) for i in range(3)]
 
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
@@ -54,34 +101,17 @@ class SuperMatrix:
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        return all(self.rows[i][j] == other.rows[i][j] for i in range(3) for j in range(3))
+        return self.isclose(other, EQ_TOL)
 
     __hash__ = None
 
-    def isclose(self, other, tol=1e-9):
-        return all(
-            self.rows[i][j].isclose(other.rows[i][j], tol) for i in range(3) for j in range(3)
-        )
-
-    def max_coeff_diff(self, other):
-        return max(
-            float(np.max(np.abs(self.rows[i][j].coeffs - other.rows[i][j].coeffs)))
-            for i in range(3)
-            for j in range(3)
-        )
-
     def scale(self):
-        return max(self.rows[i][j].max_abs() for i in range(3) for j in range(3))
+        return float(np.max(np.abs(self.coeffs)))
 
     def parity_violation(self):
         """Largest coefficient sitting in the wrong parity sector of any entry."""
-        worst = 0.0
-        for i in range(3):
-            for j in range(3):
-                e = self.rows[i][j]
-                bad = e.odd_part() if (i, j) in _EVEN_SLOTS else e.even_part()
-                worst = max(worst, bad.max_abs())
-        return worst
+        wrong = _SLOT_PARITY[:, :, None] != (_popcount(self.rank) & 1)
+        return float(np.max(np.abs(self.coeffs), where=wrong, initial=0.0))
 
     def __str__(self):
         return format_supermatrix(self)
@@ -98,16 +128,7 @@ def smul(g, h):
     """
     if g.rank != h.rank:
         raise ValueError("rank mismatch")
-    a, b = g.rows, h.rows
-    out = [[None] * 3 for _ in range(3)]
-    for i in range(2):
-        for j in range(2):
-            out[i][j] = a[i][0] * b[0][j] + a[i][1] * b[1][j] - a[i][2] * b[2][j]
-        out[i][2] = a[i][0] * b[0][2] + a[i][1] * b[1][2] + a[i][2] * b[2][2]
-    for j in range(2):
-        out[2][j] = a[2][0] * b[0][j] + a[2][1] * b[1][j] + a[2][2] * b[2][j]
-    out[2][2] = a[2][2] * b[2][2] - a[2][0] * b[0][2] - a[2][1] * b[1][2]
-    return SuperMatrix(out, g.rank)
+    return SuperMatrix.wrap(g.rank, _kernels.smul_coeffs(g.coeffs, h.coeffs, g.rank))
 
 
 def smul_many(*gs):
@@ -119,15 +140,8 @@ def smul_many(*gs):
 
 
 def supertranspose(g):
-    r = g.rows
-    return SuperMatrix(
-        [
-            [r[0][0], r[1][0], r[2][0]],
-            [r[0][1], r[1][1], r[2][1]],
-            [-r[0][2], -r[1][2], r[2][2]],
-        ],
-        g.rank,
-    )
+    """(a c gamma / b d delta / -alpha -beta f)."""
+    return SuperMatrix.wrap(g.rank, signed_gather(g.coeffs, _ST_SRC, _ST_SIGN))
 
 
 def sdet(g):
@@ -155,8 +169,7 @@ def osp_residual(g):
     s = max(1.0, g.scale())
     worst = rel.max_coeff_diff(j_matrix(g.rank)) / (s * s)
     worst = max(worst, g.parity_violation() / s)
-    f = g.rows[2][2]
-    if abs(f.body) < 1e-12:
+    if abs(g.coeffs[2, 2, 0]) < 1e-12:
         return max(worst, 1.0)
     worst = max(worst, (sdet(g) - 1).max_abs())
     return worst
@@ -168,14 +181,12 @@ def is_osp(g, tol=1e-9):
 
 def inverse_osp(g):
     """g^{-1} = J^{-1} st(g) J; valid for members."""
-    return smul_many(j_inverse(g.rank), supertranspose(g), j_matrix(g.rank))
+    return SuperMatrix.wrap(g.rank, signed_gather(g.coeffs, _INV_SRC, _INV_SIGN))
 
 
 def bosonic_reduction(g):
     """Bodies of the upper-left 2x2 block, as a numpy array (SL(2,R) for members)."""
-    return np.array(
-        [[g.rows[0][0].body, g.rows[0][1].body], [g.rows[1][0].body, g.rows[1][1].body]]
-    )
+    return g.coeffs[:2, :2, 0].copy()
 
 
 # -- named elements ----------------------------------------------------------
@@ -194,11 +205,7 @@ def rotate90(rank=DEFAULT_RANK):
 
 def diag(p, q, rank=None):
     """diag(p, q, 1); a member when pq = 1."""
-    p = grassmann(p, rank or DEFAULT_RANK)
-    q = grassmann(q, p.rank)
-    z = GrassmannNumber(p.rank)
-    one = GrassmannNumber.scalar(1, p.rank)
-    return SuperMatrix([[p, z, z], [z, q, z], [z, z, one]], p.rank)
+    return SuperMatrix([[p, 0, 0], [0, q, 0], [0, 0, 1]], rank)
 
 
 def sl2_embed(m, rank=DEFAULT_RANK):
@@ -221,23 +228,14 @@ def stabilizer(c, beta, theta, rank=None):
            c, 1 + c theta beta, beta /
            beta + c^2 theta, c theta, 1 + c beta theta).
     """
-    if rank is None:
-        for v in (c, beta, theta):
-            if isinstance(v, GrassmannNumber):
-                rank = v.rank
-                break
-        else:
-            rank = DEFAULT_RANK
-    c = grassmann(c, rank)
-    beta = grassmann(beta, rank)
-    theta = grassmann(theta, rank)
-    one = GrassmannNumber.scalar(1, rank)
+    rank = common_rank((c, beta, theta), rank)
+    c, beta, theta = (grassmann(v, rank) for v in (c, beta, theta))
     ctb = c * theta * beta
     return SuperMatrix(
         [
-            [one + ctb, theta * beta, -(c * theta)],
-            [c, one + ctb, beta],
-            [beta + c * c * theta, c * theta, one + c * beta * theta],
+            [1 + ctb, theta * beta, -(c * theta)],
+            [c, 1 + ctb, beta],
+            [beta + c * c * theta, c * theta, 1 + c * beta * theta],
         ],
         rank,
     )
@@ -248,24 +246,14 @@ def gt(t, phi, psi, rank=None):
 
     Rows: (0, -sqrt(t), 0 / 1/sqrt(t), sqrt(t)(1+phi psi), -psi / 0, sqrt(t) psi, 1).
     """
-    if rank is None:
-        for v in (t, phi, psi):
-            if isinstance(v, GrassmannNumber):
-                rank = v.rank
-                break
-        else:
-            rank = DEFAULT_RANK
-    t = grassmann(t, rank)
-    phi = grassmann(phi, rank)
-    psi = grassmann(psi, rank)
+    rank = common_rank((t, phi, psi), rank)
+    t, phi, psi = (grassmann(v, rank) for v in (t, phi, psi))
     rt = t.sqrt()
-    one = GrassmannNumber.scalar(1, rank)
-    z = GrassmannNumber(rank)
     return SuperMatrix(
         [
-            [z, -rt, z],
-            [rt.inverse(), rt * (one + phi * psi), -psi],
-            [z, rt * psi, one],
+            [0, -rt, 0],
+            [rt.inverse(), rt * (1 + phi * psi), -psi],
+            [0, rt * psi, 1],
         ],
         rank,
     )
@@ -273,22 +261,16 @@ def gt(t, phi, psi, rank=None):
 
 def exp_odd_plus(alpha, rank=None):
     """One-parameter odd subgroup (1 0 alpha / 0 1 0 / 0 -alpha 1)."""
-    rank = rank or (alpha.rank if isinstance(alpha, GrassmannNumber) else DEFAULT_RANK)
-    alpha = grassmann(alpha, rank)
     return SuperMatrix([[1, 0, alpha], [0, 1, 0], [0, -alpha, 1]], rank)
 
 
 def exp_odd_minus(alpha, rank=None):
     """One-parameter odd subgroup (1 0 0 / 0 1 alpha / alpha 0 1)."""
-    rank = rank or (alpha.rank if isinstance(alpha, GrassmannNumber) else DEFAULT_RANK)
-    alpha = grassmann(alpha, rank)
     return SuperMatrix([[1, 0, 0], [0, 1, alpha], [alpha, 0, 1]], rank)
 
 
 def random_osp(rng, rank=DEFAULT_RANK, blocks=2, odd_terms=2, scale=0.4):
     """Random member built by multiplying exact members (closure sampling)."""
-    from .grassmann import random_element
-
     g = identity(rank)
     for _ in range(blocks):
         c = rng.normal(0.0, scale)
@@ -311,7 +293,7 @@ def random_osp(rng, rank=DEFAULT_RANK, blocks=2, odd_terms=2, scale=0.4):
 
 def format_supermatrix(g):
     return "\n".join(
-        " | ".join(format_grassmann(g.rows[i][j]) for j in range(3)) for i in range(3)
+        " | ".join(format_grassmann(g[i, j]) for j in range(3)) for i in range(3)
     )
 
 

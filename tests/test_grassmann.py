@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from superteich import _kernels
 from superteich.grassmann import (
     GrassmannNumber,
+    canonicalize_sign,
     format_grassmann,
     parse_grassmann,
     random_element,
@@ -328,3 +329,40 @@ def test_kernel_associative_at_rank_12(a, b, c):
     ab_c = _kernels.multiply_coeffs(_kernels.multiply_coeffs(a, b, 12), c, 12)
     a_bc = _kernels.multiply_coeffs(a, _kernels.multiply_coeffs(b, c, 12), 12)
     _assert_close(ab_c, a_bc)
+
+
+def _loop_canonicalize_sign(a, tol=1e-9):
+    """Per-coefficient scan: the first coefficient above the threshold decides."""
+    thresh = tol * max(1.0, a.max_abs())
+    for c in a.coeffs:
+        if abs(c) > thresh:
+            return (-a, -1.0) if c < 0 else (a, 1.0)
+    return a, 1.0
+
+
+def _terms_at_rank_12(terms):
+    g = GrassmannNumber(12)
+    for mask, c in terms:
+        g.coeffs[mask] = c
+    return g
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(1, -1e-12), (5, 2.0), (7, -3.0)],  # leading term below the threshold
+        [(1, 1e-12), (5, -2.0), (7, 3.0)],
+        [(3, -0.5), (9, 1.0), (2048, 1.0)],  # negative leading coefficient
+        [(6, 0.25), (1 << 11, -4.0)],
+        [(4095, -1.0)],
+        [],  # the zero element
+        [(2, 1e-11)],  # only roundoff junk: nothing is significant
+    ],
+)
+def test_canonicalize_sign_matches_loop(terms):
+    a = _terms_at_rank_12(terms)
+    rep, sign = canonicalize_sign(a)
+    want_rep, want_sign = _loop_canonicalize_sign(a)
+    assert sign == want_sign
+    assert np.array_equal(rep.coeffs, want_rep.coeffs)
+    assert np.array_equal(sign * rep.coeffs, a.coeffs)

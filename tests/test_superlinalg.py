@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from superteich import _kernels
 from superteich.grassmann import GrassmannNumber, random_element
+from superteich import decorated as dc
+from superteich import minkowski as mk
 from superteich import superlinalg as sl
 
 RANK = 8
@@ -38,8 +41,78 @@ def transcribed_product(g, h):
             [c1 * a2 + d1 * c2 - be1 * ga2, c1 * b2 + d1 * d2 - be1 * de2, c1 * al2 + d1 * be2 + be1 * f2],
             [ga1 * a2 + de1 * c2 + f1 * ga2, ga1 * b2 + de1 * d2 + f1 * de2, -ga1 * al2 - de1 * be2 + f1 * f2],
         ],
-        RANK,
+        g.rank,
     )
+
+
+def transcribed_supertranspose(g):
+    (a, b, al), (c, d, be), (ga, de, f) = g.rows
+    return sl.SuperMatrix([[a, c, ga], [b, d, de], [-al, -be, f]], g.rank)
+
+
+# entrywise transcription of the action st(g) M_A g, read off as act does
+def transcribed_act(g, v):
+    x1, x2, y, phi, theta = v.components()
+    form = sl.SuperMatrix([[x1, y, phi], [y, x2, theta], [-phi, -theta, 0]], v.rank)
+    m = transcribed_product(transcribed_product(transcribed_supertranspose(g), form), g)
+    return mk.SuperVector(m[0, 0], m[1, 1], (m[0, 1] + m[1, 0]) * 0.5, m[0, 2], m[1, 2])
+
+
+def entry(r, rank, kind):
+    """One Grassmann entry of the given kind (any parity)."""
+    if kind == "mixed":
+        kind = ("zero", "body", "sparse")[r.integers(3)]
+    if kind == "zero":
+        return GrassmannNumber(rank)
+    if kind == "body":
+        return GrassmannNumber.scalar(r.normal(), rank)
+    if kind == "sparse":
+        return random_element(r, rank, terms=3, body=r.normal() if r.random() < 0.5 else None)
+    return GrassmannNumber(rank, r.uniform(-1, 1, 1 << rank))
+
+
+def entry_matrix(r, rank, kind):
+    return sl.SuperMatrix([[entry(r, rank, kind) for _ in range(3)] for _ in range(3)], rank)
+
+
+def assert_close_to_scale(got, want):
+    assert got.max_coeff_diff(want) <= 1e-12 * max(1.0, float(np.abs(want.coeffs).max()))
+
+
+# full fill only up to rank 8: the transcription's 27 products each visit
+# 4**rank pairs
+CONTRACTION_CASES = [
+    (rank, kind)
+    for rank in (1, 8, 12)
+    for kind in ("zero", "body", "sparse", "mixed", "full")
+    if kind != "full" or rank <= 8
+]
+
+
+@pytest.mark.parametrize("rank,kind", CONTRACTION_CASES)
+def test_smul_matches_transcription(rank, kind):
+    r = np.random.default_rng(rank)
+    for _ in range(3):
+        g, h = entry_matrix(r, rank, kind), entry_matrix(r, rank, kind)
+        assert_close_to_scale(sl.smul(g, h), transcribed_product(g, h))
+
+
+@pytest.mark.parametrize("rank,kind", CONTRACTION_CASES)
+def test_act_matches_transcription(rank, kind):
+    r = np.random.default_rng(rank + 100)
+    for _ in range(3):
+        g = entry_matrix(r, rank, kind)
+        v = mk.SuperVector(*(entry(r, rank, kind) for _ in range(5)))
+        assert_close_to_scale(mk.act(g, v), transcribed_act(g, v))
+
+
+def test_contraction_above_pair_block_size():
+    """Full-fill rank-9 matrices give 1536 * 1536 candidate pairs per inner
+    index, above _MAX_PAIRS, so each pair product runs in several blocks."""
+    r = np.random.default_rng(9)
+    g, h = entry_matrix(r, 9, "full"), entry_matrix(r, 9, "full")
+    assert (3 << 9) ** 2 > _kernels._MAX_PAIRS
+    assert_close_to_scale(sl.smul(g, h), transcribed_product(g, h))
 
 
 class TestProduct:
@@ -175,6 +248,16 @@ class TestInverse:
             assert sl.smul(g, gi).isclose(sl.identity(RANK), 1e-10)
             assert sl.smul(gi, g).isclose(sl.identity(RANK), 1e-10)
 
+    def test_equals_the_product_with_j(self):
+        # the signed-permutation form against J^-1 st(g) J from entry products
+        r = rng()
+        for _ in range(5):
+            g = random_parity_matrix(r)
+            st = transcribed_supertranspose(g)
+            want = transcribed_product(transcribed_product(sl.j_inverse(RANK), st), sl.j_matrix(RANK))
+            assert sl.inverse_osp(g).isclose(want, 0)
+            assert sl.supertranspose(g).isclose(st, 0)
+
     def test_j_relations(self):
         r = rng()
         J, Ji = sl.j_matrix(RANK), sl.j_inverse(RANK)
@@ -245,3 +328,93 @@ class TestSerialization:
             sl.parse_supermatrix("1 | 0\n0 | 1", RANK)
         with pytest.raises(ValueError):
             sl.parse_supermatrix("1 | 0 | 0", RANK)
+
+
+class TestStorage:
+    def test_entry_writes_cannot_change_the_matrix(self):
+        g = sl.random_osp(rng(), RANK)
+        before = g.coeffs.copy()
+        for e in (g[0, 1], g.rows[2][0]):
+            with pytest.raises(ValueError):
+                e.coeffs[0] += 1.0
+        assert np.array_equal(g.coeffs, before)
+
+    def test_entry_writes_cannot_change_the_vector(self):
+        v = mk.SuperVector(1.0, 2.0, 0.5, GrassmannNumber.generator(1, RANK), 0.0)
+        before = v.coeffs.copy()
+        for e in (v.x1, v.theta, v.components()[3]):
+            with pytest.raises(ValueError):
+                e.coeffs[1] = 3.0
+        assert np.array_equal(v.coeffs, before)
+
+    def test_entries_keep_their_values_across_replacement(self):
+        g = sl.identity(RANK)
+        e = g[0, 0]
+        g.rows[0][0] = e + 1.0
+        assert e.body == 1.0 and g[0, 0].body == 2.0
+
+    def test_construction_copies_its_entries(self):
+        x = GrassmannNumber.scalar(2.0, RANK)
+        g = sl.SuperMatrix([[x, 0, 0], [0, x, 0], [0, 0, 1]], RANK)
+        v = mk.SuperVector(x, x, 0, 0, 0)
+        x.coeffs[0] = 5.0
+        assert g[0, 0].body == 2.0 and v.x2.body == 2.0
+
+    def test_arithmetic_on_entries_gives_writable_values(self):
+        e = sl.random_osp(rng(), RANK)[0, 0] * 2.0
+        e.coeffs[0] = 1.0
+        assert e.body == 1.0
+
+
+def _rank_of(x):
+    return x.rank
+
+
+# constructor, default arguments (reals); each takes its rank from a
+# Grassmann argument in any position
+RANK_CONSTRUCTORS = {
+    "SuperVector": (mk.SuperVector, (1.0, 0.5, 0.3, 0.0, 0.0)),
+    "SuperMatrix": (lambda *e: sl.SuperMatrix([e[0:3], e[3:6], e[6:9]]), (1, 0, 0, 0, 1, 0, 0, 0, 1)),
+    "diag": (sl.diag, (2.0, 0.5)),
+    "stabilizer": (sl.stabilizer, (0.4, 0.0, 0.0)),
+    "gt": (sl.gt, (1.8, 0.0, 0.0)),
+    "exp_odd_plus": (sl.exp_odd_plus, (0.0,)),
+    "exp_odd_minus": (sl.exp_odd_minus, (0.0,)),
+    "e_theta": (mk.e_theta, (0.0,)),
+    "prime_element": (mk.prime_element, (0.0,)),
+    "basic_calculation": (mk.basic_calculation, (1.1, 0.9, 1.3, 0.8, 1.2, 0.0)),
+    "ptolemy_even": (mk.ptolemy_even, (1.1, 0.9, 1.3, 0.8, 1.2, 0.0, 0.0)),
+}
+RANK_CASES = [
+    (name, pos) for name, (_, args) in RANK_CONSTRUCTORS.items() for pos in range(len(args))
+]
+
+
+@pytest.mark.parametrize("name,pos", RANK_CASES)
+def test_rank_taken_from_any_position(name, pos):
+    make, args = RANK_CONSTRUCTORS[name]
+    args = list(args)
+    args[pos] = GrassmannNumber.scalar(args[pos], 11)
+    assert _rank_of(make(*args)) == 11
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CONSTRUCTORS))
+def test_mixed_ranks_raise(name):
+    make, args = RANK_CONSTRUCTORS[name]
+    args = list(args)
+    args[0] = GrassmannNumber.scalar(args[0], 11)
+    if len(args) > 1:
+        args[-1] = GrassmannNumber.scalar(args[-1], 9)
+        with pytest.raises(ValueError):
+            make(*args)
+    else:
+        with pytest.raises(ValueError):
+            make(*args, rank=9)
+
+
+def test_ptolemy_form_identity_ranks():
+    g1, g2 = GrassmannNumber.generator(1, 11), GrassmannNumber.generator(2, 11)
+    assert dc.ptolemy_form_identity(g1, g2, 1.3) < 1e-6
+    assert dc.ptolemy_form_identity(g1, g2, GrassmannNumber.scalar(1.3, 11)) < 1e-6
+    with pytest.raises(ValueError):
+        dc.ptolemy_form_identity(g1, GrassmannNumber.generator(2, 9), 1.3)
