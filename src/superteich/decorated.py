@@ -131,13 +131,12 @@ def standard_chart(graph, orientation=None, odd="generators", rank=DEFAULT_RANK)
 # -- gauge classes -------------------------------------------------------------
 
 
-def _reflection_solution(graph, target_bits, skip_edges=()):
-    """Vertex set whose reflections reverse exactly the target edges, edges
-    in skip_edges left unconstrained, normalized to exclude vertex 0
-    (reflecting every vertex reverses nothing)."""
+def _reflection_solution(graph, target_bits):
+    """Vertex set whose reflections reverse exactly the target edges,
+    normalized to exclude vertex 0 (reflecting every vertex reverses
+    nothing)."""
     rows = [graph.incidence_row(v) for v in range(graph.num_vertices)]
-    keep = [j not in skip_edges for j in range(graph.num_edges)]
-    combo, rest, _ = fg.gf2_solve(rows, target_bits, keep)
+    combo, rest, _ = fg.gf2_solve(rows, target_bits)
     if rest.any():
         raise ValueError("orientations differ by more than vertex reflections")
     if combo[0]:
@@ -203,23 +202,6 @@ def _quad_labels(coords, e):
     return a, b, c, d, graph.vertex_of(h_theta), graph.vertex_of(h_sigma)
 
 
-def _spectator_aligned(graph, e, om, res):
-    """Representative of the evolved orientation class keeping every arrow
-    outside the flip window as it was before the flip."""
-    h_eu, h_ew = graph.edges[e]
-    window = {e}
-    for h in (h_eu, h_ew):
-        window.add(graph.edge_of(graph.sigma(h)))
-        window.add(graph.edge_of(graph.sigma(graph.sigma(h))))
-    delta = tuple(x ^ y for x, y in zip(res.orientation.bits, om.bits))
-    refl = _reflection_solution(res.graph, delta, window)
-    flip_set = set()
-    for v in refl:
-        row = res.graph.incidence_row(v)
-        flip_set ^= {j for j in range(res.graph.num_edges) if row[j]}
-    return res.orientation.flip_edges(flip_set)
-
-
 def _nu_mu_vertices(graph, om, e, res, v_theta, v_sigma):
     """Post-flip vertices carrying the two new odd invariants: the nu
     triangle is the one keeping the halves that carried b and c."""
@@ -234,38 +216,28 @@ def _nu_mu_vertices(graph, om, e, res, v_theta, v_sigma):
 
 def _flip_once(coords, e):
     """One flip, no gauge canonicalization.  The transformed values are worn
-    plain by the figure orientation, the one in which every arrow keeps its
-    tail half (the new diagonal points at the triangle that carries nu).  The
-    combinatorial flip fixes the output class through its spin transport;
-    the representative chosen above can only differ from the figure by
-    vertex reflections, which come back onto the values as mu signs."""
+    plain by the orientation of `fg.flip`, the paper's rule: every arrow
+    keeps its tail half (the new diagonal points at the triangle that
+    carries nu) and the arrow of leaf c, the edge of sigma^2(tail of e),
+    reverses.  That is the orientation of the paper's flip figure, so the
+    new mu-invariants are worn as they come, with no vertex reflection."""
     graph = coords.graph
-    base = coords
-    a, b, c, d, v_theta, v_sigma = _quad_labels(base, e)
-    lam_e = base.lambdas[e]
-    theta = base.mus[v_theta]
-    sigma = base.mus[v_sigma]
+    a, b, c, d, v_theta, v_sigma = _quad_labels(coords, e)
+    lam_e = coords.lambdas[e]
+    theta = coords.mus[v_theta]
+    sigma = coords.mus[v_sigma]
     chi = a * c * (b * d).inverse()
     f = ptolemy_even(a, b, c, d, lam_e, sigma, theta)
     nu, mu_new = ptolemy_odd(sigma, theta, chi)
-    res = fg.flip(graph, e, base.orientation)
-    om_out = _spectator_aligned(graph, e, base.orientation, res)
-    fig = fg.Orientation(res.graph, list(base.orientation.tails))
-    delta = tuple(x ^ y for x, y in zip(om_out.bits, fig.bits))
-    try:
-        refl = _reflection_solution(res.graph, delta)
-    except ValueError:
-        raise AssertionError("flip transport escaped the reflection gauge")
-    v_nu, v_mu = _nu_mu_vertices(graph, base.orientation, e, res, v_theta, v_sigma)
-    lambdas = list(base.lambdas)
+    res = fg.flip(graph, e, coords.orientation)
+    v_nu, v_mu = _nu_mu_vertices(graph, coords.orientation, e, res, v_theta, v_sigma)
+    lambdas = list(coords.lambdas)
     lambdas[e] = f
-    mus = list(base.mus)
+    mus = list(coords.mus)
     mus[v_nu] = nu
     mus[v_mu] = mu_new
-    for v in refl:
-        mus[v] = -mus[v]
     return DecoratedCoords(
-        res.graph, lambdas, mus, om_out, base.gauge, rank=base.rank
+        res.graph, lambdas, mus, res.orientation, coords.gauge, rank=coords.rank
     )
 
 

@@ -5,8 +5,9 @@ every vertex.  Fattening each trivalent vertex to a hexagon and each edge to
 a rectangle produces a compact "skinny" surface whose one-skeleton carries
 the combinatorics of spin structures: an edge orientation induces a special
 Kasteleyn orientation, a fixed canonical dimer turns it into a quadratic
-form on mod-2 homology, and flips act on orientation classes by a local
-rule recovered here by brute force over the local window.
+form on mod-2 homology, and a flip acts on orientations by the paper's
+local rule: every arrow keeps its tail half-edge and one leaf of the
+quadrilateral reverses.
 
 Conventions.  Half-edges are integers; sigma is the ccw successor at a
 vertex, partner the edge involution.  The skinny one-skeleton has CW points
@@ -256,9 +257,8 @@ class Orientation:
         return hash(self.tails)
 
 
-def gf2_solve(rows, target, mask=None):
-    """Write target as a sum of rows over GF(2), comparing only the columns
-    where mask is set (every column by default).
+def gf2_solve(rows, target):
+    """Write target as a sum of rows over GF(2).
 
     Each row is reduced against the rows kept before it and kept when
     anything is left; its lowest nonzero column is its pivot, and the pivots
@@ -269,10 +269,6 @@ def gf2_solve(rows, target, mask=None):
     """
     rows = np.asarray(rows, dtype=np.uint8)
     rest = np.asarray(target, dtype=np.uint8).copy()
-    if mask is not None:
-        keep = np.asarray(mask, dtype=np.uint8)
-        rows = rows & keep
-        rest &= keep
     kept = []
     for i, row in enumerate(rows):
         combo = np.zeros(len(rows), dtype=np.uint8)
@@ -480,7 +476,6 @@ class SkinnyGraph:
                     raise ValueError("inconsistent transit")
                 steps.append((("l", h_out), True))
             curves.append(steps)
-            self.check_closed(steps)
         return curves
 
 
@@ -616,210 +611,6 @@ def puncture_types(graph, orientation):
 
 # -- the flip and its orientation rule ----------------------------------------
 
-_PRE_SIGMA = {"EU": "NW", "NW": "SW", "SW": "EU", "EW": "SE", "SE": "NE", "NE": "EW"}
-_POST_SIGMA = {"ET": "NE", "NE": "NW", "NW": "ET", "EB": "SW", "SW": "SE", "SE": "EB"}
-_LEAVES = ("NW", "SW", "SE", "NE")
-
-
-class _LocalWindow:
-    """Flip neighborhood of the skinny surface with port stubs on the four
-    leaf edges, enough to evaluate the six arc contributions."""
-
-    def __init__(self, sigma, interior):
-        self.sigma = sigma
-        self.sigma_inv = {v: k for k, v in sigma.items()}
-        self.interior = interior  # pair of interior half-edge tags
-        self.ends = {}
-        for h in sigma:
-            self.ends[("s", h)] = (("L", h), ("R", h))
-            self.ends[("a", h)] = (("L", h), ("R", sigma[h]))
-        e1, e2 = interior
-        self.ends[("l", e1)] = (("R", e1), ("L", e2))
-        self.ends[("l", e2)] = (("R", e2), ("L", e1))
-        for x in _LEAVES:
-            self.ends[("out", x)] = (("R", x), ("Q", x, "out"))
-            self.ends[("in", x)] = (("Q", x, "in"), ("L", x))
-
-    def ccw_at(self, p):
-        side, h = p
-        if side == "L":
-            third = ("in", h) if h in _LEAVES else ("l", self.partner_long(h))
-            return (("a", h), ("s", h), third)
-        third = ("out", h) if h in _LEAVES else ("l", h)
-        return (third, ("s", h), ("a", self.sigma_inv[h]))
-
-    def partner_long(self, h):
-        e1, e2 = self.interior
-        return e2 if h == e1 else e1
-
-    def kasteleyn(self, edge_dir, leaf_in):
-        """edge_dir: tail tag of the interior edge; leaf_in: tag -> bool."""
-        k = {}
-        for h in self.sigma:
-            k[("s", h)] = (("R", h), ("L", h))
-            k[("a", h)] = (("R", self.sigma[h]), ("L", h))
-        e1, e2 = self.interior
-        tail = edge_dir
-        other = e2 if tail == e1 else e1
-        k[("l", tail)] = (("R", tail), ("L", other))
-        k[("l", other)] = (("L", tail), ("R", other))
-        for x in _LEAVES:
-            if leaf_in[x]:
-                k[("out", x)] = (("Q", x, "out"), ("R", x))
-                k[("in", x)] = (("Q", x, "in"), ("L", x))
-            else:
-                k[("out", x)] = (("R", x), ("Q", x, "out"))
-                k[("in", x)] = (("L", x), ("Q", x, "in"))
-        return k
-
-    def step_ends(self, step):
-        key, fwd = step
-        a, b = self.ends[key]
-        return (a, b) if fwd else (b, a)
-
-    def contribution(self, path, k):
-        """(disagreements + left dimers) mod 2 along an open arc."""
-        n = 0
-        for step in path:
-            if self.step_ends(step) != k[step[0]]:
-                n += 1
-        ell = 0
-        for s_in, s_out in zip(path, path[1:]):
-            p = self.step_ends(s_in)[1]
-            d = ("s", p[1])
-            if s_in[0] == d or s_out[0] == d:
-                continue
-            order = self.ccw_at(p)
-            i = order.index(s_out[0])
-            if order[(i + 1) % 3] == d and order[(i + 2) % 3] == s_in[0]:
-                ell += 1
-        return (n + ell) % 2
-
-    def transit(self, h_in, h_out):
-        """Steps across one hexagon from P_L(h_in) to P_R(h_out)."""
-        steps = [(("a", h_in), True)]
-        if h_out == self.sigma[self.sigma[h_in]]:
-            mid = self.sigma[h_in]
-            steps.append((("s", mid), False))
-            steps.append((("a", mid), True))
-        elif h_out != self.sigma[h_in]:
-            raise ValueError("impossible transit")
-        return steps
-
-    def arc(self, ports):
-        """Directed arc entering at the first port and leaving at the last,
-        passing the interior edge whenever the ports sit at both vertices."""
-        first, last = ports
-        path = [(("in", first), True)]
-        here = first
-        e1, e2 = self.interior
-        same_vertex = self.vertex_tag(first) == self.vertex_tag(last)
-        if same_vertex:
-            path += self.transit(first, last)
-        else:
-            mine = e1 if self.vertex_tag(first) == self.vertex_tag(e1) else e2
-            theirs = e2 if mine == e1 else e1
-            path += self.transit(first, mine)
-            path.append((("l", mine), True))
-            path += self.transit(theirs, last)
-        path.append((("out", last), True))
-        return path
-
-    def vertex_tag(self, h):
-        # vertices are the orbits of sigma
-        e1, e2 = self.interior
-        orbit = {e1}
-        x = self.sigma[e1]
-        while x != e1:
-            orbit.add(x)
-            x = self.sigma[x]
-        return 0 if h in orbit else 1
-
-
-_ARC_PORTS = [
-    ("NW", "SW"),
-    ("SE", "NE"),
-    ("NE", "NW"),
-    ("SW", "SE"),
-    ("NW", "SE"),
-    ("SW", "NE"),
-]
-
-
-def window_solutions(e_tag, leaf_bits):
-    """Post-flip orientations of the five local edges preserving all six
-    arc contributions, for a given pre-flip state.
-
-    e_tag is "EU" or "EW" (tail vertex of the interior edge); leaf_bits
-    gives inward flags in NW, SW, SE, NE order.  Solutions are (tail tag,
-    inward flags) pairs in a fixed deterministic order.
-    """
-    pre = _LocalWindow(_PRE_SIGMA, ("EU", "EW"))
-    post = _LocalWindow(_POST_SIGMA, ("ET", "EB"))
-    leaf_in = dict(zip(_LEAVES, leaf_bits))
-    k_pre = pre.kasteleyn(e_tag, leaf_in)
-    goal = [pre.contribution(pre.arc(p), k_pre) for p in _ARC_PORTS]
-    solutions = []
-    for tail in ("ET", "EB"):
-        for cand in itertools.product((True, False), repeat=4):
-            li = dict(zip(_LEAVES, cand))
-            k_post = post.kasteleyn(tail, li)
-            got = [post.contribution(post.arc(p), k_post) for p in _ARC_PORTS]
-            if got == goal:
-                solutions.append((tail, cand))
-    return solutions
-
-
-def _window_reflect_top(sol):
-    # reflection at the top vertex: reverses the new edge, NW and NE
-    tail, (nw, sw, se, ne) = sol
-    return ("EB" if tail == "ET" else "ET", (not nw, sw, se, not ne))
-
-
-def _window_reflect_bottom(sol):
-    tail, (nw, sw, se, ne) = sol
-    return ("EB" if tail == "ET" else "ET", (nw, not sw, not se, ne))
-
-
-def flip_rule_oracle():
-    """Brute-force the orientation evolution for every pre-flip state.
-
-    Each state must have exactly four solutions forming one orbit of the
-    reflections at the two new vertices, i.e. a single well-defined
-    orientation class.  The table stores all four, canonical first (NW
-    inward and the new edge directed upward).
-    """
-    table = {}
-    for e_tag in ("EU", "EW"):
-        for bits in itertools.product((True, False), repeat=4):
-            sols = window_solutions(e_tag, bits)
-            if len(sols) != 4:
-                raise AssertionError(
-                    "flip case %r has %d solutions" % ((e_tag, bits), len(sols))
-                )
-            orbit = set(sols)
-            for s in sols:
-                if _window_reflect_top(s) not in orbit:
-                    raise AssertionError("solutions not closed under reflection")
-                if _window_reflect_bottom(s) not in orbit:
-                    raise AssertionError("solutions not closed under reflection")
-            canon = [s for s in sols if s[1][0] and s[0] == "ET"]
-            if len(canon) != 1:
-                raise AssertionError("no canonical representative in %r" % (sols,))
-            rest = sorted(s for s in sols if s != canon[0])
-            table[(e_tag, bits)] = tuple(canon + rest)
-    return table
-
-
-_FLIP_TABLE = None
-
-
-def _flip_table():
-    global _FLIP_TABLE
-    if _FLIP_TABLE is None:
-        _FLIP_TABLE = flip_rule_oracle()
-    return _FLIP_TABLE
-
 
 class FlipResult:
     """Flipped fatgraph with evolved orientation and a homology transport."""
@@ -873,16 +664,14 @@ def _corner_passage(vec, leaf1, leaf2):
 def flip(graph, e, orientation):
     """Flip a non-loop edge and evolve the orientation with the spin class.
 
-    When the four leaves of the quadrilateral are distinct edges, the window
-    state of the five local edges is looked up in the flip-rule table and
-    its canonical solution (NW inward, new edge directed upward) is written
-    onto them; every other edge keeps its direction.  When leaves coincide
-    as edges the window rule does not apply, and the class is solved from
-    the defining property instead: the new form must agree with the old one
-    on the transported cycle basis.  Reversing the edges of a mod-2 cochain
-    c changes the form on a cycle x by c.x, so starting from the old arrows
-    on the new graph one GF(2) system on the transported basis gives c; the
-    canonical representative of the result is returned.
+    The paper's local rule: on the flipped graph every arrow keeps its tail
+    half-edge, the new diagonal keeping the tail half of the old edge, and
+    one arrow reverses, that of leaf c, the edge of sigma^2(tail of e) on
+    the old graph (the leaf labelled c in the quadrilateral of
+    `decorated._quad_labels`).  The new quadratic form then agrees with the
+    old one on every cycle pushed across by `FlipResult.transport`.  The
+    orientation is returned as the rule gives it, not as the canonical
+    representative of its class, so a flip costs O(E).
     """
     if graph.is_loop(e):
         raise ValueError("cannot flip loop edge %d" % e)
@@ -890,12 +679,6 @@ def flip(graph, e, orientation):
     u, w = graph.vertex_of(h_eu), graph.vertex_of(h_ew)
     h_nw, h_sw = graph.sigma(h_eu), graph.sigma(graph.sigma(h_eu))
     h_se, h_ne = graph.sigma(h_ew), graph.sigma(graph.sigma(h_ew))
-    leaf_halves = (h_nw, h_sw, h_se, h_ne)
-
-    e_tag = "EU" if orientation.tail(e) == h_eu else "EW"
-    bits = tuple(
-        orientation.tail(graph.edge_of(h)) == graph.partner(h) for h in leaf_halves
-    )
 
     # rebuild the graph: t keeps u's id with ccw (e, ne, nw), b gets (e, sw, se)
     vertices = [list(v) for v in graph.vertices]
@@ -903,39 +686,11 @@ def flip(graph, e, orientation):
     vertices[w] = [h_ew, h_sw, h_se]
     new_graph = Fatgraph(vertices, graph.edges)
 
-    locals_ = (h_eu, h_nw, h_sw, h_ew, h_se, h_ne)
-    local_edges = {e} | {graph.edge_of(h) for h in leaf_halves}
-    if len(local_edges) == 5:
-        tail_tag, leaf_in = _flip_table()[(e_tag, bits)][0]
-        tails = list(orientation.tails)
-        tails[e] = h_eu if tail_tag == "ET" else h_ew
-        for h, inward in zip(leaf_halves, leaf_in):
-            tails[graph.edge_of(h)] = graph.partner(h) if inward else h
-        new_or = Orientation(new_graph, tails)
-        return FlipResult(new_graph, new_or, e, locals_)
-
-    # leaves of the quadrilateral coincide as edges: solve the defining
-    # property q_new(transport(b)) = q_old(b) on the cycle basis b
-    q_old = QuadraticForm(graph, orientation)
-    want = q_old.basis_values()
-    moved = [_transport_vec(graph, locals_, e, b) for b in q_old.basis]
-    start = Orientation(new_graph, orientation.tails)
-    q_start = QuadraticForm(new_graph, start)
-    rhs = [w ^ q_start.value(x) for w, x in zip(want, moved)]
-    # rows are edges: sum of c_j * (moved_i)_j over j must equal rhs_i
-    c, _, pivots = gf2_solve(np.array(moved).T, rhs)
-    if len(pivots) != len(moved):
-        raise AssertionError(
-            "flip of edge %d: transported cycles have rank %d, not %d"
-            % (e, len(pivots), len(moved))
-        )
-    new_or = orientation_class(start.xor_cochain(c))
-    q_new = QuadraticForm(new_graph, new_or)
-    if tuple(q_new.value(x) for x in moved) != want:
-        raise AssertionError(
-            "flip of edge %d: solved class breaks the transported form" % e
-        )
-    return FlipResult(new_graph, new_or, e, locals_)
+    tails = list(orientation.tails)
+    leaf_c = graph.edge_of(graph.sigma(graph.sigma(tails[e])))
+    tails[leaf_c] = graph.partner(tails[leaf_c])
+    new_or = Orientation(new_graph, tails)
+    return FlipResult(new_graph, new_or, e, (h_eu, h_nw, h_sw, h_ew, h_se, h_ne))
 
 
 # -- duality -------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Decorated charts: the coords text format, the gauge and the light-cone
-lift."""
+"""Decorated charts: the coords text format, the gauge, the light-cone lift
+and the super Ptolemy flip."""
 
 import itertools
 
@@ -64,19 +64,48 @@ class TestGauge:
             assert dc.canonical_gauge(moved.flip_gauge()).isclose(can)
 
     @pytest.mark.parametrize("name", sorted(SPINES))
-    def test_reflection_solution_skipping_edges(self, name):
+    def test_reflection_solution_reproduces_reachable_targets(self, name):
         g = SPINES[name]()
         rows = [g.incidence_row(v) for v in range(g.num_vertices)]
-        skip = {1, 2}
-        outside = np.array([j not in skip for j in range(g.num_edges)])
         for flips in itertools.product((0, 1), repeat=g.num_vertices):
             target = sum((r for r, f in zip(rows, flips) if f), np.zeros_like(rows[0])) % 2
-            target[sorted(skip)] ^= 1
-            sol = dc._reflection_solution(g, target, skip)
+            sol = dc._reflection_solution(g, target)
             assert 0 not in sol
             got = sum((rows[v] for v in sol), np.zeros_like(rows[0])) % 2
-            assert np.array_equal(got[outside], target[outside])
+            assert np.array_equal(got, target)
         # an edge on a cycle cannot be reversed alone
         on_cycle = int(np.argmax(g.cycle_basis()[0]))
         with pytest.raises(ValueError):
             dc._reflection_solution(g, np.eye(g.num_edges, dtype=np.uint8)[on_cycle])
+
+
+ORIENTATIONS = {
+    "zeros": lambda g: fg.Orientation.from_bits(g, (0,) * g.num_edges),
+    "alternating": lambda g: fg.Orientation.from_bits(g, [j % 2 for j in range(g.num_edges)]),
+}
+
+
+class TestFlipCoords:
+    @pytest.mark.parametrize("orient", sorted(ORIENTATIONS))
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_flip_keeps_the_spin_class(self, name, orient):
+        g = SPINES[name]()
+        chart = dc.standard_chart(g, ORIENTATIONS[orient](g), rank=RANK)
+        q = fg.QuadraticForm(g, chart.orientation)
+        for e in range(g.num_edges):
+            if g.is_loop(e):
+                continue
+            out = dc.flip_coords(chart, e)
+            res = fg.flip(g, e, chart.orientation)
+            assert out.graph.vertices == res.graph.vertices
+            q_out = fg.QuadraticForm(out.graph, out.orientation)
+            assert [q_out.value(res.transport(b)) for b in q.basis] == list(q.basis_values())
+
+    @pytest.mark.parametrize("orient", sorted(ORIENTATIONS))
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_two_form_pulls_back(self, name, orient):
+        g = SPINES[name]()
+        chart = dc.standard_chart(g, ORIENTATIONS[orient](g), rank=RANK)
+        for e in range(g.num_edges):
+            if not g.is_loop(e):
+                assert dc.pullback_check(chart, e) <= 1e-6, "edge %d" % e

@@ -48,6 +48,13 @@ def random_graphs(seed, num_vertices, count):
     return [random_fatgraph(rng, num_vertices) for _ in range(count)]
 
 
+SPINES_AND_RANDOM = [
+    pytest.param(lambda: [make() for make in SPINES.values()], id="spines"),
+    pytest.param(lambda: random_graphs(4, 4, 6), id="random-V4"),
+    pytest.param(lambda: random_graphs(6, 6, 4), id="random-V6"),
+]
+
+
 def coinciding_leaves(graph, e):
     """Whether two leaves of the quadrilateral around e are one edge."""
     local = {e}
@@ -69,6 +76,248 @@ def search_flip_class(graph, om, res):
         if [qq.value(x) for x in moved] == want:
             matches.append(cand)
     return matches
+
+
+def solved_flip_class(graph, om, res):
+    """Class of the flipped orientation solved from the defining property
+    q_new(transport(b)) = q_old(b) on the cycle basis b, without the rule.
+
+    Reversing the edges of a mod-2 cochain c changes the form on a cycle x
+    by c.x, so starting from the old arrows on the new graph, one GF(2)
+    system on the transported basis gives c."""
+    q_old = fg.QuadraticForm(graph, om)
+    want = q_old.basis_values()
+    moved = [res.transport(b) for b in q_old.basis]
+    start = fg.Orientation(res.graph, om.tails)
+    q_start = fg.QuadraticForm(res.graph, start)
+    rhs = [w ^ q_start.value(x) for w, x in zip(want, moved)]
+    # rows are edges: sum of c_j * (moved_i)_j over j must equal rhs_i
+    c, _, pivots = fg.gf2_solve(np.array(moved).T, rhs)
+    assert len(pivots) == len(moved)
+    solved = fg.orientation_class(start.xor_cochain(c))
+    q_new = fg.QuadraticForm(res.graph, solved)
+    assert tuple(q_new.value(x) for x in moved) == want
+    return solved
+
+
+# -- the brute-force window oracle ---------------------------------------------
+#
+# The flip neighbourhood of the skinny surface, cut down to the six arcs that
+# cross the quadrilateral, with port stubs on the four leaves.  For every
+# pre-flip state it finds, by trying all 32, the post-flip states of the five
+# local edges that keep each arc's contribution to the quadratic form; the
+# tests hold the rule in `fg.flip` against it.
+
+_PRE_SIGMA = {"EU": "NW", "NW": "SW", "SW": "EU", "EW": "SE", "SE": "NE", "NE": "EW"}
+_POST_SIGMA = {"ET": "NE", "NE": "NW", "NW": "ET", "EB": "SW", "SW": "SE", "SE": "EB"}
+_LEAVES = ("NW", "SW", "SE", "NE")
+
+
+class _LocalWindow:
+    """Flip neighborhood of the skinny surface with port stubs on the four
+    leaf edges, enough to evaluate the six arc contributions."""
+
+    def __init__(self, sigma, interior):
+        self.sigma = sigma
+        self.sigma_inv = {v: k for k, v in sigma.items()}
+        self.interior = interior  # pair of interior half-edge tags
+        self.ends = {}
+        for h in sigma:
+            self.ends[("s", h)] = (("L", h), ("R", h))
+            self.ends[("a", h)] = (("L", h), ("R", sigma[h]))
+        e1, e2 = interior
+        self.ends[("l", e1)] = (("R", e1), ("L", e2))
+        self.ends[("l", e2)] = (("R", e2), ("L", e1))
+        for x in _LEAVES:
+            self.ends[("out", x)] = (("R", x), ("Q", x, "out"))
+            self.ends[("in", x)] = (("Q", x, "in"), ("L", x))
+
+    def ccw_at(self, p):
+        side, h = p
+        if side == "L":
+            third = ("in", h) if h in _LEAVES else ("l", self.partner_long(h))
+            return (("a", h), ("s", h), third)
+        third = ("out", h) if h in _LEAVES else ("l", h)
+        return (third, ("s", h), ("a", self.sigma_inv[h]))
+
+    def partner_long(self, h):
+        e1, e2 = self.interior
+        return e2 if h == e1 else e1
+
+    def kasteleyn(self, edge_dir, leaf_in):
+        """edge_dir: tail tag of the interior edge; leaf_in: tag -> bool."""
+        k = {}
+        for h in self.sigma:
+            k[("s", h)] = (("R", h), ("L", h))
+            k[("a", h)] = (("R", self.sigma[h]), ("L", h))
+        e1, e2 = self.interior
+        tail = edge_dir
+        other = e2 if tail == e1 else e1
+        k[("l", tail)] = (("R", tail), ("L", other))
+        k[("l", other)] = (("L", tail), ("R", other))
+        for x in _LEAVES:
+            if leaf_in[x]:
+                k[("out", x)] = (("Q", x, "out"), ("R", x))
+                k[("in", x)] = (("Q", x, "in"), ("L", x))
+            else:
+                k[("out", x)] = (("R", x), ("Q", x, "out"))
+                k[("in", x)] = (("L", x), ("Q", x, "in"))
+        return k
+
+    def step_ends(self, step):
+        key, fwd = step
+        a, b = self.ends[key]
+        return (a, b) if fwd else (b, a)
+
+    def contribution(self, path, k):
+        """(disagreements + left dimers) mod 2 along an open arc."""
+        n = 0
+        for step in path:
+            if self.step_ends(step) != k[step[0]]:
+                n += 1
+        ell = 0
+        for s_in, s_out in zip(path, path[1:]):
+            p = self.step_ends(s_in)[1]
+            d = ("s", p[1])
+            if s_in[0] == d or s_out[0] == d:
+                continue
+            order = self.ccw_at(p)
+            i = order.index(s_out[0])
+            if order[(i + 1) % 3] == d and order[(i + 2) % 3] == s_in[0]:
+                ell += 1
+        return (n + ell) % 2
+
+    def transit(self, h_in, h_out):
+        """Steps across one hexagon from P_L(h_in) to P_R(h_out)."""
+        steps = [(("a", h_in), True)]
+        if h_out == self.sigma[self.sigma[h_in]]:
+            mid = self.sigma[h_in]
+            steps.append((("s", mid), False))
+            steps.append((("a", mid), True))
+        elif h_out != self.sigma[h_in]:
+            raise ValueError("impossible transit")
+        return steps
+
+    def arc(self, ports):
+        """Directed arc entering at the first port and leaving at the last,
+        passing the interior edge whenever the ports sit at both vertices."""
+        first, last = ports
+        path = [(("in", first), True)]
+        here = first
+        e1, e2 = self.interior
+        same_vertex = self.vertex_tag(first) == self.vertex_tag(last)
+        if same_vertex:
+            path += self.transit(first, last)
+        else:
+            mine = e1 if self.vertex_tag(first) == self.vertex_tag(e1) else e2
+            theirs = e2 if mine == e1 else e1
+            path += self.transit(first, mine)
+            path.append((("l", mine), True))
+            path += self.transit(theirs, last)
+        path.append((("out", last), True))
+        return path
+
+    def vertex_tag(self, h):
+        # vertices are the orbits of sigma
+        e1, e2 = self.interior
+        orbit = {e1}
+        x = self.sigma[e1]
+        while x != e1:
+            orbit.add(x)
+            x = self.sigma[x]
+        return 0 if h in orbit else 1
+
+
+_ARC_PORTS = [
+    ("NW", "SW"),
+    ("SE", "NE"),
+    ("NE", "NW"),
+    ("SW", "SE"),
+    ("NW", "SE"),
+    ("SW", "NE"),
+]
+
+
+def window_solutions(e_tag, leaf_bits):
+    """Post-flip orientations of the five local edges preserving all six
+    arc contributions, for a given pre-flip state.
+
+    e_tag is "EU" or "EW" (tail vertex of the interior edge); leaf_bits
+    gives inward flags in NW, SW, SE, NE order.  Solutions are (tail tag,
+    inward flags) pairs in a fixed deterministic order.
+    """
+    pre = _LocalWindow(_PRE_SIGMA, ("EU", "EW"))
+    post = _LocalWindow(_POST_SIGMA, ("ET", "EB"))
+    leaf_in = dict(zip(_LEAVES, leaf_bits))
+    k_pre = pre.kasteleyn(e_tag, leaf_in)
+    goal = [pre.contribution(pre.arc(p), k_pre) for p in _ARC_PORTS]
+    solutions = []
+    for tail in ("ET", "EB"):
+        for cand in itertools.product((True, False), repeat=4):
+            li = dict(zip(_LEAVES, cand))
+            k_post = post.kasteleyn(tail, li)
+            got = [post.contribution(post.arc(p), k_post) for p in _ARC_PORTS]
+            if got == goal:
+                solutions.append((tail, cand))
+    return solutions
+
+
+def _window_reflect_top(sol):
+    # reflection at the top vertex: reverses the new edge, NW and NE
+    tail, (nw, sw, se, ne) = sol
+    return ("EB" if tail == "ET" else "ET", (not nw, sw, se, not ne))
+
+
+def _window_reflect_bottom(sol):
+    tail, (nw, sw, se, ne) = sol
+    return ("EB" if tail == "ET" else "ET", (nw, not sw, not se, ne))
+
+
+def flip_rule_oracle():
+    """Brute-force the orientation evolution for every pre-flip state.
+
+    Each state must have exactly four solutions forming one orbit of the
+    reflections at the two new vertices, i.e. a single well-defined
+    orientation class.  The table stores all four, canonical first (NW
+    inward and the new edge directed upward).
+    """
+    table = {}
+    for e_tag in ("EU", "EW"):
+        for bits in itertools.product((True, False), repeat=4):
+            sols = window_solutions(e_tag, bits)
+            if len(sols) != 4:
+                raise AssertionError(
+                    "flip case %r has %d solutions" % ((e_tag, bits), len(sols))
+                )
+            orbit = set(sols)
+            for s in sols:
+                if _window_reflect_top(s) not in orbit:
+                    raise AssertionError("solutions not closed under reflection")
+                if _window_reflect_bottom(s) not in orbit:
+                    raise AssertionError("solutions not closed under reflection")
+            canon = [s for s in sols if s[1][0] and s[0] == "ET"]
+            if len(canon) != 1:
+                raise AssertionError("no canonical representative in %r" % (sols,))
+            rest = sorted(s for s in sols if s != canon[0])
+            table[(e_tag, bits)] = tuple(canon + rest)
+    return table
+
+
+def rule_in_window(e_tag, leaf_bits):
+    """The post-flip window state (tail tag, inward flags) that `fg.flip`
+    writes for a pre-flip state, read off edge 0 of the genus-two spine,
+    whose four leaves are distinct edges."""
+    g = fg.genus_two_spine()
+    h_eu, h_ew = g.edges[0]
+    leaves = (g.sigma(h_eu), g.sigma_inv(h_eu), g.sigma(h_ew), g.sigma_inv(h_ew))
+    assert len({g.edge_of(h) for h in leaves} | {0}) == 5
+    tails = [pair[0] for pair in g.edges]
+    tails[0] = h_eu if e_tag == "EU" else h_ew
+    for h, inward in zip(leaves, leaf_bits):
+        tails[g.edge_of(h)] = g.partner(h) if inward else h
+    out = fg.flip(g, 0, fg.Orientation(g, tails)).orientation
+    tail = "ET" if out.tail(0) == h_eu else "EB"
+    return tail, tuple(out.tail(g.edge_of(h)) == g.partner(h) for h in leaves)
 
 
 class TestFatgraph:
@@ -141,14 +390,7 @@ class TestOrientation:
             classes = fg.orientation_classes(g)
             assert len(classes) == 2 ** (g.num_edges - g.num_vertices + 1)
 
-    @pytest.mark.parametrize(
-        "graphs",
-        [
-            pytest.param(lambda: [make() for make in SPINES.values()], id="spines"),
-            pytest.param(lambda: random_graphs(4, 4, 6), id="random-V4"),
-            pytest.param(lambda: random_graphs(6, 6, 4), id="random-V6"),
-        ],
-    )
+    @pytest.mark.parametrize("graphs", SPINES_AND_RANDOM)
     def test_classes_match_brute_force_cosets(self, graphs):
         for g in graphs():
             span = {(0,) * g.num_edges}
@@ -167,16 +409,15 @@ class TestOrientation:
             n, m = (int(x) for x in rng.integers(1, 6, size=2))
             rows = rng.integers(0, 2, size=(n, m)).astype(np.uint8)
             target = rng.integers(0, 2, size=m).astype(np.uint8)
-            mask = rng.integers(0, 2, size=m).astype(np.uint8)
-            combo, rest, pivots = fg.gf2_solve(rows, target, mask)
+            combo, rest, pivots = fg.gf2_solve(rows, target)
             sums = {
-                tuple((np.array(x, dtype=np.uint8) @ rows % 2) & mask)
+                tuple(np.array(x, dtype=np.uint8) @ rows % 2)
                 for x in itertools.product((0, 1), repeat=n)
             }
             assert len(pivots) == len(set(pivots)) and 2 ** len(pivots) == len(sums)
-            assert not rest[pivots].any() and not (rest & (1 - mask)).any()
-            assert np.array_equal((combo @ rows + target + rest) % 2 & mask, np.zeros(m))
-            assert (not rest.any()) == (tuple(target & mask) in sums)
+            assert not rest[pivots].any()
+            assert np.array_equal((combo @ rows + target + rest) % 2, np.zeros(m))
+            assert (not rest.any()) == (tuple(target) in sums)
 
     def test_canonical_form_is_reflection_invariant_and_minimal(self):
         g = fg.theta_graph()
@@ -330,6 +571,17 @@ class TestQuadraticForm:
                         curve.append((("l", g.sigma(h)), True))
                     assert q.value_of_curves([curve]) == q.value(g.puncture_vector(orbit))
 
+    def test_open_curves_rejected(self):
+        g = fg.theta_graph()
+        q = fg.QuadraticForm(g, fg.orientation_classes(g)[0])
+        curve = q.skinny.realize_cycle(g.cycle_basis()[0])[0]
+        hexagon = q.skinny.hexagon_boundary(0)
+        for bad in (curve[:-1], curve[1:], hexagon[:3] + hexagon[4:]):
+            with pytest.raises(ValueError, match="not a closed edge-path"):
+                q.value_of_curves([bad])
+            with pytest.raises(ValueError, match="not a closed edge-path"):
+                q.value_of_curves([hexagon, bad])
+
     def test_value_independent_of_direction(self):
         g = fg.theta_graph()
         om = fg.orientation_classes(g)[2]
@@ -389,22 +641,52 @@ class TestFlipRule:
     def test_oracle_solutions_form_one_reflection_orbit(self):
         for e_tag in ("EU", "EW"):
             for bits in itertools.product((True, False), repeat=4):
-                sols = fg.window_solutions(e_tag, bits)
+                sols = window_solutions(e_tag, bits)
                 assert len(sols) == 4
                 orbit = set(sols)
                 for s in sols:
-                    assert fg._window_reflect_top(s) in orbit
-                    assert fg._window_reflect_bottom(s) in orbit
+                    assert _window_reflect_top(s) in orbit
+                    assert _window_reflect_bottom(s) in orbit
 
     def test_oracle_rule_in_canonical_gauge(self):
         # with NW inward and the edge at the top vertex, only SW reverses
-        table = fg.flip_rule_oracle()
+        table = flip_rule_oracle()
         for (e_tag, bits), sols in table.items():
             if e_tag != "EU" or not bits[0]:
                 continue
             tail, out = sols[0]
             assert tail == "ET"
             assert out == (bits[0], not bits[1], bits[2], bits[3])
+
+    def test_rule_is_a_window_solution(self):
+        for e_tag in ("EU", "EW"):
+            for bits in itertools.product((True, False), repeat=4):
+                assert rule_in_window(e_tag, bits) in window_solutions(e_tag, bits)
+
+    @pytest.mark.parametrize("graphs", SPINES_AND_RANDOM)
+    def test_flip_keeps_every_tail_but_leaf_c(self, graphs):
+        rng = np.random.default_rng(5)
+        for g in graphs():
+            om = fg.Orientation.from_bits(g, rng.integers(0, 2, size=g.num_edges))
+            for e in flippable(g):
+                res = fg.flip(g, e, om)
+                leaf_c = g.edge_of(g.sigma(g.sigma(om.tail(e))))
+                moved = [j for j in range(g.num_edges) if res.orientation.tails[j] != om.tails[j]]
+                assert moved == [leaf_c]
+                assert res.orientation.tail(leaf_c) == om.head(leaf_c)
+
+    @pytest.mark.parametrize("num_vertices, count", [(4, 30), (6, 20), (8, 10)])
+    def test_rule_matches_the_gf2_solve(self, num_vertices, count):
+        rng = np.random.default_rng(20 + num_vertices)
+        coinciding = 0
+        for g in random_graphs(30 + num_vertices, num_vertices, count):
+            om = fg.Orientation.from_bits(g, rng.integers(0, 2, size=g.num_edges))
+            for e in flippable(g):
+                res = fg.flip(g, e, om)
+                solved = solved_flip_class(g, om, res)
+                assert fg.orientation_class(res.orientation).bits == solved.bits
+                coinciding += coinciding_leaves(g, e)
+        assert coinciding >= count
 
     def test_flip_preserves_spin_identifiers(self):
         for name in ("theta", "dumbbell", "four_puncture"):
@@ -453,7 +735,7 @@ class TestFlipRule:
                 res = fg.flip(g, e, om)
                 matches = search_flip_class(g, om, res)
                 assert len(matches) == 1
-                assert res.orientation.bits == matches[0].bits
+                assert fg.orientation_class(res.orientation).bits == matches[0].bits
         assert hits >= count
 
     def test_long_walk_keeps_the_form(self):
