@@ -8,7 +8,18 @@ only pairs of nonzero coefficients, at every rank: `_pair_product` is that
 one pair product.  It serves `multiply_coeffs`, the product of two
 elements, and `smul_coeffs`, the product of two (3, 3, 2**rank) supermatrix
 arrays as one signed contraction.
+
+Both take an optional batch: leading axes in front of the coefficient axis
+(of multiply_coeffs) or of the (3, 3) entry axes (of smul_coeffs), which
+broadcast against each other.  A call is one pair product over the whole
+stack: every term carries a key (its batch element, and for smul its inner
+index k), and only terms with equal keys pair up, found by a join on the
+keys.  A product of two single elements has one key, and its candidate
+pairs are all pairs of terms, found without the join (the join costs 1.7x
+as much there).
 """
+
+import math
 
 import numpy as np
 
@@ -25,34 +36,86 @@ SMUL_SIGNS = np.array([_EVEN_ROW, _EVEN_ROW, _ODD_ROW], dtype=float)
 
 
 def _sign_mask(rank):
-    """Length-2**rank table: bit p of t[i] is the parity of the generators
-    of i above p, so the pair (i, j) has sign (-1)**popcount(t[i] & j)."""
+    """Length-2**rank table: bit p of t[j] is the parity of the generators
+    of j below p, so the pair (i, j) has sign (-1)**popcount(t[j] & i)."""
     t = _sign_masks.get(rank)
     if t is None:
         idx = np.arange(1 << rank, dtype=np.int64)
         t = np.zeros_like(idx)
         for p in range(rank):
-            t |= (np.bitwise_count(idx >> (p + 1)).astype(np.int64) & 1) << p
+            t |= (np.bitwise_count(idx & ((1 << p) - 1)).astype(np.int64) & 1) << p
         _sign_masks[rank] = t
     return t
 
 
-def _pair_product(ma, va, mb, vb, rank):
-    """Products of the terms (masks ma, values va) with the terms (mb, vb).
+def _equal_key_pairs(ka, ma, kb, mb):
+    """Blocks (r, c) of the pairs of term r of a and term c of b with equal
+    keys, ka[r] == kb[c] (kb sorted), and disjoint masks; each block comes
+    from at most _MAX_PAIRS candidates.  Keys None stand for one key shared
+    by all terms: then every pair is a candidate, and no join is needed."""
+    if ka is None:
+        step = max(1, _MAX_PAIRS // mb.size)
+        for lo in range(0, ma.size, step):
+            r, c = ((ma[lo : lo + step, None] & mb) == 0).nonzero()
+            r += lo
+            yield r, c
+        return
+    # the b terms with a's key are the run first[r] : first[r] + count[r]
+    first = kb.searchsorted(ka)
+    count = kb.searchsorted(ka, "right") - first
+    end = count.cumsum()
+    # a block's candidates are a flat list: p pairs term r of a, the one with
+    # end[r] - count[r] <= p < end[r], with term p + shift[r] of b
+    shift = (first - end + count).astype(np.int32)
+    ma32, mb32 = ma.astype(np.int32), mb.astype(np.int32)
+    lo = 0
+    while lo < ma.size:
+        base = end[lo] - count[lo]
+        hi = max(lo + 1, int(end.searchsorted(base + _MAX_PAIRS, "right")))
+        p, c = _disjoint(base, count[lo:hi], shift[lo:hi], ma32[lo:hi], mb32)
+        yield end.searchsorted(p, "right"), c
+        lo = hi
+
+
+def _disjoint(base, reps, shift, ma, mb):
+    """The candidates p = base, base + 1, ... of a block of a's terms (reps
+    each, their b terms at p + shift) that pair disjoint masks, as (p, c).
+    The candidates are most of the memory a product takes: they are int32,
+    only c is held for all of them, and all are freed on return."""
+    c = shift.repeat(reps)
+    c += np.arange(base, base + c.size, dtype=np.int32)
+    clash = ma.repeat(reps)
+    clash &= mb[c]
+    keep = (clash == 0).nonzero()[0]
+    return keep + base, c[keep]
+
+
+def _pair_product(ka, ma, va, kb, mb, vb, rank):
+    """Products of the terms (keys ka, masks ma, values va) with the terms
+    (kb, mb, vb); kb must be sorted, and keys None mean one key for all.
 
     Yields blocks (r, c, mask, value): term r of a times term c of b is
-    value on the monomial mask; pairs sharing a generator vanish and are
-    left out.  The candidate arrays grow as len(ma) * len(mb), gigabytes for
-    a full rank-14 product, so a's terms go in blocks of _MAX_PAIRS."""
+    value on the monomial mask.  Only terms of equal key meet, and pairs
+    sharing a generator vanish and are left out.  a's masks may carry bits
+    above the rank (its flat index): b's masks meet none of them, and they
+    pass into mask unchanged.  The candidate pairs of a block number at most
+    _MAX_PAIRS: they grow as len(ma) * len(mb) for one key, gigabytes for a
+    full rank-14 product."""
     t = _sign_mask(rank)
-    step = max(1, _MAX_PAIRS // mb.size)
-    for lo in range(0, ma.size, step):
-        r, c = ((ma[lo : lo + step, None] & mb) == 0).nonzero()
-        if r.size == 0:
-            continue
-        r += lo
-        i, j = ma[r], mb[c]
-        yield r, c, i ^ j, va[r] * vb[c] * _SIGNS[np.bitwise_count(t[i] & j) & 1]
+    for r, c in _equal_key_pairs(ka, ma, kb, mb):
+        if r.size:
+            i, j = ma[r], mb[c]
+            yield r, c, i ^ j, va[r] * vb[c] * _SIGNS[np.bitwise_count(t[j] & i) & 1]
+
+
+def _accumulate(slots, weights, shape):
+    """Array of the given shape holding at each flat slot the sum, in
+    order, of the weights there (slots and weights: lists of blocks)."""
+    if not slots:
+        return np.zeros(shape)
+    if len(slots) > 1:
+        slots, weights = [np.concatenate(slots)], [np.concatenate(weights)]
+    return np.bincount(slots[0], weights=weights[0], minlength=math.prod(shape)).reshape(shape)
 
 
 def _terms(a):
@@ -61,41 +124,60 @@ def _terms(a):
     return (a != 0).nonzero()[0]
 
 
+def _broadcast(a, b):
+    """a and b broadcast against each other (themselves when their shapes
+    are equal already)."""
+    if a.shape == b.shape:
+        return a, b
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    return np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+
+
 def multiply_coeffs(a, b, rank):
-    """Grassmann product of two dense coefficient vectors of length 2**rank."""
-    ia = _terms(a)
-    jb = _terms(b)
-    if ia.size == 0 or jb.size == 0:
-        return np.zeros(a.shape[0])
-    # a body-only operand scales the other one
-    if ia.size == 1 and ia[0] == 0:
-        return a[0] * b
-    if jb.size == 1 and jb[0] == 0:
-        return b[0] * a
-    out = np.zeros(a.shape[0])
-    for _, _, mask, value in _pair_product(ia, a[ia], jb, b[jb], rank):
-        out += np.bincount(mask, weights=value, minlength=a.shape[0])
-    return out
+    """Grassmann product of dense coefficient arrays with 2**rank columns;
+    leading (batch) axes broadcast, and each batch element is multiplied
+    by its partner: the terms pair on the key (batch element).  With one
+    element there is one key, and every pair of terms is a candidate."""
+    a, b = _broadcast(a, b)
+    af, bf = (a, b) if a.ndim == 1 else (a.reshape(-1), b.reshape(-1))
+    # flat term index: batch element << rank | mask
+    ta, tb = _terms(af), _terms(bf)
+    if not ta.size or not tb.size:
+        return np.zeros(a.shape)
+    # an operand whose every term is a body scales the other one
+    elements = af.size >> rank
+    if ta.size <= elements and ta.size == np.count_nonzero(a[..., 0]):
+        return a[..., :1] * b
+    if tb.size <= elements and tb.size == np.count_nonzero(b[..., 0]):
+        return b[..., :1] * a
+    if elements == 1:
+        ka = kb = None
+        mb = tb
+    else:
+        ka, kb, mb = ta >> rank, tb >> rank, tb & ((1 << rank) - 1)
+    masks, values = [], []
+    for _, _, mask, value in _pair_product(ka, ta, af[ta], kb, mb, bf[tb], rank):
+        masks.append(mask)
+        values.append(value)
+    return _accumulate(masks, values, a.shape)
 
 
 def smul_coeffs(g, h, rank):
-    """out[i, j] = sum_k SMUL_SIGNS[i, k, j] g[i, k] h[k, j] on (3, 3, 2**rank)
-    arrays: the terms of g[:, k] and h[k] are paired per inner index k (which
-    keeps the candidate arrays small), and all products land in out with
-    one bincount."""
-    n = g.shape[2]
+    """out[..., i, j] = sum_k SMUL_SIGNS[i, k, j] g[..., i, k] h[..., k, j]
+    on (..., 3, 3, 2**rank) arrays whose batch axes broadcast: the terms of
+    g and h pair on the key (batch element, inner index k), and all
+    products land in out with one bincount."""
+    g, h = _broadcast(g, h)
+    shape, n = g.shape, g.shape[-1]
+    g, h = g.reshape(-1), h.reshape(-1)
+    tg, th = _terms(g), _terms(h)
+    # flat term index: ((batch * 3 + row) * 3 + column) << rank | mask
+    eg, eh = tg >> rank, th >> rank
+    # g[b, i, k] keys on b * 3 + k, as does h[b, k, j], on eh // 3 (sorted)
+    kg = eg // 9 * 3 + eg % 3
     slots, weights = [], []
-    for k in range(3):
-        # flat term indices i n + a of g[:, k] and j n + b of h[k]
-        gk, hk = g[:, k].reshape(-1), h[k].reshape(-1)
-        tg, th = _terms(gk), _terms(hk)
-        if tg.size == 0 or th.size == 0:
-            continue
-        for r, c, mask, value in _pair_product(tg & (n - 1), gk[tg], th & (n - 1), hk[th], rank):
-            i, j = tg[r] >> rank, th[c] >> rank
-            slots.append((3 * i + j) * n + mask)
-            weights.append(value * SMUL_SIGNS[i, k, j])
-    if not slots:
-        return np.zeros(g.shape)
-    out = np.bincount(np.concatenate(slots), weights=np.concatenate(weights), minlength=9 * n)
-    return out.reshape(3, 3, n)
+    for r, c, mask, value in _pair_product(kg, tg & (n - 1), g[tg], eh // 3, th & (n - 1), h[th], rank):
+        e, j = eg[r], eh[c] % 3
+        slots.append((e - e % 3 + j) * n + mask)
+        weights.append(value * SMUL_SIGNS[e % 9 // 3, e % 3, j])
+    return _accumulate(slots, weights, shape)

@@ -2,10 +2,10 @@
 per edge, odd mu-invariant per vertex (the dual triangle), an edge
 orientation tracking the odd sign sheet, and a global sign gauge bit.
 
-The module implements the super Ptolemy flip on charts, shear coordinates,
-the recursive light-cone lift of a chart, holonomy representations built
-from a fundamental domain, and the even two-form with its flip-invariance
-checker (graded chain-rule pullback)."""
+The module implements the super Ptolemy flip on charts, the recursive
+light-cone lift of a chart (one breadth-first level at a time), holonomy
+representations built from a fundamental domain, and the even two-form with
+its flip-invariance checker (graded chain-rule pullback)."""
 
 import collections
 
@@ -21,8 +21,10 @@ from .grassmann import (
     grassmann,
     odd_derivative,
     parse_grassmann,
+    stack,
 )
 from .minkowski import (
+    ElementError,
     SuperVector,
     act,
     basic_calculation,
@@ -252,16 +254,6 @@ def flip_coords(coords, e):
     return canonical_gauge(_flip_once(base, e))
 
 
-def shear_coords(coords):
-    """Cross-ratio chi = a*c/(b*d) per edge, quadrilateral read from the
-    orientation; loop-adjacent readings repeat lambdas per the incidence."""
-    out = []
-    for e in range(coords.graph.num_edges):
-        a, b, c, d, _, _ = _quad_labels(coords, e)
-        out.append(a * c * (b * d).inverse())
-    return out
-
-
 # -- bipartite colorings -------------------------------------------------------
 
 
@@ -411,48 +403,66 @@ def _base_triangle_points(coords, v, side, rank):
     return pts
 
 
-def _attach(coords, deltas, points, triangles, tri_idx, k):
-    """Grow the lift across side k of triangle tri_idx; returns the new
-    triangle index."""
+def _attach_level(coords, deltas, points, triangles, jobs):
+    """Grow the lift across side k of triangle tri_idx for every (tri_idx, k)
+    in jobs, all at once: one normalize_triple puts every parent in standard
+    position, one basic_calculation gives every far point there, and one act
+    carries them back.  Appends the points and triangles in the order of
+    jobs and returns the new triangle indices."""
     graph = coords.graph
-    tri = triangles[tri_idx]
-    hs = graph.vertices[tri.vertex]
-    cs = tri.corners
-    h = hs[k]
-    pa = points[cs[(k + 1) % 3]]
-    pb = points[cs[k]]
-    pc = points[cs[(k + 2) % 3]]
-    g, _, _, _, _ = normalize_triple(pa, pb, pc)
     lam = coords.lambdas
-    a = lam[graph.edge_of(hs[(k + 2) % 3])]
-    b = lam[graph.edge_of(hs[(k + 1) % 3])]
-    e = lam[graph.edge_of(h)]
-    h2 = graph.partner(h)
-    v2 = graph.vertex_of(h2)
-    hs2 = graph.vertices[v2]
-    j0 = hs2.index(h2)
-    c = lam[graph.edge_of(hs2[(j0 + 2) % 3])]
-    d = lam[graph.edge_of(hs2[(j0 + 1) % 3])]
-    delta2 = -tri.delta
-    if deltas[v2] != delta2:
-        raise ValueError("delta coloring is inconsistent across edge %d" % graph.edge_of(h))
-    sigma = coords.mus[v2] * float(coords.gauge * delta2)
-    d_std = basic_calculation(a, b, c, d, e, sigma, rank=coords.rank)
+    rank = coords.rank
+    corner_pts, labels, made = [], [], []
+    for tri_idx, k in jobs:
+        tri = triangles[tri_idx]
+        hs = graph.vertices[tri.vertex]
+        cs = tri.corners
+        h = hs[k]
+        corner_pts.append((points[cs[(k + 1) % 3]], points[cs[k]], points[cs[(k + 2) % 3]]))
+        h2 = graph.partner(h)
+        v2 = graph.vertex_of(h2)
+        hs2 = graph.vertices[v2]
+        j0 = hs2.index(h2)
+        delta2 = -tri.delta
+        if deltas[v2] != delta2:
+            raise ValueError("delta coloring is inconsistent across edge %d" % graph.edge_of(h))
+        labels.append((
+            lam[graph.edge_of(hs[(k + 2) % 3])],
+            lam[graph.edge_of(hs[(k + 1) % 3])],
+            lam[graph.edge_of(hs2[(j0 + 2) % 3])],
+            lam[graph.edge_of(hs2[(j0 + 1) % 3])],
+            lam[graph.edge_of(h)],
+            coords.mus[v2] * float(coords.gauge * delta2),
+        ))
+        corners = [0, 0, 0]
+        corners[j0] = len(points) + len(made)
+        corners[(j0 + 1) % 3] = cs[(k + 2) % 3]
+        corners[(j0 + 2) % 3] = cs[(k + 1) % 3]
+        made.append(LiftedTriangle(v2, corners, delta2, tri_idx))
+    try:
+        g, _, _, _, _ = normalize_triple(*(stack(col) for col in zip(*corner_pts)))
+    except ElementError as err:
+        tri_idx, k = jobs[err.element]
+        raise ValueError(
+            "cannot attach across side %d of lifted triangle %d (graph vertex %d): %s"
+            % (k, tri_idx, triangles[tri_idx].vertex, err.reason)
+        ) from err
+    d_std = basic_calculation(*(stack(col) for col in zip(*labels)), rank=rank)
     d_world = act(sl.inverse_osp(g), d_std)
-    new_id = len(points)
-    points.append(d_world)
-    corners = [0, 0, 0]
-    corners[j0] = new_id
-    corners[(j0 + 1) % 3] = cs[(k + 2) % 3]
-    corners[(j0 + 2) % 3] = cs[(k + 1) % 3]
-    triangles.append(LiftedTriangle(v2, corners, delta2, tri_idx))
-    return len(triangles) - 1
+    points.extend(SuperVector.wrap(rank, c) for c in d_world.coeffs)
+    triangles.extend(made)
+    return range(len(triangles) - len(made), len(triangles))
 
 
 def lift(coords, depth, base_vertex=0, base_side=0):
     """Recursive light-cone lift: base triangle in standard position, then
     breadth-first attachment out to the given combinatorial depth, feeding
-    each new triangle its delta-modified mu-invariant."""
+    each new triangle its delta-modified mu-invariant.
+
+    The triangles of one breadth-first level depend only on their parents,
+    so each level is attached at once, as one batch (see `_attach_level`); the
+    points and triangles come out in the order of attaching them one by
+    one, parent by parent and side by side."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     graph = coords.graph
@@ -460,19 +470,12 @@ def lift(coords, depth, base_vertex=0, base_side=0):
     points = _base_triangle_points(coords, base_vertex, base_side, coords.rank)
     triangles = [LiftedTriangle(base_vertex, (0, 1, 2), 1, -1)]
     frontier = [(0, None)]
-    level = 0
-    while level < depth:
-        nxt = []
-        for tri_idx, parent_side in frontier:
-            for k in range(3):
-                if parent_side is not None and k == parent_side:
-                    continue
-                new_idx = _attach(coords, deltas, points, triangles, tri_idx, k)
-                v2 = triangles[new_idx].vertex
-                h2 = graph.partner(graph.vertices[triangles[tri_idx].vertex][k])
-                nxt.append((new_idx, graph.vertices[v2].index(h2)))
-        frontier = nxt
-        level += 1
+    for _ in range(depth):
+        jobs = [(t, k) for t, parent_side in frontier for k in range(3) if k != parent_side]
+        frontier = []
+        for (tri_idx, k), new_idx in zip(jobs, _attach_level(coords, deltas, points, triangles, jobs)):
+            h2 = graph.partner(graph.vertices[triangles[tri_idx].vertex][k])
+            frontier.append((new_idx, graph.vertices[triangles[new_idx].vertex].index(h2)))
     return LiftedTriangulation(coords, points, triangles, base_vertex, base_side)
 
 
@@ -629,7 +632,7 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
             i for i, h in enumerate(hs)
             if graph.edge_of(h) == edge and graph.vertex_of(graph.partner(h)) == v
         )
-        tri_of_vertex[v] = _attach(coords, deltas, points, triangles, tri_idx, k)
+        (tri_of_vertex[v],) = _attach_level(coords, deltas, points, triangles, [(tri_idx, k)])
     lifted = LiftedTriangulation(coords, points, triangles, domain.base_vertex, 0)
     form = fg.QuadraticForm(graph, coords.orientation)
     elements, raw_elements, q_values, extras = {}, {}, {}, {}
@@ -640,7 +643,7 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
         t1 = tri_of_vertex[v1]
         k1 = graph.vertices[v1].index(h1)
         k2 = graph.vertices[v2].index(h2)
-        t2 = _attach(coords, deltas, points, triangles, tri_of_vertex[v2], k2)
+        (t2,) = _attach_level(coords, deltas, points, triangles, [(tri_of_vertex[v2], k2)])
         g1, inv1 = _normalize_slot(points, triangles, t1, graph, k1)
         g2, inv2 = _normalize_slot(points, triangles, t2, graph, k1)
         for x, y in zip(inv1, inv2):
@@ -840,8 +843,28 @@ def _promote_odd(coords):
                     "pullback probing needs single-generator mus (mu[%d] is not)" % v
                 )
             i = int(nz[0]).bit_length()
+            _require_unshared(coords, v, i)
             slots.append((i, float(m.coeffs[nz[0]])))
     return coords.replace(mus=mus), slots, promo_mask
+
+
+def _require_unshared(coords, v, i):
+    """Raise unless generator i, the one of mu[v], appears in no lambda and
+    in no other mu: the odd partials read off by differentiating in it would
+    otherwise differentiate those coordinates too."""
+    holds = ((np.arange(1 << coords.rank) >> (i - 1)) & 1).astype(bool)
+    for j, lam in enumerate(coords.lambdas):
+        if np.any(lam.coeffs[holds]):
+            raise ValueError(
+                "pullback probing needs mu[%d]'s generator g%d to appear in no other "
+                "coordinate, but the lambda of edge %d uses it" % (v, i, j)
+            )
+    for w, mu in enumerate(coords.mus):
+        if w != v and np.any(mu.coeffs[holds]):
+            raise ValueError(
+                "pullback probing needs mu[%d]'s generator g%d to appear in no other "
+                "coordinate, but mu[%d] uses it" % (v, i, w)
+            )
 
 
 def _flip_outputs(coords, e):

@@ -9,6 +9,12 @@ nilpotent and inverse / sqrt are finite series.
 All public arithmetic rejects mixed ranks instead of promoting.  Equality is
 coefficientwise within a configurable tolerance (default 1e-9) because the
 downstream geometry forces irrational coefficients like sqrt(2).
+
+A GrassmannNumber may also hold a stack of elements: leading (batch) axes in
+front of the coefficient axis.  Arithmetic broadcasts over them, `body` is
+then an array with the batch shape, and inverse / sqrt run one series for
+the whole stack.  GrassmannArray types (supermatrices, points) take a batch
+the same way, in front of their entry axes; `stack` builds one from a list.
 """
 
 import re
@@ -47,13 +53,14 @@ class GrassmannNumber:
             self.coeffs = np.zeros(n)
         else:
             c = np.asarray(coeffs, dtype=float)
-            if c.shape != (n,):
+            if c.ndim == 0 or c.shape[-1] != n:
                 raise ValueError("coefficient vector must have length 2**rank")
             self.coeffs = c.copy()
 
     @classmethod
     def wrap(cls, rank, coeffs):
-        """Element over a length-2**rank float array, taken without a copy."""
+        """Element (or stack, for leading axes) over a float array with
+        2**rank columns, taken without a copy."""
         g = cls.__new__(cls)
         g.rank = rank
         g.coeffs = coeffs
@@ -95,31 +102,27 @@ class GrassmannNumber:
 
     @property
     def body(self):
-        return float(self.coeffs[0])
+        """The body: a float, or an array with the batch shape of a stack."""
+        b = self.coeffs[..., 0]
+        return float(b) if b.ndim == 0 else b
 
     def soul(self):
         g = GrassmannNumber(self.rank, self.coeffs)
-        g.coeffs[0] = 0.0
+        g.coeffs[..., 0] = 0.0
         return g
 
     def even_part(self):
-        g = GrassmannNumber(self.rank)
-        even = (_popcount(self.rank) & 1) == 0
-        g.coeffs[even] = self.coeffs[even]
-        return g
+        return GrassmannNumber.wrap(self.rank, np.where(_popcount(self.rank) & 1, 0.0, self.coeffs))
 
     def odd_part(self):
-        g = GrassmannNumber(self.rank)
-        odd = (_popcount(self.rank) & 1) == 1
-        g.coeffs[odd] = self.coeffs[odd]
-        return g
+        return GrassmannNumber.wrap(self.rank, np.where(_popcount(self.rank) & 1, self.coeffs, 0.0))
 
     def parity(self, tol=None):
         """'even', 'odd' or 'mixed'; the zero element counts as even."""
         tol = EQ_TOL if tol is None else tol
         pc = _popcount(self.rank)
-        has_even = np.any(np.abs(self.coeffs[(pc & 1) == 0]) > tol)
-        has_odd = np.any(np.abs(self.coeffs[(pc & 1) == 1]) > tol)
+        has_even = np.any(np.abs(self.coeffs[..., (pc & 1) == 0]) > tol)
+        has_odd = np.any(np.abs(self.coeffs[..., (pc & 1) == 1]) > tol)
         if has_even and has_odd:
             return "mixed"
         if has_odd:
@@ -242,12 +245,21 @@ class GrassmannNumber:
 
     # -- inverse / sqrt ----------------------------------------------------
 
+    # Both series run once for a whole stack, and stop when the term of every
+    # element has vanished.
+
+    def _over_body(self, b):
+        """soul / b, with b the body as a float or a (..., 1) array."""
+        n = self.soul()
+        n.coeffs *= 1.0 / b
+        return n
+
     def inverse(self):
-        b = self.body
-        if b == 0.0:
+        b = self.coeffs[..., :1]
+        if np.any(b == 0.0):
             raise ZeroDivisionError("Grassmann element with zero body is not invertible")
         # x = b(1+n), n nilpotent: 1/x = (1/b) sum (-n)^k, terminates by rank
-        n = self.soul() * (1.0 / b)
+        n = self._over_body(b)
         out = GrassmannNumber.scalar(1.0, self.rank)
         term = GrassmannNumber.scalar(1.0, self.rank)
         for k in range(1, self.rank + 1):
@@ -255,16 +267,16 @@ class GrassmannNumber:
             if not np.any(term.coeffs):
                 break
             out = out - term if k % 2 == 1 else out + term
-        return out * (1.0 / b)
+        return GrassmannNumber.wrap(self.rank, out.coeffs * (1.0 / b))
 
     def sqrt(self):
         """Square root with positive body; requires an even element, body > 0."""
         if not self.is_even():
             raise ValueError("sqrt requires an even element")
-        b = self.body
-        if b <= 0.0:
+        b = self.coeffs[..., :1]
+        if np.any(b <= 0.0):
             raise ValueError("sqrt requires positive body")
-        n = self.soul() * (1.0 / b)
+        n = self._over_body(b)
         out = GrassmannNumber.scalar(1.0, self.rank)
         term = GrassmannNumber.scalar(1.0, self.rank)
         c = 1.0
@@ -274,7 +286,7 @@ class GrassmannNumber:
             if not np.any(term.coeffs):
                 break
             out = out + term * c
-        return out * np.sqrt(b)
+        return GrassmannNumber.wrap(self.rank, out.coeffs * np.sqrt(b))
 
     # -- text form ---------------------------------------------------------
 
@@ -287,7 +299,8 @@ class GrassmannNumber:
 
 class GrassmannArray:
     """Fixed-shape array of elements in one read-only float array `coeffs`
-    (last axis: the 2**rank coefficients); entries are read-only views."""
+    (last axis: the 2**rank coefficients, before it the entry axes, and
+    before those any batch axes); entries are read-only views."""
 
     __slots__ = ("rank", "coeffs")
 
@@ -304,7 +317,11 @@ class GrassmannArray:
         self.coeffs = coeffs
 
     def _entry(self, index):
-        return GrassmannNumber.wrap(self.rank, self.coeffs[index])
+        """Entry at index (an int or a tuple over the entry axes), over the
+        whole batch."""
+        if not isinstance(index, tuple):
+            index = (index,)
+        return GrassmannNumber.wrap(self.rank, self.coeffs[(Ellipsis, *index, slice(None))])
 
     def _other(self, other):
         if self.rank != other.rank:
@@ -319,15 +336,30 @@ class GrassmannArray:
 
 
 def stack_entries(values, rank=None):
-    """(common_rank(values, rank), one coefficient row per value)."""
+    """(common_rank(values, rank), one coefficient row per value).
+
+    A value is a GrassmannNumber, or a real number or array taken as a body;
+    their batch shapes broadcast, and the rows sit on the axis in front of
+    the coefficients."""
     rank = common_rank(values, rank)
-    c = np.zeros((len(values), 1 << rank))
+    shapes = {v.coeffs.shape[:-1] if isinstance(v, GrassmannNumber) else np.shape(v) for v in values}
+    batch = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    c = np.zeros(batch + (len(values), 1 << rank))
     for k, v in enumerate(values):
         if isinstance(v, GrassmannNumber):
-            c[k] = v.coeffs
+            c[..., k, :] = v.coeffs
         else:
-            c[k, 0] = float(v)
+            c[..., k, 0] = v
     return rank, c
+
+
+def stack(values):
+    """Stack of elements, or of arrays of one type, of one rank: the list
+    index is the new leading batch axis, and their own batch axes broadcast."""
+    ranks = {v.rank for v in values}
+    if len(ranks) > 1:
+        raise ValueError("rank mismatch: %s" % sorted(ranks))
+    return type(values[0]).wrap(ranks.pop(), np.stack(np.broadcast_arrays(*(v.coeffs for v in values))))
 
 
 def common_rank(values, rank=None):

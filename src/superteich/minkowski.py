@@ -11,6 +11,13 @@ signed contractions of coefficient arrays (`_kernels.smul_coeffs`, with the
 sign table `_kernels.SMUL_SIGNS`).  This is a right action: acting by g
 then h equals acting by g*h.
 
+A stack of points is one (..., 5, 2**rank) array.  The action, the pairing,
+normalize_point, normalize_triple and basic_calculation broadcast over such
+leading batch axes: each element is normalized on its own (the x1 < x2
+rotation is chosen per element), every check applies to every element, and
+a failed check names the first failing element ("triple 1 is not positively
+oriented ...").
+
 Light cone: <A,A> = 0 with non-negative x1, x2 bodies.  The fermion label
 (odd, defined up to sign) separates orbits; the label-zero orbit of
 (1,0,0,0,0) is the special light cone, home of all decorated lifts.
@@ -71,8 +78,8 @@ class SuperVector(GrassmannArray):
         return SuperVector.wrap(self.rank, -self.coeffs)
 
     def body3(self):
-        """Bosonic body (x1, x2, y) as a numpy vector."""
-        return self.coeffs[:3, 0].copy()
+        """Bosonic body (x1, x2, y) as a numpy vector (..., 3)."""
+        return self.coeffs[..., :3, 0].copy()
 
     def __str__(self):
         return format_supervector(self)
@@ -119,8 +126,8 @@ def act(g, a):
         raise ValueError("rank mismatch: %d vs %d" % (g.rank, a.rank))
     m = _kernels.smul_coeffs(sl.supertranspose(g).coeffs, matrix_form(a).coeffs, a.rank)
     m = _kernels.smul_coeffs(m, g.coeffs, a.rank)
-    out = m.reshape(9, -1)[_ACT_SRC]
-    out[2] = (m[0, 1] + m[1, 0]) * 0.5
+    out = m.reshape(m.shape[:-3] + (9, -1)).take(_ACT_SRC, axis=-2)
+    out[..., 2, :] = (m[..., 0, 1, :] + m[..., 1, 0, :]) * 0.5
     return SuperVector.wrap(a.rank, out)
 
 
@@ -147,6 +154,35 @@ def fermion_label(a, tol=1e-9):
 # -- orbit normal forms -------------------------------------------------------
 
 
+class ElementError(ValueError):
+    """A check failed on one element of a stack: `element` is its flat batch
+    index, and `reason` the message that element alone would have raised."""
+
+    def __init__(self, message, element, reason):
+        super().__init__(message)
+        self.element = element
+        self.reason = reason
+
+
+def _reject(bad, noun, message, *values):
+    """Raise ValueError(message % (name, values...)) if bad holds for any
+    batch element.  name is the noun; for a stack it is followed by the
+    index of the first bad element, at which the values are then read, and
+    the error is an ElementError."""
+    if not np.any(bad):
+        return
+    if np.ndim(bad) == 0:
+        raise ValueError(message % ((noun,) + values))
+    k = int(np.flatnonzero(bad)[0])
+    values = tuple(np.ravel(v)[k] for v in values)
+    raise ElementError(message % (("%s %d" % (noun, k),) + values), k, message % ((noun,) + values))
+
+
+def _any_coeff_above(x, tol):
+    """Per batch element: does any coefficient of x exceed tol in size?"""
+    return np.any(np.abs(x.coeffs) > tol, axis=-1)
+
+
 def normalize_point(a, tol=1e-9):
     """Group element g and odd theta with act(g, a) = (1,0,0,0,theta).
 
@@ -156,12 +192,16 @@ def normalize_point(a, tol=1e-9):
     rank = a.rank
     steps = []
     b = a
-    if b.x1.body < b.x2.body:
-        r = sl.rotate90(rank)
+    turn = b.x1.body < b.x2.body
+    if np.any(turn):
+        # rotate the elements with x1 < x2, apply the identity to the others
+        pick = np.reshape(turn, np.shape(turn) + (1, 1, 1))
+        r = sl.SuperMatrix.wrap(
+            rank, np.where(pick, sl.rotate90(rank).coeffs, sl.identity(rank).coeffs)
+        )
         steps.append(r)
         b = act(r, b)
-    if b.x1.body <= tol:
-        raise ValueError("degenerate light-cone point (zero body)")
+    _reject(b.x1.body <= tol, "light-cone point", "degenerate %s (zero body)")
     shear = (1.0 + abs(b.y.body)) / b.x1.body
     u = sl.upper_shear(shear, rank)
     steps.append(u)
@@ -185,11 +225,9 @@ def normalize_pair(a, b, tol=1e-9):
     Returns (g, s); s equals twice the pairing <a,b>.
     """
     g1, th = normalize_point(a, tol)
-    if not th.is_zero(1e-7):
-        raise ValueError("first point is not on the special light cone")
+    _reject(_any_coeff_above(th, 1e-7), "pair", "first point of %s is not on the special light cone")
     b1 = act(g1, b)
-    if abs(b1.x2.body) <= tol:
-        raise ValueError("pair is not linearly independent")
+    _reject(abs(b1.x2.body) <= tol, "pair", "%s is not linearly independent")
     x2inv = b1.x2.inverse()
     g2 = sl.stabilizer(-(b1.y * x2inv), -(x2inv * b1.theta), GrassmannNumber(a.rank))
     g = sl.smul(g1, g2)
@@ -197,8 +235,10 @@ def normalize_pair(a, b, tol=1e-9):
 
 
 def triple_orientation(a, b, c):
-    """Determinant of the bosonic bodies; positive for a positive triple."""
-    return float(np.linalg.det(np.array([a.body3(), b.body3(), c.body3()])))
+    """Determinant of the bosonic bodies; positive for a positive triple
+    (an array over the batch of stacked triples)."""
+    det = np.linalg.det(np.stack([a.body3(), b.body3(), c.body3()], axis=-2))
+    return float(det) if det.ndim == 0 else det
 
 
 class TripleInvariants:
@@ -227,25 +267,23 @@ def normalize_triple(a, b, c, tol=1e-9):
     the other lift of the same triple is obtained by the fermionic reflection.
     """
     det = triple_orientation(a, b, c)
-    if det <= 1e-12:
-        raise ValueError("triple is not positively oriented (body determinant %g)" % det)
+    _reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
     g1, th = normalize_point(c, tol)
-    if not th.is_zero(1e-7):
-        raise ValueError("third point is not on the special light cone")
+    _reject(_any_coeff_above(th, 1e-7), "triple", "third point of %s is not on the special light cone")
     a1 = act(g1, a)
-    if abs(a1.x2.body) <= tol:
-        raise ValueError("triple is not linearly independent")
+    _reject(abs(a1.x2.body) <= tol, "triple", "%s is not linearly independent")
     x2inv = a1.x2.inverse()
     g2 = sl.stabilizer(-(a1.y * x2inv), -(x2inv * a1.theta), GrassmannNumber(a.rank))
     g12 = sl.smul(g1, g2)
     b2 = act(g12, b)
-    if b2.x1.body <= tol or b2.x2.body <= tol:
-        raise ValueError("middle point degenerates under normalization")
+    _reject(
+        (b2.x1.body <= tol) | (b2.x2.body <= tol),
+        "triple", "middle point of %s degenerates under normalization",
+    )
     p = fourth_root(b2.x2 * b2.x1.inverse())
     g = sl.smul(g12, sl.diag(p, p.inverse()))
     af, bf, cf = act(g, a), act(g, b), act(g, c)
-    if bf.y.body <= 0:
-        raise ValueError("triple is not positive (middle y-body %g)" % bf.y.body)
+    _reject(bf.y.body <= 0, "triple", "%s is not positive (middle y-body %g)", bf.y.body)
     t = bf.x1
     phi = bf.phi * t.inverse()
     return g, af.x2, cf.x1, t, phi
@@ -268,7 +306,9 @@ def mu_invariant(a, b, c, tol=1e-9):
     for other in reps[1:]:
         if not reps[0].isclose(other, 1e-7):
             raise ValueError("cyclic standard positions disagree on the invariant")
-    reps.sort(key=lambda r: tuple(r.coeffs))
+    # columns where all three are zero compare equal, so they leave the order alone
+    cols = np.flatnonzero((reps[0].coeffs != 0) | (reps[1].coeffs != 0) | (reps[2].coeffs != 0))
+    reps.sort(key=lambda r: tuple(r.coeffs[cols]))
     avg = (reps[0] + reps[1] + reps[2]) * (1.0 / 3.0)
     return avg, signs[0]
 

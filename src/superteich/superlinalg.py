@@ -2,8 +2,10 @@
 
 Layout is fixed as rows (a b | alpha / c d | beta / gamma delta | f) with the
 2x2 block and f even, the remaining entries odd, stored as one read-only
-(3, 3, 2**rank) coefficient array.  Products carry the signs of the super
-tensor structure: smul is one sparse contraction, with the sign table
+(3, 3, 2**rank) coefficient array, or (..., 3, 3, 2**rank) for a stack of
+matrices: constructors, smul and the signed gathers broadcast over the
+leading batch axes.  Products carry the signs of the super tensor
+structure: smul is one sparse contraction, with the sign table
 `_kernels.SMUL_SIGNS`.  The supertranspose is NOT an involution on odd
 entries, st has order 4; it and inverse_osp only move and negate entries.
 
@@ -42,12 +44,18 @@ _INV_SRC = [4, 1, 7, 3, 0, 6, 5, 2, 8]
 _INV_SIGN = np.array([1, -1, 1, -1, 1, -1, -1, 1, 1.0])[:, None]
 
 
-def signed_gather(coeffs, src, sign):
-    """Flat entries coeffs[src] times sign, as a new (3, 3, n) array."""
-    n = coeffs.shape[-1]
-    out = coeffs.reshape(-1, n)[src]
+def signed_gather(entries, src, sign):
+    """entries[..., src, :] times sign, from a (..., E, n) array of flat
+    entries to a new C-contiguous (..., 3, 3, n) array (the kernels read
+    it flat, which would copy anything else)."""
+    out = entries.take(src, axis=-2)
     out *= sign
-    return out.reshape(3, 3, n)
+    return out.reshape(entries.shape[:-2] + (3, 3, entries.shape[-1]))
+
+
+def _flat(g):
+    """The entries of g as a (..., 9, n) view."""
+    return g.coeffs.reshape(g.coeffs.shape[:-3] + (9, -1))
 
 
 class _Row:
@@ -79,14 +87,14 @@ class SuperMatrix(GrassmannArray):
         if len(flat) != 9:
             raise ValueError("SuperMatrix needs a 3x3 entry grid")
         rank, c = stack_entries(flat, rank)
-        self._own(rank, c.reshape(3, 3, -1))
+        self._own(rank, c.reshape(c.shape[:-2] + (3, 3, -1)))
 
     __getitem__ = GrassmannArray._entry
 
     def __setitem__(self, ij, value):
         """Replace one entry; entries handed out before keep their values."""
         c = self.coeffs.copy()
-        c[ij] = stack_entries([value], self.rank)[1]
+        c[(Ellipsis, *ij, slice(None))] = stack_entries([value], self.rank)[1][..., 0, :]
         self._own(self.rank, c)
 
     @property
@@ -141,7 +149,7 @@ def smul_many(*gs):
 
 def supertranspose(g):
     """(a c gamma / b d delta / -alpha -beta f)."""
-    return SuperMatrix.wrap(g.rank, signed_gather(g.coeffs, _ST_SRC, _ST_SIGN))
+    return SuperMatrix.wrap(g.rank, signed_gather(_flat(g), _ST_SRC, _ST_SIGN))
 
 
 def sdet(g):
@@ -181,12 +189,12 @@ def is_osp(g, tol=1e-9):
 
 def inverse_osp(g):
     """g^{-1} = J^{-1} st(g) J; valid for members."""
-    return SuperMatrix.wrap(g.rank, signed_gather(g.coeffs, _INV_SRC, _INV_SIGN))
+    return SuperMatrix.wrap(g.rank, signed_gather(_flat(g), _INV_SRC, _INV_SIGN))
 
 
 def bosonic_reduction(g):
     """Bodies of the upper-left 2x2 block, as a numpy array (SL(2,R) for members)."""
-    return g.coeffs[:2, :2, 0].copy()
+    return g.coeffs[..., :2, :2, 0].copy()
 
 
 # -- named elements ----------------------------------------------------------

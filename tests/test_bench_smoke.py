@@ -1,0 +1,69 @@
+"""Smoke test of the traced benchmark: one op of each perfbench workload runs
+under `perfbench/tracing.Tracer`, every layer that workload exercises records
+at least one call, and the workload's own check passes.  A function renamed
+or rebound past the tracer would otherwise read 0 in `--trace 1` runs.
+
+The perfbench files are only read (imported without writing bytecode)."""
+
+import os
+import sys
+
+import numpy as np
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+# layers with at least one call per op in a traced run of each workload
+LAYERS = {
+    "lift": [
+        "kernel.product",
+        "grassmann.series",
+        "superlinalg.smul",
+        "minkowski.act",
+        "minkowski.normalize_triple",
+        "minkowski.basic_calculation",
+        "decorated.lift",
+    ],
+    "ptolemy": [
+        "kernel.product",
+        "grassmann.series",
+        "superlinalg.smul",
+        "minkowski.act",
+        "minkowski.normalize_triple",
+        "minkowski.mu_invariant",
+        "minkowski.basic_calculation",
+    ],
+    "spin": ["fatgraph_spin.flip"],
+}
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The perfbench workloads and tracing modules."""
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, PERFBENCH)
+    sys.dont_write_bytecode = True
+    try:
+        import tracing
+        import workloads
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+    return workloads, tracing
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_traced_op_records_every_layer(bench, name):
+    workloads, tracing = bench
+    workload = workloads.WORKLOADS[name]
+    inp = workload.make_inputs(np.random.default_rng(1), 1)[0]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out, _ = tracer.run_op(0, workload.op, inp)
+    finally:
+        tracer.uninstall()
+    totals = tracer.layer_totals()
+    silent = [layer for layer in LAYERS[name] if totals[layer][0] == 0]
+    assert not silent, "layers with no traced call: %s" % silent
+    workload.check(inp, out)

@@ -8,6 +8,9 @@ import pytest
 
 from superteich import decorated as dc
 from superteich import fatgraph_spin as fg
+from superteich import minkowski as mk
+from superteich import superlinalg as sl
+from superteich.grassmann import GrassmannNumber, random_element
 
 RANK = 8
 
@@ -40,6 +43,88 @@ class TestCoordsText:
         assert repr(bad_line) in str(err.value)
 
 
+def attach_one(coords, deltas, points, triangles, tri_idx, k):
+    """Oracle: grow the lift across side k of triangle tri_idx alone, with
+    unbatched calls; returns the new triangle index."""
+    graph = coords.graph
+    tri = triangles[tri_idx]
+    hs = graph.vertices[tri.vertex]
+    cs = tri.corners
+    h = hs[k]
+    pa = points[cs[(k + 1) % 3]]
+    pb = points[cs[k]]
+    pc = points[cs[(k + 2) % 3]]
+    g, _, _, _, _ = mk.normalize_triple(pa, pb, pc)
+    lam = coords.lambdas
+    a = lam[graph.edge_of(hs[(k + 2) % 3])]
+    b = lam[graph.edge_of(hs[(k + 1) % 3])]
+    e = lam[graph.edge_of(h)]
+    h2 = graph.partner(h)
+    v2 = graph.vertex_of(h2)
+    hs2 = graph.vertices[v2]
+    j0 = hs2.index(h2)
+    c = lam[graph.edge_of(hs2[(j0 + 2) % 3])]
+    d = lam[graph.edge_of(hs2[(j0 + 1) % 3])]
+    delta2 = -tri.delta
+    assert deltas[v2] == delta2
+    sigma = coords.mus[v2] * float(coords.gauge * delta2)
+    d_std = mk.basic_calculation(a, b, c, d, e, sigma, rank=coords.rank)
+    points.append(mk.act(sl.inverse_osp(g), d_std))
+    corners = [0, 0, 0]
+    corners[j0] = len(points) - 1
+    corners[(j0 + 1) % 3] = cs[(k + 2) % 3]
+    corners[(j0 + 2) % 3] = cs[(k + 1) % 3]
+    triangles.append(dc.LiftedTriangle(v2, corners, delta2, tri_idx))
+    return len(triangles) - 1
+
+
+def lift_one_by_one(coords, depth, base_vertex=0, base_side=0):
+    """Oracle: the breadth-first lift, one triangle at a time."""
+    graph = coords.graph
+    deltas = dc.delta_coloring(graph, base_vertex)
+    points = dc._base_triangle_points(coords, base_vertex, base_side, coords.rank)
+    triangles = [dc.LiftedTriangle(base_vertex, (0, 1, 2), 1, -1)]
+    frontier = [(0, None)]
+    for _ in range(depth):
+        nxt = []
+        for tri_idx, parent_side in frontier:
+            for k in range(3):
+                if k == parent_side:
+                    continue
+                new_idx = attach_one(coords, deltas, points, triangles, tri_idx, k)
+                h2 = graph.partner(graph.vertices[triangles[tri_idx].vertex][k])
+                nxt.append((new_idx, graph.vertices[triangles[new_idx].vertex].index(h2)))
+        frontier = nxt
+    return points, triangles
+
+
+def random_chart(r, graph):
+    """Rank-8 chart: lambdas with a positive body and at most one even soul
+    term, mus of one or two odd monomials, random orientation and gauge."""
+    lambdas = [
+        random_element(r, RANK, parity="even", terms=int(r.integers(0, 2)), scale=0.15,
+                       body=float(r.uniform(0.7, 1.6)))
+        for _ in range(graph.num_edges)
+    ]
+    mus = [random_element(r, RANK, parity="odd", terms=int(r.integers(1, 3)), scale=0.5)
+           for _ in range(graph.num_vertices)]
+    bits = [int(b) for b in r.integers(0, 2, graph.num_edges)]
+    return dc.DecoratedCoords(
+        graph, lambdas, mus, fg.Orientation.from_bits(graph, bits),
+        gauge=int(r.choice([1, -1])), rank=RANK,
+    )
+
+
+def assert_same_lift(lifted, oracle):
+    points, triangles = oracle
+    assert [(t.vertex, t.corners, t.delta, t.parent) for t in lifted.triangles] == [
+        (t.vertex, t.corners, t.delta, t.parent) for t in triangles
+    ]
+    assert len(lifted.points) == len(points)
+    for p, q in zip(lifted.points, points):
+        assert p.max_coeff_diff(q) <= 1e-12 * max(1.0, float(np.abs(q.coeffs).max()))
+
+
 class TestLift:
     @pytest.mark.parametrize("name", ["theta", "genus_two"])
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -48,6 +133,41 @@ class TestLift:
         assert len(lifted.triangles) == 1 + 3 * (2**depth - 1)
         assert lifted.pairing_residual() <= 1e-9
         assert lifted.mu_residual() <= 1e-9
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_level_at_a_time_matches_one_by_one(self, name, depth):
+        chart = dc.standard_chart(SPINES[name](), rank=RANK)
+        for base in ((0, 0), (1, 2)):
+            assert_same_lift(dc.lift(chart, depth, *base), lift_one_by_one(chart, depth, *base))
+
+    def test_a_bad_triangle_of_a_level_is_named(self):
+        """A level with triangles 1 and 2 as parents, where only triangle 2
+        is negatively oriented (its new corner negated): the error names
+        triangle 2 and the side, not the position within the level."""
+        chart = dc.standard_chart(SPINES["theta"](), rank=RANK)
+        lifted = dc.lift(chart, 1)
+        points, triangles = list(lifted.points), list(lifted.triangles)
+        (new_corner,) = set(triangles[2].corners) - set(triangles[0].corners)
+        points[new_corner] = -points[new_corner]
+        jobs = [(t, k) for t in (1, 2) for k in range(3)]
+        deltas = dc.delta_coloring(chart.graph, 0)
+        message = (
+            r"^cannot attach across side 0 of lifted triangle 2 \(graph vertex %d\): "
+            r"triple is not positively oriented" % triangles[2].vertex
+        )
+        with pytest.raises(ValueError, match=message):
+            dc._attach_level(chart, deltas, points, triangles, jobs)
+        # the same six jobs attach without the negation
+        assert len(dc._attach_level(chart, deltas, list(lifted.points), list(lifted.triangles), jobs)) == 6
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    def test_level_at_a_time_matches_one_by_one_on_random_charts(self, name):
+        r = np.random.default_rng(31)
+        for _ in range(4):
+            chart = random_chart(r, SPINES[name]())
+            base = (int(r.integers(0, chart.graph.num_vertices)), int(r.integers(0, 3)))
+            assert_same_lift(dc.lift(chart, 2, *base), lift_one_by_one(chart, 2, *base))
 
 
 class TestGauge:
@@ -109,3 +229,25 @@ class TestFlipCoords:
         for e in range(g.num_edges):
             if not g.is_loop(e):
                 assert dc.pullback_check(chart, e) <= 1e-6, "edge %d" % e
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    def test_pullback_rejects_a_generator_shared_with_a_lambda(self, name):
+        """0.3 g1 g8 in lambda_0 shares g1 with mu[0]: differentiating in g1
+        would also differentiate the lambda, and the gap read off would be
+        wrong (0.60 on theta, 0.30 on genus two) instead of rejected."""
+        chart = dc.standard_chart(SPINES[name](), rank=RANK)
+        lambdas = list(chart.lambdas)
+        lambdas[0] = lambdas[0] + GrassmannNumber.monomial([1, 8], 0.3, RANK)
+        with pytest.raises(ValueError, match=r"mu\[0\]'s generator g1 .* lambda of edge 0 uses it"):
+            dc.pullback_check(chart.replace(lambdas=lambdas), 0)
+        # a soul on generators no mu uses is fine
+        lambdas[0] = chart.lambdas[0] + GrassmannNumber.monomial([7, 8], 0.3, RANK)
+        assert dc.pullback_check(chart.replace(lambdas=lambdas), 0) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    def test_pullback_rejects_a_generator_shared_by_two_mus(self, name):
+        chart = dc.standard_chart(SPINES[name](), rank=RANK)
+        mus = list(chart.mus)
+        mus[1] = GrassmannNumber.generator(1, RANK)
+        with pytest.raises(ValueError, match=r"mu\[0\]'s generator g1 .* mu\[1\] uses it"):
+            dc.pullback_check(chart.replace(mus=mus), 0)
