@@ -21,10 +21,22 @@ oriented ...").
 Light cone: <A,A> = 0 with non-negative x1, x2 bodies.  The fermion label
 (odd, defined up to sign) separates orbits; the label-zero orbit of
 (1,0,0,0,0) is the special light cone, home of all decorated lifts.
-lambda-lengths are square roots of pairings; the mu-invariant is the odd
-invariant of a positive triple read off in standard position
+lambda-lengths are square roots of pairings.  The mu-invariant of a positive
+triple is the phi of its standard position
 
-    A -> r(0,1,0,0,0),  B -> t(1,1,1,phi,phi),  C -> s(1,0,0,0,0).
+    A -> r(0,1,0,0,0),  B -> t(1,1,1,phi,phi),  C -> s(1,0,0,0,0),
+
+and is read off without a group element.  Every special light-cone point is
+the square (u^2, v^2, uv, u xi, v xi) of a spinor (u, v, xi) of R^{2|1}, the
+defining representation of OSp(1|2), with invariant form
+omega(s,t) = u v' - v u' + xi xi' and <A,B> = omega(a,b)^2 / 2.  With n the
+unit odd direction omega-orthogonal to the spinors a and c, and
+eta = omega(n, b),
+
+    mu = eta omega(c,a) / sqrt(omega(a,b) omega(b,c) omega(c,a)),
+
+fixed up to the signs of the spinors; mu_invariant reports the sign of the
+value for the order of the points given.
 """
 
 import numpy as np
@@ -282,6 +294,9 @@ def normalize_triple(a, b, c, tol=1e-9):
     )
     p = fourth_root(b2.x2 * b2.x1.inverse())
     g = sl.smul(g12, sl.diag(p, p.inverse()))
+    # drop the dead stacks before the closing acts, where a lifted level's
+    # memory peaks
+    del g1, g2, g12, a1, b2, p
     af, bf, cf = act(g, a), act(g, b), act(g, c)
     _reject(bf.y.body <= 0, "triple", "%s is not positive (middle y-body %g)", bf.y.body)
     t = bf.x1
@@ -289,23 +304,105 @@ def normalize_triple(a, b, c, tol=1e-9):
     return g, af.x2, cf.x1, t, phi
 
 
-def mu_invariant(a, b, c, tol=1e-9):
-    """Odd invariant of a positive triple, canonical up to the sign gauge.
+_POSITIONS = ("first", "second", "third")
 
-    Returns (representative, sign).  The representative is the average of the
-    sign-aligned standard-position values of the three cyclic rotations,
-    summed in a labeling-independent order, so cyclic relabelings return the
-    identical representative; reflecting all three points flips the sign.
+
+def _spinor(p, position, tol):
+    """Spinor (u, v, xi) of R^{2|1} whose square (u^2, v^2, uv, u xi, v xi)
+    is the special light-cone point p, up to overall sign: u = sqrt(x1) when
+    x1's body is at least x2's, otherwise v = sqrt(x2).  Rejects p, named by
+    its position in the triple, unless it is that square within 1e-7 of its
+    scale."""
+    if max(p.x1.body, p.x2.body) <= tol:
+        raise ValueError("%s point of triple has zero body" % position)
+    if p.x1.body >= p.x2.body:
+        u = p.x1.sqrt()
+        u_inv = u.inverse()
+        v, xi = p.y * u_inv, p.phi * u_inv
+        gap = max((v * v - p.x2).max_abs(), (v * xi - p.theta).max_abs())
+    else:
+        v = p.x2.sqrt()
+        v_inv = v.inverse()
+        u, xi = p.y * v_inv, p.theta * v_inv
+        gap = max((u * u - p.x1).max_abs(), (u * xi - p.phi).max_abs())
+    scale = float(np.abs(p.coeffs).max())
+    if gap > 1e-7 * scale:
+        raise ValueError(
+            "%s point of triple is not on the special light cone (gap %.3g at scale %.3g)"
+            % (position, gap, scale)
+        )
+    return u, v, xi
+
+
+def _omega(s, t):
+    """The OSp(1|2)-invariant form u v' - v u' + xi xi' on spinors; the
+    squares P, Q of s, t pair to <P,Q> = omega(s,t)^2 / 2."""
+    return s[0] * t[1] - s[1] * t[0] + s[2] * t[2]
+
+
+def _rotation_values(a, b, c, tol):
+    """The spinor values of mu (see mu_invariant) for the cyclic rotations
+    (a, b, c), (b, c, a) and (c, a, b).  A cyclic relabeling of the triple
+    permutes the three values without changing a bit of any of them."""
+    spinors = [_spinor(p, pos, tol) for p, pos in zip((a, b, c), _POSITIONS)]
+    # omega over the pairs (a,b), (b,c), (c,a), which a cyclic relabeling
+    # permutes; the body of omega(s,t) is the determinant of (u, v) and (u', v')
+    omegas = []
+    for k in range(3):
+        w = _omega(spinors[k], spinors[(k + 1) % 3])
+        if abs(w.body) <= tol:
+            names = " and ".join(_POSITIONS[j] for j in sorted((k, (k + 1) % 3)))
+            raise ValueError("%s points of triple are linearly dependent" % names)
+        omegas.append(w)
+    det = triple_orientation(a, b, c)
+    if det <= 1e-12:
+        raise ValueError("triple is not positively oriented (body determinant %g)" % det)
+    # the volume's body equals det; its factors are multiplied in an order
+    # fixed by their values, so a cyclic relabeling leaves every bit of it
+    lo, mid, hi = sorted(omegas, key=lambda w: w.coeffs.tobytes())
+    volume = lo * mid * hi
+    root_inv = volume.sqrt().inverse()
+    values = []
+    for k in range(3):
+        p, q, r = (spinors[(k + j) % 3] for j in range(3))
+        pair = p[0] * r[1] - p[1] * r[0]
+        pair_inv = pair.inverse()
+        n_u = (p[2] * r[0] - p[0] * r[2]) * pair_inv
+        n_v = (p[2] * r[1] - p[1] * r[2]) * pair_inv
+        # 1/sqrt(1 - 2 n_u n_v) = 1 + n_u n_v, as (n_u n_v)^2 = 0
+        eta = (n_u * q[1] - n_v * q[0] + q[2]) * (1 + n_u * n_v)
+        values.append(eta * omegas[(k + 2) % 3] * root_inv)
+    return values
+
+
+def mu_invariant(a, b, c, tol=1e-9):
+    """Odd invariant of a positive triple, canonical up to the sign gauge,
+    read off the spinors a, b, c of the three points (`_spinor`):
+
+        mu = eta omega(c,a) / sqrt(omega(a,b) omega(b,c) omega(c,a)),
+
+    where n = (n_u, n_v, 1) / sqrt(1 - 2 n_u n_v) is the unit vector of the
+    odd direction omega-orthogonal to a and c (n_u, n_v are odd) and
+    eta = omega(n, b).  Each factor is invariant under OSp(1|2) up to the
+    signs of the spinors, and in standard position mu is the phi of the
+    middle point.
+
+    Returns (representative, sign).  The representative is the average of
+    the sign-aligned values of the three cyclic rotations, summed in a
+    labeling-independent order, so cyclic relabelings return the identical
+    representative.  sign is the sign of the spinor value of the rotation
+    (a, b, c): that value is sign * representative up to roundoff.  It need
+    not be the sign of normalize_triple's phi; reflecting all three points
+    flips it.
     """
     reps, signs = [], []
-    for trip in ((a, b, c), (b, c, a), (c, a, b)):
-        _, _, _, _, phi = normalize_triple(*trip, tol=tol)
-        rep, sign = canonicalize_sign(phi)
+    for value in _rotation_values(a, b, c, tol):
+        rep, sign = canonicalize_sign(value)
         reps.append(rep)
         signs.append(sign)
     for other in reps[1:]:
         if not reps[0].isclose(other, 1e-7):
-            raise ValueError("cyclic standard positions disagree on the invariant")
+            raise ValueError("cyclic rotations of the triple disagree on the invariant")
     # columns where all three are zero compare equal, so they leave the order alone
     cols = np.flatnonzero((reps[0].coeffs != 0) | (reps[1].coeffs != 0) | (reps[2].coeffs != 0))
     reps.sort(key=lambda r: tuple(r.coeffs[cols]))

@@ -27,9 +27,6 @@ LAYERS = {
     "ptolemy": [
         "kernel.product",
         "grassmann.series",
-        "superlinalg.smul",
-        "minkowski.act",
-        "minkowski.normalize_triple",
         "minkowski.mu_invariant",
         "minkowski.basic_calculation",
     ],

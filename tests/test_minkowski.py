@@ -370,27 +370,36 @@ class TestMuInvariant:
 
     @pytest.mark.parametrize("seed", [19, 24, 36])
     def test_matches_the_all_columns_sort(self, seed):
-        """The representatives are sorted on their nonzero columns only; the
-        average equals, bit for bit, the one sorted on all 2**rank columns.
-        At seeds 24 and 36 two representatives tie on their leading term and
-        differ further on."""
+        """The sign-aligned values of the three cyclic rotations are sorted
+        on their nonzero columns only; the average equals, bit for bit, the
+        one sorted on all 2**rank columns.  At each seed two of the values
+        tie on their leading term and differ further on."""
         a, b, c = random_positive_triple(rng(seed))
         for trip in ((a, b, c), (b, c, a), (c, a, b)):
-            reps = [
-                canonicalize_sign(mk.normalize_triple(*t)[4])[0]
-                for t in (trip, trip[1:] + trip[:1], trip[2:] + trip[:2])
-            ]
+            reps = [canonicalize_sign(v)[0] for v in mk._rotation_values(*trip, tol=1e-9)]
             reps.sort(key=lambda r: tuple(r.coeffs))
             want = (reps[0] + reps[1] + reps[2]) * (1.0 / 3.0)
             assert np.array_equal(mk.mu_invariant(*trip)[0].coeffs, want.coeffs)
-        if seed != 19:
-            lead = [int(np.flatnonzero(r.coeffs)[0]) for r in reps]
-            assert any(
-                lead[i] == lead[j]
-                and reps[i].coeffs[lead[i]] == reps[j].coeffs[lead[j]]
-                and not np.array_equal(reps[i].coeffs, reps[j].coeffs)
-                for i in range(3) for j in range(i + 1, 3)
-            )
+        lead = [int(np.flatnonzero(r.coeffs)[0]) for r in reps]
+        assert any(
+            lead[i] == lead[j]
+            and reps[i].coeffs[lead[i]] == reps[j].coeffs[lead[j]]
+            and not np.array_equal(reps[i].coeffs, reps[j].coeffs)
+            for i in range(3) for j in range(i + 1, 3)
+        )
+
+    def test_rejects_disagreeing_rotations(self, monkeypatch):
+        """A formula error that breaks the cyclic symmetry is caught."""
+        a, b, c = random_positive_triple(rng(25))
+        real = mk._rotation_values
+
+        def skewed(*args, **kwargs):
+            values = real(*args, **kwargs)
+            return values[:2] + [values[2] + 1e-6 * G1]
+
+        monkeypatch.setattr(mk, "_rotation_values", skewed)
+        with pytest.raises(ValueError, match="^cyclic rotations of the triple disagree"):
+            mk.mu_invariant(a, b, c)
 
     def test_reflection_flips_sign(self):
         a, b, c = standard_triple(phi=G1)
@@ -406,6 +415,118 @@ class TestMuInvariant:
         g = sl.random_osp(r0, RANK, blocks=2)
         rep2, _ = mk.mu_invariant(mk.act(g, a), mk.act(g, b), mk.act(g, c))
         assert (rep - rep2).max_abs() < 1e-9
+
+
+def _slot_quadrilateral(rank, lams, sigma, theta):
+    """Points A, B, C, D of the super Ptolemy quadrilateral: (A, B, C) in
+    standard position with fermion theta at B, and D from the basic
+    calculation with fermion sigma."""
+    a, b, c, d, e = (grassmann(x, rank) for x in lams)
+    zero = GrassmannNumber(rank)
+    r = np.sqrt(2) * e * a * b.inverse()
+    s = np.sqrt(2) * b * e * a.inverse()
+    t = np.sqrt(2) * a * b * e.inverse()
+    pa = mk.SuperVector(zero, r, zero, zero, zero)
+    pb = mk.SuperVector(t, t, t, t * theta, t * theta)
+    pc = mk.SuperVector(s, zero, zero, zero, zero)
+    return pa, pb, pc, mk.basic_calculation(a, b, c, d, e, sigma)
+
+
+def _linear_odd(r, rank, terms):
+    """Random combination of `terms` distinct generators: odd elements of
+    degree one, whose products vanish only when they must."""
+    out = GrassmannNumber(rank)
+    for i in r.choice(rank, size=terms, replace=False):
+        out = out + float(r.normal(0.0, 0.5)) * GrassmannNumber.generator(int(i) + 1, rank)
+    return out
+
+
+def _oracle_triples(rank):
+    """Positive triples at the given rank: standard ones, the same moved by
+    a bosonic and two odd one-parameter members, and the triangles (A, B, D)
+    and (B, C, D) of super Ptolemy quadrilaterals."""
+    r = np.random.default_rng(40 + rank)
+    zero = GrassmannNumber(rank)
+    trips = []
+    for _ in range(4):
+        phi = _linear_odd(r, rank, 3)
+        r_, s_, t_ = (grassmann(float(np.exp(r.normal(0, 0.3))), rank) for _ in range(3))
+        std = (
+            mk.SuperVector(zero, r_, zero, zero, zero),
+            mk.SuperVector(t_, t_, t_, t_ * phi, t_ * phi),
+            mk.SuperVector(s_, zero, zero, zero, zero),
+        )
+        trips.append(std)
+        g = sl.smul_many(
+            sl.random_osp(r, rank, blocks=2, odd_terms=0),
+            sl.exp_odd_plus(_linear_odd(r, rank, 2)),
+            sl.exp_odd_minus(_linear_odd(r, rank, 2)),
+        )
+        trips.append(tuple(mk.act(g, v) for v in std))
+    for _ in range(2):
+        lams = [
+            random_element(r, rank, parity="even", terms=2, scale=0.15, body=float(r.uniform(0.6, 1.8)))
+            for _ in range(5)
+        ]
+        sigma, theta = (_linear_odd(r, rank, 3) for _ in range(2))
+        pa, pb, pc, pd = _slot_quadrilateral(rank, lams, sigma, theta)
+        trips += [(pa, pb, pd), (pb, pc, pd)]
+    return trips
+
+
+class TestMuInvariantOracle:
+    """The spinor formula against the standard position of normalize_triple."""
+
+    @pytest.mark.parametrize("rank", [8, 12])
+    def test_matches_normalize_triple(self, rank):
+        trips = _oracle_triples(rank)
+        # both spinor branches are taken: some points have x1 < x2, some not
+        turned = [p.x1.body < p.x2.body for trip in trips for p in trip]
+        assert any(turned) and not all(turned)
+        for trip in trips:
+            rep, _ = mk.mu_invariant(*trip)
+            want, _ = canonicalize_sign(mk.normalize_triple(*trip)[4])
+            scale = max(1.0, rep.max_abs(), want.max_abs())
+            assert (rep - want).max_abs() <= 1e-9 * scale
+            assert want.max_abs() > 0.1
+
+    def test_sign_is_the_spinor_value_of_the_given_order(self):
+        for trip in _oracle_triples(8):
+            rep, sign = mk.mu_invariant(*trip)
+            value = mk._rotation_values(*trip, tol=1e-9)[0]
+            assert (sign * rep - value).max_abs() <= 1e-12 * max(1.0, value.max_abs())
+
+
+class TestMuInvariantRejects:
+    def test_off_cone_point(self):
+        a, b, c = standard_triple(phi=G1)
+        b = vec(1.7, 1.7, 1.5)
+        assert mk.pairing(b, b).body > 0.1
+        with pytest.raises(ValueError, match="^second point of triple is not on the special light cone"):
+            mk.mu_invariant(a, b, c)
+
+    def test_nonzero_fermion_label(self):
+        a, b, _ = standard_triple(phi=G1)
+        c = vec(0.8, 0.0, 0.0, ZERO, 0.3 * G2)
+        assert mk.is_light_cone(c)
+        assert mk.fermion_label(c)[0].max_abs() > 0.1
+        with pytest.raises(ValueError, match="^third point of triple is not on the special light cone"):
+            mk.mu_invariant(a, b, c)
+
+    def test_zero_body_point(self):
+        _, b, c = standard_triple(phi=G1)
+        with pytest.raises(ValueError, match="^first point of triple has zero body"):
+            mk.mu_invariant(vec(0.0, 0.0, 0.0), b, c)
+
+    def test_dependent_first_and_third_points(self):
+        _, b, _ = standard_triple(phi=G1)
+        with pytest.raises(ValueError, match="^first and third points of triple are linearly dependent"):
+            mk.mu_invariant(s_slot(1.3), b, s_slot(0.8))
+
+    def test_negatively_oriented_triple(self):
+        a, b, c = standard_triple(phi=G1)
+        with pytest.raises(ValueError, match=r"^triple is not positively oriented \(body determinant -"):
+            mk.mu_invariant(c, b, a)
 
 
 class TestPrime:
@@ -694,3 +815,4 @@ class TestSerialization:
             mk.parse_supervector("1, 0, 0, 0, 0", RANK)
         with pytest.raises(ValueError):
             mk.parse_supervector("(1, 0, 0)", RANK)
+
