@@ -27,7 +27,7 @@ from .minkowski import (
     ElementError,
     SuperVector,
     act,
-    basic_calculation,
+    far_point,
     mu_invariant,
     normalize_triple,
     pairing,
@@ -405,13 +405,11 @@ def _base_triangle_points(coords, v, side, rank):
 
 def _attach_level(coords, deltas, points, triangles, jobs):
     """Grow the lift across side k of triangle tri_idx for every (tri_idx, k)
-    in jobs, all at once: one normalize_triple puts every parent in standard
-    position, one basic_calculation gives every far point there, and one act
-    carries them back.  Appends the points and triangles in the order of
-    jobs and returns the new triangle indices."""
+    in jobs, all at once, by one far_point call on the stacked sides.
+    Appends the points and triangles in the order of jobs and returns the
+    new triangle indices."""
     graph = coords.graph
     lam = coords.lambdas
-    rank = coords.rank
     corner_pts, labels, made = [], [], []
     for tri_idx, k in jobs:
         tri = triangles[tri_idx]
@@ -427,8 +425,6 @@ def _attach_level(coords, deltas, points, triangles, jobs):
         if deltas[v2] != delta2:
             raise ValueError("delta coloring is inconsistent across edge %d" % graph.edge_of(h))
         labels.append((
-            lam[graph.edge_of(hs[(k + 2) % 3])],
-            lam[graph.edge_of(hs[(k + 1) % 3])],
             lam[graph.edge_of(hs2[(j0 + 2) % 3])],
             lam[graph.edge_of(hs2[(j0 + 1) % 3])],
             lam[graph.edge_of(h)],
@@ -440,16 +436,14 @@ def _attach_level(coords, deltas, points, triangles, jobs):
         corners[(j0 + 2) % 3] = cs[(k + 1) % 3]
         made.append(LiftedTriangle(v2, corners, delta2, tri_idx))
     try:
-        g, _, _, _, _ = normalize_triple(*(stack(col) for col in zip(*corner_pts)))
+        d = far_point(*(stack(col) for col in zip(*corner_pts)), *(stack(col) for col in zip(*labels)))
     except ElementError as err:
         tri_idx, k = jobs[err.element]
         raise ValueError(
             "cannot attach across side %d of lifted triangle %d (graph vertex %d): %s"
             % (k, tri_idx, triangles[tri_idx].vertex, err.reason)
         ) from err
-    d_std = basic_calculation(*(stack(col) for col in zip(*labels)), rank=rank)
-    d_world = act(sl.inverse_osp(g), d_std)
-    points.extend(SuperVector.wrap(rank, c) for c in d_world.coeffs)
+    points.extend(SuperVector.wrap(coords.rank, c) for c in d.coeffs)
     triangles.extend(made)
     return range(len(triangles) - len(made), len(triangles))
 
@@ -460,9 +454,10 @@ def lift(coords, depth, base_vertex=0, base_side=0):
     each new triangle its delta-modified mu-invariant.
 
     The triangles of one breadth-first level depend only on their parents,
-    so each level is attached at once, as one batch (see `_attach_level`); the
-    points and triangles come out in the order of attaching them one by
-    one, parent by parent and side by side."""
+    so each level is attached at once, by one `far_point` call on the
+    spinors of the parents' sides (see `_attach_level`), with no group
+    element; the points and triangles come out in the order of attaching
+    them one by one, parent by parent and side by side."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     graph = coords.graph
@@ -535,15 +530,11 @@ def _tree_path_vector(graph, domain, v1, v2):
     return vec
 
 
-def _normalize_slot(points, triangles, tri_idx, graph, k):
+def _normalize_slot(points, triangles, tri_idx, k):
     """Frame carrying a lifted triangle to standard position with the
     fermion opposite its k-th half-edge; returns (frame, invariants)."""
-    tri = triangles[tri_idx]
-    cs = tri.corners
-    pa = points[cs[(k + 1) % 3]]
-    pb = points[cs[k]]
-    pc = points[cs[(k + 2) % 3]]
-    g, r, s, t, phi = normalize_triple(pa, pb, pc)
+    cs = triangles[tri_idx].corners
+    g, r, s, t, phi = normalize_triple(points[cs[(k + 1) % 3]], points[cs[k]], points[cs[(k + 2) % 3]])
     return g, (r, s, t, phi)
 
 
@@ -644,8 +635,8 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
         k1 = graph.vertices[v1].index(h1)
         k2 = graph.vertices[v2].index(h2)
         (t2,) = _attach_level(coords, deltas, points, triangles, [(tri_of_vertex[v2], k2)])
-        g1, inv1 = _normalize_slot(points, triangles, t1, graph, k1)
-        g2, inv2 = _normalize_slot(points, triangles, t2, graph, k1)
+        g1, inv1 = _normalize_slot(points, triangles, t1, k1)
+        g2, inv2 = _normalize_slot(points, triangles, t2, k1)
         for x, y in zip(inv1, inv2):
             if (x - y).max_abs() > 1e-6:
                 raise ValueError(
@@ -912,7 +903,9 @@ def _add_partial(form, key, part):
 def pullback_check(coords, e, details=False):
     """Max coefficient gap between the chart two-form and the flipped
     chart's two-form pulled back through flip_coords by the graded chain
-    rule.  With details=True also returns the offending pair label."""
+    rule.  With details=True also returns the offending pair label.  The
+    two-form holds each mu only through d(mu)^2, so the gap cannot see the
+    sign of any mu and is no evidence for a mu-sign law."""
     work = canonical_gauge(coords)
     work, slots, promo_mask = _promote_odd(work)
     _, flipped = _flip_outputs(work, e)

@@ -11,32 +11,32 @@ signed contractions of coefficient arrays (`_kernels.smul_coeffs`, with the
 sign table `_kernels.SMUL_SIGNS`).  This is a right action: acting by g
 then h equals acting by g*h.
 
-A stack of points is one (..., 5, 2**rank) array.  The action, the pairing,
-normalize_point, normalize_triple and basic_calculation broadcast over such
-leading batch axes: each element is normalized on its own (the x1 < x2
-rotation is chosen per element), every check applies to every element, and
-a failed check names the first failing element ("triple 1 is not positively
-oriented ...").
-
 Light cone: <A,A> = 0 with non-negative x1, x2 bodies.  The fermion label
 (odd, defined up to sign) separates orbits; the label-zero orbit of
 (1,0,0,0,0) is the special light cone, home of all decorated lifts.
 lambda-lengths are square roots of pairings.  The mu-invariant of a positive
 triple is the phi of its standard position
 
-    A -> r(0,1,0,0,0),  B -> t(1,1,1,phi,phi),  C -> s(1,0,0,0,0),
+    A -> r(0,1,0,0,0),  B -> t(1,1,1,phi,phi),  C -> s(1,0,0,0,0).
 
-and is read off without a group element.  Every special light-cone point is
-the square (u^2, v^2, uv, u xi, v xi) of a spinor (u, v, xi) of R^{2|1}, the
-defining representation of OSp(1|2), with invariant form
-omega(s,t) = u v' - v u' + xi xi' and <A,B> = omega(a,b)^2 / 2.  With n the
-unit odd direction omega-orthogonal to the spinors a and c, and
+Every special light-cone point is the square (u^2, v^2, uv, u xi, v xi) of
+a spinor (u, v, xi) of R^{2|1}, the defining representation of OSp(1|2),
+with invariant form omega(s,t) = u v' - v u' + xi xi' and
+<A,B> = omega(a,b)^2 / 2; act(g, A) squares the row spinor a g.
+mu_invariant and far_point read the spinors and build no group element.
+With n the unit odd direction omega-orthogonal to a and c, and
 eta = omega(n, b),
 
     mu = eta omega(c,a) / sqrt(omega(a,b) omega(b,c) omega(c,a)),
 
 fixed up to the signs of the spinors; mu_invariant reports the sign of the
-value for the order of the points given.
+value for the order of the points given.  normalize_point and
+normalize_triple build the group element (for build_rep, and as an oracle).
+
+pairing, act, triple_orientation, basic_calculation and far_point take
+stacks, (..., 5, 2**rank) arrays of points: far_point picks each spinor's
+branch per element and names the first failing element of a failed check
+("triple 1 is not positively oriented ...", an ElementError).
 """
 
 import numpy as np
@@ -190,11 +190,6 @@ def _reject(bad, noun, message, *values):
     raise ElementError(message % (("%s %d" % (noun, k),) + values), k, message % ((noun,) + values))
 
 
-def _any_coeff_above(x, tol):
-    """Per batch element: does any coefficient of x exceed tol in size?"""
-    return np.any(np.abs(x.coeffs) > tol, axis=-1)
-
-
 def normalize_point(a, tol=1e-9):
     """Group element g and odd theta with act(g, a) = (1,0,0,0,theta).
 
@@ -204,13 +199,8 @@ def normalize_point(a, tol=1e-9):
     rank = a.rank
     steps = []
     b = a
-    turn = b.x1.body < b.x2.body
-    if np.any(turn):
-        # rotate the elements with x1 < x2, apply the identity to the others
-        pick = np.reshape(turn, np.shape(turn) + (1, 1, 1))
-        r = sl.SuperMatrix.wrap(
-            rank, np.where(pick, sl.rotate90(rank).coeffs, sl.identity(rank).coeffs)
-        )
+    if b.x1.body < b.x2.body:
+        r = sl.rotate90(rank)
         steps.append(r)
         b = act(r, b)
     _reject(b.x1.body <= tol, "light-cone point", "degenerate %s (zero body)")
@@ -231,21 +221,6 @@ def normalize_point(a, tol=1e-9):
     return g, out.theta
 
 
-def normalize_pair(a, b, tol=1e-9):
-    """Send special-light-cone a to (1,0,0,0,0) and b to s(0,1,0,0,0).
-
-    Returns (g, s); s equals twice the pairing <a,b>.
-    """
-    g1, th = normalize_point(a, tol)
-    _reject(_any_coeff_above(th, 1e-7), "pair", "first point of %s is not on the special light cone")
-    b1 = act(g1, b)
-    _reject(abs(b1.x2.body) <= tol, "pair", "%s is not linearly independent")
-    x2inv = b1.x2.inverse()
-    g2 = sl.stabilizer(-(b1.y * x2inv), -(x2inv * b1.theta), GrassmannNumber(a.rank))
-    g = sl.smul(g1, g2)
-    return g, act(g, b).x2
-
-
 def triple_orientation(a, b, c):
     """Determinant of the bosonic bodies; positive for a positive triple
     (an array over the batch of stacked triples)."""
@@ -253,26 +228,9 @@ def triple_orientation(a, b, c):
     return float(det) if det.ndim == 0 else det
 
 
-class TripleInvariants:
-    """Edge lambda-lengths, odd invariant and normalization scales of a
-    positive triple, computed from pairings alone (no group element)."""
-
-    __slots__ = ("lambda_a", "lambda_b", "lambda_e", "mu", "r", "s", "t")
-
-    def __init__(self, a, b, c, tol=1e-9):
-        self.lambda_a = pairing(a, b).sqrt()
-        self.lambda_b = pairing(b, c).sqrt()
-        self.lambda_e = pairing(c, a).sqrt()
-        self.mu = mu_invariant(a, b, c, tol)[0]
-        root2 = np.sqrt(2.0)
-        la, lb, le = self.lambda_a, self.lambda_b, self.lambda_e
-        self.r = root2 * le * la * lb.inverse()
-        self.s = root2 * lb * le * la.inverse()
-        self.t = root2 * la * lb * le.inverse()
-
-
 def normalize_triple(a, b, c, tol=1e-9):
-    """Standard position of a positive triple (a, b, c).
+    """Standard position of a positive triple (a, b, c) of special light-cone
+    points.
 
     Returns (g, r, s, t, phi) with act(g,a) = r(0,1,0,0,0),
     act(g,b) = t(1,1,1,phi,phi), act(g,c) = s(1,0,0,0,0); deterministic, so
@@ -280,8 +238,9 @@ def normalize_triple(a, b, c, tol=1e-9):
     """
     det = triple_orientation(a, b, c)
     _reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
-    g1, th = normalize_point(c, tol)
-    _reject(_any_coeff_above(th, 1e-7), "triple", "third point of %s is not on the special light cone")
+    for p, position in zip((a, b, c), _POSITIONS):
+        _spinor(p, position, tol)
+    g1, _ = normalize_point(c, tol)
     a1 = act(g1, a)
     _reject(abs(a1.x2.body) <= tol, "triple", "%s is not linearly independent")
     x2inv = a1.x2.inverse()
@@ -294,9 +253,6 @@ def normalize_triple(a, b, c, tol=1e-9):
     )
     p = fourth_root(b2.x2 * b2.x1.inverse())
     g = sl.smul(g12, sl.diag(p, p.inverse()))
-    # drop the dead stacks before the closing acts, where a lifted level's
-    # memory peaks
-    del g1, g2, g12, a1, b2, p
     af, bf, cf = act(g, a), act(g, b), act(g, c)
     _reject(bf.y.body <= 0, "triple", "%s is not positive (middle y-body %g)", bf.y.body)
     t = bf.x1
@@ -306,31 +262,38 @@ def normalize_triple(a, b, c, tol=1e-9):
 
 _POSITIONS = ("first", "second", "third")
 
+# rows (x_piv, x_other, odd_piv, odd_other) of a point: (x1, x2, phi, theta)
+# on the u = sqrt(x1) branch, (x2, x1, theta, phi) on the v = sqrt(x2) branch
+_PIVOT_ROWS = np.array([[0, 1, 3, 4], [1, 0, 4, 3]])
+
 
 def _spinor(p, position, tol):
     """Spinor (u, v, xi) of R^{2|1} whose square (u^2, v^2, uv, u xi, v xi)
     is the special light-cone point p, up to overall sign: u = sqrt(x1) when
-    x1's body is at least x2's, otherwise v = sqrt(x2).  Rejects p, named by
-    its position in the triple, unless it is that square within 1e-7 of its
-    scale."""
-    if max(p.x1.body, p.x2.body) <= tol:
-        raise ValueError("%s point of triple has zero body" % position)
-    if p.x1.body >= p.x2.body:
-        u = p.x1.sqrt()
-        u_inv = u.inverse()
-        v, xi = p.y * u_inv, p.phi * u_inv
-        gap = max((v * v - p.x2).max_abs(), (v * xi - p.theta).max_abs())
-    else:
-        v = p.x2.sqrt()
-        v_inv = v.inverse()
-        u, xi = p.y * v_inv, p.theta * v_inv
-        gap = max((u * u - p.x1).max_abs(), (u * xi - p.phi).max_abs())
-    scale = float(np.abs(p.coeffs).max())
-    if gap > 1e-7 * scale:
-        raise ValueError(
-            "%s point of triple is not on the special light cone (gap %.3g at scale %.3g)"
-            % (position, gap, scale)
-        )
+    x1's body is at least x2's, otherwise v = sqrt(x2), chosen per element of
+    a stack.  Rejects p, named by its position in the triple, unless it is
+    that square within 1e-7 of its scale."""
+    x1, x2 = p.x1.body, p.x2.body
+    _reject(np.maximum(x1, x2) <= tol, "triple", position + " point of %s has zero body")
+    turn = np.asarray(x1 < x2)
+    # one gather over the flattened stack picks each element's rows
+    rows = p.coeffs.reshape(-1, p.coeffs.shape[-1])
+    picked = rows[_PIVOT_ROWS[turn.astype(int)] + 5 * np.arange(turn.size).reshape(turn.shape + (1,))]
+    x_piv, x_other, odd_piv, odd_other = (GrassmannNumber.wrap(p.rank, picked[..., k, :]) for k in range(4))
+    piv = x_piv.sqrt()
+    piv_inv = piv.inverse()
+    other, xi = p.y * piv_inv, odd_piv * piv_inv
+    gap = np.maximum(
+        np.abs((other * other - x_other).coeffs).max(axis=-1),
+        np.abs((other * xi - odd_other).coeffs).max(axis=-1),
+    )
+    scale = np.abs(p.coeffs).max(axis=(-2, -1))
+    _reject(
+        gap > 1e-7 * scale, "triple",
+        position + " point of %s is not on the special light cone (gap %.3g at scale %.3g)", gap, scale,
+    )
+    u = GrassmannNumber.wrap(p.rank, np.where(turn[..., None], other.coeffs, piv.coeffs))
+    v = GrassmannNumber.wrap(p.rank, np.where(turn[..., None], piv.coeffs, other.coeffs))
     return u, v, xi
 
 
@@ -338,6 +301,25 @@ def _omega(s, t):
     """The OSp(1|2)-invariant form u v' - v u' + xi xi' on spinors; the
     squares P, Q of s, t pair to <P,Q> = omega(s,t)^2 / 2."""
     return s[0] * t[1] - s[1] * t[0] + s[2] * t[2]
+
+
+def _signed(xs, sign):
+    """The Grassmann numbers xs times a sign (+-1 per batch element)."""
+    sign = np.asarray(sign)[..., None]
+    return tuple(GrassmannNumber.wrap(x.rank, x.coeffs * sign) for x in xs)
+
+
+def _odd_direction(p, r, w):
+    """Unit spinor n = (n_u, n_v, 1 + n_u n_v) of the odd direction
+    omega-orthogonal to the spinors p and r, given w = omega(p, r), whose
+    body must be invertible (n_u, n_v are odd)."""
+    # u v' - v u' on p, r
+    pair_inv = (w - p[2] * r[2]).inverse()
+    n_u = (p[2] * r[0] - p[0] * r[2]) * pair_inv
+    n_v = (p[2] * r[1] - p[1] * r[2]) * pair_inv
+    # 1/sqrt(1 - 2 n_u n_v) = 1 + n_u n_v, as (n_u n_v)^2 = 0; the factor
+    # leaves n_u and n_v, whose squares vanish
+    return n_u, n_v, 1 + n_u * n_v
 
 
 def _rotation_values(a, b, c, tol):
@@ -365,12 +347,7 @@ def _rotation_values(a, b, c, tol):
     values = []
     for k in range(3):
         p, q, r = (spinors[(k + j) % 3] for j in range(3))
-        pair = p[0] * r[1] - p[1] * r[0]
-        pair_inv = pair.inverse()
-        n_u = (p[2] * r[0] - p[0] * r[2]) * pair_inv
-        n_v = (p[2] * r[1] - p[1] * r[2]) * pair_inv
-        # 1/sqrt(1 - 2 n_u n_v) = 1 + n_u n_v, as (n_u n_v)^2 = 0
-        eta = (n_u * q[1] - n_v * q[0] + q[2]) * (1 + n_u * n_v)
+        eta = _omega(_odd_direction(p, r, -omegas[(k + 2) % 3]), q)
         values.append(eta * omegas[(k + 2) % 3] * root_inv)
     return values
 
@@ -443,7 +420,8 @@ def switch_transform(a, c, d, tol=1e-9):
 def basic_calculation(a, b, c, d, e, sigma, rank=None):
     """Fourth point of a quadrilateral from five lambda-lengths and the odd
     invariant sigma of the far triangle, in the frame where the near triangle
-    sits in standard position."""
+    sits in standard position.  far_point is its world-frame form: the same
+    point put across a side of any positive triple, with no group element."""
     rank = common_rank((a, b, c, d, e, sigma), rank)
     a, b, c, d, e, sigma = (grassmann(v, rank) for v in (a, b, c, d, e, sigma))
     chi = a * c * (d * b).inverse()
@@ -457,6 +435,31 @@ def basic_calculation(a, b, c, d, e, sigma, rank=None):
         -(k * rootchi * sigma),
         rank=rank,
     )
+
+
+def far_point(a, b, c, lam_c, lam_d, lam_e, sigma, tol=1e-9):
+    """basic_calculation's point D across the side (a, c) of the positive
+    triple (a, b, c), in the triple's own frame: <C,D> = lam_c^2,
+    <A,D> = lam_d^2, <C,A> = lam_e^2.  D is the square of the spinor
+
+        d = (lam_d c - lam_c a) / lam_e + sqrt(sqrt2 lam_c lam_d / lam_e) sigma n
+
+    of the spinors a, c and their unit odd direction n.  On normalize_triple's
+    sheet, c is `_spinor`'s, negated when x1's body is below x2's, and
+    omega(a, c) has a negative body.  Takes stacks; a failed check (the
+    orientation, a or c off the cone, a and c dependent) names the first
+    failing element."""
+    det = triple_orientation(a, b, c)
+    _reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
+    sa = _spinor(a, "first", tol)
+    sc = _signed(_spinor(c, "third", tol), np.where(c.x1.body < c.x2.body, -1.0, 1.0))
+    w = _omega(sa, sc)
+    _reject(np.abs(w.body) <= tol, "triple", "first and third points of %s are linearly dependent")
+    *sa, w = _signed((*sa, w), -np.sign(w.body))
+    e_inv = lam_e.inverse()
+    k = (np.sqrt(2.0) * lam_c * lam_d * e_inv).sqrt() * sigma
+    d = [(lam_d * x - lam_c * y) * e_inv + k * z for x, y, z in zip(sc, sa, _odd_direction(sa, sc, w))]
+    return SuperVector(d[0] * d[0], d[1] * d[1], d[0] * d[1], d[0] * d[2], d[1] * d[2], rank=a.rank)
 
 
 def ptolemy_even(a, b, c, d, e, sigma, theta, rank=None):

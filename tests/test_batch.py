@@ -1,6 +1,6 @@
 """The batch axis: a stack computed at once equals its elements computed one
-by one, through the product kernels, the series and the action.  (The
-normal forms over a stack are tested in test_minkowski.py.)"""
+by one, through the product kernels, the series and the action.  (`far_point`
+over a stack is tested in test_minkowski.py.)"""
 
 import numpy as np
 import pytest

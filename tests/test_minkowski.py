@@ -199,57 +199,6 @@ class TestNormalizePoint:
         with pytest.raises(ValueError):
             mk.normalize_point(vec(0, 0, 0))
 
-    def test_stack_rotates_per_element(self):
-        """The stack mixes points with x1 > x2, which are not rotated, and
-        points with x1 < x2, which are."""
-        r = rng(21)
-        pts = [mk.random_light_cone_point(r, RANK) for _ in range(12)]
-        turned = [p.x1.body < p.x2.body for p in pts]
-        assert any(turned) and not all(turned)
-        g, th = mk.normalize_point(stack(pts))
-        for k, p in enumerate(pts):
-            g1, th1 = mk.normalize_point(p)
-            assert np.array_equal(g.coeffs[k], g1.coeffs)
-            assert np.array_equal(th.coeffs[k], th1.coeffs)
-
-    def test_stack_names_the_degenerate_point(self):
-        r = rng(23)
-        pts = [mk.random_light_cone_point(r, RANK) for _ in range(3)] + [vec(0, 0, 0)]
-        with pytest.raises(ValueError, match="^degenerate light-cone point 3 "):
-            mk.normalize_point(stack(pts))
-
-
-class TestNormalizePair:
-    def test_basis_pair(self):
-        g, s = mk.normalize_pair(s_slot(1.0), r_slot(1.0))
-        assert s.isclose(ONE, 1e-12)
-        assert mk.act(g, s_slot(1.0)).isclose(s_slot(1.0), 1e-12)
-        assert mk.act(g, r_slot(1.0)).isclose(r_slot(1.0), 1e-12)
-
-    def test_images_and_invariance(self):
-        r = rng(12)
-        a = mk.random_special_point(r, RANK)
-        b = mk.random_special_point(r, RANK)
-        g, s = mk.normalize_pair(a, b)
-        ai, bi = mk.act(g, a), mk.act(g, b)
-        assert ai.isclose(s_slot(1.0), 1e-9)
-        assert bi.max_coeff_diff(mk.SuperVector(ZERO, s, ZERO, ZERO, ZERO)) < 1e-9
-        assert mk.pairing(ai, bi).isclose(mk.pairing(a, b), 1e-9)
-
-    # the scale of the second image doubles the pairing
-    def test_scale_vs_pairing(self):
-        r = rng(13)
-        for _ in range(10):
-            a = mk.random_special_point(r, RANK)
-            b = mk.random_special_point(r, RANK)
-            _, s = mk.normalize_pair(a, b)
-            assert (s - 2 * mk.pairing(a, b)).max_abs() < 1e-9
-
-    def test_dependent_pair_rejected(self):
-        a = s_slot(1.0)
-        with pytest.raises(ValueError):
-            mk.normalize_pair(a, a.scale(2.0))
-
 
 class TestNormalizeTriple:
     def test_standard_triple_fixed(self):
@@ -296,29 +245,14 @@ class TestNormalizeTriple:
         with pytest.raises(ValueError):
             mk.normalize_triple(c, b, a)
 
-    def test_stack_matches_elements(self):
-        r0 = rng(22)
-        trips = [random_positive_triple(r0) for _ in range(5)]
-        got = mk.normalize_triple(*(stack(col) for col in zip(*trips)))
-        for k, trip in enumerate(trips):
-            for x, y in zip(got, mk.normalize_triple(*trip)):
-                assert np.array_equal(x.coeffs[k], y.coeffs)
-
-    def test_stack_names_the_negative_triple(self):
-        """Only element 1 of the stack is negatively oriented."""
-        r0 = rng(23)
-        trips = [random_positive_triple(r0) for _ in range(3)]
-        a, b, c = trips[1]
-        trips[1] = (c, b, a)
-        with pytest.raises(ValueError, match=r"^triple 1 is not positively oriented \(body determinant -") as err:
-            mk.normalize_triple(*(stack(col) for col in zip(*trips)))
-        # the element and the message it alone raises, for callers that name it otherwise
-        assert isinstance(err.value, mk.ElementError)
-        assert err.value.element == 1
-        assert err.value.reason.startswith("triple is not positively oriented (body determinant -")
-        with pytest.raises(ValueError) as alone:
-            mk.normalize_triple(*trips[1])
-        assert str(alone.value) == err.value.reason
+    def test_off_cone_middle_point_rejected(self):
+        """A middle point t(1,1,1,phi,theta) with phi != theta is not the
+        square of a spinor: it is named, not normalized."""
+        a, _, c = standard_triple()
+        t = grassmann(1.7, RANK)
+        b = mk.SuperVector(t, t, t, t * G1, t * (G1 + 0.5 * G2))
+        with pytest.raises(ValueError, match="^second point of triple is not on the special light cone"):
+            mk.normalize_triple(a, b, c)
 
 
 def random_positive_triple(r):
@@ -332,25 +266,6 @@ def random_positive_triple(r):
     )
     g = sl.random_osp(r, RANK, blocks=2)
     return tuple(mk.act(g, v) for v in trip)
-
-
-class TestTripleInvariants:
-    def test_consistency_identities(self):
-        r0 = rng(17)
-        a, b, c = random_positive_triple(r0)
-        inv = mk.TripleInvariants(a, b, c)
-        assert (inv.r * inv.s - 2 * inv.lambda_e ** 2).max_abs() < 1e-10
-        assert (inv.r * inv.t - 2 * inv.lambda_a ** 2).max_abs() < 1e-10
-        assert (inv.s * inv.t - 2 * inv.lambda_b ** 2).max_abs() < 1e-10
-
-    def test_matches_normalization_scales(self):
-        r0 = rng(18)
-        a, b, c = random_positive_triple(r0)
-        inv = mk.TripleInvariants(a, b, c)
-        _, r, s, t, _ = mk.normalize_triple(a, b, c)
-        assert (inv.r - r).max_abs() < 1e-9
-        assert (inv.s - s).max_abs() < 1e-9
-        assert (inv.t - t).max_abs() < 1e-9
 
 
 class TestMuInvariant:
@@ -527,6 +442,89 @@ class TestMuInvariantRejects:
         a, b, c = standard_triple(phi=G1)
         with pytest.raises(ValueError, match=r"^triple is not positively oriented \(body determinant -"):
             mk.mu_invariant(c, b, a)
+
+
+def _far_point_labels(rank, r, lam_e):
+    """far_point's labels (lam_c, lam_d, lam_e, sigma): lam_c and lam_d
+    random with a positive body, sigma a random odd element."""
+    lam_c, lam_d = (
+        random_element(r, rank, parity="even", terms=2, scale=0.15, body=float(r.uniform(0.6, 1.8)))
+        for _ in range(2)
+    )
+    return lam_c, lam_d, lam_e, _linear_odd(r, rank, 3)
+
+
+def _stack_far_point(trips, labels):
+    a, b, c = (stack(col) for col in zip(*trips))
+    return mk.far_point(a, b, c, *(stack(col) for col in zip(*labels)))
+
+
+# far_point's message for a stack whose element 2 is bad in each way
+STACK_REJECTIONS = {
+    "negative": r"triple 2 is not positively oriented \(body determinant -",
+    "zero_body": "first point of triple 2 has zero body",
+    "off_cone": "third point of triple 2 is not on the special light cone",
+    "dependent": "first and third points of triple 2 are linearly dependent",
+}
+
+
+class TestFarPoint:
+    """far_point against the group-element path: normalize_triple's frame,
+    basic_calculation there, and the inverse carrying the point back."""
+
+    @pytest.mark.parametrize("rank", [8, 12])
+    def test_matches_basic_calculation_carried_back(self, rank):
+        r = np.random.default_rng(60 + rank)
+        trips = _oracle_triples(rank)
+        # both branches of the third point's spinor are taken
+        turned = [c.x1.body < c.x2.body for _, _, c in trips]
+        assert any(turned) and not all(turned)
+        for a, b, c in trips:
+            g, rr, ss, tt, _ = mk.normalize_triple(a, b, c)
+            lam_a, lam_b, lam_e = ((x * y * 0.5).sqrt() for x, y in ((rr, tt), (tt, ss), (rr, ss)))
+            lam_c, lam_d, lam_e, sigma = _far_point_labels(rank, r, lam_e)
+            d_std = mk.basic_calculation(lam_a, lam_b, lam_c, lam_d, lam_e, sigma)
+            want = mk.act(sl.inverse_osp(g), d_std)
+            got = mk.far_point(a, b, c, lam_c, lam_d, lam_e, sigma)
+            assert got.max_coeff_diff(want) <= 1e-12 * max(1.0, float(np.abs(want.coeffs).max()))
+            assert np.abs(want.coeffs[3:]).max() > 0.1
+
+    def test_mixed_branch_stack_is_bit_identical(self):
+        r = np.random.default_rng(61)
+        trips = _oracle_triples(RANK)
+        turned = [[p.x1.body < p.x2.body for p in (a, c)] for a, _, c in trips]
+        assert all(any(col) and not all(col) for col in zip(*turned))
+        labels = [_far_point_labels(RANK, r, mk.pairing(c, a).sqrt()) for a, _, c in trips]
+        got = _stack_far_point(trips, labels)
+        for k, (trip, lab) in enumerate(zip(trips, labels)):
+            assert np.array_equal(got.coeffs[k], mk.far_point(*trip, *lab).coeffs)
+
+    @pytest.mark.parametrize("bad", sorted(STACK_REJECTIONS))
+    def test_stack_names_the_first_bad_element(self, bad):
+        """Elements 2 and 3 of the stack are bad; the error names element 2
+        as an ElementError, whose reason is the error element 2 alone
+        raises.  An exactly dependent pair is caught by the orientation
+        check, so the dependent pair is dependent within tolerance."""
+        r = np.random.default_rng(62)
+        trips = [random_positive_triple(r) for _ in range(4)]
+        a, b, c = standard_triple(phi=G1)
+        wrong = {
+            "negative": (c, b, a),
+            "zero_body": (vec(0.0, 0.0, -0.5), b, c),
+            "off_cone": (a, b, vec(0.8, 0.0, 0.0, ZERO, 0.3 * G2)),
+            # spinors (0, 1, 0) and (-5e-10, 10, 0): omega's body is 5e-10
+            "dependent": (vec(0.0, 1.0, 0.0), b, vec(2.5e-19, 100.0, -5e-9)),
+        }[bad]
+        trips[2] = trips[3] = wrong
+        # every check is on the points, so lam_e need not fit them
+        labels = [_far_point_labels(RANK, r, ONE) for _ in trips]
+        with pytest.raises(mk.ElementError, match="^" + STACK_REJECTIONS[bad]) as err:
+            _stack_far_point(trips, labels)
+        assert err.value.element == 2
+        with pytest.raises(ValueError) as alone:
+            mk.far_point(*wrong, *labels[2])
+        assert str(alone.value) == err.value.reason
+        assert not isinstance(alone.value, mk.ElementError)
 
 
 class TestPrime:
