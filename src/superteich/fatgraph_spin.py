@@ -19,9 +19,21 @@ orientation directs segments P_R -> P_L, corner arcs P_R(sigma(h)) ->
 P_L(h), and long sides parallel to the edge orientation.
 """
 
+import collections
 import itertools
 
 import numpy as np
+
+
+def _partition_fault(groups, n, where):
+    """Why the half-edges of groups do not partition 0..n-1: the first
+    half-edge held other than once, or else one outside the range."""
+    count = collections.Counter(h for g in groups for h in g)
+    for h in range(n):
+        if count[h] != 1:
+            return "half-edge %d appears %d times in the %s, not once" % (h, count[h], where)
+    extra = sorted(set(count) - set(range(n)), key=repr)
+    return "half-edge %r in the %s is not in 0..%d" % (extra[0], where, n - 1)
 
 
 class Fatgraph:
@@ -33,16 +45,16 @@ class Fatgraph:
         self.vertices = tuple(tuple(v) for v in vertices)
         self.edges = tuple(tuple(e) for e in edges)
         n = 2 * len(self.edges)
-        seen = []
-        for v in self.vertices:
+        for i, v in enumerate(self.vertices):
             if len(v) != 3:
-                raise ValueError("fatgraph is not trivalent")
-            seen.extend(v)
-        if sorted(seen) != list(range(n)):
-            raise ValueError("half-edges must partition 0..2E-1 across vertices")
-        pair_seen = sorted(h for e in self.edges for h in e)
-        if pair_seen != list(range(n)) or any(len(e) != 2 or e[0] == e[1] for e in self.edges):
-            raise ValueError("edges must be an involution without fixed points")
+                raise ValueError("vertex %d has %d half-edges, not 3" % (i, len(v)))
+        if sorted(h for v in self.vertices for h in v) != list(range(n)):
+            raise ValueError(_partition_fault(self.vertices, n, "vertex triples"))
+        for j, e in enumerate(self.edges):
+            if len(e) != 2 or e[0] == e[1]:
+                raise ValueError("edge %d is %r, not a pair of two distinct half-edges" % (j, e))
+        if sorted(h for e in self.edges for h in e) != list(range(n)):
+            raise ValueError(_partition_fault(self.edges, n, "edges"))
         self._vertex_of = {}
         self._sigma = {}
         for i, v in enumerate(self.vertices):
@@ -55,6 +67,33 @@ class Fatgraph:
             self._edge_of[h1] = self._edge_of[h2] = j
             self._partner[h1] = h2
             self._partner[h2] = h1
+
+    def _rewired(self, u, tri_u, w, tri_w):
+        """The fatgraph with new ccw triples (tuples) at vertices u and w,
+        and the same edges.
+
+        The check is local: the two new triples must hold exactly the six
+        half-edges the two old ones held, so the half-edge partition stays
+        whole.  The edge tables are shared with this graph and never
+        written; the vertex and sigma tables are copied and only the six
+        half-edges are rewritten."""
+        old = self.vertices[u] + self.vertices[w]
+        if u == w or len(tri_u) != 3 or len(tri_w) != 3 or sorted(tri_u + tri_w) != sorted(old):
+            raise ValueError(
+                "new triples %r at vertex %d and %r at vertex %d do not hold the "
+                "half-edges %r of the old ones" % (tri_u, u, tri_w, w, old)
+            )
+        out = Fatgraph.__new__(Fatgraph)
+        vertices = list(self.vertices)
+        vertices[u], vertices[w] = tri_u, tri_w
+        out.vertices = tuple(vertices)
+        out.edges, out._edge_of, out._partner = self.edges, self._edge_of, self._partner
+        out._vertex_of, out._sigma = dict(self._vertex_of), dict(self._sigma)
+        for i, tri in ((u, tri_u), (w, tri_w)):
+            for k in range(3):
+                out._vertex_of[tri[k]] = i
+                out._sigma[tri[k]] = tri[(k + 1) % 3]
+        return out
 
     @property
     def num_vertices(self):
@@ -86,7 +125,7 @@ class Fatgraph:
     def boundary_orbits(self):
         """Boundary cycles as half-edge orbits of h -> partner(sigma(h))."""
         seen, orbits = set(), []
-        for h0 in sorted(self._vertex_of):
+        for h0 in range(2 * self.num_edges):
             if h0 in seen:
                 continue
             orbit, h = [], h0
@@ -332,9 +371,10 @@ class SkinnyGraph:
 
     def __init__(self, graph):
         self.graph = graph
-        self.segments = [("s", h) for h in sorted(graph._vertex_of)]
-        self.arcs = [("a", h) for h in sorted(graph._vertex_of)]
-        self.longs = [("l", h) for h in sorted(graph._vertex_of)]
+        halves = range(2 * graph.num_edges)
+        self.segments = [("s", h) for h in halves]
+        self.arcs = [("a", h) for h in halves]
+        self.longs = [("l", h) for h in halves]
         self.ends = {}
         for key in self.segments:
             h = key[1]
@@ -637,6 +677,11 @@ def _transport_vec(graph, locals_, e, vec):
     """
     h_eu, h_nw, h_sw, h_ew, h_se, h_ne = locals_
     vec = np.asarray(vec, dtype=np.uint8).copy()
+    if vec.shape != (graph.num_edges,):
+        raise ValueError(
+            "cycle vector has shape %s, not (%d,) for the fatgraph's edges"
+            % (vec.shape, graph.num_edges)
+        )
     nw, sw = graph.edge_of(h_nw), graph.edge_of(h_sw)
     se, ne = graph.edge_of(h_se), graph.edge_of(h_ne)
     new_bit = 0
@@ -672,7 +717,18 @@ def flip(graph, e, orientation):
     old one on every cycle pushed across by `FlipResult.transport`.  The
     orientation is returned as the rule gives it, not as the canonical
     representative of its class, so a flip costs O(E).
+
+    The flipped graph is the old one with its two end vertices rewired: the
+    edges, and every other vertex, are unchanged, so the whole graph is not
+    checked again; only the six half-edges of the two vertices are.
     """
+    num_edges = graph.num_edges
+    if not 0 <= e < num_edges:
+        raise ValueError("edge %r is not in 0..%d" % (e, num_edges - 1))
+    if len(orientation.tails) != num_edges:
+        raise ValueError(
+            "orientation has %d edges, the fatgraph %d" % (len(orientation.tails), num_edges)
+        )
     if graph.is_loop(e):
         raise ValueError("cannot flip loop edge %d" % e)
     h_eu, h_ew = graph.edges[e]
@@ -680,11 +736,8 @@ def flip(graph, e, orientation):
     h_nw, h_sw = graph.sigma(h_eu), graph.sigma(graph.sigma(h_eu))
     h_se, h_ne = graph.sigma(h_ew), graph.sigma(graph.sigma(h_ew))
 
-    # rebuild the graph: t keeps u's id with ccw (e, ne, nw), b gets (e, sw, se)
-    vertices = [list(v) for v in graph.vertices]
-    vertices[u] = [h_eu, h_ne, h_nw]
-    vertices[w] = [h_ew, h_sw, h_se]
-    new_graph = Fatgraph(vertices, graph.edges)
+    # t keeps u's id with ccw (e, ne, nw), b gets (e, sw, se)
+    new_graph = graph._rewired(u, (h_eu, h_ne, h_nw), w, (h_ew, h_sw, h_se))
 
     tails = list(orientation.tails)
     leaf_c = graph.edge_of(graph.sigma(graph.sigma(tails[e])))

@@ -3,7 +3,9 @@ under `perfbench/tracing.Tracer`, every layer that workload exercises records
 at least one call, and the workload's own check passes.  A function renamed
 or rebound past the tracer would otherwise read 0 in `--trace 1` runs.  The
 layers a workload must not reach record no call: a traced `lift` op makes no
-`smul`, `act`, `normalize_triple` or `basic_calculation` call.
+`smul`, `act`, `normalize_triple` or `basic_calculation` call, and a traced
+`spin` op makes its 20 flips without building a `Fatgraph` through the
+checked constructor.
 
 The perfbench files are only read (imported without writing bytecode)."""
 
@@ -12,6 +14,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from superteich import fatgraph_spin
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -54,23 +58,27 @@ def bench():
     return workloads, tracing
 
 
-def traced_op(bench, name):
-    """(input, output, per-layer totals) of one traced op of the workload."""
+def first_input(bench, name):
+    return bench[0].WORKLOADS[name].make_inputs(np.random.default_rng(1), 1)[0]
+
+
+def traced_op(bench, name, inp):
+    """(output, per-layer totals) of one traced op of the workload."""
     workloads, tracing = bench
     workload = workloads.WORKLOADS[name]
-    inp = workload.make_inputs(np.random.default_rng(1), 1)[0]
     tracer = tracing.Tracer()
     tracer.install()
     try:
         out, _ = tracer.run_op(0, workload.op, inp)
     finally:
         tracer.uninstall()
-    return inp, out, tracer.layer_totals()
+    return out, tracer.layer_totals()
 
 
 @pytest.mark.parametrize("name", sorted(LAYERS))
 def test_traced_op_records_every_layer(bench, name):
-    inp, out, totals = traced_op(bench, name)
+    inp = first_input(bench, name)
+    out, totals = traced_op(bench, name, inp)
     silent = [layer for layer in LAYERS[name] if totals[layer][0] == 0]
     assert not silent, "layers with no traced call: %s" % silent
     bench[0].WORKLOADS[name].check(inp, out)
@@ -78,6 +86,21 @@ def test_traced_op_records_every_layer(bench, name):
 
 @pytest.mark.parametrize("name", sorted(SILENT))
 def test_traced_op_skips_the_silent_layers(bench, name):
-    _, _, totals = traced_op(bench, name)
+    _, totals = traced_op(bench, name, first_input(bench, name))
     called = [layer for layer in SILENT[name] if totals[layer][0] != 0]
     assert not called, "layers with traced calls: %s" % called
+
+
+def test_traced_spin_op_rewires_without_the_checked_constructor(bench, monkeypatch):
+    inp = first_input(bench, "spin")
+    inits = []
+    checked_init = fatgraph_spin.Fatgraph.__init__
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(args)
+        checked_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fatgraph_spin.Fatgraph, "__init__", counted_init)
+    _, totals = traced_op(bench, "spin", inp)
+    assert totals["fatgraph_spin.flip"][0] == bench[0].WALK_LENGTH == 20
+    assert not inits, "Fatgraph.__init__ calls in one spin op: %d" % len(inits)

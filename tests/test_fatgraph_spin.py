@@ -348,16 +348,27 @@ class TestFatgraph:
         assert g.partner(0) == 1 and g.vertex_of(3) == 1 and g.edge_of(5) == 2
 
     def test_rejects_non_trivalent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vertex 0 has 2 half-edges, not 3$"):
             fg.Fatgraph([(0, 1), (2, 3)], [(0, 2), (1, 3)])
 
     def test_rejects_bad_involution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge 0 is \(0, 0\), not a pair of two distinct"):
             fg.Fatgraph([(0, 1, 2), (3, 4, 5)], [(0, 0), (1, 2), (3, 4)])
 
     def test_rejects_missing_half_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^half-edge 5 appears 0 times in the vertex triples"):
             fg.Fatgraph([(0, 1, 2), (3, 4, 6)], [(0, 3), (1, 4), (2, 6)])
+
+    def test_rejects_repeated_half_edge(self):
+        with pytest.raises(ValueError, match="^half-edge 1 appears 2 times in the edges"):
+            fg.Fatgraph([(0, 1, 2), (3, 4, 5)], [(0, 1), (1, 2), (3, 4)])
+
+    def test_rejects_half_edge_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^half-edge 10 in the vertex triples is not in 0\.\.9$"):
+            fg.Fatgraph(
+                [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)],
+                [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)],
+            )
 
     def test_cycle_basis_has_even_degrees(self):
         for make in SPINES.values():
@@ -781,12 +792,80 @@ class TestFlipRule:
         with pytest.raises(ValueError, match="loop edge 1$"):
             fg.flip(g, 1, om)
 
+    @pytest.mark.parametrize("e", [-1, 9])
+    def test_flip_rejects_edge_out_of_range(self, e):
+        g = fg.genus_two_spine()
+        om = fg.Orientation.from_bits(g, [0] * g.num_edges)
+        with pytest.raises(ValueError, match=r"^edge %d is not in 0\.\.8$" % e):
+            fg.flip(g, e, om)
+
+    def test_flip_rejects_orientation_of_another_graph_size(self):
+        g, theta = fg.genus_two_spine(), fg.theta_graph()
+        om = fg.Orientation.from_bits(theta, [0] * theta.num_edges)
+        with pytest.raises(ValueError, match="^orientation has 3 edges, the fatgraph 9$"):
+            fg.flip(g, 0, om)
+
+    def test_transport_rejects_vector_of_wrong_length(self):
+        g = fg.genus_two_spine()
+        res = fg.flip(g, 0, fg.Orientation.from_bits(g, [0] * g.num_edges))
+        with pytest.raises(ValueError, match=r"^cycle vector has shape \(3,\), not \(9,\)"):
+            res.transport([1, 0, 1])
+
     def test_flip_result_graph_shape(self):
         g = fg.theta_graph()
         res = fg.flip(g, 1, fg.orientation_classes(g)[0])
         assert res.graph.num_edges == 3
         assert res.graph.num_vertices == 2
         assert res.graph.genus == 1 and res.graph.punctures == 1
+
+
+def lookups(graph):
+    """Every per-half-edge and per-edge lookup of the graph, as plain data."""
+    halves = range(2 * graph.num_edges)
+    return (
+        [graph.sigma(h) for h in halves],
+        [graph.sigma_inv(h) for h in halves],
+        [graph.partner(h) for h in halves],
+        [graph.vertex_of(h) for h in halves],
+        [graph.edge_of(h) for h in halves],
+        [graph.is_loop(j) for j in range(graph.num_edges)],
+        graph.boundary_orbits(),
+        [tuple(int(x) for x in vec) for vec in graph.cycle_basis()],
+    )
+
+
+class TestRewiring:
+    """`flip` builds its graph by rewiring two vertices of the old one, with
+    the edge tables shared; it must agree with a fully checked rebuild and
+    leave the old graph as it was."""
+
+    @pytest.mark.parametrize("num_vertices, seed", [(6, 61), (8, 81)])
+    def test_walk_matches_a_checked_rebuild(self, num_vertices, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            g = random_fatgraph(rng, num_vertices)
+            om = fg.Orientation.from_bits(g, rng.integers(0, 2, size=g.num_edges))
+            for _ in range(20):
+                before = lookups(g)
+                res = fg.flip(g, int(rng.choice(flippable(g))), om)
+                rebuilt = fg.Fatgraph(res.graph.vertices, res.graph.edges)
+                assert lookups(res.graph) == lookups(rebuilt)
+                assert lookups(g) == before
+                g, om = res.graph, res.orientation
+
+    def test_rejects_triples_without_the_old_half_edges(self):
+        g = fg.genus_two_spine()
+        # vertices 0 and 3 hold half-edges 0, 2, 4 and 1, 7, 13
+        for tri_u, tri_w in [
+            ((0, 2, 4), (1, 7, 5)),
+            ((0, 2, 4), (1, 7, 7)),
+            ((0, 2), (4, 1, 7, 13)),
+        ]:
+            with pytest.raises(ValueError, match="at vertex 0 and .* at vertex 3 do not hold"):
+                g._rewired(0, tri_u, 3, tri_w)
+        with pytest.raises(ValueError, match="at vertex 0 and .* at vertex 0 do not hold"):
+            g._rewired(0, (0, 2, 4), 0, (4, 2, 0))
+        assert g._rewired(0, (4, 2, 0), 3, (13, 7, 1)).vertices[0] == (4, 2, 0)
 
 
 class TestDual:
