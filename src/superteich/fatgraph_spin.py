@@ -21,13 +21,29 @@ P_L(h), and long sides parallel to the edge orientation.
 
 import collections
 import itertools
+import numbers
 
 import numpy as np
 
 
-def _partition_fault(groups, n, where):
+def _partitions(groups, n):
+    """Whether the half-edges of groups are 0..n-1, each once; False also
+    when they do not sort (a half-edge that is not a number)."""
+    try:
+        return sorted(h for g in groups for h in g) == list(range(n))
+    except TypeError:
+        return False
+
+
+def _partition_fault(groups, n, where, member):
     """Why the half-edges of groups do not partition 0..n-1: the first
-    half-edge held other than once, or else one outside the range."""
+    half-edge that is not an integer (named with `member` and its group),
+    or else the first held other than once, or else one outside the
+    range."""
+    for k, g in enumerate(groups):
+        for h in g:
+            if not isinstance(h, numbers.Integral):
+                return "half-edge %r %s %d %r is not an integer" % (h, member, k, g)
     count = collections.Counter(h for g in groups for h in g)
     for h in range(n):
         if count[h] != 1:
@@ -48,13 +64,13 @@ class Fatgraph:
         for i, v in enumerate(self.vertices):
             if len(v) != 3:
                 raise ValueError("vertex %d has %d half-edges, not 3" % (i, len(v)))
-        if sorted(h for v in self.vertices for h in v) != list(range(n)):
-            raise ValueError(_partition_fault(self.vertices, n, "vertex triples"))
+        if not _partitions(self.vertices, n):
+            raise ValueError(_partition_fault(self.vertices, n, "vertex triples", "at vertex"))
         for j, e in enumerate(self.edges):
             if len(e) != 2 or e[0] == e[1]:
                 raise ValueError("edge %d is %r, not a pair of two distinct half-edges" % (j, e))
-        if sorted(h for e in self.edges for h in e) != list(range(n)):
-            raise ValueError(_partition_fault(self.edges, n, "edges"))
+        if not _partitions(self.edges, n):
+            raise ValueError(_partition_fault(self.edges, n, "edges", "of edge"))
         self._vertex_of = {}
         self._sigma = {}
         for i, v in enumerate(self.vertices):
@@ -250,9 +266,11 @@ class Orientation:
 
     def __init__(self, graph, tails):
         self.graph = graph
-        tails = tuple(tails)
+        tails, edges = tuple(tails), graph.edges
+        if len(tails) != len(edges):
+            raise ValueError("%d tails given for the %d edges of the graph" % (len(tails), len(edges)))
         for j, t in enumerate(tails):
-            if t not in graph.edges[j]:
+            if t not in edges[j]:
                 raise ValueError("tail %r does not belong to edge %d" % (t, j))
         self.tails = tails
 

@@ -4,7 +4,8 @@ An element of the rank-N algebra is stored as a dense vector of 2**N real
 coefficients, one per subset of the generators; bit k of the index encodes
 generator k+1.  The empty subset's coefficient is the body, everything else
 is the soul.  Odd generators anticommute and square to zero, so the soul is
-nilpotent and inverse / sqrt are finite series.
+nilpotent, and inverse, sqrt, rsqrt and fourth_root are one finite binomial
+series, x**alpha for alpha = -1, 1/2, -1/2 and 1/4.
 
 All public arithmetic rejects mixed ranks instead of promoting.  Equality is
 coefficientwise within a configurable tolerance (default 1e-9) because the
@@ -12,8 +13,8 @@ downstream geometry forces irrational coefficients like sqrt(2).
 
 A GrassmannNumber may also hold a stack of elements: leading (batch) axes in
 front of the coefficient axis.  Arithmetic broadcasts over them, `body` is
-then an array with the batch shape, and inverse / sqrt run one series for
-the whole stack.  GrassmannArray types (supermatrices, points) take a batch
+then an array with the batch shape, and the series runs once for the
+whole stack.  GrassmannArray types (supermatrices, points) take a batch
 the same way, in front of their entry axes; `stack` builds one from a list.
 """
 
@@ -243,50 +244,49 @@ class GrassmannNumber:
             raise TypeError("cannot compare with %r" % (other,))
         return bool(np.all(np.abs(self.coeffs - o.coeffs) <= tol))
 
-    # -- inverse / sqrt ----------------------------------------------------
+    # -- powers: inverse, sqrt, rsqrt --------------------------------------
 
-    # Both series run once for a whole stack, and stop when the term of every
-    # element has vanished.
+    def _power_series(self, alpha):
+        """x**alpha = b**alpha sum_k C(alpha, k) n**k, for x = b (1 + n) with
+        body b and nilpotent n, on the coefficient arrays.  The sum starts at
+        the k = 1 term, so the first product is n n, grows in place, and
+        stops at the first power of n that vanishes for every element of a
+        stack; b**alpha must be real (the callers check the body)."""
+        b = self.coeffs[..., :1]
+        n = self.coeffs / b
+        n[..., 0] = 0.0
+        out = n * alpha
+        out[..., 0] = 1.0
+        term, c = n, alpha
+        for k in range(2, self.rank + 1):
+            term = _kernels.multiply_coeffs(term, n, self.rank)
+            if not term.any():
+                break
+            c *= (alpha - (k - 1)) / k  # C(alpha, k), recursively
+            out += term * c
+        out *= b**alpha
+        return GrassmannNumber.wrap(self.rank, out)
 
-    def _over_body(self, b):
-        """soul / b, with b the body as a float or a (..., 1) array."""
-        n = self.soul()
-        n.coeffs *= 1.0 / b
-        return n
+    def _even_root_check(self, name):
+        if not self.is_even():
+            raise ValueError("%s requires an even element" % name)
+        if np.any(self.coeffs[..., 0] <= 0.0):
+            raise ValueError("%s requires positive body" % name)
 
     def inverse(self):
-        b = self.coeffs[..., :1]
-        if np.any(b == 0.0):
+        if np.any(self.coeffs[..., 0] == 0.0):
             raise ZeroDivisionError("Grassmann element with zero body is not invertible")
-        # x = b(1+n), n nilpotent: 1/x = (1/b) sum (-n)^k, terminates by rank
-        n = self._over_body(b)
-        out = GrassmannNumber.scalar(1.0, self.rank)
-        term = GrassmannNumber.scalar(1.0, self.rank)
-        for k in range(1, self.rank + 1):
-            term = term * n
-            if not np.any(term.coeffs):
-                break
-            out = out - term if k % 2 == 1 else out + term
-        return GrassmannNumber.wrap(self.rank, out.coeffs * (1.0 / b))
+        return self._power_series(-1.0)
 
     def sqrt(self):
         """Square root with positive body; requires an even element, body > 0."""
-        if not self.is_even():
-            raise ValueError("sqrt requires an even element")
-        b = self.coeffs[..., :1]
-        if np.any(b <= 0.0):
-            raise ValueError("sqrt requires positive body")
-        n = self._over_body(b)
-        out = GrassmannNumber.scalar(1.0, self.rank)
-        term = GrassmannNumber.scalar(1.0, self.rank)
-        c = 1.0
-        for k in range(1, self.rank + 1):
-            c *= (0.5 - (k - 1)) / k  # binomial(1/2, k), recursively
-            term = term * n
-            if not np.any(term.coeffs):
-                break
-            out = out + term * c
-        return GrassmannNumber.wrap(self.rank, out.coeffs * np.sqrt(b))
+        self._even_root_check("sqrt")
+        return self._power_series(0.5)
+
+    def rsqrt(self):
+        """1/sqrt(x) with positive body, in one series; the domain of sqrt."""
+        self._even_root_check("rsqrt")
+        return self._power_series(-0.5)
 
     # -- text form ---------------------------------------------------------
 
@@ -381,8 +381,9 @@ def grassmann(value, rank=DEFAULT_RANK):
 
 
 def fourth_root(a):
-    # (x)^(1/4) with positive body both times, used by the normal forms
-    return a.sqrt().sqrt()
+    """x**(1/4) with positive body, in one series; the domain of sqrt."""
+    a._even_root_check("fourth_root")
+    return a._power_series(0.25)
 
 
 def odd_derivative(a, i):

@@ -29,9 +29,16 @@ eta = omega(n, b),
 
     mu = eta omega(c,a) / sqrt(omega(a,b) omega(b,c) omega(c,a)),
 
-fixed up to the signs of the spinors; mu_invariant reports the sign of the
-value for the order of the points given.  normalize_point and
-normalize_triple build the group element (for build_rep, and as an oracle).
+fixed up to the signs of the spinors.  Multiplied out (n_u n_v =
+xi_a xi_c / d_ac, xi^2 = 0), with d_st = u_s v_t - v_s u_t, this is the
+closed form, the same for each cyclic rotation of (a, b, c),
+
+    mu = (xi_a d_bc + xi_b d_ca + xi_c d_ab + 2 xi_a xi_b xi_c)
+         / sqrt(omega(a,b) omega(b,c) omega(c,a)),
+
+which mu_invariant evaluates, reporting the sign of the value for the
+order of the points given.  normalize_point and normalize_triple build the
+group element (for build_rep, and as an oracle).
 
 pairing, act, triple_orientation, basic_calculation and far_point take
 stacks, (..., 5, 2**rank) arrays of points: far_point picks each spinor's
@@ -154,10 +161,11 @@ def fermion_label(a, tol=1e-9):
 
     Returns (representative, sign); the raw value is sign * representative.
     """
+    # x1^(1/2) theta - y x1^(-1/2) phi = x1^(-1/2) (x1 theta - y phi)
     if a.x1.body > tol:
-        raw = a.x1.sqrt() * a.theta - (a.y * a.x1.sqrt().inverse()) * a.phi
+        raw = a.x1.rsqrt() * (a.x1 * a.theta - a.y * a.phi)
     elif a.x2.body > tol:
-        raw = a.x2.sqrt() * a.phi - (a.y * a.x2.sqrt().inverse()) * a.theta
+        raw = a.x2.rsqrt() * (a.x2 * a.phi - a.y * a.theta)
     else:
         raise ValueError("fermion label needs an invertible x1 or x2")
     return canonicalize_sign(raw)
@@ -280,8 +288,8 @@ def _spinor(p, position, tol):
     rows = p.coeffs.reshape(-1, p.coeffs.shape[-1])
     picked = rows[_PIVOT_ROWS[turn.astype(int)] + 5 * np.arange(turn.size).reshape(turn.shape + (1,))]
     x_piv, x_other, odd_piv, odd_other = (GrassmannNumber.wrap(p.rank, picked[..., k, :]) for k in range(4))
-    piv = x_piv.sqrt()
-    piv_inv = piv.inverse()
+    piv_inv = x_piv.rsqrt()
+    piv = x_piv * piv_inv
     other, xi = p.y * piv_inv, odd_piv * piv_inv
     gap = np.maximum(
         np.abs((other * other - x_other).coeffs).max(axis=-1),
@@ -322,96 +330,72 @@ def _odd_direction(p, r, w):
     return n_u, n_v, 1 + n_u * n_v
 
 
-def _rotation_values(a, b, c, tol):
-    """The spinor values of mu (see mu_invariant) for the cyclic rotations
-    (a, b, c), (b, c, a) and (c, a, b).  A cyclic relabeling of the triple
-    permutes the three values without changing a bit of any of them."""
-    spinors = [_spinor(p, pos, tol) for p, pos in zip((a, b, c), _POSITIONS)]
-    # omega over the pairs (a,b), (b,c), (c,a), which a cyclic relabeling
-    # permutes; the body of omega(s,t) is the determinant of (u, v) and (u', v')
-    omegas = []
-    for k in range(3):
-        w = _omega(spinors[k], spinors[(k + 1) % 3])
-        if abs(w.body) <= tol:
-            names = " and ".join(_POSITIONS[j] for j in sorted((k, (k + 1) % 3)))
-            raise ValueError("%s points of triple are linearly dependent" % names)
-        omegas.append(w)
-    det = triple_orientation(a, b, c)
-    if det <= 1e-12:
-        raise ValueError("triple is not positively oriented (body determinant %g)" % det)
-    # the volume's body equals det; its factors are multiplied in an order
-    # fixed by their values, so a cyclic relabeling leaves every bit of it
-    lo, mid, hi = sorted(omegas, key=lambda w: w.coeffs.tobytes())
-    volume = lo * mid * hi
-    root_inv = volume.sqrt().inverse()
-    values = []
-    for k in range(3):
-        p, q, r = (spinors[(k + j) % 3] for j in range(3))
-        eta = _omega(_odd_direction(p, r, -omegas[(k + 2) % 3]), q)
-        values.append(eta * omegas[(k + 2) % 3] * root_inv)
-    return values
+def _in_byte_order(xs):
+    """The Grassmann numbers xs sorted by the bytes of their coefficients,
+    and the sign of that permutation: an order fixed by their values, so
+    that a cyclic relabeling of a triple leaves every bit of a sum or
+    product over it."""
+    order = sorted(range(len(xs)), key=lambda k: xs[k].coeffs.tobytes())
+    inversions = sum(i > j for n, i in enumerate(order) for j in order[n + 1 :])
+    return [xs[k] for k in order], -1.0 if inversions % 2 else 1.0
 
 
 def mu_invariant(a, b, c, tol=1e-9):
     """Odd invariant of a positive triple, canonical up to the sign gauge,
-    read off the spinors a, b, c of the three points (`_spinor`):
+    read off the spinors (u_s, v_s, xi_s) of the three points (`_spinor`).
+    With d_st = u_s v_t - v_s u_t and omega_st = d_st + xi_s xi_t,
 
-        mu = eta omega(c,a) / sqrt(omega(a,b) omega(b,c) omega(c,a)),
+        mu = (xi_a d_bc + xi_b d_ca + xi_c d_ab + 2 xi_a xi_b xi_c)
+             / sqrt(omega_ab omega_bc omega_ca).
 
-    where n = (n_u, n_v, 1) / sqrt(1 - 2 n_u n_v) is the unit vector of the
-    odd direction omega-orthogonal to a and c (n_u, n_v are odd) and
-    eta = omega(n, b).  Each factor is invariant under OSp(1|2) up to the
-    signs of the spinors, and in standard position mu is the phi of the
-    middle point.
+    Derivation: the unit odd direction omega-orthogonal to spinors p and r
+    is n = (n_u, n_v, 1 + n_u n_v), with n_u n_v = xi_p xi_r / d_pr, so
+    eta = omega(n, q) = (xi_p d_rq + xi_q d_pr + xi_r d_qp + xi_p xi_r xi_q)
+    / d_pr.  The value eta omega_rp / sqrt(omega_pq omega_qr omega_rp) is
+    invariant under OSp(1|2) up to the signs of the spinors, and is the phi
+    of the middle point in standard position; as xi_s^2 = 0, multiplying
+    out gives the expression above for each of the three rotations (p,q,r)
+    of (a, b, c).  No odd direction is needed.
 
-    Returns (representative, sign).  The representative is the average of
-    the sign-aligned values of the three cyclic rotations, summed in a
-    labeling-independent order, so cyclic relabelings return the identical
-    representative.  sign is the sign of the spinor value of the rotation
-    (a, b, c): that value is sign * representative up to roundoff.  It need
-    not be the sign of normalize_triple's phi; reflecting all three points
-    flips it.
+    The three xi d terms are summed, and the three omega and three xi
+    multiplied, in the byte order of their values (the xi product times the
+    sign of that order), so cyclic relabelings return the identical value.
+    At run time the value is compared, within 1e-7, with the odd-direction
+    formula of the rotation (a, b, c); a mismatch raises ValueError.
+
+    Returns (representative, sign) with the value sign * representative.
+    sign need not be the sign of normalize_triple's phi; reflecting all
+    three points flips it.
     """
-    reps, signs = [], []
-    for value in _rotation_values(a, b, c, tol):
-        rep, sign = canonicalize_sign(value)
-        reps.append(rep)
-        signs.append(sign)
-    for other in reps[1:]:
-        if not reps[0].isclose(other, 1e-7):
-            raise ValueError("cyclic rotations of the triple disagree on the invariant")
-    # columns where all three are zero compare equal, so they leave the order alone
-    cols = np.flatnonzero((reps[0].coeffs != 0) | (reps[1].coeffs != 0) | (reps[2].coeffs != 0))
-    reps.sort(key=lambda r: tuple(r.coeffs[cols]))
-    avg = (reps[0] + reps[1] + reps[2]) * (1.0 / 3.0)
-    return avg, signs[0]
-
-
-def prime_element(phi, rank=None):
-    """Order-3 element rotating a standard triple one slot, fixing phi."""
-    return sl.SuperMatrix([[0, 1, 0], [-1, -1, -phi], [0, -phi, 1]], rank)
-
-
-def prime_transform(r, s, t, phi):
-    """Standard-position data after one prime rotation, with its group element."""
-    return (s, t, r, phi), prime_element(phi)
-
-
-def switch_transform(a, c, d, tol=1e-9):
-    """Restandardize (a at (0,1..)-slot, c at (1,0..)-slot, d as computed)
-    so that d becomes the middle point.
-
-    Returns (g, s_hat, r_hat, t_hat, sigma) with act(g,a) = s_hat(1,0,0,0,0),
-    act(g,c) = r_hat(0,1,0,0,0), act(g,d) = t_hat(1,1,1,sigma,sigma).
-    """
-    if d.x1.body <= tol or d.x2.body <= tol:
-        raise ValueError("switch needs invertible x1, x2 on the new point")
-    q = fourth_root(d.x1 * d.x2.inverse())
-    g = sl.smul(sl.rotate90(a.rank), sl.diag(q, q.inverse()))
-    ahat, chat, dhat = act(g, a), act(g, c), act(g, d)
-    t_hat = dhat.x1
-    sigma = dhat.phi * t_hat.inverse()
-    return g, ahat.x1, chat.x2, t_hat, sigma
+    spinors = [_spinor(p, pos, tol) for p, pos in zip((a, b, c), _POSITIONS)]
+    # d and omega over the pairs (a,b), (b,c), (c,a), which a cyclic
+    # relabeling permutes; the body of omega(s,t) is the determinant of
+    # (u, v) and (u', v')
+    dets, omegas = [], []
+    for k in range(3):
+        s, t = spinors[k], spinors[(k + 1) % 3]
+        d = s[0] * t[1] - s[1] * t[0]
+        w = d + s[2] * t[2]
+        if abs(w.body) <= tol:
+            names = " and ".join(_POSITIONS[j] for j in sorted((k, (k + 1) % 3)))
+            raise ValueError("%s points of triple are linearly dependent" % names)
+        dets.append(d)
+        omegas.append(w)
+    det = triple_orientation(a, b, c)
+    if det <= 1e-12:
+        raise ValueError("triple is not positively oriented (body determinant %g)" % det)
+    # the volume's body equals det
+    (w0, w1, w2), _ = _in_byte_order(omegas)
+    root_inv = (w0 * w1 * w2).rsqrt()
+    # xi of each point times d of the opposite pair
+    (t0, t1, t2), _ = _in_byte_order([spinors[k][2] * dets[(k + 1) % 3] for k in range(3)])
+    (x0, x1, x2), sign = _in_byte_order([sp[2] for sp in spinors])
+    mu = (t0 + t1 + t2 + x0 * x1 * x2 * (2.0 * sign)) * root_inv
+    p, q, r = spinors
+    check = _omega(_odd_direction(p, r, -omegas[2]), q) * omegas[2] * root_inv
+    if not mu.isclose(check, 1e-7):
+        raise ValueError("closed form of the triple's invariant disagrees with its odd-direction value")
+    return canonicalize_sign(mu)
 
 
 # -- quadrilateral moves -------------------------------------------------------
@@ -479,7 +463,7 @@ def ptolemy_odd(sigma, theta, chi):
     if chi.body <= 0:
         raise ValueError("cross-ratio must have positive body")
     rootchi = chi.sqrt()
-    denom = (1 + chi).sqrt().inverse()
+    denom = (1 + chi).rsqrt()
     nu = (theta * rootchi + sigma) * denom
     mu = (sigma * rootchi - theta) * denom
     return nu, mu

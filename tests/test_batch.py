@@ -126,7 +126,7 @@ def test_series_run_until_every_element_is_done():
         deep = deep + GrassmannNumber.monomial([2 * k + 1, 2 * k + 2], c, RANK)
     assert not (deep.soul() ** 4).is_zero(0.0)
     both = stack([shallow, deep])
-    for name in ("inverse", "sqrt"):
+    for name in ("inverse", "sqrt", "rsqrt"):
         got = getattr(both, name)().coeffs
         for k, x in enumerate((shallow, deep)):
             assert np.array_equal(got[k], getattr(x, name)().coeffs), (name, k)

@@ -363,6 +363,12 @@ class TestFatgraph:
         with pytest.raises(ValueError, match="^half-edge 1 appears 2 times in the edges"):
             fg.Fatgraph([(0, 1, 2), (3, 4, 5)], [(0, 1), (1, 2), (3, 4)])
 
+    def test_rejects_half_edge_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match=r"^half-edge 'a' at vertex 0 \(0, 1, 'a'\) is not an integer$"):
+            fg.Fatgraph([(0, 1, "a")], [(0, 1)])
+        with pytest.raises(ValueError, match=r"^half-edge None of edge 1 \(None, 5\) is not an integer$"):
+            fg.Fatgraph([(0, 1, 2), (3, 4, 5)], [(0, 3), (None, 5), (1, 4)])
+
     def test_rejects_half_edge_out_of_range(self):
         with pytest.raises(ValueError, match=r"^half-edge 10 in the vertex triples is not in 0\.\.9$"):
             fg.Fatgraph(
@@ -387,6 +393,11 @@ class TestOrientation:
         om = fg.Orientation.from_bits(g, (0, 1, 0))
         assert om.bits == (0, 1, 0)
         assert om.tail(1) == 3 and om.head(1) == 2
+
+    @pytest.mark.parametrize("tails", [(0, 2, 4), tuple(range(0, 20, 2))])
+    def test_rejects_tails_not_one_per_edge(self, tails):
+        with pytest.raises(ValueError, match="^%d tails given for the 9 edges of the graph$" % len(tails)):
+            fg.Orientation(fg.genus_two_spine(), tails)
 
     def test_reflection_reverses_incident_edges(self):
         g = fg.dumbbell_graph()

@@ -10,8 +10,10 @@ from superteich.grassmann import (
     GrassmannNumber,
     canonicalize_sign,
     format_grassmann,
+    fourth_root,
     parse_grassmann,
     random_element,
+    stack,
 )
 
 RANK = 6
@@ -141,6 +143,16 @@ class TestErrors:
         with pytest.raises(ValueError):
             (1 + gen(1)).sqrt()
 
+    @pytest.mark.parametrize("root", ["sqrt", "rsqrt", "fourth_root"])
+    def test_root_domain(self, root):
+        take = fourth_root if root == "fourth_root" else lambda x: getattr(x, root)()
+        with pytest.raises(ValueError, match="^%s requires positive body$" % root):
+            take(scal(-1))
+        with pytest.raises(ValueError, match="^%s requires positive body$" % root):
+            take(stack([scal(1), scal(0) + gen(1) * gen(2)]))
+        with pytest.raises(ValueError, match="^%s requires an even element$" % root):
+            take(1 + gen(1))
+
     def test_generator_index_range(self):
         with pytest.raises(ValueError):
             GrassmannNumber.generator(0, 4)
@@ -238,6 +250,55 @@ def test_random_element_parity_restriction():
             a = random_element(rng, rank=RANK, parity=parity)
             assert a.parity() in (parity, "even")  # zero draws classify as even
             assert (a.is_even() if parity == "even" else a.is_odd())
+
+
+# -- the binomial series: inverse, sqrt, rsqrt, fourth_root ---------------------
+
+
+def _series_inputs(rank):
+    """Even elements with positive bodies and several soul terms, and one
+    that is all body."""
+    r = np.random.default_rng(rank)
+    xs = [
+        random_element(r, rank, parity="even", terms=8, scale=0.5, body=float(r.uniform(0.5, 2.0)))
+        for _ in range(3)
+    ]
+    return xs + [scal(1.7, rank)]
+
+
+def _assert_identity(got, want):
+    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12 * max(1.0, np.abs(want.coeffs).max())
+
+
+@pytest.mark.parametrize("rank", [8, 12])
+def test_series_identities_on_elements_and_stacks(rank):
+    xs = _series_inputs(rank)
+    # inverse takes any body but zero: a negative one, and odd terms too
+    mixed = random_element(np.random.default_rng(rank + 1), rank, terms=8, scale=0.5, body=-1.3)
+    one = scal(1.0, rank)
+    for x in xs + [stack(xs)]:
+        root, rinv = x.sqrt(), x.rsqrt()
+        _assert_identity(root * root, x)
+        _assert_identity(x * rinv * rinv, one)
+        q = fourth_root(x)
+        _assert_identity(q * q * q * q, x)
+        assert np.all(root.body > 0) and np.all(rinv.body > 0) and np.all(q.body > 0)
+    for x in xs + [mixed, stack(xs + [mixed])]:
+        _assert_identity(x * x.inverse(), one)
+    # the stack runs one series, each row bit for bit its element's
+    both = stack(xs)
+    for take in (GrassmannNumber.inverse, GrassmannNumber.sqrt, GrassmannNumber.rsqrt, fourth_root):
+        rows = take(both).coeffs
+        for k, x in enumerate(xs):
+            assert np.array_equal(rows[k], take(x).coeffs)
+
+
+def test_series_of_a_body_is_the_real_power():
+    x = scal(2.0, 8)
+    assert np.array_equal(x.inverse().coeffs, scal(0.5, 8).coeffs)
+    assert np.array_equal(x.sqrt().coeffs, scal(np.sqrt(2.0), 8).coeffs)
+    assert np.array_equal(x.rsqrt().coeffs, scal(2.0**-0.5, 8).coeffs)
+    assert np.array_equal(fourth_root(x).coeffs, scal(2.0**0.25, 8).coeffs)
 
 
 # -- the product kernel against a plain per-pair product ------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from superteich.grassmann import GrassmannNumber, canonicalize_sign, grassmann, random_element, stack
+from superteich.grassmann import GrassmannNumber, canonicalize_sign, fourth_root, grassmann, random_element, stack
 from superteich import superlinalg as sl
 from superteich import minkowski as mk
 
@@ -268,6 +268,24 @@ def random_positive_triple(r):
     return tuple(mk.act(g, v) for v in trip)
 
 
+def rotation_values(a, b, c, tol=1e-9):
+    """Oracle for mu_invariant: the odd-direction value of mu for each of
+    the cyclic rotations (a, b, c), (b, c, a) and (c, a, b).  For the
+    rotation (p, q, r), n is the unit odd direction omega-orthogonal to the
+    spinors p and r, eta = omega(n, q), and the value is
+    eta omega(r, p) / sqrt(omega(p, q) omega(q, r) omega(r, p))."""
+    spinors = [mk._spinor(p, pos, tol) for p, pos in zip((a, b, c), mk._POSITIONS)]
+    omegas = [mk._omega(spinors[k], spinors[(k + 1) % 3]) for k in range(3)]
+    root_inv = (omegas[0] * omegas[1] * omegas[2]).sqrt().inverse()
+    values = []
+    for k in range(3):
+        p, q, r = (spinors[(k + j) % 3] for j in range(3))
+        w_rp = omegas[(k + 2) % 3]
+        eta = mk._omega(mk._odd_direction(p, r, -w_rp), q)
+        values.append(eta * w_rp * root_inv)
+    return values
+
+
 class TestMuInvariant:
     def test_standard_value(self):
         a, b, c = standard_triple(phi=G1)
@@ -285,35 +303,29 @@ class TestMuInvariant:
 
     @pytest.mark.parametrize("seed", [19, 24, 36])
     def test_matches_the_all_columns_sort(self, seed):
-        """The sign-aligned values of the three cyclic rotations are sorted
-        on their nonzero columns only; the average equals, bit for bit, the
-        one sorted on all 2**rank columns.  At each seed two of the values
-        tie on their leading term and differ further on."""
+        """The closed form equals, to 1e-12 of its scale, the average of the
+        sign-aligned oracle values of the three cyclic rotations, sorted on
+        all 2**rank columns."""
         a, b, c = random_positive_triple(rng(seed))
         for trip in ((a, b, c), (b, c, a), (c, a, b)):
-            reps = [canonicalize_sign(v)[0] for v in mk._rotation_values(*trip, tol=1e-9)]
+            reps = [canonicalize_sign(v)[0] for v in rotation_values(*trip)]
             reps.sort(key=lambda r: tuple(r.coeffs))
             want = (reps[0] + reps[1] + reps[2]) * (1.0 / 3.0)
-            assert np.array_equal(mk.mu_invariant(*trip)[0].coeffs, want.coeffs)
-        lead = [int(np.flatnonzero(r.coeffs)[0]) for r in reps]
-        assert any(
-            lead[i] == lead[j]
-            and reps[i].coeffs[lead[i]] == reps[j].coeffs[lead[j]]
-            and not np.array_equal(reps[i].coeffs, reps[j].coeffs)
-            for i in range(3) for j in range(i + 1, 3)
-        )
+            rep = mk.mu_invariant(*trip)[0]
+            assert (rep - want).max_abs() <= 1e-12 * max(1.0, want.max_abs())
 
     def test_rejects_disagreeing_rotations(self, monkeypatch):
-        """A formula error that breaks the cyclic symmetry is caught."""
+        """A formula error that parts the closed form from the odd-direction
+        value of the rotation (a, b, c) is caught."""
         a, b, c = random_positive_triple(rng(25))
-        real = mk._rotation_values
+        real = mk._odd_direction
 
-        def skewed(*args, **kwargs):
-            values = real(*args, **kwargs)
-            return values[:2] + [values[2] + 1e-6 * G1]
+        def skewed(*args):
+            n_u, n_v, n_w = real(*args)
+            return n_u + 1e-6 * G1, n_v, n_w
 
-        monkeypatch.setattr(mk, "_rotation_values", skewed)
-        with pytest.raises(ValueError, match="^cyclic rotations of the triple disagree"):
+        monkeypatch.setattr(mk, "_odd_direction", skewed)
+        with pytest.raises(ValueError, match="^closed form of the triple's invariant disagrees"):
             mk.mu_invariant(a, b, c)
 
     def test_reflection_flips_sign(self):
@@ -408,8 +420,21 @@ class TestMuInvariantOracle:
     def test_sign_is_the_spinor_value_of_the_given_order(self):
         for trip in _oracle_triples(8):
             rep, sign = mk.mu_invariant(*trip)
-            value = mk._rotation_values(*trip, tol=1e-9)[0]
+            value = rotation_values(*trip)[0]
             assert (sign * rep - value).max_abs() <= 1e-12 * max(1.0, value.max_abs())
+
+    def test_closed_form_is_every_rotation_value(self):
+        """The closed form, sign included, equals each rotation's
+        odd-direction value, on triples with all three xi nonzero too."""
+        trips = _oracle_triples(8) + _oracle_triples(12) + [random_positive_triple(rng(s)) for s in range(20)]
+        triple_term = 0.0
+        for trip in trips:
+            rep, sign = mk.mu_invariant(*trip)
+            for value in rotation_values(*trip):
+                assert (sign * rep - value).max_abs() <= 1e-12 * max(1.0, value.max_abs())
+            xis = [mk._spinor(p, pos, 1e-9)[2] for p, pos in zip(trip, mk._POSITIONS)]
+            triple_term = max(triple_term, (xis[0] * xis[1] * xis[2]).max_abs())
+        assert triple_term > 1e-3
 
 
 class TestMuInvariantRejects:
@@ -527,36 +552,63 @@ class TestFarPoint:
         assert not isinstance(alone.value, mk.ElementError)
 
 
+def prime_element(phi, rank=None):
+    """Order-3 element rotating a standard triple one slot, fixing phi."""
+    return sl.SuperMatrix([[0, 1, 0], [-1, -1, -phi], [0, -phi, 1]], rank)
+
+
+def prime_transform(r, s, t, phi):
+    """Standard-position data after one prime rotation, with its group element."""
+    return (s, t, r, phi), prime_element(phi)
+
+
+def switch_transform(a, c, d, tol=1e-9):
+    """Restandardize (a at (0,1..)-slot, c at (1,0..)-slot, d as computed)
+    so that d becomes the middle point.
+
+    Returns (g, s_hat, r_hat, t_hat, sigma) with act(g,a) = s_hat(1,0,0,0,0),
+    act(g,c) = r_hat(0,1,0,0,0), act(g,d) = t_hat(1,1,1,sigma,sigma).
+    """
+    if d.x1.body <= tol or d.x2.body <= tol:
+        raise ValueError("switch needs invertible x1, x2 on the new point")
+    q = fourth_root(d.x1 * d.x2.inverse())
+    g = sl.smul(sl.rotate90(a.rank), sl.diag(q, q.inverse()))
+    ahat, chat, dhat = mk.act(g, a), mk.act(g, c), mk.act(g, d)
+    t_hat = dhat.x1
+    sigma = dhat.phi * t_hat.inverse()
+    return g, ahat.x1, chat.x2, t_hat, sigma
+
+
 class TestPrime:
     def test_member_and_order_three(self):
         phi = 0.3 * G1 + 0.07 * G1 * G2 * G3
-        p = mk.prime_element(phi)
+        p = prime_element(phi)
         assert sl.is_osp(p, 1e-12)
         cube = sl.smul_many(p, p, p)
         assert cube.max_coeff_diff(sl.identity(RANK)) < 1e-10
 
     def test_bosonic_order_three(self):
-        p = mk.prime_element(ZERO)
+        p = prime_element(ZERO)
         m = sl.bosonic_reduction(p)
         np.testing.assert_allclose(np.linalg.matrix_power(m, 3), np.eye(2), atol=1e-12)
 
     def test_rotates_standard_slots(self):
         phi = 0.25 * G1
         a, b, c = standard_triple(r=1.3, s=0.8, t=1.7, phi=phi)
-        p = mk.prime_element(phi)
+        p = prime_element(phi)
         # r-slot point moves to the t-slot with the same scale, and so on
         assert mk.act(p, a).max_coeff_diff(t_slot(1.3, phi)) < 1e-12
         assert mk.act(p, b).max_coeff_diff(s_slot(1.7)) < 1e-12
         assert mk.act(p, c).max_coeff_diff(r_slot(0.8)) < 1e-12
 
     def test_transform_data(self):
-        (r2, s2, t2, p2), el = mk.prime_transform(1.3, 0.8, 1.7, G1)
+        (r2, s2, t2, p2), el = prime_transform(1.3, 0.8, 1.7, G1)
         assert (r2, s2, t2) == (0.8, 1.7, 1.3)
         assert p2 is G1 and isinstance(el, sl.SuperMatrix)
 
     def test_triple_application_identity(self):
         phi = 0.2 * G2
-        p = mk.prime_element(phi)
+        p = prime_element(phi)
         for v in standard_triple(phi=phi):
             out = mk.act(p, mk.act(p, mk.act(p, v)))
             assert out.max_coeff_diff(v) < 1e-10
@@ -573,13 +625,13 @@ class TestSwitch:
 
     def test_hat_scales_match_lambda_lengths(self):
         a, b, c, d, e = (self.ls[k] for k in "abcde")
-        g, shat, rhat, that, sig = mk.switch_transform(self.A, self.C, self.D)
+        g, shat, rhat, that, sig = switch_transform(self.A, self.C, self.D)
         assert (rhat - np.sqrt(2) * e * c / d).max_abs() < 1e-10
         assert (shat - np.sqrt(2) * d * e / c).max_abs() < 1e-10
         assert (that - np.sqrt(2) * c * d / e).max_abs() < 1e-10
 
     def test_images_in_slots(self):
-        g, shat, rhat, that, sig = mk.switch_transform(self.A, self.C, self.D)
+        g, shat, rhat, that, sig = switch_transform(self.A, self.C, self.D)
         assert mk.act(g, self.A).max_coeff_diff(
             mk.SuperVector(shat, ZERO, ZERO, ZERO, ZERO)) < 1e-12
         assert mk.act(g, self.C).max_coeff_diff(
@@ -589,9 +641,8 @@ class TestSwitch:
 
     # sigma computed through either odd coordinate of D agrees
     def test_sigma_two_expressions(self):
-        from superteich.grassmann import fourth_root
         D = self.D
-        _, _, _, _, sig = mk.switch_transform(self.A, self.C, D)
+        _, _, _, _, sig = switch_transform(self.A, self.C, D)
         root = (D.x1 * D.x2).sqrt().inverse()
         via_theta = -(fourth_root(D.x1 * D.x2.inverse()) * D.theta) * root
         via_phi = fourth_root(D.x2 * D.x1.inverse()) * D.phi * root
@@ -601,7 +652,7 @@ class TestSwitch:
     def test_bosonic_specialization(self):
         a, b, c, d, e = (self.ls[k] for k in "abcde")
         D0 = mk.basic_calculation(a, b, c, d, e, ZERO)
-        g, shat, rhat, that, sig = mk.switch_transform(self.A, self.C, D0)
+        g, shat, rhat, that, sig = switch_transform(self.A, self.C, D0)
         assert sig.max_abs() < 1e-14
         # plain even computation of the same rescaling
         x1, x2 = D0.x1.body, D0.x2.body
@@ -611,7 +662,7 @@ class TestSwitch:
 
     def test_zero_body_rejected(self):
         with pytest.raises(ValueError):
-            mk.switch_transform(self.A, self.C, r_slot(1.0))
+            switch_transform(self.A, self.C, r_slot(1.0))
 
 
 class TestBasicCalculation:
