@@ -13,10 +13,21 @@ Both take an optional batch: leading axes in front of the coefficient axis
 (of multiply_coeffs) or of the (3, 3) entry axes (of smul_coeffs), which
 broadcast against each other.  A call is one pair product over the whole
 stack: every term carries a key (its batch element, and for smul its inner
-index k), and only terms with equal keys pair up, found by a join on the
-keys.  A product of two single elements has one key, and its candidate
-pairs are all pairs of terms, found without the join (the join costs 1.7x
-as much there).
+index k), and only terms with equal keys pair up.  A term's flat index is
+key << rank | mask, so one mask test on the flat indices tests the keys as
+well.  The pairs come in one of two ways, in the same row-major order, so
+that either way sums each output coefficient in the same order:
+
+- the grid of all pairs of terms, tested at once.  The product of two
+  single elements (one key) takes it at any size, in bands of _MAX_PAIRS
+  cells, and a keyed product (a stack, or any smul, keyed on k) up to
+  _GRID_CELLS cells.  Small products are most of the calls, and the grid
+  makes them in a handful of array operations.
+- the join on the keys, for keyed products above _GRID_CELLS cells.  The
+  grid grows as the product of the whole term counts, the join only as
+  the sum over keys of each key's product: past the bound, measured as
+  the crossover on stacked products of deep lifts, the grid's cells of
+  unequal keys cost more than the join's set-up.
 """
 
 import math
@@ -25,6 +36,7 @@ import numpy as np
 
 _SIGNS = np.array([1.0, -1.0])
 _MAX_PAIRS = 1 << 20
+_GRID_CELLS = 4096
 _sign_masks = {}
 
 # [i, k, j]: sign of g[i, k] h[k, j] in the supermatrix product (rows and
@@ -48,18 +60,29 @@ def _sign_mask(rank):
     return t
 
 
+def _grid_pairs(ia, ib, rank, keyed):
+    """Blocks (r, c) of the pairs of term r of a and term c of b that meet,
+    in row-major order; each block is a band of rows of at most _MAX_PAIRS
+    cells of the grid of all pairs.  Terms are flat indices key << rank |
+    mask, and two meet when their masks are disjoint and, if keyed, their
+    keys are equal: i & (j | high bits) is then j's key, and nothing else."""
+    if keyed:
+        high = -1 << rank
+        key, fence = ib & high, ib | high
+    else:
+        key, fence = 0, ib
+    step = max(1, _MAX_PAIRS // ib.size)
+    for lo in range(0, ia.size, step):
+        r, c = ((ia[lo : lo + step, None] & fence) == key).nonzero()
+        if lo:
+            r += lo
+        yield r, c
+
+
 def _equal_key_pairs(ka, ma, kb, mb):
     """Blocks (r, c) of the pairs of term r of a and term c of b with equal
-    keys, ka[r] == kb[c] (kb sorted), and disjoint masks; each block comes
-    from at most _MAX_PAIRS candidates.  Keys None stand for one key shared
-    by all terms: then every pair is a candidate, and no join is needed."""
-    if ka is None:
-        step = max(1, _MAX_PAIRS // mb.size)
-        for lo in range(0, ma.size, step):
-            r, c = ((ma[lo : lo + step, None] & mb) == 0).nonzero()
-            r += lo
-            yield r, c
-        return
+    keys, ka[r] == kb[c] (kb sorted), and disjoint masks, in row-major
+    order; each block comes from at most _MAX_PAIRS candidates."""
     # the b terms with a's key are the run first[r] : first[r] + count[r]
     first = kb.searchsorted(ka)
     count = kb.searchsorted(ka, "right") - first
@@ -90,21 +113,26 @@ def _disjoint(base, reps, shift, ma, mb):
     return keep + base, c[keep]
 
 
-def _pair_product(ka, ma, va, kb, mb, vb, rank):
-    """Products of the terms (keys ka, masks ma, values va) with the terms
-    (kb, mb, vb); kb must be sorted, and keys None mean one key for all.
+def _pair_product(ia, va, ib, vb, rank, keyed):
+    """Products of the terms (flat indices ia, values va) with the terms
+    (ib, vb); a flat index is key << rank | mask, ib is sorted, and keyed
+    False means one key for all terms.
 
-    Yields blocks (r, c, mask, value): term r of a times term c of b is
-    value on the monomial mask.  Only terms of equal key meet, and pairs
-    sharing a generator vanish and are left out.  a's masks may carry bits
-    above the rank (its flat index): b's masks meet none of them, and they
-    pass into mask unchanged.  The candidate pairs of a block number at most
-    _MAX_PAIRS: they grow as len(ma) * len(mb) for one key, gigabytes for a
-    full rank-14 product."""
+    Yields blocks (r, c, index, value): term r of a times term c of b is
+    value at the flat index ia[r] ^ mask of ib[c], a's key and the product
+    monomial.  Only terms of equal key meet, and pairs sharing a generator
+    vanish and are left out.  Pairs come in row-major order, so sums over
+    them run in the same order on either path: the grid of all pairs, or,
+    for a keyed grid of more than _GRID_CELLS cells, the join on the keys."""
+    mb = ib & ((1 << rank) - 1) if keyed else ib
+    if keyed and ia.size * ib.size > _GRID_CELLS:
+        blocks = _equal_key_pairs(ia >> rank, ia, ib >> rank, mb)
+    else:
+        blocks = _grid_pairs(ia, ib, rank, keyed)
     t = _sign_mask(rank)
-    for r, c in _equal_key_pairs(ka, ma, kb, mb):
+    for r, c in blocks:
         if r.size:
-            i, j = ma[r], mb[c]
+            i, j = ia[r], mb[c]
             yield r, c, i ^ j, va[r] * vb[c] * _SIGNS[np.bitwise_count(t[j] & i) & 1]
 
 
@@ -137,7 +165,8 @@ def multiply_coeffs(a, b, rank):
     """Grassmann product of dense coefficient arrays with 2**rank columns;
     leading (batch) axes broadcast, and each batch element is multiplied
     by its partner: the terms pair on the key (batch element).  With one
-    element there is one key, and every pair of terms is a candidate."""
+    element there is one key, and every pair of terms meets that shares no
+    generator."""
     a, b = _broadcast(a, b)
     af, bf = (a, b) if a.ndim == 1 else (a.reshape(-1), b.reshape(-1))
     # flat term index: batch element << rank | mask
@@ -150,16 +179,11 @@ def multiply_coeffs(a, b, rank):
         return a[..., :1] * b
     if tb.size <= elements and tb.size == np.count_nonzero(b[..., 0]):
         return b[..., :1] * a
-    if elements == 1:
-        ka = kb = None
-        mb = tb
-    else:
-        ka, kb, mb = ta >> rank, tb >> rank, tb & ((1 << rank) - 1)
-    masks, values = [], []
-    for _, _, mask, value in _pair_product(ka, ta, af[ta], kb, mb, bf[tb], rank):
-        masks.append(mask)
+    slots, values = [], []
+    for _, _, slot, value in _pair_product(ta, af[ta], tb, bf[tb], rank, elements > 1):
+        slots.append(slot)
         values.append(value)
-    return _accumulate(masks, values, a.shape)
+    return _accumulate(slots, values, a.shape)
 
 
 def smul_coeffs(g, h, rank):
@@ -171,13 +195,16 @@ def smul_coeffs(g, h, rank):
     shape, n = g.shape, g.shape[-1]
     g, h = g.reshape(-1), h.reshape(-1)
     tg, th = _terms(g), _terms(h)
+    if not tg.size or not th.size:
+        return np.zeros(shape)
     # flat term index: ((batch * 3 + row) * 3 + column) << rank | mask
     eg, eh = tg >> rank, th >> rank
     # g[b, i, k] keys on b * 3 + k, as does h[b, k, j], on eh // 3 (sorted)
-    kg = eg // 9 * 3 + eg % 3
+    ig = (eg // 9 * 3 + eg % 3) << rank | (tg & (n - 1))
+    ih = eh // 3 << rank | (th & (n - 1))
     slots, weights = [], []
-    for r, c, mask, value in _pair_product(kg, tg & (n - 1), g[tg], eh // 3, th & (n - 1), h[th], rank):
+    for r, c, index, value in _pair_product(ig, g[tg], ih, h[th], rank, True):
         e, j = eg[r], eh[c] % 3
-        slots.append((e - e % 3 + j) * n + mask)
+        slots.append((e - e % 3 + j) * n + (index & (n - 1)))
         weights.append(value * SMUL_SIGNS[e % 9 // 3, e % 3, j])
     return _accumulate(slots, weights, shape)

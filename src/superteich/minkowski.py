@@ -410,13 +410,14 @@ def basic_calculation(a, b, c, d, e, sigma, rank=None):
     a, b, c, d, e, sigma = (grassmann(v, rank) for v in (a, b, c, d, e, sigma))
     chi = a * c * (d * b).inverse()
     k = np.sqrt(2.0) * c * d * e.inverse()
-    rootchi = chi.sqrt()
+    # chi^(-1/2) gives chi^(-1), chi^(1/2) and itself from one series
+    r = chi.rsqrt()
     return SuperVector(
-        k * chi.inverse(),
+        k * (r * r),
         k * chi,
         -k,
-        k * rootchi.inverse() * sigma,
-        -(k * rootchi * sigma),
+        k * r * sigma,
+        -(k * (chi * r) * sigma),
         rank=rank,
     )
 
@@ -467,92 +468,6 @@ def ptolemy_odd(sigma, theta, chi):
     nu = (theta * rootchi + sigma) * denom
     mu = (sigma * rootchi - theta) * denom
     return nu, mu
-
-
-# -- projective models ---------------------------------------------------------
-
-
-class ComplexGrassmann:
-    """Complex number with Grassmann real/imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        return ComplexGrassmann(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return ComplexGrassmann(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return ComplexGrassmann(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def inverse(self):
-        n = (self.re * self.re + self.im * self.im).inverse()
-        return ComplexGrassmann(self.re * n, -(self.im * n))
-
-    def isclose(self, other, tol=1e-9):
-        return self.re.isclose(other.re, tol) and self.im.isclose(other.im, tol)
-
-    def __repr__(self):
-        return "(%s) + i(%s)" % (self.re, self.im)
-
-
-def superplane_map(a, tol=1e-9):
-    """Hyperboloid point to the super upper half-plane.
-
-    Returns (z_re, z_im, eta_re, eta_im) as GrassmannNumbers.
-    """
-    if a.x2.body <= tol:
-        raise ValueError("superplane map needs positive-body x2")
-    x2inv = a.x2.inverse()
-    return (
-        -(a.y * x2inv),
-        (1 - a.phi * a.theta) * x2inv,
-        a.theta * x2inv,
-        a.theta * x2inv * a.y - a.phi,
-    )
-
-
-def superconformal(g, plane):
-    """Action on the super half-plane matching act: feeding the same group
-    element here and to act commutes with superplane_map.
-
-    The point action is a right action through the matrix form, so the
-    half-plane picture uses the mirrored entries (a, -c, .. / -b, d, .. /
-    -alpha, beta, ..) of g in the fractional-linear formula.
-    """
-    rank = g.rank
-    z_re, z_im, eta_re, eta_im = plane
-    z = ComplexGrassmann(z_re, z_im)
-    eta = ComplexGrassmann(eta_re, eta_im)
-    (a0, b0, al), (c0, d0, be), (_, _, _) = g.rows
-    a, b, c, d = a0, -c0, -b0, d0
-    ga, de = -al, be
-
-    def cg(x):
-        return ComplexGrassmann(grassmann(x, rank), GrassmannNumber(rank))
-
-    czd = cg(c) * z + cg(d)
-    czdi = czd.inverse()
-    gzd = cg(ga) * z + cg(de)
-    z_new = (cg(a) * z + cg(b)) * czdi + eta * gzd * czdi * czdi
-    eta_new = gzd * czdi + eta * cg(1 + 0.5 * (de * ga)) * czdi
-    return z_new.re, z_new.im, eta_new.re, eta_new.im
-
-
-def rp11_map(a, tol=1e-9):
-    """Special light cone to RP^{1|1}: z = -y/x2, eta = theta/x2."""
-    if abs(a.x2.body) <= tol:
-        raise ValueError("rp11 map needs invertible x2")
-    x2inv = a.x2.inverse()
-    return -(a.y * x2inv), a.theta * x2inv
 
 
 # -- sampling ------------------------------------------------------------------

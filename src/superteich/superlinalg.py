@@ -256,11 +256,12 @@ def gt(t, phi, psi, rank=None):
     """
     rank = common_rank((t, phi, psi), rank)
     t, phi, psi = (grassmann(v, rank) for v in (t, phi, psi))
-    rt = t.sqrt()
+    r = t.rsqrt()
+    rt = t * r
     return SuperMatrix(
         [
             [0, -rt, 0],
-            [rt.inverse(), rt * (1 + phi * psi), -psi],
+            [r, rt * (1 + phi * psi), -psi],
             [0, rt * psi, 1],
         ],
         rank,

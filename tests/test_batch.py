@@ -48,19 +48,35 @@ def batch(draw, rank, entries=()):
     return np.array(rows).reshape((size,) + tuple(entries) + (1 << rank,))
 
 
+# a stack's pairs come from the grid of all pairs up to _GRID_CELLS cells,
+# and from the keyed join above it: each bound forces one path
+CELL_BOUNDS = (1 << 30, 0)
+
+
+def on_each_path(product, *args):
+    """product(*args) with the grid, then with the join."""
+    out = []
+    with pytest.MonkeyPatch.context() as m:
+        for bound in CELL_BOUNDS:
+            m.setattr(_kernels, "_GRID_CELLS", bound)
+            out.append(product(*args))
+    return out
+
+
 @pytest.mark.parametrize("rank", RANKS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_batched_product_matches_elements(rank, data):
+    """Bit for bit: a stack sums each element's pairs in the same order."""
     a = data.draw(batch(rank))
     b = np.array([data.draw(element(rank)) for _ in range(a.shape[0])])
-    got = _kernels.multiply_coeffs(a, b, rank)
-    for k in range(a.shape[0]):
-        assert_close_to_scale(got[k], _kernels.multiply_coeffs(a[k], b[k], rank))
+    for got in on_each_path(_kernels.multiply_coeffs, a, b, rank):
+        for k in range(a.shape[0]):
+            assert np.array_equal(got[k], _kernels.multiply_coeffs(a[k], b[k], rank))
     # an unbatched operand multiplies every element
-    got = _kernels.multiply_coeffs(b[0], a, rank)
-    for k in range(a.shape[0]):
-        assert_close_to_scale(got[k], _kernels.multiply_coeffs(b[0], a[k], rank))
+    for got in on_each_path(_kernels.multiply_coeffs, b[0], a, rank):
+        for k in range(a.shape[0]):
+            assert np.array_equal(got[k], _kernels.multiply_coeffs(b[0], a[k], rank))
 
 
 # a full-fill entry makes 3 * 4**rank candidate pairs per inner index, so
@@ -71,9 +87,9 @@ def test_batched_product_matches_elements(rank, data):
 def test_batched_smul_matches_elements(rank, data):
     g = data.draw(batch(rank, (3, 3)))
     h = np.array([data.draw(batch(rank, (3, 3)))[0] for _ in range(g.shape[0])])
-    got = _kernels.smul_coeffs(g, h, rank)
-    for k in range(g.shape[0]):
-        assert_close_to_scale(got[k], _kernels.smul_coeffs(g[k], h[k], rank))
+    for got in on_each_path(_kernels.smul_coeffs, g, h, rank):
+        for k in range(g.shape[0]):
+            assert np.array_equal(got[k], _kernels.smul_coeffs(g[k], h[k], rank))
 
 
 @pytest.mark.parametrize("rank", RANKS)
@@ -104,14 +120,34 @@ def test_batch_crosses_the_pair_block(monkeypatch):
     want_ab = [_kernels.multiply_coeffs(a[k], b[k], RANK) for k in range(4)]
     want_gh = [_kernels.smul_coeffs(g[k], h[k], 4) for k in range(3)]
     monkeypatch.setattr(_kernels, "_MAX_PAIRS", 7)
-    got_ab = _kernels.multiply_coeffs(a, b, RANK)
-    got_gh = _kernels.smul_coeffs(g, h, 4)
+    paths_ab = on_each_path(_kernels.multiply_coeffs, a, b, RANK)
+    for got_ab, got_gh in zip(paths_ab, on_each_path(_kernels.smul_coeffs, g, h, 4)):
+        for k in range(4):
+            assert_close_to_scale(got_ab[k], want_ab[k])
+        for k in range(3):
+            assert_close_to_scale(got_gh[k], want_gh[k])
+    # one element, one key: the all-pairs candidates go in blocks too
     for k in range(4):
-        assert_close_to_scale(got_ab[k], want_ab[k])
-        # one element, one key: the all-pairs candidates go in blocks too
         assert_close_to_scale(_kernels.multiply_coeffs(a[k], b[k], RANK), want_ab[k])
-    for k in range(3):
-        assert_close_to_scale(got_gh[k], want_gh[k])
+
+
+def test_product_of_clashing_terms_is_float_zero():
+    """Every pair shares generator 1, so no pair is formed: the product is
+    float zeros of the broadcast shape on either path, not bincount's int
+    zeros."""
+    a = np.zeros((3, 1 << RANK))
+    a[:, 0b11] = [1.0, -2.0, 0.5]
+    b = np.zeros(1 << RANK)
+    b[0b1] = 1.5
+    g = np.zeros((2, 3, 3, 1 << RANK))
+    g[:, :, 0, 0b1] = 1.0
+    h = np.zeros((3, 3, 1 << RANK))
+    h[0, :, 0b101] = 2.0
+    got = on_each_path(_kernels.multiply_coeffs, a, b, RANK) + on_each_path(_kernels.smul_coeffs, g, h, RANK)
+    got += [_kernels.multiply_coeffs(b, a[0], RANK), _kernels.smul_coeffs(g[0], h, RANK)]
+    shapes = [a.shape] * 2 + [g.shape] * 2 + [b.shape, h.shape]
+    for x, shape in zip(got, shapes):
+        assert x.dtype == np.float64 and x.shape == shape and not x.any()
 
 
 # -- Grassmann stacks ----------------------------------------------------------

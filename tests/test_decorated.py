@@ -199,6 +199,41 @@ class TestGauge:
             dc._reflection_solution(g, np.eye(g.num_edges, dtype=np.uint8)[on_cycle])
 
 
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_gauge_equal_up_to_reflections_and_sign(self, name):
+        chart = dc.standard_chart(SPINES[name](), rank=RANK)
+        assert dc.gauge_equal(chart, chart.flip_gauge())
+        for v in range(chart.graph.num_vertices):
+            assert dc.gauge_equal(chart, chart.reflect_vertex(v))
+        # one mu negated with its edges kept is no gauge move
+        mus = list(chart.mus)
+        mus[0] = -mus[0]
+        assert not dc.gauge_equal(chart, chart.replace(mus=mus))
+
+
+class TestBipartiteFlipPath:
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_path_makes_the_spine_bipartite(self, name):
+        g = SPINES[name]()
+        path = dc.bipartite_flip_path(g)
+        # theta and genus two are bipartite already; the other two are not
+        if name in ("theta", "genus_two"):
+            assert path == []
+        else:
+            assert path
+            with pytest.raises(ValueError, match="not bipartite"):
+                dc.delta_coloring(g)
+        om = fg.Orientation.from_bits(g, (0,) * g.num_edges)
+        for e in path:
+            res = fg.flip(g, e, om)
+            g, om = res.graph, res.orientation
+        dc.delta_coloring(g)
+
+    def test_no_path_within_the_cap_raises(self):
+        with pytest.raises(ValueError, match="no bipartite spine within 0 flips"):
+            dc.bipartite_flip_path(fg.dumbbell_graph(), max_flips=0)
+
+
 ORIENTATIONS = {
     "zeros": lambda g: fg.Orientation.from_bits(g, (0,) * g.num_edges),
     "alternating": lambda g: fg.Orientation.from_bits(g, [j % 2 for j in range(g.num_edges)]),

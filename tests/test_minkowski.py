@@ -665,7 +665,38 @@ class TestSwitch:
             switch_transform(self.A, self.C, r_slot(1.0))
 
 
+def basic_calculation_by_three_series(a, b, c, d, e, sigma):
+    """basic_calculation with chi^(-1), sqrt(chi) and sqrt(chi)^(-1) from
+    three series, as first written."""
+    chi = a * c * (d * b).inverse()
+    k = np.sqrt(2.0) * c * d * e.inverse()
+    rootchi = chi.sqrt()
+    return mk.SuperVector(k * chi.inverse(), k * chi, -k, k * rootchi.inverse() * sigma, -(k * rootchi * sigma))
+
+
+def draw_stack(r, rank, size, parity, **kw):
+    """One random element (size None) or a stack of `size` of them; an
+    even element gets a body drawn from [0.6, 1.8]."""
+
+    def one():
+        body = float(r.uniform(0.6, 1.8)) if parity == "even" else None
+        return random_element(r, rank, parity=parity, terms=3, body=body, **kw)
+
+    return one() if size is None else stack([one() for _ in range(size)])
+
+
 class TestBasicCalculation:
+    @pytest.mark.parametrize("size", [None, 4])
+    @pytest.mark.parametrize("rank", [8, 12])
+    def test_one_series_matches_three(self, rank, size):
+        r = np.random.default_rng(60 + rank)
+        for _ in range(5):
+            lams = [draw_stack(r, rank, size, "even", scale=0.2) for _ in range(5)]
+            sigma = draw_stack(r, rank, size, "odd", scale=0.4)
+            want = basic_calculation_by_three_series(*lams, sigma)
+            got = mk.basic_calculation(*lams, sigma)
+            assert got.max_coeff_diff(want) <= 1e-12 * max(1.0, float(np.abs(want.coeffs).max()))
+
     def test_component_formulas(self):
         a, b, c, d, e = 1.1, 0.9, 1.4, 0.8, 1.2
         sg = 0.3 * G1
@@ -770,9 +801,95 @@ class TestPtolemyOdd:
             mk.ptolemy_odd(G1, G2, grassmann(-1.0, RANK))
 
 
+# -- projective models: the super half-plane and RP^{1|1}, for the tests -----
+
+
+class ComplexGrassmann:
+    """Complex number with Grassmann real/imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        return ComplexGrassmann(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return ComplexGrassmann(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return ComplexGrassmann(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def inverse(self):
+        n = (self.re * self.re + self.im * self.im).inverse()
+        return ComplexGrassmann(self.re * n, -(self.im * n))
+
+    def isclose(self, other, tol=1e-9):
+        return self.re.isclose(other.re, tol) and self.im.isclose(other.im, tol)
+
+    def __repr__(self):
+        return "(%s) + i(%s)" % (self.re, self.im)
+
+
+def superplane_map(a, tol=1e-9):
+    """Hyperboloid point to the super upper half-plane.
+
+    Returns (z_re, z_im, eta_re, eta_im) as GrassmannNumbers.
+    """
+    if a.x2.body <= tol:
+        raise ValueError("superplane map needs positive-body x2")
+    x2inv = a.x2.inverse()
+    return (
+        -(a.y * x2inv),
+        (1 - a.phi * a.theta) * x2inv,
+        a.theta * x2inv,
+        a.theta * x2inv * a.y - a.phi,
+    )
+
+
+def superconformal(g, plane):
+    """Action on the super half-plane matching act: feeding the same group
+    element here and to act commutes with superplane_map.
+
+    The point action is a right action through the matrix form, so the
+    half-plane picture uses the mirrored entries (a, -c, .. / -b, d, .. /
+    -alpha, beta, ..) of g in the fractional-linear formula.
+    """
+    rank = g.rank
+    z_re, z_im, eta_re, eta_im = plane
+    z = ComplexGrassmann(z_re, z_im)
+    eta = ComplexGrassmann(eta_re, eta_im)
+    (a0, b0, al), (c0, d0, be), (_, _, _) = g.rows
+    a, b, c, d = a0, -c0, -b0, d0
+    ga, de = -al, be
+
+    def cg(x):
+        return ComplexGrassmann(grassmann(x, rank), GrassmannNumber(rank))
+
+    czd = cg(c) * z + cg(d)
+    czdi = czd.inverse()
+    gzd = cg(ga) * z + cg(de)
+    z_new = (cg(a) * z + cg(b)) * czdi + eta * gzd * czdi * czdi
+    eta_new = gzd * czdi + eta * cg(1 + 0.5 * (de * ga)) * czdi
+    return z_new.re, z_new.im, eta_new.re, eta_new.im
+
+
+def rp11_map(a, tol=1e-9):
+    """Special light cone to RP^{1|1}: z = -y/x2, eta = theta/x2."""
+    if abs(a.x2.body) <= tol:
+        raise ValueError("rp11 map needs invertible x2")
+    x2inv = a.x2.inverse()
+    return -(a.y * x2inv), a.theta * x2inv
+
+
 class TestSuperplane:
     def test_base_point(self):
-        z_re, z_im, e_re, e_im = mk.superplane_map(vec(1, 1, 0))
+        z_re, z_im, e_re, e_im = superplane_map(vec(1, 1, 0))
         assert z_re.max_abs() < 1e-15 and (z_im - 1).max_abs() < 1e-15
         assert e_re.max_abs() < 1e-15 and e_im.max_abs() < 1e-15
 
@@ -783,7 +900,7 @@ class TestSuperplane:
             p = np.exp(r0.normal(0, 0.5))
             # bosonic hyperboloid point
             h = vec((1 + u * u) / p, p, u)
-            z_re, z_im, e_re, e_im = mk.superplane_map(h)
+            z_re, z_im, e_re, e_im = superplane_map(h)
             assert z_im.body > 0
             assert z_im.soul().max_abs() == 0 and e_re.max_abs() == 0
 
@@ -794,8 +911,8 @@ class TestSuperplane:
             m = np.array(m, dtype=float)
             m[1, 1] = (1 + m[0, 1] * m[1, 0]) / m[0, 0]
             g = sl.sl2_embed(m, RANK)
-            direct = mk.superplane_map(mk.act(g, h))
-            mapped = mk.superconformal(g, mk.superplane_map(h))
+            direct = superplane_map(mk.act(g, h))
+            mapped = superconformal(g, superplane_map(h))
             for x, y in zip(direct, mapped):
                 assert (x - y).max_abs() < 1e-10
 
@@ -810,14 +927,14 @@ class TestSuperplane:
             sl.random_osp(r0, RANK, blocks=2),
         ]
         for g in els:
-            direct = mk.superplane_map(mk.act(g, h))
-            mapped = mk.superconformal(g, mk.superplane_map(h))
+            direct = superplane_map(mk.act(g, h))
+            mapped = superconformal(g, superplane_map(h))
             for x, y in zip(direct, mapped):
                 assert (x - y).max_abs() < 1e-10
 
     def test_zero_x2_rejected(self):
         with pytest.raises(ValueError):
-            mk.superplane_map(vec(1, 0, 0))
+            superplane_map(vec(1, 0, 0))
 
 
 def hyperboloid_point(r):
@@ -827,24 +944,24 @@ def hyperboloid_point(r):
 
 class TestRP11:
     def test_r_slot(self):
-        z, eta = mk.rp11_map(r_slot(1.0))
+        z, eta = rp11_map(r_slot(1.0))
         assert z.max_abs() < 1e-15 and eta.max_abs() < 1e-15
 
     def test_e_zero_rejected(self):
         with pytest.raises(ValueError):
-            mk.rp11_map(mk.e_zero(RANK))
+            rp11_map(mk.e_zero(RANK))
 
     # diagonal group element rescales the coordinate by the squared parameter
     def test_diag_scaling(self):
         a = mk.SuperVector(ONE, ONE, ONE, G1, G1)
-        z0, _ = mk.rp11_map(a)
+        z0, _ = rp11_map(a)
         p = 1.3
-        z1, _ = mk.rp11_map(mk.act(sl.diag(p, 1 / p, RANK), a))
+        z1, _ = rp11_map(mk.act(sl.diag(p, 1 / p, RANK), a))
         assert (z1 - p * p * z0).max_abs() < 1e-12
 
     def test_odd_part(self):
         phi = 0.4 * G2
-        z, eta = mk.rp11_map(t_slot(1.7, phi))
+        z, eta = rp11_map(t_slot(1.7, phi))
         assert (z + 1).max_abs() < 1e-12
         assert eta.isclose(phi, 1e-12)
 

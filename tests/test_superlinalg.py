@@ -8,7 +8,7 @@ from superteich.grassmann import GrassmannNumber, random_element
 from superteich import decorated as dc
 from superteich import minkowski as mk
 from superteich import superlinalg as sl
-from test_minkowski import prime_element
+from test_minkowski import draw_stack, prime_element
 
 RANK = 8
 
@@ -293,6 +293,19 @@ class TestNamedElements:
         want = sl.SuperMatrix([[0, -1, 0], [1, 1, 0], [0, 0, 1]], RANK)
         z = GrassmannNumber(RANK)
         assert sl.gt(1.0, z, z).isclose(want, 1e-15)
+
+    @pytest.mark.parametrize("size", [None, 4])
+    @pytest.mark.parametrize("rank", [8, 12])
+    def test_gt_one_series_matches_two(self, rank, size):
+        """gt takes t^(-1/2) in one series; as first written, it took sqrt(t)
+        and then its inverse."""
+        r = np.random.default_rng(70 + rank)
+        for _ in range(5):
+            t = draw_stack(r, rank, size, "even", scale=0.2)
+            phi, psi = (draw_stack(r, rank, size, "odd", scale=0.4) for _ in range(2))
+            rt = t.sqrt()
+            want = sl.SuperMatrix([[0, -rt, 0], [rt.inverse(), rt * (1 + phi * psi), -psi], [0, rt * psi, 1]], rank)
+            assert_close_to_scale(sl.gt(t, phi, psi), want)
 
     def test_diag_sdet_one(self):
         t = 2.7
