@@ -1,22 +1,35 @@
 """Trivalent fatgraphs, edge orientations and spin structures.
 
 A fatgraph is a graph with a counter-clockwise cyclic order of half-edges at
-every vertex.  Fattening each trivalent vertex to a hexagon and each edge to
-a rectangle produces a compact "skinny" surface whose one-skeleton carries
-the combinatorics of spin structures: an edge orientation induces a special
-Kasteleyn orientation, a fixed canonical dimer turns it into a quadratic
-form on mod-2 homology, and a flip acts on orientations by the paper's
-local rule: every arrow keeps its tail half-edge and one leaf of the
-quadrilateral reverses.
+every vertex; fattening it gives a punctured surface.  As in the paper, a
+spin structure is a class of edge orientations modulo the reflections at
+the vertices (each reversing the edges at one vertex), and its mod-2
+quadratic form q on cycle vectors is read off the fatgraph's own turns and
+arrows.  A flip acts on orientations by the paper's local rule: every arrow
+keeps its tail half-edge and one leaf of the quadrilateral reverses.
 
 Conventions.  Half-edges are integers; sigma is the ccw successor at a
-vertex, partner the edge involution.  The skinny one-skeleton has CW points
-P_L(h), P_R(h) per half-edge; each half-edge contributes one bold segment
-s(h) = {P_L(h), P_R(h)} (the canonical dimer), each vertex corner one
-boundary arc a(h): P_L(h) -> P_R(sigma(h)), each edge two boundary long
-sides long(h) = {P_R(h), P_L(partner(h))}.  The special Kasteleyn
-orientation directs segments P_R -> P_L, corner arcs P_R(sigma(h)) ->
-P_L(h), and long sides parallel to the edge orientation.
+vertex, partner the edge involution.  A cycle vector (a mod-2 edge vector
+of even degree at every vertex) splits into vertex-disjoint closed walks.
+A walk enters a vertex at h_in and leaves it at h_out, which is sigma(h_in)
+(a sigma-turn) or sigma^2(h_in), then walks the edge of h_out from h_out to
+its partner: along the arrow when h_out is the edge's tail, else against.
+
+The rule.  q(x) = sum over the walks of x of
+(1 + #sigma-turns + #edges walked against their arrow), mod 2.
+
+This is the count of Cimasoni and Reshetikhin ("Dimers on surface graphs
+and spin structures. I", CMP 2007) on the fattened surface, with its
+special Kasteleyn orientation and canonical dimer, reduced to the fatgraph:
+hugging the boundary, a walk's corner arcs disagree with the Kasteleyn
+orientation and its dimer segments agree, each transit puts two dimers on
+its left, and a long side disagrees exactly when its edge is walked against
+the arrow.  The tests keep that skinny-surface count as the rule's oracle.
+
+A boundary cycle walks h -> partner(sigma(h)), traversing the edge of
+sigma(h) and turning sigma at every vertex, so its q is 1 plus the number
+of its edges walked along their arrow: the puncture is Ramond (q = 1)
+exactly when that number is even, and Neveu-Schwarz otherwise.
 """
 
 import collections
@@ -304,9 +317,6 @@ class Orientation:
             tails[j] = self.graph.partner(tails[j])
         return Orientation(self.graph, tails)
 
-    def xor_cochain(self, cochain_bits):
-        return self.flip_edges([j for j, b in enumerate(cochain_bits) if b])
-
     def __eq__(self, other):
         return self.graph is other.graph and self.tails == other.tails
 
@@ -372,282 +382,76 @@ def orientation_classes(graph):
     return out
 
 
-# -- the skinny surface -------------------------------------------------------
+# -- the quadratic form ---------------------------------------------------------
 
 
-def _pl(h):
-    return ("L", h)
-
-
-def _pr(h):
-    return ("R", h)
-
-
-class SkinnyGraph:
-    """CW one-skeleton of the fattened surface: segments, corner arcs and
-    long sides, with ccw orders at points and face boundaries."""
-
-    def __init__(self, graph):
-        self.graph = graph
-        halves = range(2 * graph.num_edges)
-        self.segments = [("s", h) for h in halves]
-        self.arcs = [("a", h) for h in halves]
-        self.longs = [("l", h) for h in halves]
-        self.ends = {}
-        for key in self.segments:
-            h = key[1]
-            self.ends[key] = (_pl(h), _pr(h))
-        for key in self.arcs:
-            h = key[1]
-            self.ends[key] = (_pl(h), _pr(graph.sigma(h)))
-        for key in self.longs:
-            h = key[1]
-            self.ends[key] = (_pr(h), _pl(graph.partner(h)))
-
-    # counter-clockwise cyclic order of the three edges at a CW point
-    def ccw_at(self, p):
-        side, h = p
-        g = self.graph
-        if side == "L":
-            return (("a", h), ("s", h), ("l", g.partner(h)))
-        return (("l", h), ("s", h), ("a", g.sigma_inv(h)))
-
-    def dimer_at(self, p):
-        return ("s", p[1])
-
-    def hexagon_boundary(self, v):
-        """Directed boundary steps of H_v: (edge key, forward flag)."""
-        steps = []
-        for h in self.graph.vertices[v]:
-            steps.append((("s", h), False))
-            steps.append((("a", h), True))
-        return steps
-
-    def rectangle_boundary(self, e):
-        h1, h2 = self.graph.edges[e]
-        return [
-            (("s", h1), True),
-            (("l", h1), True),
-            (("s", h2), True),
-            (("l", h2), True),
-        ]
-
-    def faces(self):
-        out = [self.hexagon_boundary(v) for v in range(self.graph.num_vertices)]
-        out += [self.rectangle_boundary(e) for e in range(self.graph.num_edges)]
-        return out
-
-    def kasteleyn(self, orientation):
-        """Special Kasteleyn orientation: directed (src, dst) per CW edge."""
-        g = self.graph
-        k = {}
-        for key in self.segments:
-            h = key[1]
-            k[key] = (_pr(h), _pl(h))
-        for key in self.arcs:
-            h = key[1]
-            k[key] = (_pr(g.sigma(h)), _pl(h))
-        for key in self.longs:
-            h = key[1]
-            a, b = self.ends[key]
-            if orientation.tail(g.edge_of(h)) == h:
-                k[key] = (a, b)
-            else:
-                k[key] = (b, a)
-        return k
-
-    def kasteleyn_reflect(self, k, p):
-        """Reverse every CW edge incident on the point p."""
-        out = dict(k)
-        for key, (a, b) in k.items():
-            if a == p or b == p:
-                out[key] = (b, a)
-        return out
-
-    def kasteleyn_defects(self, k):
-        """Faces where the disagreement count is even (Kasteleyn failures)."""
-        bad = []
-        for face in self.faces():
-            n = 0
-            for key, fwd in face:
-                a, b = self.ends[key]
-                direction = (a, b) if fwd else (b, a)
-                if k[key] != direction:
-                    n += 1
-            if n % 2 == 0:
-                bad.append(face)
-        return bad
-
-    # -- curves -----------------------------------------------------------
-
-    def step_ends(self, step):
-        key, fwd = step
-        a, b = self.ends[key]
-        return (a, b) if fwd else (b, a)
-
-    def check_closed(self, curve):
-        for s1, s2 in zip(curve, curve[1:] + curve[:1]):
-            if self.step_ends(s1)[1] != self.step_ends(s2)[0]:
-                raise ValueError("curve is not a closed edge-path")
-
-    def disagreement_count(self, curve, k):
-        n = 0
-        for step in curve:
-            key = step[0]
-            if self.step_ends(step) != k[key]:
-                n += 1
-        return n
-
-    def left_dimer_count(self, curve):
-        """Dimers sticking out to the left of the directed closed curve."""
-        count = 0
-        for s_in, s_out in zip(curve, curve[1:] + curve[:1]):
-            p = self.step_ends(s_in)[1]
-            d = self.dimer_at(p)
-            if s_in[0] == d or s_out[0] == d:
-                continue
-            order = self.ccw_at(p)
-            i = order.index(s_out[0])
-            if order[(i + 1) % 3] == d and order[(i + 2) % 3] == s_in[0]:
-                count += 1
-        return count
-
-    def realize_cycle(self, vec):
-        """Closed curves in the one-skeleton realizing a mod-2 edge vector.
-
-        The vector must have even degree at every vertex; each component is
-        rendered hugging the boundary: corner arcs for one-step turns, a
-        single segment crossing for two-step turns, long sides along edges.
-        """
-        g = self.graph
-        comps = _cycle_components(g, vec)
-        curves = []
-        for comp in comps:
-            steps = []
-            for h_in, h_out in comp:
-                steps.append((("a", h_in), True))
-                if h_out == g.sigma(g.sigma(h_in)):
-                    mid = g.sigma(h_in)
-                    steps.append((("s", mid), False))
-                    steps.append((("a", mid), True))
-                elif h_out != g.sigma(h_in):
-                    raise ValueError("inconsistent transit")
-                steps.append((("l", h_out), True))
-            curves.append(steps)
-        return curves
+def _cycle_vector(graph, vec):
+    """vec as a 0/1 uint8 array over the graph's edges; a ValueError names
+    a shape other than (E,) or the first edge whose entry is not 0 or 1."""
+    arr = np.asarray(vec)
+    if arr.shape != (graph.num_edges,):
+        raise ValueError(
+            "cycle vector has shape %s, not (%d,) for the fatgraph's edges"
+            % (arr.shape, graph.num_edges)
+        )
+    bad = np.flatnonzero((arr != 0) & (arr != 1))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError("cycle vector has entry %r at edge %d, not 0 or 1" % (arr[j].item(), j))
+    return arr.astype(np.uint8)
 
 
 def _cycle_components(graph, vec):
-    """Decompose an even-degree edge vector into vertex transit cycles."""
-    support = {j for j in range(graph.num_edges) if vec[j]}
-    for v in range(graph.num_vertices):
-        deg = sum(1 for h in graph.vertices[v] if graph.edge_of(h) in support)
+    """Split an even-degree edge vector into its vertex-disjoint closed
+    walks, each a list of transits (h_in, h_out): the walk enters a vertex
+    at h_in and leaves it at h_out, then walks the edge of h_out from h_out
+    to its partner."""
+    support = set(np.flatnonzero(vec).tolist())
+    for v, tri in enumerate(graph.vertices):
+        deg = sum(1 for h in tri if graph.edge_of(h) in support)
         if deg not in (0, 2):
-            raise ValueError("edge vector is not a mod-2 cycle")
-    unused = set(support)
-    comps = []
+            raise ValueError(
+                "edge vector is not a mod-2 cycle: vertex %d has degree %d in it, not 0 or 2"
+                % (v, deg)
+            )
+    unused, comps = set(support), []
     while unused:
-        j0 = min(unused)
-        h = graph.edges[j0][0]
+        start = h = graph.edges[min(unused)][0]
         comp = []
         while True:
-            arrive = graph.partner(h)
             unused.discard(graph.edge_of(h))
-            outs = [
+            arrive = graph.partner(h)
+            h = next(
                 k
                 for k in graph.vertices[graph.vertex_of(arrive)]
                 if k != arrive and graph.edge_of(k) in support
-            ]
-            h_out = outs[0]
-            comp.append((arrive, h_out))
-            h = h_out
-            if h == graph.edges[j0][0]:
+            )
+            comp.append((arrive, h))
+            if h == start:
                 break
         comps.append(comp)
     return comps
 
 
-def intersection_mod2(graph, x, y):
-    """Mod-2 homology intersection of two cycle vectors on the fatgraph.
-
-    All crossings happen along maximal shared chains; a chain contributes
-    when the two cycles leave it on opposite sides, judged by the ccw order
-    at its two end vertices.
-    """
-    x = np.asarray(x, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
-    shared = x & y
-    if not shared.any():
-        return 0
-    ends = {}
-    for v in range(graph.num_vertices):
-        hs = [h for h in graph.vertices[v] if shared[graph.edge_of(h)]]
-        if len(hs) == 1:
-            c = hs[0]
-            a = next(
-                h for h in graph.vertices[v] if h != c and x[graph.edge_of(h)]
-            )
-            b = next(
-                h for h in graph.vertices[v] if h != c and y[graph.edge_of(h)]
-            )
-            order = graph.vertices[v]
-            i = order.index(c)
-            side = 1 if (order[(i + 1) % 3], order[(i + 2) % 3]) == (a, b) else 0
-            ends[c] = side
-    total = 0
-    seen = set()
-    for c0 in sorted(ends):
-        if c0 in seen:
-            continue
-        seen.add(c0)
-        # walk the shared chain from c0 to its far end
-        h = c0
-        while True:
-            far = graph.partner(h)
-            if far in ends:
-                seen.add(far)
-                total += 1 if ends[c0] == ends[far] else 0
-                break
-            v = graph.vertex_of(far)
-            h = next(
-                k
-                for k in graph.vertices[v]
-                if k != far and shared[graph.edge_of(k)]
-            )
-        # closed shared chains never reach here; they have no ends
-    return total % 2
-
-
 class QuadraticForm:
-    """Mod-2 quadratic form of an oriented fatgraph, evaluated on cycle
-    vectors through the canonical dimer on the skinny surface."""
+    """Mod-2 quadratic form of an oriented fatgraph on cycle vectors, read
+    off the walks' turns and arrows (see the module docstring)."""
 
     def __init__(self, graph, orientation):
         self.graph = graph
         self.orientation = orientation
-        self.skinny = SkinnyGraph(graph)
-        self.kasteleyn = self.skinny.kasteleyn(orientation)
-        bad = self.skinny.kasteleyn_defects(self.kasteleyn)
-        if bad:
-            raise AssertionError("special orientation failed the face parity check")
         self.basis = graph.cycle_basis()
 
-    def value_of_curves(self, curves, pairwise=0):
-        total = pairwise
-        for c in curves:
-            self.skinny.check_closed(c)
-            n = self.skinny.disagreement_count(c, self.kasteleyn)
-            ell = self.skinny.left_dimer_count(c)
-            total += 1 + n + ell
-        return total % 2
-
     def value(self, vec):
-        vec = np.asarray(vec, dtype=np.uint8)
-        if not vec.any():
-            return 0
-        curves = self.skinny.realize_cycle(vec)
-        # components of one even-degree vector are vertex-disjoint
-        return self.value_of_curves(curves)
+        """q(vec): per closed walk, 1 + its sigma-turns + its edges walked
+        against their arrow, summed mod 2."""
+        g, tails = self.graph, self.orientation.tails
+        total = 0
+        for walk in _cycle_components(g, _cycle_vector(g, vec)):
+            total += 1
+            for h_in, h_out in walk:
+                total += (h_out == g.sigma(h_in)) + (tails[g.edge_of(h_out)] != h_out)
+        return total % 2
 
     def basis_values(self):
         return tuple(self.value(b) for b in self.basis)
@@ -694,12 +498,7 @@ def _transport_vec(graph, locals_, e, vec):
     turning a corner at either old endpoint picks up the new edge.
     """
     h_eu, h_nw, h_sw, h_ew, h_se, h_ne = locals_
-    vec = np.asarray(vec, dtype=np.uint8).copy()
-    if vec.shape != (graph.num_edges,):
-        raise ValueError(
-            "cycle vector has shape %s, not (%d,) for the fatgraph's edges"
-            % (vec.shape, graph.num_edges)
-        )
+    vec = _cycle_vector(graph, vec)
     nw, sw = graph.edge_of(h_nw), graph.edge_of(h_sw)
     se, ne = graph.edge_of(h_se), graph.edge_of(h_ne)
     new_bit = 0
@@ -764,79 +563,7 @@ def flip(graph, e, orientation):
     return FlipResult(new_graph, new_or, e, (h_eu, h_nw, h_sw, h_ew, h_se, h_ne))
 
 
-# -- duality -------------------------------------------------------------------
-
-
-class DualTriangulation:
-    """Ideal triangulation dual to a trivalent fatgraph: one triangle per
-    vertex (sides in ccw order dual to the half-edges), one arc per edge,
-    arcs directed from the face left of the oriented edge to the right."""
-
-    __slots__ = ("triangles", "arc_faces", "num_arcs")
-
-    def __init__(self, triangles, arc_faces, num_arcs):
-        self.triangles = tuple(tuple(t) for t in triangles)
-        self.arc_faces = tuple(arc_faces)
-        self.num_arcs = num_arcs
-
-    def to_fatgraph(self):
-        edges = {}
-        verts = []
-        for t in self.triangles:
-            tri = []
-            for arc, slot in t:
-                h = 2 * arc + slot
-                tri.append(h)
-            verts.append(tri)
-        pairs = [(2 * j, 2 * j + 1) for j in range(self.num_arcs)]
-        return Fatgraph(verts, pairs)
-
-
-def dual_triangulation(graph, orientation):
-    orbits = graph.boundary_orbits()
-    face_of = {}
-    for i, orbit in enumerate(orbits):
-        for h in orbit:
-            face_of[h] = i
-    triangles = []
-    for v in range(graph.num_vertices):
-        tri = []
-        for h in graph.vertices[v]:
-            j = graph.edge_of(h)
-            slot = 0 if h == graph.edges[j][0] else 1
-            tri.append((j, slot))
-        triangles.append(tri)
-    arc_faces = []
-    for j in range(graph.num_edges):
-        t = orientation.tail(j)
-        arc_faces.append((face_of[t], face_of[graph.partner(t)]))
-    return DualTriangulation(triangles, arc_faces, graph.num_edges)
-
-
-def exchange_arc(tri, j, orientation_after):
-    """Diagonal exchange along arc j: merge the two triangles sharing it
-    and split the resulting square the other way.  Arc directions are
-    recomputed from the supplied post-exchange edge orientation."""
-    spots = {}
-    for i, t in enumerate(tri.triangles):
-        for side in t:
-            if side[0] == j:
-                spots[side[1]] = i
-    if len(spots) != 2 or spots[0] == spots[1]:
-        raise ValueError("arc must bound two distinct triangles")
-    i1, i2 = spots[0], spots[1]
-
-    def rotated(t):
-        k = next(i for i, (a, _) in enumerate(t) if a == j)
-        return t[k:] + t[:k]
-
-    t1, t2 = rotated(tri.triangles[i1]), rotated(tri.triangles[i2])
-    triangles = list(tri.triangles)
-    triangles[i1] = (t1[0], t2[2], t1[1])
-    triangles[i2] = (t2[0], t1[2], t2[1])
-    out = DualTriangulation(triangles, tri.arc_faces, tri.num_arcs)
-    graph = out.to_fatgraph()
-    return dual_triangulation(graph, Orientation(graph, orientation_after.tails))
+# -- isomorphism ---------------------------------------------------------------
 
 
 def is_isomorphic(g1, g2):

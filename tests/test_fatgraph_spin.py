@@ -1,4 +1,6 @@
-"""Fatgraph combinatorics, Kasteleyn orientations, quadratic forms, flips."""
+"""Fatgraph combinatorics, quadratic forms, flips; the skinny-surface count
+of the quadratic form, its Kasteleyn orientation, the mod-2 intersection
+form and the dual triangulation, kept here as oracles."""
 
 import itertools
 
@@ -94,10 +96,338 @@ def solved_flip_class(graph, om, res):
     # rows are edges: sum of c_j * (moved_i)_j over j must equal rhs_i
     c, _, pivots = fg.gf2_solve(np.array(moved).T, rhs)
     assert len(pivots) == len(moved)
-    solved = fg.orientation_class(start.xor_cochain(c))
+    solved = fg.orientation_class(start.flip_edges(np.flatnonzero(c)))
     q_new = fg.QuadraticForm(res.graph, solved)
     assert tuple(q_new.value(x) for x in moved) == want
     return solved
+
+
+# -- the skinny-surface oracle --------------------------------------------------
+#
+# The count of Cimasoni and Reshetikhin ("Dimers on surface graphs and spin
+# structures. I", CMP 2007) on the fattened surface, which `fg.QuadraticForm`
+# reduces to a rule over the fatgraph's turns and arrows.
+#
+# Conventions.  The skinny one-skeleton has CW points P_L(h), P_R(h) per
+# half-edge; each half-edge contributes one bold segment s(h) = {P_L(h),
+# P_R(h)} (the canonical dimer), each vertex corner one boundary arc a(h):
+# P_L(h) -> P_R(sigma(h)), each edge two boundary long sides long(h) =
+# {P_R(h), P_L(partner(h))}.  The special Kasteleyn orientation directs
+# segments P_R -> P_L, corner arcs P_R(sigma(h)) -> P_L(h), and long sides
+# parallel to the edge orientation.
+
+
+def _pl(h):
+    return ("L", h)
+
+
+def _pr(h):
+    return ("R", h)
+
+
+class SkinnyGraph:
+    """CW one-skeleton of the fattened surface: segments, corner arcs and
+    long sides, with ccw orders at points and face boundaries."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        halves = range(2 * graph.num_edges)
+        self.segments = [("s", h) for h in halves]
+        self.arcs = [("a", h) for h in halves]
+        self.longs = [("l", h) for h in halves]
+        self.ends = {}
+        for key in self.segments:
+            h = key[1]
+            self.ends[key] = (_pl(h), _pr(h))
+        for key in self.arcs:
+            h = key[1]
+            self.ends[key] = (_pl(h), _pr(graph.sigma(h)))
+        for key in self.longs:
+            h = key[1]
+            self.ends[key] = (_pr(h), _pl(graph.partner(h)))
+
+    # counter-clockwise cyclic order of the three edges at a CW point
+    def ccw_at(self, p):
+        side, h = p
+        g = self.graph
+        if side == "L":
+            return (("a", h), ("s", h), ("l", g.partner(h)))
+        return (("l", h), ("s", h), ("a", g.sigma_inv(h)))
+
+    def dimer_at(self, p):
+        return ("s", p[1])
+
+    def hexagon_boundary(self, v):
+        """Directed boundary steps of H_v: (edge key, forward flag)."""
+        steps = []
+        for h in self.graph.vertices[v]:
+            steps.append((("s", h), False))
+            steps.append((("a", h), True))
+        return steps
+
+    def rectangle_boundary(self, e):
+        h1, h2 = self.graph.edges[e]
+        return [
+            (("s", h1), True),
+            (("l", h1), True),
+            (("s", h2), True),
+            (("l", h2), True),
+        ]
+
+    def faces(self):
+        out = [self.hexagon_boundary(v) for v in range(self.graph.num_vertices)]
+        out += [self.rectangle_boundary(e) for e in range(self.graph.num_edges)]
+        return out
+
+    def kasteleyn(self, orientation):
+        """Special Kasteleyn orientation: directed (src, dst) per CW edge."""
+        g = self.graph
+        k = {}
+        for key in self.segments:
+            h = key[1]
+            k[key] = (_pr(h), _pl(h))
+        for key in self.arcs:
+            h = key[1]
+            k[key] = (_pr(g.sigma(h)), _pl(h))
+        for key in self.longs:
+            h = key[1]
+            a, b = self.ends[key]
+            if orientation.tail(g.edge_of(h)) == h:
+                k[key] = (a, b)
+            else:
+                k[key] = (b, a)
+        return k
+
+    def kasteleyn_reflect(self, k, p):
+        """Reverse every CW edge incident on the point p."""
+        out = dict(k)
+        for key, (a, b) in k.items():
+            if a == p or b == p:
+                out[key] = (b, a)
+        return out
+
+    def kasteleyn_defects(self, k):
+        """Faces where the disagreement count is even (Kasteleyn failures)."""
+        bad = []
+        for face in self.faces():
+            n = 0
+            for key, fwd in face:
+                a, b = self.ends[key]
+                direction = (a, b) if fwd else (b, a)
+                if k[key] != direction:
+                    n += 1
+            if n % 2 == 0:
+                bad.append(face)
+        return bad
+
+    # -- curves -----------------------------------------------------------
+
+    def step_ends(self, step):
+        key, fwd = step
+        a, b = self.ends[key]
+        return (a, b) if fwd else (b, a)
+
+    def check_closed(self, curve):
+        for s1, s2 in zip(curve, curve[1:] + curve[:1]):
+            if self.step_ends(s1)[1] != self.step_ends(s2)[0]:
+                raise ValueError("curve is not a closed edge-path")
+
+    def disagreement_count(self, curve, k):
+        n = 0
+        for step in curve:
+            key = step[0]
+            if self.step_ends(step) != k[key]:
+                n += 1
+        return n
+
+    def left_dimer_count(self, curve):
+        """Dimers sticking out to the left of the directed closed curve."""
+        count = 0
+        for s_in, s_out in zip(curve, curve[1:] + curve[:1]):
+            p = self.step_ends(s_in)[1]
+            d = self.dimer_at(p)
+            if s_in[0] == d or s_out[0] == d:
+                continue
+            order = self.ccw_at(p)
+            i = order.index(s_out[0])
+            if order[(i + 1) % 3] == d and order[(i + 2) % 3] == s_in[0]:
+                count += 1
+        return count
+
+    def realize_cycle(self, vec):
+        """Closed curves in the one-skeleton realizing a mod-2 edge vector.
+
+        Each closed walk of the vector is rendered hugging the boundary:
+        corner arcs for one-step turns, a single segment crossing for
+        two-step turns, long sides along edges.
+        """
+        g = self.graph
+        curves = []
+        for comp in fg._cycle_components(g, vec):
+            steps = []
+            for h_in, h_out in comp:
+                steps.append((("a", h_in), True))
+                if h_out == g.sigma(g.sigma(h_in)):
+                    mid = g.sigma(h_in)
+                    steps.append((("s", mid), False))
+                    steps.append((("a", mid), True))
+                elif h_out != g.sigma(h_in):
+                    raise ValueError("inconsistent transit")
+                steps.append((("l", h_out), True))
+            curves.append(steps)
+        return curves
+
+
+class SkinnyForm:
+    """The quadratic form counted on the skinny surface: per closed curve,
+    1 + its disagreements with the Kasteleyn orientation + the dimers on
+    its left, mod 2.  The Kasteleyn face parity is checked on construction."""
+
+    def __init__(self, graph, orientation):
+        self.skinny = SkinnyGraph(graph)
+        self.kasteleyn = self.skinny.kasteleyn(orientation)
+        if self.skinny.kasteleyn_defects(self.kasteleyn):
+            raise AssertionError("special orientation failed the face parity check")
+
+    def value_of_curves(self, curves):
+        total = 0
+        for c in curves:
+            self.skinny.check_closed(c)
+            n = self.skinny.disagreement_count(c, self.kasteleyn)
+            ell = self.skinny.left_dimer_count(c)
+            total += 1 + n + ell
+        return total % 2
+
+    def value(self, vec):
+        return self.value_of_curves(self.skinny.realize_cycle(np.asarray(vec, dtype=np.uint8)))
+
+
+# -- the mod-2 intersection form ------------------------------------------------
+
+
+def intersection_mod2(graph, x, y):
+    """Mod-2 homology intersection of two cycle vectors on the fatgraph.
+
+    All crossings happen along maximal shared chains; a chain contributes
+    when the two cycles leave it on opposite sides, judged by the ccw order
+    at its two end vertices.
+    """
+    x = np.asarray(x, dtype=np.uint8)
+    y = np.asarray(y, dtype=np.uint8)
+    shared = x & y
+    if not shared.any():
+        return 0
+    ends = {}
+    for v in range(graph.num_vertices):
+        hs = [h for h in graph.vertices[v] if shared[graph.edge_of(h)]]
+        if len(hs) == 1:
+            c = hs[0]
+            a = next(
+                h for h in graph.vertices[v] if h != c and x[graph.edge_of(h)]
+            )
+            b = next(
+                h for h in graph.vertices[v] if h != c and y[graph.edge_of(h)]
+            )
+            order = graph.vertices[v]
+            i = order.index(c)
+            side = 1 if (order[(i + 1) % 3], order[(i + 2) % 3]) == (a, b) else 0
+            ends[c] = side
+    total = 0
+    seen = set()
+    for c0 in sorted(ends):
+        if c0 in seen:
+            continue
+        seen.add(c0)
+        # walk the shared chain from c0 to its far end
+        h = c0
+        while True:
+            far = graph.partner(h)
+            if far in ends:
+                seen.add(far)
+                total += 1 if ends[c0] == ends[far] else 0
+                break
+            v = graph.vertex_of(far)
+            h = next(
+                k
+                for k in graph.vertices[v]
+                if k != far and shared[graph.edge_of(k)]
+            )
+        # closed shared chains never reach here; they have no ends
+    return total % 2
+
+
+# -- the dual triangulation -----------------------------------------------------
+
+
+class DualTriangulation:
+    """Ideal triangulation dual to a trivalent fatgraph: one triangle per
+    vertex (sides in ccw order dual to the half-edges), one arc per edge,
+    arcs directed from the face left of the oriented edge to the right."""
+
+    __slots__ = ("triangles", "arc_faces", "num_arcs")
+
+    def __init__(self, triangles, arc_faces, num_arcs):
+        self.triangles = tuple(tuple(t) for t in triangles)
+        self.arc_faces = tuple(arc_faces)
+        self.num_arcs = num_arcs
+
+    def to_fatgraph(self):
+        verts = []
+        for t in self.triangles:
+            tri = []
+            for arc, slot in t:
+                h = 2 * arc + slot
+                tri.append(h)
+            verts.append(tri)
+        pairs = [(2 * j, 2 * j + 1) for j in range(self.num_arcs)]
+        return fg.Fatgraph(verts, pairs)
+
+
+def dual_triangulation(graph, orientation):
+    orbits = graph.boundary_orbits()
+    face_of = {}
+    for i, orbit in enumerate(orbits):
+        for h in orbit:
+            face_of[h] = i
+    triangles = []
+    for v in range(graph.num_vertices):
+        tri = []
+        for h in graph.vertices[v]:
+            j = graph.edge_of(h)
+            slot = 0 if h == graph.edges[j][0] else 1
+            tri.append((j, slot))
+        triangles.append(tri)
+    arc_faces = []
+    for j in range(graph.num_edges):
+        t = orientation.tail(j)
+        arc_faces.append((face_of[t], face_of[graph.partner(t)]))
+    return DualTriangulation(triangles, arc_faces, graph.num_edges)
+
+
+def exchange_arc(tri, j, orientation_after):
+    """Diagonal exchange along arc j: merge the two triangles sharing it
+    and split the resulting square the other way.  Arc directions are
+    recomputed from the supplied post-exchange edge orientation."""
+    spots = {}
+    for i, t in enumerate(tri.triangles):
+        for side in t:
+            if side[0] == j:
+                spots[side[1]] = i
+    if len(spots) != 2 or spots[0] == spots[1]:
+        raise ValueError("arc must bound two distinct triangles")
+    i1, i2 = spots[0], spots[1]
+
+    def rotated(t):
+        k = next(i for i, (a, _) in enumerate(t) if a == j)
+        return t[k:] + t[:k]
+
+    t1, t2 = rotated(tri.triangles[i1]), rotated(tri.triangles[i2])
+    triangles = list(tri.triangles)
+    triangles[i1] = (t1[0], t2[2], t1[1])
+    triangles[i2] = (t2[0], t1[2], t2[1])
+    out = DualTriangulation(triangles, tri.arc_faces, tri.num_arcs)
+    graph = out.to_fatgraph()
+    return dual_triangulation(graph, fg.Orientation(graph, orientation_after.tails))
 
 
 # -- the brute-force window oracle ---------------------------------------------
@@ -462,7 +792,7 @@ class TestOrientation:
 
 class TestSkinny:
     def test_theta_cell_counts(self):
-        sk = fg.SkinnyGraph(fg.theta_graph())
+        sk = SkinnyGraph(fg.theta_graph())
         assert len(sk.segments) == 6  # two per edge
         assert len(sk.arcs) == 6
         assert len(sk.longs) == 6
@@ -472,12 +802,12 @@ class TestSkinny:
 
     def test_faces_are_closed_paths(self):
         for make in SPINES.values():
-            sk = fg.SkinnyGraph(make())
+            sk = SkinnyGraph(make())
             for face in sk.faces():
                 sk.check_closed(face)
 
     def test_every_point_has_one_dimer(self):
-        sk = fg.SkinnyGraph(fg.four_puncture_spine())
+        sk = SkinnyGraph(fg.four_puncture_spine())
         for key in sk.segments + sk.arcs + sk.longs:
             for p in sk.ends[key]:
                 order = sk.ccw_at(p)
@@ -487,13 +817,13 @@ class TestSkinny:
     def test_kasteleyn_face_parity_all_spines(self):
         for make in SPINES.values():
             g = make()
-            sk = fg.SkinnyGraph(g)
+            sk = SkinnyGraph(g)
             for om in fg.orientation_classes(g):
                 assert sk.kasteleyn_defects(sk.kasteleyn(om)) == []
 
     def test_defect_detector_catches_a_broken_segment(self):
         g = fg.theta_graph()
-        sk = fg.SkinnyGraph(g)
+        sk = SkinnyGraph(g)
         k = sk.kasteleyn(fg.orientation_classes(g)[0])
         key = sk.segments[0]
         k[key] = (k[key][1], k[key][0])
@@ -501,7 +831,7 @@ class TestSkinny:
 
     def test_fatgraph_reflection_is_six_point_reflections(self):
         g = fg.theta_graph()
-        sk = fg.SkinnyGraph(g)
+        sk = SkinnyGraph(g)
         om = fg.orientation_classes(g)[1]
         k = sk.kasteleyn(om)
         for h in g.vertices[0]:
@@ -511,7 +841,7 @@ class TestSkinny:
 
     def test_disagreement_cochain_lives_on_long_sides(self):
         g = fg.dumbbell_graph()
-        sk = fg.SkinnyGraph(g)
+        sk = SkinnyGraph(g)
         om1 = fg.Orientation.from_bits(g, (0, 0, 1))
         om2 = fg.Orientation.from_bits(g, (1, 0, 0))
         k1, k2 = sk.kasteleyn(om1), sk.kasteleyn(om2)
@@ -528,7 +858,7 @@ class TestQuadraticForm:
         for make in (fg.theta_graph, fg.four_puncture_spine):
             g = make()
             om = fg.orientation_classes(g)[0]
-            q = fg.QuadraticForm(g, om)
+            q = SkinnyForm(g, om)
             sk = q.skinny
             for v in range(g.num_vertices):
                 assert q.value_of_curves([sk.hexagon_boundary(v)]) == 0
@@ -561,13 +891,13 @@ class TestQuadraticForm:
                 q = fg.QuadraticForm(g, om)
                 for a, b in itertools.combinations(basis, 2):
                     lhs = q.value(a ^ b)
-                    rhs = (q.value(a) + q.value(b) + fg.intersection_mod2(g, a, b)) % 2
+                    rhs = (q.value(a) + q.value(b) + intersection_mod2(g, a, b)) % 2
                     assert lhs == rhs
 
     def test_theta_arf_counts(self):
         g = fg.theta_graph()
         a, b = g.cycle_basis()
-        assert fg.intersection_mod2(g, a, b) == 1
+        assert intersection_mod2(g, a, b) == 1
         arfs = []
         for om in fg.orientation_classes(g):
             q = fg.QuadraticForm(g, om)
@@ -577,7 +907,7 @@ class TestQuadraticForm:
     def test_self_intersection_vanishes(self):
         g = fg.genus_two_spine()
         for vec in g.cycle_basis():
-            assert fg.intersection_mod2(g, vec, vec) == 0
+            assert intersection_mod2(g, vec, vec) == 0
 
     def test_value_independent_of_representative(self):
         # the skinny boundary curve and the canonical realization of the
@@ -585,17 +915,17 @@ class TestQuadraticForm:
         for make in SPINES.values():
             g = make()
             for om in fg.orientation_classes(g):
-                q = fg.QuadraticForm(g, om)
+                q, skinny = fg.QuadraticForm(g, om), SkinnyForm(g, om)
                 for orbit in g.boundary_orbits():
                     curve = []
                     for h in orbit:
                         curve.append((("a", h), True))
                         curve.append((("l", g.sigma(h)), True))
-                    assert q.value_of_curves([curve]) == q.value(g.puncture_vector(orbit))
+                    assert skinny.value_of_curves([curve]) == q.value(g.puncture_vector(orbit))
 
     def test_open_curves_rejected(self):
         g = fg.theta_graph()
-        q = fg.QuadraticForm(g, fg.orientation_classes(g)[0])
+        q = SkinnyForm(g, fg.orientation_classes(g)[0])
         curve = q.skinny.realize_cycle(g.cycle_basis()[0])[0]
         hexagon = q.skinny.hexagon_boundary(0)
         for bad in (curve[:-1], curve[1:], hexagon[:3] + hexagon[4:]):
@@ -607,7 +937,7 @@ class TestQuadraticForm:
     def test_value_independent_of_direction(self):
         g = fg.theta_graph()
         om = fg.orientation_classes(g)[2]
-        q = fg.QuadraticForm(g, om)
+        q = SkinnyForm(g, om)
         for vec in g.cycle_basis():
             curve = q.skinny.realize_cycle(vec)[0]
             reversed_curve = [(key, not fwd) for key, fwd in reversed(curve)]
@@ -618,14 +948,14 @@ class TestQuadraticForm:
         classes = fg.orientation_classes(g)
         ids = {om.bits: fg.spin_class(g, om) for om in classes}
         for eta in itertools.product((0, 1), repeat=3):
-            image = [fg.spin_class(g, om.xor_cochain(eta)) for om in classes]
+            image = [fg.spin_class(g, om.flip_edges(np.flatnonzero(eta))) for om in classes]
             assert len(set(image)) == 4
         for om1 in classes:
             for om2 in classes:
                 hits = [
                     eta
                     for eta in itertools.product((0, 1), repeat=3)
-                    if fg.spin_class(g, om1.xor_cochain(eta)) == ids[om2.bits]
+                    if fg.spin_class(g, om1.flip_edges(np.flatnonzero(eta))) == ids[om2.bits]
                 ]
                 assert len(hits) == 2  # cochains over a class: 2^(V-1)
 
@@ -633,10 +963,7 @@ class TestQuadraticForm:
     def test_reversing_an_edge_adds_its_bit(self, name):
         # the fact the flip's GF(2) solve rests on: q changes on x by c.x
         g = SPINES[name]()
-        classes = fg.orientation_classes(g)
-        if name == "genus_two":
-            classes = classes[:4]
-        for om in classes:
+        for om in fg.orientation_classes(g):
             q = fg.QuadraticForm(g, om)
             for j in range(g.num_edges):
                 qj = fg.QuadraticForm(g, om.flip_edges([j]))
@@ -657,6 +984,105 @@ class TestQuadraticForm:
             fg.puncture_types(g, om).count("R") for om in fg.orientation_classes(g)
         }
         assert 2 in counts
+
+
+def oracle_cases(graphs, seed):
+    """(graph, orientation, vectors) for every orientation class of each
+    graph: the cycle basis, every puncture vector and eight random sums of
+    basis vectors."""
+    rng = np.random.default_rng(seed)
+    for g in graphs:
+        basis = np.array(g.cycle_basis())
+        punctures = [g.puncture_vector(o) for o in g.boundary_orbits()]
+        for om in fg.orientation_classes(g):
+            sums = rng.integers(0, 2, size=(8, len(basis))) @ basis % 2
+            yield g, om, list(basis) + punctures + list(sums)
+
+
+ORACLE_GRAPHS = [
+    pytest.param(lambda: [make() for make in SPINES.values()], id="spines"),
+    pytest.param(lambda: random_graphs(44, 4, 6), id="random-V4"),
+    pytest.param(lambda: random_graphs(46, 6, 4), id="random-V6"),
+    pytest.param(lambda: random_graphs(48, 8, 3), id="random-V8"),
+]
+
+
+class TestTurnRule:
+    """`QuadraticForm.value` reads q off the fatgraph's turns and arrows;
+    the skinny-surface count is its oracle."""
+
+    @pytest.mark.parametrize("graphs", ORACLE_GRAPHS)
+    def test_rule_matches_the_skinny_oracle(self, graphs):
+        odd = 0
+        for g, om, vectors in oracle_cases(graphs(), seed=13):
+            q, skinny = fg.QuadraticForm(g, om), SkinnyForm(g, om)
+            for x in vectors:
+                assert q.value(x) == skinny.value(x)
+                odd += int(x.sum()) % 2
+        # sigma- and sigma^2-turns, or arrows along and against, differ in
+        # parity only on cycles of odd length
+        assert odd >= 10
+
+    @pytest.mark.parametrize("graphs", SPINES_AND_RANDOM)
+    def test_ramond_exactly_when_evenly_many_edges_run_along_their_arrow(self, graphs):
+        # a boundary orbit walks h -> partner(sigma h) over the edge of sigma h
+        seen = set()
+        for g in graphs():
+            for om in fg.orientation_classes(g):
+                types = fg.puncture_types(g, om)
+                for orbit, kind in zip(g.boundary_orbits(), types):
+                    along = sum(om.tail(g.edge_of(g.sigma(h))) == g.sigma(h) for h in orbit)
+                    assert kind == ("R" if along % 2 == 0 else "NS")
+                    seen.add(kind)
+        assert seen == {"R", "NS"}
+
+    @pytest.mark.parametrize(
+        "vec, message",
+        [
+            ([1, 1, 0, 1, 1], r"^cycle vector has shape \(5,\), not \(3,\)"),
+            ([1, 1], r"^cycle vector has shape \(2,\), not \(3,\)"),
+            ([[1, 1, 0]], r"^cycle vector has shape \(1, 3\), not \(3,\)"),
+            ([2, 2, 0], r"^cycle vector has entry 2 at edge 0, not 0 or 1$"),
+            ([1, -1, 0], r"^cycle vector has entry -1 at edge 1, not 0 or 1$"),
+            ([1, 0.5, 1], r"^cycle vector has entry 0.5 at edge 1, not 0 or 1$"),
+        ],
+    )
+    def test_value_rejects_malformed_vectors(self, vec, message):
+        g = fg.theta_graph()
+        q = fg.QuadraticForm(g, fg.orientation_classes(g)[0])
+        with pytest.raises(ValueError, match=message):
+            q.value(vec)
+
+    def test_value_accepts_bools_and_wider_integers(self):
+        g = fg.theta_graph()
+        q = fg.QuadraticForm(g, fg.orientation_classes(g)[1])
+        want = q.value(np.array([1, 1, 0], dtype=np.uint8))
+        assert q.value([True, True, False]) == want
+        assert q.value(np.array([1, 1, 0], dtype=np.int64)) == want
+
+    @pytest.mark.parametrize(
+        "make, vec, vertex, degree",
+        [
+            (fg.theta_graph, [1, 0, 0], 0, 1),
+            (fg.theta_graph, [1, 1, 1], 0, 3),
+            (fg.genus_two_spine, [0, 0, 0, 1, 0, 0, 0, 0, 0], 1, 1),
+        ],
+    )
+    def test_value_names_the_vertex_of_odd_degree(self, make, vec, vertex, degree):
+        g = make()
+        q = fg.QuadraticForm(g, fg.orientation_classes(g)[0])
+        with pytest.raises(
+            ValueError,
+            match="^edge vector is not a mod-2 cycle: vertex %d has degree %d in it, not 0 or 2$"
+            % (vertex, degree),
+        ):
+            q.value(vec)
+
+    def test_transport_rejects_entries_outside_zero_one(self):
+        g = fg.genus_two_spine()
+        res = fg.flip(g, 0, fg.Orientation.from_bits(g, [0] * g.num_edges))
+        with pytest.raises(ValueError, match="^cycle vector has entry 3 at edge 4, not 0 or 1$"):
+            res.transport([1, 0, 1, 0, 3, 0, 0, 0, 0])
 
 
 class TestFlipRule:
@@ -882,39 +1308,39 @@ class TestRewiring:
 class TestDual:
     def test_theta_dual_counts(self):
         g = fg.theta_graph()
-        tri = fg.dual_triangulation(g, fg.orientation_classes(g)[0])
+        tri = dual_triangulation(g, fg.orientation_classes(g)[0])
         assert len(tri.triangles) == 2
         assert tri.num_arcs == 3
 
     def test_dual_of_dual_is_isomorphic(self):
         for make in SPINES.values():
             g = make()
-            tri = fg.dual_triangulation(g, fg.orientation_classes(g)[0])
+            tri = dual_triangulation(g, fg.orientation_classes(g)[0])
             assert fg.is_isomorphic(g, tri.to_fatgraph())
 
     def test_arc_direction_follows_edge_orientation(self):
         g = fg.dumbbell_graph()
         om = fg.orientation_classes(g)[0]
-        tri1 = fg.dual_triangulation(g, om)
-        tri2 = fg.dual_triangulation(g, om.flip_edges([0]))
+        tri1 = dual_triangulation(g, om)
+        tri2 = dual_triangulation(g, om.flip_edges([0]))
         assert tri1.arc_faces[0] == tuple(reversed(tri2.arc_faces[0]))
 
     def test_flip_commutes_with_dualization(self):
         for name, e in (("theta", 1), ("four_puncture", 2)):
             g = SPINES[name]()
             om = fg.orientation_classes(g)[1]
-            tri = fg.dual_triangulation(g, om)
+            tri = dual_triangulation(g, om)
             res = fg.flip(g, e, om)
-            after = fg.dual_triangulation(res.graph, res.orientation)
-            exchanged = fg.exchange_arc(tri, e, res.orientation)
+            after = dual_triangulation(res.graph, res.orientation)
+            exchanged = exchange_arc(tri, e, res.orientation)
             assert after.triangles == exchanged.triangles
             assert after.arc_faces == exchanged.arc_faces
 
     def test_exchange_rejects_doubled_arc(self):
         g = fg.dumbbell_graph()
-        tri = fg.dual_triangulation(g, fg.orientation_classes(g)[0])
+        tri = dual_triangulation(g, fg.orientation_classes(g)[0])
         with pytest.raises(ValueError):
-            fg.exchange_arc(tri, 1, fg.orientation_classes(g)[0])
+            exchange_arc(tri, 1, fg.orientation_classes(g)[0])
 
 
 class TestIsomorphism:
