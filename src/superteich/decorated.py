@@ -26,8 +26,10 @@ from .grassmann import (
 from .minkowski import (
     ElementError,
     SuperVector,
+    _far_spinor,
+    _square,
+    _turned,
     act,
-    far_point,
     mu_invariant,
     normalize_triple,
     pairing,
@@ -380,10 +382,13 @@ class LiftedTriangulation:
         return worst
 
 
-def _base_triangle_points(coords, v, side, rank):
+def _base_triangle(coords, v, side):
     """Standard-position points of the base triangle with the fermion at
-    the corner opposite halves[side]."""
+    the corner opposite halves[side], and their spinors in closed form:
+    (0, sqrt r, 0), (sqrt t, sqrt t, sqrt t m) and (sqrt s, 0, 0), each
+    signed as `minkowski._spinor` signs it, as (3, 2**rank) arrays."""
     graph = coords.graph
+    rank = coords.rank
     hs = graph.vertices[v]
     lam = coords.lambdas
     e = lam[graph.edge_of(hs[side])]
@@ -393,30 +398,40 @@ def _base_triangle_points(coords, v, side, rank):
     s = ROOT2 * b * e * a.inverse()
     t = ROOT2 * a * b * e.inverse()
     m = coords.mus[v] * float(coords.gauge)
-    pt_b = SuperVector(t, t, t, t * m, t * m, rank=rank)
-    pt_a = SuperVector(0, r, 0, 0, 0, rank=rank)
-    pt_c = SuperVector(s, 0, 0, 0, 0, rank=rank)
-    pts = [None, None, None]
-    pts[side] = pt_b
-    pts[(side + 1) % 3] = pt_a
-    pts[(side + 2) % 3] = pt_c
-    return pts
+    root_r, root_s, root_t = r.sqrt(), s.sqrt(), t.sqrt()
+    zero = np.zeros(1 << rank)
+    pts, spinors = [None] * 3, [None] * 3
+    pts[side] = SuperVector(t, t, t, t * m, t * m, rank=rank)
+    spinors[side] = np.stack([root_t.coeffs, root_t.coeffs, (root_t * m).coeffs])
+    pts[(side + 1) % 3] = SuperVector(0, r, 0, 0, 0, rank=rank)
+    spinors[(side + 1) % 3] = np.stack([zero, root_r.coeffs, zero])
+    pts[(side + 2) % 3] = SuperVector(s, 0, 0, 0, 0, rank=rank)
+    spinors[(side + 2) % 3] = np.stack([root_s.coeffs, zero, zero])
+    return pts, spinors
 
 
-def _attach_level(coords, deltas, points, triangles, jobs):
+def _stacked_spinor(rank, rows):
+    """The spinor stack (u, v, xi) of a list of (3, 2**rank) spinor arrays."""
+    return tuple(GrassmannNumber.wrap(rank, x) for x in np.stack(rows, axis=1))
+
+
+def _attach_level(coords, deltas, points, spinors, triangles, jobs):
     """Grow the lift across side k of triangle tri_idx for every (tri_idx, k)
-    in jobs, all at once, by one far_point call on the stacked sides.
-    Appends the points and triangles in the order of jobs and returns the
-    new triangle indices."""
+    in jobs, all at once, by one `minkowski._far_spinor` call on the
+    stacked spinors of the sides' corners.  spinors holds the spinor of
+    each point, as a (3, 2**rank) array signed as `minkowski._spinor` signs
+    it.  Appends the points, their spinors and the triangles in the order
+    of jobs and returns the new triangle indices."""
     graph = coords.graph
     lam = coords.lambdas
-    corner_pts, labels, made = [], [], []
+    side_a, side_c, labels, made = [], [], [], []
     for tri_idx, k in jobs:
         tri = triangles[tri_idx]
         hs = graph.vertices[tri.vertex]
         cs = tri.corners
         h = hs[k]
-        corner_pts.append((points[cs[(k + 1) % 3]], points[cs[k]], points[cs[(k + 2) % 3]]))
+        side_a.append(spinors[cs[(k + 1) % 3]])
+        side_c.append(spinors[cs[(k + 2) % 3]])
         h2 = graph.partner(h)
         v2 = graph.vertex_of(h2)
         hs2 = graph.vertices[v2]
@@ -435,15 +450,17 @@ def _attach_level(coords, deltas, points, triangles, jobs):
         corners[(j0 + 1) % 3] = cs[(k + 2) % 3]
         corners[(j0 + 2) % 3] = cs[(k + 1) % 3]
         made.append(LiftedTriangle(v2, corners, delta2, tri_idx))
+    sa, sc = _stacked_spinor(coords.rank, side_a), _stacked_spinor(coords.rank, side_c)
     try:
-        d = far_point(*(stack(col) for col in zip(*corner_pts)), *(stack(col) for col in zip(*labels)))
+        d = _far_spinor(sa, sc, _turned(sc), *(stack(col) for col in zip(*labels)))
     except ElementError as err:
         tri_idx, k = jobs[err.element]
         raise ValueError(
             "cannot attach across side %d of lifted triangle %d (graph vertex %d): %s"
             % (k, tri_idx, triangles[tri_idx].vertex, err.reason)
         ) from err
-    points.extend(SuperVector.wrap(coords.rank, c) for c in d.coeffs)
+    spinors.extend(np.stack([x.coeffs for x in d], axis=1))
+    points.extend(SuperVector.wrap(coords.rank, c) for c in _square(d, coords.rank).coeffs)
     triangles.extend(made)
     return range(len(triangles) - len(made), len(triangles))
 
@@ -453,22 +470,29 @@ def lift(coords, depth, base_vertex=0, base_side=0):
     breadth-first attachment out to the given combinatorial depth, feeding
     each new triangle its delta-modified mu-invariant.
 
+    The lift carries one spinor per point, and never takes the square root
+    of a point it built: the base triangle's spinors are closed forms in
+    its r, s and t, and each new point is the square of the spinor that
+    `minkowski._far_spinor` returns, which is carried to the next level.
     The triangles of one breadth-first level depend only on their parents,
-    so each level is attached at once, by one `far_point` call on the
-    spinors of the parents' sides (see `_attach_level`), with no group
-    element; the points and triangles come out in the order of attaching
-    them one by one, parent by parent and side by side."""
+    so each level is attached at once, by one `_far_spinor` call on the
+    stacked spinors of the parents' sides (see `_attach_level`), with no
+    group element; the points and triangles come out in the order of
+    attaching them one by one, parent by parent and side by side.  The
+    spinors are not stored on the points, so a check of the lift
+    (`LiftedTriangulation.mu_residual`) works each one out from its
+    point."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     graph = coords.graph
     deltas = delta_coloring(graph, base_vertex)
-    points = _base_triangle_points(coords, base_vertex, base_side, coords.rank)
+    points, spinors = _base_triangle(coords, base_vertex, base_side)
     triangles = [LiftedTriangle(base_vertex, (0, 1, 2), 1, -1)]
     frontier = [(0, None)]
     for _ in range(depth):
         jobs = [(t, k) for t, parent_side in frontier for k in range(3) if k != parent_side]
         frontier = []
-        for (tri_idx, k), new_idx in zip(jobs, _attach_level(coords, deltas, points, triangles, jobs)):
+        for (tri_idx, k), new_idx in zip(jobs, _attach_level(coords, deltas, points, spinors, triangles, jobs)):
             h2 = graph.partner(graph.vertices[triangles[tri_idx].vertex][k])
             frontier.append((new_idx, graph.vertices[triangles[new_idx].vertex].index(h2)))
     return LiftedTriangulation(coords, points, triangles, base_vertex, base_side)
@@ -608,7 +632,7 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
     if domain is None:
         domain = fundamental_domain(graph)
     deltas = delta_coloring(graph, domain.base_vertex)
-    points = _base_triangle_points(coords, domain.base_vertex, 0, coords.rank)
+    points, spinors = _base_triangle(coords, domain.base_vertex, 0)
     triangles = [LiftedTriangle(domain.base_vertex, (0, 1, 2), 1, -1)]
     tri_of_vertex = {domain.base_vertex: 0}
     order = sorted(
@@ -623,7 +647,7 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
             i for i, h in enumerate(hs)
             if graph.edge_of(h) == edge and graph.vertex_of(graph.partner(h)) == v
         )
-        (tri_of_vertex[v],) = _attach_level(coords, deltas, points, triangles, [(tri_idx, k)])
+        (tri_of_vertex[v],) = _attach_level(coords, deltas, points, spinors, triangles, [(tri_idx, k)])
     lifted = LiftedTriangulation(coords, points, triangles, domain.base_vertex, 0)
     form = fg.QuadraticForm(graph, coords.orientation)
     elements, raw_elements, q_values, extras = {}, {}, {}, {}
@@ -634,7 +658,7 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
         t1 = tri_of_vertex[v1]
         k1 = graph.vertices[v1].index(h1)
         k2 = graph.vertices[v2].index(h2)
-        (t2,) = _attach_level(coords, deltas, points, triangles, [(tri_of_vertex[v2], k2)])
+        (t2,) = _attach_level(coords, deltas, points, spinors, triangles, [(tri_of_vertex[v2], k2)])
         g1, inv1 = _normalize_slot(points, triangles, t1, k1)
         g2, inv2 = _normalize_slot(points, triangles, t2, k1)
         for x, y in zip(inv1, inv2):

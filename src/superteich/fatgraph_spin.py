@@ -435,9 +435,17 @@ def _cycle_components(graph, vec):
 
 class QuadraticForm:
     """Mod-2 quadratic form of an oriented fatgraph on cycle vectors, read
-    off the walks' turns and arrows (see the module docstring)."""
+    off the walks' turns and arrows (see the module docstring).  Rejects an
+    orientation with another number of edges, or whose tail of an edge is
+    not one of that edge's half-edges, naming the first such edge."""
 
     def __init__(self, graph, orientation):
+        tails, edges = orientation.tails, graph.edges
+        if len(tails) != len(edges):
+            raise ValueError("orientation has %d edges, the fatgraph %d" % (len(tails), len(edges)))
+        for j, t in enumerate(tails):
+            if t not in edges[j]:
+                raise ValueError("orientation's tail %r is not a half-edge of edge %d of the fatgraph" % (t, j))
         self.graph = graph
         self.orientation = orientation
         self.basis = graph.cycle_basis()

@@ -359,7 +359,10 @@ def stack(values):
     ranks = {v.rank for v in values}
     if len(ranks) > 1:
         raise ValueError("rank mismatch: %s" % sorted(ranks))
-    return type(values[0]).wrap(ranks.pop(), np.stack(np.broadcast_arrays(*(v.coeffs for v in values))))
+    coeffs = [v.coeffs for v in values]
+    if len({c.shape for c in coeffs}) > 1:
+        coeffs = np.broadcast_arrays(*coeffs)
+    return type(values[0]).wrap(ranks.pop(), np.stack(coeffs))
 
 
 def common_rank(values, rank=None):

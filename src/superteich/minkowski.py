@@ -40,6 +40,13 @@ which mu_invariant evaluates, reporting the sign of the value for the
 order of the points given.  normalize_point and normalize_triple build the
 group element (for build_rep, and as an oracle).
 
+Where the spinors come from: `_spinor` takes the square root of a point
+(one rsqrt series, then the light-cone check) once, and stores it on the
+point.  far_point's point D is the square of the spinor d that
+`_far_spinor` builds from the spinors of the side (a, c), so a lift, which
+keeps the spinor of every point it builds, hands them to `_far_spinor`
+itself and never takes the square root of a point of its own.
+
 pairing, act, triple_orientation, basic_calculation and far_point take
 stacks, (..., 5, 2**rank) arrays of points: far_point picks each spinor's
 branch per element and names the first failing element of a failed check
@@ -67,9 +74,10 @@ from . import superlinalg as sl
 
 class SuperVector(GrassmannArray):
     """Point of R^{2,1|2}: three even and two odd Grassmann coordinates, the
-    rows x1, x2, y, phi, theta of one read-only (5, 2**rank) array."""
+    rows x1, x2, y, phi, theta of one read-only (5, 2**rank) array, and its
+    spinor once `_spinor` has found it."""
 
-    __slots__ = ()
+    __slots__ = ("_spinor_memo",)
 
     def __init__(self, x1, x2, y, phi, theta, rank=None):
         self._own(*stack_entries((x1, x2, y, phi, theta), rank))
@@ -133,7 +141,7 @@ _FORM_SIGN = np.array([1, 1, 1, 1, 1, 1, -1, -1, 0.0])[:, None]
 _ACT_SRC = [0, 4, 1, 2, 5]
 
 
-def matrix_form(a):
+def _matrix_form(a):
     """The symmetric matrix presentation M_A."""
     return sl.SuperMatrix.wrap(a.rank, sl.signed_gather(a.coeffs, _FORM_SRC, _FORM_SIGN))
 
@@ -143,7 +151,7 @@ def act(g, a):
     the matrix form."""
     if g.rank != a.rank:
         raise ValueError("rank mismatch: %d vs %d" % (g.rank, a.rank))
-    m = _kernels.smul_coeffs(sl.supertranspose(g).coeffs, matrix_form(a).coeffs, a.rank)
+    m = _kernels.smul_coeffs(sl.supertranspose(g).coeffs, _matrix_form(a).coeffs, a.rank)
     m = _kernels.smul_coeffs(m, g.coeffs, a.rank)
     out = m.reshape(m.shape[:-3] + (9, -1)).take(_ACT_SRC, axis=-2)
     out[..., 2, :] = (m[..., 0, 1, :] + m[..., 1, 0, :]) * 0.5
@@ -279,11 +287,30 @@ def _spinor(p, position, tol):
     """Spinor (u, v, xi) of R^{2|1} whose square (u^2, v^2, uv, u xi, v xi)
     is the special light-cone point p, up to overall sign: u = sqrt(x1) when
     x1's body is at least x2's, otherwise v = sqrt(x2), chosen per element of
-    a stack.  Rejects p, named by its position in the triple, unless it is
-    that square within 1e-7 of its scale."""
+    a stack, so the body of this pivot is positive.  Rejects p, named by its
+    position in the triple, when its x1 and x2 bodies are within tol of
+    zero, and unless it is that square within 1e-7 of its scale.
+
+    A point's spinor is found once: it is stored on p once its light-cone
+    check has passed, if p's coefficients are read-only, and read back by
+    later calls.  The zero-body check runs on every call, at that call's
+    tol."""
     x1, x2 = p.x1.body, p.x2.body
     _reject(np.maximum(x1, x2) <= tol, "triple", position + " point of %s has zero body")
-    turn = np.asarray(x1 < x2)
+    found = getattr(p, "_spinor_memo", None)
+    if found is None:
+        found = _find_spinor(p, position)
+        if not p.coeffs.flags.writeable:
+            for x in found:
+                x.coeffs.flags.writeable = False
+            p._spinor_memo = found
+    return found
+
+
+def _find_spinor(p, position):
+    """`_spinor`'s value, worked out from the point: one rsqrt series of the
+    pivot, then the light-cone gap check."""
+    turn = np.asarray(p.x1.body < p.x2.body)
     # one gather over the flattened stack picks each element's rows
     rows = p.coeffs.reshape(-1, p.coeffs.shape[-1])
     picked = rows[_PIVOT_ROWS[turn.astype(int)] + 5 * np.arange(turn.size).reshape(turn.shape + (1,))]
@@ -303,6 +330,20 @@ def _spinor(p, position, tol):
     u = GrassmannNumber.wrap(p.rank, np.where(turn[..., None], other.coeffs, piv.coeffs))
     v = GrassmannNumber.wrap(p.rank, np.where(turn[..., None], piv.coeffs, other.coeffs))
     return u, v, xi
+
+
+def _turned(s):
+    """Where the spinor s = (u, v, xi) pivots on v: its square's x1 body,
+    u's body squared, is below its x2 body, v's body squared."""
+    u, v = s[0].body, s[1].body
+    return np.asarray(u * u < v * v)
+
+
+def _square(s, rank):
+    """The special light-cone point (u^2, v^2, uv, u xi, v xi) of the
+    spinor s = (u, v, xi)."""
+    u, v, xi = s
+    return SuperVector(u * u, v * v, u * v, u * xi, v * xi, rank=rank)
 
 
 def _omega(s, t):
@@ -425,26 +466,44 @@ def basic_calculation(a, b, c, d, e, sigma, rank=None):
 def far_point(a, b, c, lam_c, lam_d, lam_e, sigma, tol=1e-9):
     """basic_calculation's point D across the side (a, c) of the positive
     triple (a, b, c), in the triple's own frame: <C,D> = lam_c^2,
-    <A,D> = lam_d^2, <C,A> = lam_e^2.  D is the square of the spinor
-
-        d = (lam_d c - lam_c a) / lam_e + sqrt(sqrt2 lam_c lam_d / lam_e) sigma n
-
-    of the spinors a, c and their unit odd direction n.  On normalize_triple's
-    sheet, c is `_spinor`'s, negated when x1's body is below x2's, and
-    omega(a, c) has a negative body.  Takes stacks; a failed check (the
-    orientation, a or c off the cone, a and c dependent) names the first
-    failing element."""
+    <A,D> = lam_d^2, <C,A> = lam_e^2.  D is the square of the spinor d of
+    `_far_spinor`, built from the spinors of a and c, each worked out from
+    its point by `_spinor` (or read back from the point, if found before).
+    Takes stacks; a failed check (the orientation, a or c off the cone, a
+    and c dependent) names the first failing element."""
     det = triple_orientation(a, b, c)
     _reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
     sa = _spinor(a, "first", tol)
-    sc = _signed(_spinor(c, "third", tol), np.where(c.x1.body < c.x2.body, -1.0, 1.0))
+    sc = _spinor(c, "third", tol)
+    d = _far_spinor(sa, sc, c.x1.body < c.x2.body, lam_c, lam_d, lam_e, sigma, tol)
+    return _square(d, a.rank)
+
+
+def _far_spinor(sa, sc, c_turned, lam_c, lam_d, lam_e, sigma, tol=1e-9):
+    """The spinor of far_point's point D,
+
+        d = (lam_d c - lam_c a) / lam_e + sqrt(sqrt2 lam_c lam_d / lam_e) sigma n,
+
+    from the spinors sa, sc of the side's corners, each signed as `_spinor`
+    signs it (its pivot's body positive), and c_turned, where c's x1 body
+    is below its x2 body; n is the unit odd direction of a and c.  On
+    normalize_triple's sheet, c is sc negated where c_turned, and a is sa
+    signed so that omega(a, c) has a negative body.  The positive triple
+    itself is not checked here: far_point checks it on the points, and a
+    lift's triples are positive by construction.  Rejects a and c that are
+    dependent within tol, naming the first failing element of a stack.
+
+    Returns d signed as `_spinor` signs it, so a lift can carry it to the
+    next level (the sign leaves its square unchanged)."""
+    sc = _signed(sc, np.where(c_turned, -1.0, 1.0))
     w = _omega(sa, sc)
     _reject(np.abs(w.body) <= tol, "triple", "first and third points of %s are linearly dependent")
     *sa, w = _signed((*sa, w), -np.sign(w.body))
     e_inv = lam_e.inverse()
     k = (np.sqrt(2.0) * lam_c * lam_d * e_inv).sqrt() * sigma
     d = [(lam_d * x - lam_c * y) * e_inv + k * z for x, y, z in zip(sc, sa, _odd_direction(sa, sc, w))]
-    return SuperVector(d[0] * d[0], d[1] * d[1], d[0] * d[1], d[0] * d[2], d[1] * d[2], rank=a.rank)
+    pivot = np.where(_turned(d), d[1].body, d[0].body)
+    return _signed(d, np.where(pivot < 0, -1.0, 1.0))
 
 
 def ptolemy_even(a, b, c, d, e, sigma, theta, rank=None):

@@ -268,16 +268,6 @@ def gt(t, phi, psi, rank=None):
     )
 
 
-def exp_odd_plus(alpha, rank=None):
-    """One-parameter odd subgroup (1 0 alpha / 0 1 0 / 0 -alpha 1)."""
-    return SuperMatrix([[1, 0, alpha], [0, 1, 0], [0, -alpha, 1]], rank)
-
-
-def exp_odd_minus(alpha, rank=None):
-    """One-parameter odd subgroup (1 0 0 / 0 1 alpha / alpha 0 1)."""
-    return SuperMatrix([[1, 0, 0], [0, 1, alpha], [alpha, 0, 1]], rank)
-
-
 def random_osp(rng, rank=DEFAULT_RANK, blocks=2, odd_terms=2, scale=0.4):
     """Random member built by multiplying exact members (closure sampling)."""
     g = identity(rank)

@@ -11,6 +11,7 @@ from superteich import fatgraph_spin as fg
 from superteich import minkowski as mk
 from superteich import superlinalg as sl
 from superteich.grassmann import GrassmannNumber, random_element
+from test_minkowski import count_calls
 
 RANK = 8
 
@@ -82,7 +83,7 @@ def lift_one_by_one(coords, depth, base_vertex=0, base_side=0):
     """Oracle: the breadth-first lift, one triangle at a time."""
     graph = coords.graph
     deltas = dc.delta_coloring(graph, base_vertex)
-    points = dc._base_triangle_points(coords, base_vertex, base_side, coords.rank)
+    points, _ = dc._base_triangle(coords, base_vertex, base_side)
     triangles = [dc.LiftedTriangle(base_vertex, (0, 1, 2), 1, -1)]
     frontier = [(0, None)]
     for _ in range(depth):
@@ -115,6 +116,12 @@ def random_chart(r, graph):
     )
 
 
+def spinors_of(points):
+    """Each point's spinor as a (3, 2**rank) array, worked out from the
+    point by `minkowski._spinor`."""
+    return [np.stack([x.coeffs for x in mk._spinor(p, "first", 1e-9)]) for p in points]
+
+
 def assert_same_lift(lifted, oracle):
     points, triangles = oracle
     assert [(t.vertex, t.corners, t.delta, t.parent) for t in lifted.triangles] == [
@@ -143,23 +150,30 @@ class TestLift:
 
     def test_a_bad_triangle_of_a_level_is_named(self):
         """A level with triangles 1 and 2 as parents, where only triangle 2
-        is negatively oriented (its new corner negated): the error names
-        triangle 2 and the side, not the position within the level."""
+        has a dependent side (its new corner given the spinor of the next
+        corner): the error names triangle 2 and the side, not the position
+        within the level."""
         chart = dc.standard_chart(SPINES["theta"](), rank=RANK)
         lifted = dc.lift(chart, 1)
         points, triangles = list(lifted.points), list(lifted.triangles)
+        spinors = spinors_of(points)
         (new_corner,) = set(triangles[2].corners) - set(triangles[0].corners)
-        points[new_corner] = -points[new_corner]
+        cs = triangles[2].corners
+        j = cs.index(new_corner)
+        spinors[new_corner] = spinors[cs[(j + 1) % 3]]
         jobs = [(t, k) for t in (1, 2) for k in range(3)]
         deltas = dc.delta_coloring(chart.graph, 0)
         message = (
-            r"^cannot attach across side 0 of lifted triangle 2 \(graph vertex %d\): "
-            r"triple is not positively oriented" % triangles[2].vertex
+            r"^cannot attach across side %d of lifted triangle 2 \(graph vertex %d\): "
+            r"first and third points of triple are linearly dependent" % ((j + 2) % 3, triangles[2].vertex)
         )
         with pytest.raises(ValueError, match=message):
-            dc._attach_level(chart, deltas, points, triangles, jobs)
-        # the same six jobs attach without the negation
-        assert len(dc._attach_level(chart, deltas, list(lifted.points), list(lifted.triangles), jobs)) == 6
+            dc._attach_level(chart, deltas, points, spinors, triangles, jobs)
+        # the same six jobs attach with the points' own spinors
+        made = dc._attach_level(
+            chart, deltas, list(lifted.points), spinors_of(lifted.points), list(lifted.triangles), jobs
+        )
+        assert len(made) == 6
 
     @pytest.mark.parametrize("name", ["theta", "genus_two"])
     def test_level_at_a_time_matches_one_by_one_on_random_charts(self, name):
@@ -168,6 +182,40 @@ class TestLift:
             chart = random_chart(r, SPINES[name]())
             base = (int(r.integers(0, chart.graph.num_vertices)), int(r.integers(0, 3)))
             assert_same_lift(dc.lift(chart, 2, *base), lift_one_by_one(chart, 2, *base))
+
+
+class TestCarriedSpinors:
+    """The lift carries one spinor per point and takes no square root of a
+    point it built."""
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    def test_lift_finds_no_spinor_of_a_point(self, name, monkeypatch):
+        calls = count_calls(monkeypatch, "_spinor")
+        r = np.random.default_rng(33)
+        lifted = dc.lift(random_chart(r, SPINES[name]()), 2)
+        assert len(lifted.triangles) == 10
+        assert not calls, "_spinor calls in a depth-2 lift: %d" % len(calls)
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    def test_carried_spinors_are_the_points_own(self, name):
+        """Each carried spinor, base triangle included, equals the spinor
+        `_spinor` works out from its point, sign and all, over three levels
+        of random charts from every base slot."""
+        r = np.random.default_rng(34)
+        graph = SPINES[name]()
+        for base in itertools.product(range(graph.num_vertices), range(3)):
+            chart = random_chart(r, graph)
+            deltas = dc.delta_coloring(graph, base[0])
+            points, spinors = dc._base_triangle(chart, *base)
+            triangles = [dc.LiftedTriangle(base[0], (0, 1, 2), 1, -1)]
+            jobs = [(0, k) for k in range(3)]
+            for _ in range(3):
+                made = dc._attach_level(chart, deltas, points, spinors, triangles, jobs)
+                jobs = [(t, k) for t in made for k in range(3)][:12]
+            assert len(spinors) == len(points)
+            for carried, own, p in zip(spinors, spinors_of(points), points):
+                scale = max(1.0, float(np.abs(p.coeffs).max()))
+                assert np.abs(carried - own).max() <= 1e-12 * scale
 
 
 class TestGauge:

@@ -865,6 +865,20 @@ class TestQuadraticForm:
             for e in range(g.num_edges):
                 assert q.value_of_curves([sk.rectangle_boundary(e)]) == 0
 
+    def test_orientation_of_another_graph_size_rejected(self):
+        g, theta = fg.genus_two_spine(), fg.theta_graph()
+        om = fg.Orientation.from_bits(theta, [0, 0, 0])
+        with pytest.raises(ValueError, match="^orientation has 3 edges, the fatgraph 9$"):
+            fg.QuadraticForm(g, om)
+
+    def test_orientation_with_a_foreign_tail_rejected(self):
+        """A theta orientation on a graph of three edges paired otherwise:
+        edge 0 = (0, 3) holds theta's tail 0, edge 1 = (1, 4) not its tail 2."""
+        g = fg.Fatgraph([(0, 1, 2), (3, 4, 5)], [(0, 3), (1, 4), (2, 5)])
+        om = fg.Orientation.from_bits(fg.theta_graph(), [0, 0, 0])
+        with pytest.raises(ValueError, match="^orientation's tail 2 is not a half-edge of edge 1 of the fatgraph$"):
+            fg.QuadraticForm(g, om)
+
     def test_zero_class_is_even(self):
         g = fg.theta_graph()
         q = fg.QuadraticForm(g, fg.orientation_classes(g)[0])

@@ -386,8 +386,8 @@ def _oracle_triples(rank):
         trips.append(std)
         g = sl.smul_many(
             sl.random_osp(r, rank, blocks=2, odd_terms=0),
-            sl.exp_odd_plus(_linear_odd(r, rank, 2)),
-            sl.exp_odd_minus(_linear_odd(r, rank, 2)),
+            exp_odd_plus(_linear_odd(r, rank, 2)),
+            exp_odd_minus(_linear_odd(r, rank, 2)),
         )
         trips.append(tuple(mk.act(g, v) for v in std))
     for _ in range(2):
@@ -550,6 +550,92 @@ class TestFarPoint:
             mk.far_point(*wrong, *labels[2])
         assert str(alone.value) == err.value.reason
         assert not isinstance(alone.value, mk.ElementError)
+
+
+def count_calls(monkeypatch, name):
+    """Replace minkowski's function `name` by a wrapper that counts its
+    calls; returns the list of the points it was called on."""
+    calls = []
+    inner = getattr(mk, name)
+
+    def counted(p, *args):
+        calls.append(p)
+        return inner(p, *args)
+
+    monkeypatch.setattr(mk, name, counted)
+    return calls
+
+
+def _ptolemy_points(seed):
+    r = np.random.default_rng(seed)
+    lams = [
+        random_element(r, RANK, parity="even", terms=2, scale=0.15, body=float(r.uniform(0.6, 1.8)))
+        for _ in range(5)
+    ]
+    sigma, theta = (_linear_odd(r, RANK, 3) for _ in range(2))
+    return _slot_quadrilateral(RANK, lams, sigma, theta)
+
+
+class TestSpinorMemo:
+    """`_spinor` finds a point's spinor once and stores it on the point; the
+    zero-body check still runs on every call."""
+
+    def test_ptolemy_pair_finds_each_spinor_once(self, monkeypatch):
+        pa, pb, pc, pd = _ptolemy_points(70)
+        fresh = [mk.SuperVector.wrap(RANK, p.coeffs.copy()) for p in (pa, pb, pc, pd)]
+        found = count_calls(monkeypatch, "_find_spinor")
+        got = [mk.mu_invariant(pa, pb, pd), mk.mu_invariant(pb, pc, pd)]
+        # B and D are shared by the two triples: 4 roots, not 6
+        assert len(found) == 4
+        assert {id(p) for p in found} == {id(p) for p in (pa, pb, pc, pd)}
+        # the stored spinors give the bits of spinors worked out afresh
+        fa, fb, fc, fd = fresh
+        want = [mk.mu_invariant(fa, fb, fd), mk.mu_invariant(fb, fc, fd)]
+        for (rep, sign), (rep_w, sign_w) in zip(got, want):
+            assert sign == sign_w and np.array_equal(rep.coeffs, rep_w.coeffs)
+
+    def test_stored_spinor_is_read_only(self):
+        p = t_slot(1.7, G1)
+        first = mk._spinor(p, "first", 1e-9)
+        assert all(x is y for x, y in zip(mk._spinor(p, "third", 1e-9), first))
+        assert all(not x.coeffs.flags.writeable for x in first)
+
+    def test_memoized_point_still_hits_the_zero_body_check(self, monkeypatch):
+        # the square of the spinor (0.03, 0.02, 0)
+        p = vec(9e-4, 4e-4, 6e-4)
+        found = count_calls(monkeypatch, "_find_spinor")
+        mk._spinor(p, "first", 1e-9)
+        mk._spinor(p, "first", 1e-9)
+        assert len(found) == 1
+        with pytest.raises(ValueError, match="^first point of triple has zero body$"):
+            mk._spinor(p, "first", 1e-2)
+        a, b, _ = standard_triple(phi=G1)
+        with pytest.raises(ValueError, match="^third point of triple has zero body$"):
+            mk.far_point(a, b, p, ONE, ONE, ONE, G2, tol=1e-2)
+
+    def test_writable_point_is_not_memoized(self, monkeypatch):
+        p = t_slot(1.7, G1)
+        p.coeffs.flags.writeable = True
+        found = count_calls(monkeypatch, "_find_spinor")
+        mk._spinor(p, "first", 1e-9)
+        mk._spinor(p, "first", 1e-9)
+        assert len(found) == 2
+
+    def test_point_off_the_cone_is_rejected_on_every_call(self):
+        p = vec(0.8, 0.0, 0.0, ZERO, 0.3 * G2)
+        for position in ("first", "third"):
+            with pytest.raises(ValueError, match="^%s point of triple is not on the special light cone" % position):
+                mk._spinor(p, position, 1e-9)
+
+
+def exp_odd_plus(alpha, rank=None):
+    """One-parameter odd subgroup (1 0 alpha / 0 1 0 / 0 -alpha 1)."""
+    return sl.SuperMatrix([[1, 0, alpha], [0, 1, 0], [0, -alpha, 1]], rank)
+
+
+def exp_odd_minus(alpha, rank=None):
+    """One-parameter odd subgroup (1 0 0 / 0 1 alpha / alpha 0 1)."""
+    return sl.SuperMatrix([[1, 0, 0], [0, 1, alpha], [alpha, 0, 1]], rank)
 
 
 def prime_element(phi, rank=None):
@@ -922,8 +1008,8 @@ class TestSuperplane:
         els = [
             sl.stabilizer(0.3, 0.2 * G1, ZERO),
             sl.gt(grassmann(1.4, RANK), 0.1 * G1, 0.2 * G2),
-            sl.exp_odd_plus(0.3 * G1),
-            sl.exp_odd_minus(0.3 * G2),
+            exp_odd_plus(0.3 * G1),
+            exp_odd_minus(0.3 * G2),
             sl.random_osp(r0, RANK, blocks=2),
         ]
         for g in els:

@@ -8,7 +8,7 @@ from superteich.grassmann import GrassmannNumber, random_element
 from superteich import decorated as dc
 from superteich import minkowski as mk
 from superteich import superlinalg as sl
-from test_minkowski import draw_stack, prime_element
+from test_minkowski import draw_stack, exp_odd_minus, exp_odd_plus, prime_element
 
 RANK = 8
 
@@ -208,8 +208,8 @@ class TestMembership:
         assert sl.is_osp(sl.diag(2.0, 0.5, RANK))
         assert sl.is_osp(sl.stabilizer(r.normal(), odd(r), odd(r)))
         assert sl.is_osp(sl.gt(1.8, odd(r), odd(r)))
-        assert sl.is_osp(sl.exp_odd_plus(odd(r)))
-        assert sl.is_osp(sl.exp_odd_minus(odd(r)))
+        assert sl.is_osp(exp_odd_plus(odd(r)))
+        assert sl.is_osp(exp_odd_minus(odd(r)))
 
     def test_perturbed_member_rejected(self):
         r = rng()
@@ -392,8 +392,8 @@ RANK_CONSTRUCTORS = {
     "diag": (sl.diag, (2.0, 0.5)),
     "stabilizer": (sl.stabilizer, (0.4, 0.0, 0.0)),
     "gt": (sl.gt, (1.8, 0.0, 0.0)),
-    "exp_odd_plus": (sl.exp_odd_plus, (0.0,)),
-    "exp_odd_minus": (sl.exp_odd_minus, (0.0,)),
+    "exp_odd_plus": (exp_odd_plus, (0.0,)),
+    "exp_odd_minus": (exp_odd_minus, (0.0,)),
     "e_theta": (mk.e_theta, (0.0,)),
     "prime_element": (prime_element, (0.0,)),
     "basic_calculation": (mk.basic_calculation, (1.1, 0.9, 1.3, 0.8, 1.2, 0.0)),
