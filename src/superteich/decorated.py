@@ -11,6 +11,7 @@ import collections
 
 import numpy as np
 
+from . import _kernels
 from . import fatgraph_spin as fg
 from . import superlinalg as sl
 from .grassmann import (
@@ -21,14 +22,12 @@ from .grassmann import (
     grassmann,
     odd_derivative,
     parse_grassmann,
-    stack,
 )
 from .minkowski import (
     ElementError,
     SuperVector,
     _far_spinor,
     _square,
-    _turned,
     act,
     mu_invariant,
     normalize_triple,
@@ -382,87 +381,114 @@ class LiftedTriangulation:
         return worst
 
 
-def _base_triangle(coords, v, side):
+# The side factors of a lift, one row per (vertex, slot), row 3 v + j:
+# factors is the (3, 3V, 2**rank) array (alpha, beta, kappa), squares holds
+# k^2 and roots k, and deltas is the coloring they were made with.
+_SideFactors = collections.namedtuple("_SideFactors", "deltas factors squares roots")
+
+
+def _side_factors(coords, deltas):
+    """The side factors of every (vertex, slot) of the chart.  Crossing
+    into the triangle of vertex v over the edge of its slot j, with lam_e
+    that edge's lambda-length and lam_d, lam_c those of slots j + 1 and
+    j + 2, the new point's spinor is d = alpha c - beta a + kappa n
+    (`minkowski._far_spinor`), with alpha = lam_d / lam_e,
+    beta = lam_c / lam_e, kappa = k mu_v gauge delta_v and
+    k^2 = sqrt2 lam_c lam_d / lam_e.  They depend on the chart and the
+    delta coloring alone, so a lift makes them once: one inverse series
+    over the E lambdas, one sqrt series over the 3V values k^2, and three
+    products."""
+    graph = coords.graph
+    rank = coords.rank
+    lam = np.stack([x.coeffs for x in coords.lambdas])
+    edges = np.array([[graph.edge_of(h) for h in hs] for hs in graph.vertices])
+    e, d, c = edges.reshape(-1), edges[:, [1, 2, 0]].reshape(-1), edges[:, [2, 0, 1]].reshape(-1)
+    inv = GrassmannNumber.wrap(rank, lam).inverse().coeffs
+    factors = np.empty((3, e.size, 1 << rank))
+    factors[:2] = _kernels.multiply_coeffs(lam[[d, c]], inv[e], rank)
+    squares = ROOT2 * _kernels.multiply_coeffs(factors[1], lam[d], rank)
+    roots = GrassmannNumber.wrap(rank, squares).sqrt().coeffs
+    signs = coords.gauge * np.asarray(deltas, dtype=float)
+    sigma = np.stack([m.coeffs * sign for m, sign in zip(coords.mus, signs)])
+    factors[2] = _kernels.multiply_coeffs(roots, sigma.repeat(3, axis=0), rank)
+    return _SideFactors(deltas, factors, squares, roots)
+
+
+def _base_triangle(coords, factors, v, side):
     """Standard-position points of the base triangle with the fermion at
     the corner opposite halves[side], and their spinors in closed form:
     (0, sqrt r, 0), (sqrt t, sqrt t, sqrt t m) and (sqrt s, 0, 0), each
-    signed as `minkowski._spinor` signs it, as (3, 2**rank) arrays."""
-    graph = coords.graph
+    signed as `minkowski._spinor` signs it, as (3, 2**rank) arrays.  r, s
+    and t, and their roots, are k^2 and k of v's slots side + 1, side + 2
+    and side (`_side_factors`)."""
     rank = coords.rank
-    hs = graph.vertices[v]
-    lam = coords.lambdas
-    e = lam[graph.edge_of(hs[side])]
-    b = lam[graph.edge_of(hs[(side + 1) % 3])]
-    a = lam[graph.edge_of(hs[(side + 2) % 3])]
-    r = ROOT2 * e * a * b.inverse()
-    s = ROOT2 * b * e * a.inverse()
-    t = ROOT2 * a * b * e.inverse()
-    m = coords.mus[v] * float(coords.gauge)
-    root_r, root_s, root_t = r.sqrt(), s.sqrt(), t.sqrt()
+    r, s, t = (factors.squares[3 * v + (side + j) % 3] for j in (1, 2, 0))
+    root_r, root_s, root_t = (factors.roots[3 * v + (side + j) % 3] for j in (1, 2, 0))
+    m = coords.mus[v].coeffs * float(coords.gauge)
+    root_tm, tm = _kernels.multiply_coeffs(np.stack([root_t, t]), m, rank)
     zero = np.zeros(1 << rank)
     pts, spinors = [None] * 3, [None] * 3
-    pts[side] = SuperVector(t, t, t, t * m, t * m, rank=rank)
-    spinors[side] = np.stack([root_t.coeffs, root_t.coeffs, (root_t * m).coeffs])
-    pts[(side + 1) % 3] = SuperVector(0, r, 0, 0, 0, rank=rank)
-    spinors[(side + 1) % 3] = np.stack([zero, root_r.coeffs, zero])
-    pts[(side + 2) % 3] = SuperVector(s, 0, 0, 0, 0, rank=rank)
-    spinors[(side + 2) % 3] = np.stack([root_s.coeffs, zero, zero])
+    pts[side] = SuperVector.wrap(rank, np.stack([t, t, t, tm, tm]))
+    spinors[side] = np.stack([root_t, root_t, root_tm])
+    pts[(side + 1) % 3] = SuperVector.wrap(rank, np.stack([zero, r, zero, zero, zero]))
+    spinors[(side + 1) % 3] = np.stack([zero, root_r, zero])
+    pts[(side + 2) % 3] = SuperVector.wrap(rank, np.stack([s, zero, zero, zero, zero]))
+    spinors[(side + 2) % 3] = np.stack([root_s, zero, zero])
     return pts, spinors
 
 
-def _stacked_spinor(rank, rows):
-    """The spinor stack (u, v, xi) of a list of (3, 2**rank) spinor arrays."""
-    return tuple(GrassmannNumber.wrap(rank, x) for x in np.stack(rows, axis=1))
-
-
-def _attach_level(coords, deltas, points, spinors, triangles, jobs):
+def _attach_level(coords, factors, points, spinors, triangles, jobs):
     """Grow the lift across side k of triangle tri_idx for every (tri_idx, k)
-    in jobs, all at once, by one `minkowski._far_spinor` call on the
-    stacked spinors of the sides' corners.  spinors holds the spinor of
-    each point, as a (3, 2**rank) array signed as `minkowski._spinor` signs
-    it.  Appends the points, their spinors and the triangles in the order
-    of jobs and returns the new triangle indices."""
+    in jobs, all at once, by one `minkowski._far_spinor` call: the spinors
+    of the sides' corners travel as two (3, B, 2**rank) arrays, and the
+    side factors (`_side_factors`) of the slots crossed into are gathered
+    by index.  spinors holds the spinor of each point, as a (3, 2**rank)
+    array signed as `minkowski._spinor` signs it.  Appends the points,
+    their spinors and the triangles in the order of jobs and returns the
+    new triangle indices."""
     graph = coords.graph
-    lam = coords.lambdas
-    side_a, side_c, labels, made = [], [], [], []
+    side_a, side_c, slots, made = [], [], [], []
     for tri_idx, k in jobs:
         tri = triangles[tri_idx]
-        hs = graph.vertices[tri.vertex]
         cs = tri.corners
-        h = hs[k]
-        side_a.append(spinors[cs[(k + 1) % 3]])
-        side_c.append(spinors[cs[(k + 2) % 3]])
+        h = graph.vertices[tri.vertex][k]
         h2 = graph.partner(h)
         v2 = graph.vertex_of(h2)
-        hs2 = graph.vertices[v2]
-        j0 = hs2.index(h2)
+        j0 = graph.vertices[v2].index(h2)
         delta2 = -tri.delta
-        if deltas[v2] != delta2:
+        if factors.deltas[v2] != delta2:
             raise ValueError("delta coloring is inconsistent across edge %d" % graph.edge_of(h))
-        labels.append((
-            lam[graph.edge_of(hs2[(j0 + 2) % 3])],
-            lam[graph.edge_of(hs2[(j0 + 1) % 3])],
-            lam[graph.edge_of(h)],
-            coords.mus[v2] * float(coords.gauge * delta2),
-        ))
+        side_a.append(spinors[cs[(k + 1) % 3]])
+        side_c.append(spinors[cs[(k + 2) % 3]])
+        slots.append(3 * v2 + j0)
         corners = [0, 0, 0]
         corners[j0] = len(points) + len(made)
         corners[(j0 + 1) % 3] = cs[(k + 2) % 3]
         corners[(j0 + 2) % 3] = cs[(k + 1) % 3]
         made.append(LiftedTriangle(v2, corners, delta2, tri_idx))
-    sa, sc = _stacked_spinor(coords.rank, side_a), _stacked_spinor(coords.rank, side_c)
     try:
-        d = _far_spinor(sa, sc, _turned(sc), *(stack(col) for col in zip(*labels)))
+        d = _far_spinor(
+            np.stack(side_a, axis=1), np.stack(side_c, axis=1), factors.factors[:, slots], coords.rank
+        )
     except ElementError as err:
         tri_idx, k = jobs[err.element]
         raise ValueError(
             "cannot attach across side %d of lifted triangle %d (graph vertex %d): %s"
             % (k, tri_idx, triangles[tri_idx].vertex, err.reason)
         ) from err
-    spinors.extend(np.stack([x.coeffs for x in d], axis=1))
+    spinors.extend(d.swapaxes(0, 1))
     points.extend(SuperVector.wrap(coords.rank, c) for c in _square(d, coords.rank).coeffs)
     triangles.extend(made)
     return range(len(triangles) - len(made), len(triangles))
+
+
+def _require_index(name, value, count):
+    """Reject a value that is not an int (a bool is not), or not in
+    0..count - 1, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an int, got %r" % (name, value))
+    if not 0 <= value < count:
+        raise ValueError("%s must be in 0..%d, got %r" % (name, count - 1, value))
 
 
 def lift(coords, depth, base_vertex=0, base_side=0):
@@ -474,25 +500,34 @@ def lift(coords, depth, base_vertex=0, base_side=0):
     of a point it built: the base triangle's spinors are closed forms in
     its r, s and t, and each new point is the square of the spinor that
     `minkowski._far_spinor` returns, which is carried to the next level.
-    The triangles of one breadth-first level depend only on their parents,
-    so each level is attached at once, by one `_far_spinor` call on the
-    stacked spinors of the parents' sides (see `_attach_level`), with no
-    group element; the points and triangles come out in the order of
-    attaching them one by one, parent by parent and side by side.  The
-    spinors are not stored on the points, so a check of the lift
-    (`LiftedTriangulation.mu_residual`) works each one out from its
-    point."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    The side factors alpha, beta and kappa of that spinor depend only on
+    the chart, so they are made once per lift for every (vertex, slot)
+    (`_side_factors`), and r, s, t and their roots are among them.  The
+    triangles of one breadth-first level depend only on their parents, so
+    each level is attached at once (see `_attach_level`), as a handful of
+    products of whole (3, B, 2**rank) spinor stacks, with no group
+    element; the points and triangles come out in the order of attaching
+    them one by one, parent by parent and side by side.  The spinors are
+    not stored on the points, so a check of the lift
+    (`LiftedTriangulation.mu_residual`) works each one out from its point.
+
+    Rejects a depth that is not an int or is below 1, and a base vertex or
+    side (0, 1 or 2) that is not an index of the chart, naming the value."""
     graph = coords.graph
-    deltas = delta_coloring(graph, base_vertex)
-    points, spinors = _base_triangle(coords, base_vertex, base_side)
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
+        raise ValueError("depth must be an int, got %r" % (depth,))
+    if depth < 1:
+        raise ValueError("depth must be at least 1, got %d" % depth)
+    _require_index("base_vertex", base_vertex, graph.num_vertices)
+    _require_index("base_side", base_side, 3)
+    factors = _side_factors(coords, delta_coloring(graph, base_vertex))
+    points, spinors = _base_triangle(coords, factors, base_vertex, base_side)
     triangles = [LiftedTriangle(base_vertex, (0, 1, 2), 1, -1)]
     frontier = [(0, None)]
     for _ in range(depth):
         jobs = [(t, k) for t, parent_side in frontier for k in range(3) if k != parent_side]
         frontier = []
-        for (tri_idx, k), new_idx in zip(jobs, _attach_level(coords, deltas, points, spinors, triangles, jobs)):
+        for (tri_idx, k), new_idx in zip(jobs, _attach_level(coords, factors, points, spinors, triangles, jobs)):
             h2 = graph.partner(graph.vertices[triangles[tri_idx].vertex][k])
             frontier.append((new_idx, graph.vertices[triangles[new_idx].vertex].index(h2)))
     return LiftedTriangulation(coords, points, triangles, base_vertex, base_side)
@@ -631,8 +666,8 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
     graph = coords.graph
     if domain is None:
         domain = fundamental_domain(graph)
-    deltas = delta_coloring(graph, domain.base_vertex)
-    points, spinors = _base_triangle(coords, domain.base_vertex, 0)
+    factors = _side_factors(coords, delta_coloring(graph, domain.base_vertex))
+    points, spinors = _base_triangle(coords, factors, domain.base_vertex, 0)
     triangles = [LiftedTriangle(domain.base_vertex, (0, 1, 2), 1, -1)]
     tri_of_vertex = {domain.base_vertex: 0}
     order = sorted(
@@ -647,7 +682,7 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
             i for i, h in enumerate(hs)
             if graph.edge_of(h) == edge and graph.vertex_of(graph.partner(h)) == v
         )
-        (tri_of_vertex[v],) = _attach_level(coords, deltas, points, spinors, triangles, [(tri_idx, k)])
+        (tri_of_vertex[v],) = _attach_level(coords, factors, points, spinors, triangles, [(tri_idx, k)])
     lifted = LiftedTriangulation(coords, points, triangles, domain.base_vertex, 0)
     form = fg.QuadraticForm(graph, coords.orientation)
     elements, raw_elements, q_values, extras = {}, {}, {}, {}
@@ -658,7 +693,7 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
         t1 = tri_of_vertex[v1]
         k1 = graph.vertices[v1].index(h1)
         k2 = graph.vertices[v2].index(h2)
-        (t2,) = _attach_level(coords, deltas, points, spinors, triangles, [(tri_of_vertex[v2], k2)])
+        (t2,) = _attach_level(coords, factors, points, spinors, triangles, [(tri_of_vertex[v2], k2)])
         g1, inv1 = _normalize_slot(points, triangles, t1, k1)
         g2, inv2 = _normalize_slot(points, triangles, t2, k1)
         for x, y in zip(inv1, inv2):

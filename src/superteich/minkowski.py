@@ -23,7 +23,7 @@ Every special light-cone point is the square (u^2, v^2, uv, u xi, v xi) of
 a spinor (u, v, xi) of R^{2|1}, the defining representation of OSp(1|2),
 with invariant form omega(s,t) = u v' - v u' + xi xi' and
 <A,B> = omega(a,b)^2 / 2; act(g, A) squares the row spinor a g.
-mu_invariant and far_point read the spinors and build no group element.
+mu_invariant and `_far_spinor` read the spinors and build no group element.
 With n the unit odd direction omega-orthogonal to a and c, and
 eta = omega(n, b),
 
@@ -42,15 +42,24 @@ group element (for build_rep, and as an oracle).
 
 Where the spinors come from: `_spinor` takes the square root of a point
 (one rsqrt series, then the light-cone check) once, and stores it on the
-point.  far_point's point D is the square of the spinor d that
-`_far_spinor` builds from the spinors of the side (a, c), so a lift, which
-keeps the spinor of every point it builds, hands them to `_far_spinor`
-itself and never takes the square root of a point of its own.
+point.  A lift takes no square root of a point it built: it carries the
+spinor of every point, and `_far_spinor` builds the spinor d of the next
+point from the spinors of a side (a, c) and the side factors alpha, beta,
+kappa, as d = alpha c - beta a + kappa n; `_square` squares it.  Spinors
+travel as (3, ..., 2**rank) arrays (u, v, xi), so that one product of two
+such stacks makes a row of every spinor of a lift level at once: a level
+is a handful of whole-stack products, and the side factors, which depend
+only on the chart, are computed once per lift for every (vertex, slot)
+(see `decorated.lift`).
 
-pairing, act, triple_orientation, basic_calculation and far_point take
-stacks, (..., 5, 2**rank) arrays of points: far_point picks each spinor's
-branch per element and names the first failing element of a failed check
-("triple 1 is not positively oriented ...", an ElementError).
+mu_invariant keeps one product per term, of single elements, on purpose:
+in the ptolemy benchmark its products are of single rank-12 elements, and
+stacking them (its odd-direction check as one five-row product) ran that
+benchmark at 0.81-0.88 of its speed.
+
+pairing, act, triple_orientation and basic_calculation take stacks,
+(..., 5, 2**rank) arrays of points; a failed check names the first failing
+element of a stack ("triple 1 is not ...", an ElementError).
 """
 
 import numpy as np
@@ -332,30 +341,23 @@ def _find_spinor(p, position):
     return u, v, xi
 
 
-def _turned(s):
-    """Where the spinor s = (u, v, xi) pivots on v: its square's x1 body,
-    u's body squared, is below its x2 body, v's body squared."""
-    u, v = s[0].body, s[1].body
-    return np.asarray(u * u < v * v)
+# u u, v v, u v, u xi, v xi: the rows of a spinor's square
+_SQUARE_LEFT = [0, 1, 0, 0, 1]
+_SQUARE_RIGHT = [0, 1, 1, 2, 2]
 
 
-def _square(s, rank):
-    """The special light-cone point (u^2, v^2, uv, u xi, v xi) of the
-    spinor s = (u, v, xi)."""
-    u, v, xi = s
-    return SuperVector(u * u, v * v, u * v, u * xi, v * xi, rank=rank)
+def _square(d, rank):
+    """The special light-cone points (u^2, v^2, uv, u xi, v xi) of a stack
+    d of spinors (u, v, xi), a (3, B, 2**rank) array, made by one product
+    as a (B, 5, 2**rank) point stack."""
+    rows = d.swapaxes(0, 1)
+    return SuperVector.wrap(rank, _kernels.multiply_coeffs(rows[:, _SQUARE_LEFT], rows[:, _SQUARE_RIGHT], rank))
 
 
 def _omega(s, t):
     """The OSp(1|2)-invariant form u v' - v u' + xi xi' on spinors; the
     squares P, Q of s, t pair to <P,Q> = omega(s,t)^2 / 2."""
     return s[0] * t[1] - s[1] * t[0] + s[2] * t[2]
-
-
-def _signed(xs, sign):
-    """The Grassmann numbers xs times a sign (+-1 per batch element)."""
-    sign = np.asarray(sign)[..., None]
-    return tuple(GrassmannNumber.wrap(x.rank, x.coeffs * sign) for x in xs)
 
 
 def _odd_direction(p, r, w):
@@ -445,8 +447,9 @@ def mu_invariant(a, b, c, tol=1e-9):
 def basic_calculation(a, b, c, d, e, sigma, rank=None):
     """Fourth point of a quadrilateral from five lambda-lengths and the odd
     invariant sigma of the far triangle, in the frame where the near triangle
-    sits in standard position.  far_point is its world-frame form: the same
-    point put across a side of any positive triple, with no group element."""
+    sits in standard position.  `_far_spinor` gives its world-frame form:
+    the spinor of the same point put across a side of any positive triple,
+    with no group element."""
     rank = common_rank((a, b, c, d, e, sigma), rank)
     a, b, c, d, e, sigma = (grassmann(v, rank) for v in (a, b, c, d, e, sigma))
     chi = a * c * (d * b).inverse()
@@ -463,47 +466,53 @@ def basic_calculation(a, b, c, d, e, sigma, rank=None):
     )
 
 
-def far_point(a, b, c, lam_c, lam_d, lam_e, sigma, tol=1e-9):
-    """basic_calculation's point D across the side (a, c) of the positive
-    triple (a, b, c), in the triple's own frame: <C,D> = lam_c^2,
-    <A,D> = lam_d^2, <C,A> = lam_e^2.  D is the square of the spinor d of
-    `_far_spinor`, built from the spinors of a and c, each worked out from
-    its point by `_spinor` (or read back from the point, if found before).
-    Takes stacks; a failed check (the orientation, a or c off the cone, a
-    and c dependent) names the first failing element."""
-    det = triple_orientation(a, b, c)
-    _reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
-    sa = _spinor(a, "first", tol)
-    sc = _spinor(c, "third", tol)
-    d = _far_spinor(sa, sc, c.x1.body < c.x2.body, lam_c, lam_d, lam_e, sigma, tol)
-    return _square(d, a.rank)
+# rows of the side's spinors a and c multiplied pairwise: a_u c_v, a_v c_u
+# and a_xi c_xi, whose signed sum is omega(a, c), then a_xi c_u, a_xi c_v,
+# a_u c_xi and a_v c_xi, the numerators of the odd direction of a and c
+_SIDE_A = [0, 1, 2, 2, 2, 0, 1]
+_SIDE_C = [1, 0, 2, 0, 1, 2, 2]
 
 
-def _far_spinor(sa, sc, c_turned, lam_c, lam_d, lam_e, sigma, tol=1e-9):
-    """The spinor of far_point's point D,
+def _far_spinor(sa, sc, factors, rank, tol=1e-9):
+    """The spinor of basic_calculation's point D put across the side (a, c)
+    of a positive triple, in the triple's own frame, for a stack of sides:
 
-        d = (lam_d c - lam_c a) / lam_e + sqrt(sqrt2 lam_c lam_d / lam_e) sigma n,
+        d = alpha c - beta a + kappa n,
 
-    from the spinors sa, sc of the side's corners, each signed as `_spinor`
-    signs it (its pivot's body positive), and c_turned, where c's x1 body
-    is below its x2 body; n is the unit odd direction of a and c.  On
-    normalize_triple's sheet, c is sc negated where c_turned, and a is sa
-    signed so that omega(a, c) has a negative body.  The positive triple
-    itself is not checked here: far_point checks it on the points, and a
-    lift's triples are positive by construction.  Rejects a and c that are
-    dependent within tol, naming the first failing element of a stack.
+    with the side factors alpha = lam_d / lam_e, beta = lam_c / lam_e and
+    kappa = sqrt(sqrt2 lam_c lam_d / lam_e) sigma, where <C,D> = lam_c^2,
+    <A,D> = lam_d^2, <C,A> = lam_e^2 and sigma is the odd invariant of the
+    far triangle, and n the unit odd direction omega-orthogonal to a and c.
+
+    sa and sc are the spinors of the corners, (3, ..., 2**rank) arrays of
+    (u, v, xi) over a batch of sides (a lift level's is (3, B, 2**rank)),
+    each signed as `_spinor` signs it (its pivot's body positive), and
+    factors the array (alpha, beta, kappa) of the same shape.
+    On normalize_triple's sheet, c is sc negated where it pivots on v, and
+    a is sa signed so that omega(a, c) has a negative body; n depends on
+    neither sign.  Each step is one product over the whole stack: omega(a,
+    c) with the numerators of n, then (after one inverse series) n_u and
+    n_v, n_u n_v, and d.  The positive triple itself is not checked here:
+    a lift's triples are positive by construction.  Rejects a and c that
+    are dependent within tol, naming the first failing element.
 
     Returns d signed as `_spinor` signs it, so a lift can carry it to the
     next level (the sign leaves its square unchanged)."""
-    sc = _signed(sc, np.where(c_turned, -1.0, 1.0))
-    w = _omega(sa, sc)
-    _reject(np.abs(w.body) <= tol, "triple", "first and third points of %s are linearly dependent")
-    *sa, w = _signed((*sa, w), -np.sign(w.body))
-    e_inv = lam_e.inverse()
-    k = (np.sqrt(2.0) * lam_c * lam_d * e_inv).sqrt() * sigma
-    d = [(lam_d * x - lam_c * y) * e_inv + k * z for x, y, z in zip(sc, sa, _odd_direction(sa, sc, w))]
-    pivot = np.where(_turned(d), d[1].body, d[0].body)
-    return _signed(d, np.where(pivot < 0, -1.0, 1.0))
+    c = sc * np.where(np.abs(sc[0, ..., :1]) < np.abs(sc[1, ..., :1]), -1.0, 1.0)
+    q = _kernels.multiply_coeffs(sa[_SIDE_A], c[_SIDE_C], rank)
+    # u v' - v u', the body of omega(a, c), as xi_a xi_c has none
+    det = q[0] - q[1]
+    _reject(np.abs(det[..., 0]) <= tol, "triple", "first and third points of %s are linearly dependent")
+    n = np.empty_like(sc)
+    numerators = np.stack([q[3] - q[5], q[4] - q[6]])
+    n[:2] = _kernels.multiply_coeffs(numerators, GrassmannNumber.wrap(rank, det).inverse().coeffs, rank)
+    # n = (n_u, n_v, 1 + n_u n_v), as in _odd_direction
+    n[2] = _kernels.multiply_coeffs(n[0], n[1], rank)
+    n[2, ..., 0] += 1.0
+    terms = np.stack([c, sa * np.sign(det[..., :1]), n])
+    d = _kernels.multiply_coeffs(factors[:, None], terms, rank).sum(axis=0)
+    pivot = np.where(np.abs(d[0, ..., :1]) < np.abs(d[1, ..., :1]), d[1, ..., :1], d[0, ..., :1])
+    return d * np.where(pivot < 0, -1.0, 1.0)
 
 
 def ptolemy_even(a, b, c, d, e, sigma, theta, rank=None):

@@ -1,6 +1,7 @@
 """The batch axis: a stack computed at once equals its elements computed one
-by one, through the product kernels, the series and the action.  (`far_point`
-over a stack is tested in test_minkowski.py.)"""
+by one, through the product kernels, the series and the action.
+(`minkowski._far_spinor` over a stack is tested in test_minkowski.py,
+through its oracle `far_point`.)"""
 
 import numpy as np
 import pytest

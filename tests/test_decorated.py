@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from superteich import _kernels
 from superteich import decorated as dc
 from superteich import fatgraph_spin as fg
 from superteich import minkowski as mk
@@ -83,7 +84,7 @@ def lift_one_by_one(coords, depth, base_vertex=0, base_side=0):
     """Oracle: the breadth-first lift, one triangle at a time."""
     graph = coords.graph
     deltas = dc.delta_coloring(graph, base_vertex)
-    points, _ = dc._base_triangle(coords, base_vertex, base_side)
+    points, _ = dc._base_triangle(coords, dc._side_factors(coords, deltas), base_vertex, base_side)
     triangles = [dc.LiftedTriangle(base_vertex, (0, 1, 2), 1, -1)]
     frontier = [(0, None)]
     for _ in range(depth):
@@ -99,12 +100,13 @@ def lift_one_by_one(coords, depth, base_vertex=0, base_side=0):
     return points, triangles
 
 
-def random_chart(r, graph):
-    """Rank-8 chart: lambdas with a positive body and at most one even soul
-    term, mus of one or two odd monomials, random orientation and gauge."""
+def random_chart(r, graph, bodies=(0.7, 1.6)):
+    """Rank-8 chart: lambdas with a body uniform in bodies and at most one
+    even soul term, mus of one or two odd monomials, random orientation and
+    gauge."""
     lambdas = [
         random_element(r, RANK, parity="even", terms=int(r.integers(0, 2)), scale=0.15,
-                       body=float(r.uniform(0.7, 1.6)))
+                       body=float(r.uniform(*bodies)))
         for _ in range(graph.num_edges)
     ]
     mus = [random_element(r, RANK, parity="odd", terms=int(r.integers(1, 3)), scale=0.5)
@@ -122,14 +124,19 @@ def spinors_of(points):
     return [np.stack([x.coeffs for x in mk._spinor(p, "first", 1e-9)]) for p in points]
 
 
-def assert_same_lift(lifted, oracle):
+def assert_same_lift(lifted, oracle, lift_scale=False):
+    """The lift equals the oracle's: the same triangles, and each point
+    within 1e-12 of its own scale, or with lift_scale of the largest
+    coefficient of the whole oracle lift."""
     points, triangles = oracle
     assert [(t.vertex, t.corners, t.delta, t.parent) for t in lifted.triangles] == [
         (t.vertex, t.corners, t.delta, t.parent) for t in triangles
     ]
     assert len(lifted.points) == len(points)
+    whole = max(1.0, max(float(np.abs(q.coeffs).max()) for q in points))
     for p, q in zip(lifted.points, points):
-        assert p.max_coeff_diff(q) <= 1e-12 * max(1.0, float(np.abs(q.coeffs).max()))
+        scale = whole if lift_scale else max(1.0, float(np.abs(q.coeffs).max()))
+        assert p.max_coeff_diff(q) <= 1e-12 * scale
 
 
 class TestLift:
@@ -162,16 +169,16 @@ class TestLift:
         j = cs.index(new_corner)
         spinors[new_corner] = spinors[cs[(j + 1) % 3]]
         jobs = [(t, k) for t in (1, 2) for k in range(3)]
-        deltas = dc.delta_coloring(chart.graph, 0)
+        factors = dc._side_factors(chart, dc.delta_coloring(chart.graph, 0))
         message = (
             r"^cannot attach across side %d of lifted triangle 2 \(graph vertex %d\): "
             r"first and third points of triple are linearly dependent" % ((j + 2) % 3, triangles[2].vertex)
         )
         with pytest.raises(ValueError, match=message):
-            dc._attach_level(chart, deltas, points, spinors, triangles, jobs)
+            dc._attach_level(chart, factors, points, spinors, triangles, jobs)
         # the same six jobs attach with the points' own spinors
         made = dc._attach_level(
-            chart, deltas, list(lifted.points), spinors_of(lifted.points), list(lifted.triangles), jobs
+            chart, factors, list(lifted.points), spinors_of(lifted.points), list(lifted.triangles), jobs
         )
         assert len(made) == 6
 
@@ -182,6 +189,62 @@ class TestLift:
             chart = random_chart(r, SPINES[name]())
             base = (int(r.integers(0, chart.graph.num_vertices)), int(r.integers(0, 3)))
             assert_same_lift(dc.lift(chart, 2, *base), lift_one_by_one(chart, 2, *base))
+
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    def test_depth_three_matches_one_by_one_from_every_slot_on_wide_lambdas(self, name):
+        """The side factors against the one-by-one oracle: lambda bodies in
+        [0.4, 2.5], three levels, every base slot.  The oracle carries each
+        point back from standard position with a group element built from
+        its parent triple, so its rounding is set by the largest point of
+        the lift (points reach 3.5e3 here), and the gap is measured at that
+        scale."""
+        r = np.random.default_rng(35)
+        graph = SPINES[name]()
+        for base in itertools.product(range(graph.num_vertices), range(3)):
+            chart = random_chart(r, graph, bodies=(0.4, 2.5))
+            assert_same_lift(dc.lift(chart, 3, *base), lift_one_by_one(chart, 3, *base), lift_scale=True)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1, 0, -1), r"^base_side must be in 0\.\.2, got -1$"),
+            ((1, 0, 3), r"^base_side must be in 0\.\.2, got 3$"),
+            ((1, 0, True), r"^base_side must be an int, got True$"),
+            ((1, -1, 0), r"^base_vertex must be in 0\.\.1, got -1$"),
+            ((1, 2, 0), r"^base_vertex must be in 0\.\.1, got 2$"),
+            ((1, True, 0), r"^base_vertex must be an int, got True$"),
+            ((1, 0.0, 0), r"^base_vertex must be an int, got 0\.0$"),
+            ((2.0, 0, 0), r"^depth must be an int, got 2\.0$"),
+            ((True, 0, 0), r"^depth must be an int, got True$"),
+            ((0, 0, 0), r"^depth must be at least 1, got 0$"),
+        ],
+    )
+    def test_malformed_depth_or_base_is_rejected_naming_the_value(self, args, message):
+        chart = dc.standard_chart(SPINES["theta"](), rank=RANK)
+        with pytest.raises(ValueError, match=message):
+            dc.lift(chart, *args)
+
+    def test_numpy_integers_are_accepted(self):
+        chart = dc.standard_chart(SPINES["theta"](), rank=RANK)
+        lifted = dc.lift(chart, np.int64(1), np.int64(1), np.int64(2))
+        assert_same_lift(lifted, lift_one_by_one(chart, 1, 1, 2))
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    def test_depth_two_lift_makes_at_most_36_products(self, name, monkeypatch):
+        """A lift level is a few whole-stack products and the side factors
+        are made once per lift: a depth-2 lift makes at most 36 products."""
+        calls = []
+        inner = _kernels.multiply_coeffs
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(_kernels, "multiply_coeffs", counted)
+        lifted = dc.lift(random_chart(np.random.default_rng(36), SPINES[name]()), 2)
+        assert len(lifted.triangles) == 10
+        assert len(calls) <= 36, "products in a depth-2 lift: %d" % len(calls)
 
 
 class TestCarriedSpinors:
@@ -205,12 +268,12 @@ class TestCarriedSpinors:
         graph = SPINES[name]()
         for base in itertools.product(range(graph.num_vertices), range(3)):
             chart = random_chart(r, graph)
-            deltas = dc.delta_coloring(graph, base[0])
-            points, spinors = dc._base_triangle(chart, *base)
+            factors = dc._side_factors(chart, dc.delta_coloring(graph, base[0]))
+            points, spinors = dc._base_triangle(chart, factors, *base)
             triangles = [dc.LiftedTriangle(base[0], (0, 1, 2), 1, -1)]
             jobs = [(0, k) for k in range(3)]
             for _ in range(3):
-                made = dc._attach_level(chart, deltas, points, spinors, triangles, jobs)
+                made = dc._attach_level(chart, factors, points, spinors, triangles, jobs)
                 jobs = [(t, k) for t in made for k in range(3)][:12]
             assert len(spinors) == len(points)
             for carried, own, p in zip(spinors, spinors_of(points), points):
