@@ -3,10 +3,9 @@
 Modules:
   grassmann     finite-rank Grassmann algebra arithmetic
   superlinalg   (2|1)x(2|1) supermatrices and OSp(1|2)
-  minkowski     super Minkowski space, orbit normal forms, lambda/mu invariants
+  minkowski     super Minkowski space, spinors, standard position, lambda/mu invariants
   fatgraph_spin trivalent fatgraphs, orientation classes, spin structures
   decorated     coordinate charts, super Ptolemy flips, lifts, representations
-  cli           command-line interface
 """
 
 from .grassmann import GrassmannNumber

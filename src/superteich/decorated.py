@@ -27,10 +27,10 @@ from .minkowski import (
     ElementError,
     SuperVector,
     _far_spinor,
+    _spinor_frame,
     _square,
     act,
     mu_invariant,
-    normalize_triple,
     pairing,
     ptolemy_even,
     ptolemy_odd,
@@ -260,7 +260,9 @@ def flip_coords(coords, e):
 
 def delta_coloring(graph, base_vertex=0):
     """Alternating triangle signs: +1 at the base, flipping across every
-    edge.  Raises when the fatgraph is not bipartite."""
+    edge.  Raises when the fatgraph is not bipartite, or the base vertex is
+    not one of its vertices."""
+    _require_index("base_vertex", base_vertex, graph.num_vertices)
     colors = [0] * graph.num_vertices
     colors[base_vertex] = 1
     queue = collections.deque([base_vertex])
@@ -518,7 +520,6 @@ def lift(coords, depth, base_vertex=0, base_side=0):
         raise ValueError("depth must be an int, got %r" % (depth,))
     if depth < 1:
         raise ValueError("depth must be at least 1, got %d" % depth)
-    _require_index("base_vertex", base_vertex, graph.num_vertices)
     _require_index("base_side", base_side, 3)
     factors = _side_factors(coords, delta_coloring(graph, base_vertex))
     points, spinors = _base_triangle(coords, factors, base_vertex, base_side)
@@ -551,7 +552,9 @@ class FundamentalDomain:
 
 def fundamental_domain(graph, base_vertex=0):
     """Breadth-first spanning tree rooted at the base vertex; parents maps
-    each vertex to (parent vertex, connecting edge)."""
+    each vertex to (parent vertex, connecting edge).  Rejects a base vertex
+    that is not one of the fatgraph's vertices."""
+    _require_index("base_vertex", base_vertex, graph.num_vertices)
     parents = {base_vertex: (None, None)}
     tree = []
     queue = collections.deque([base_vertex])
@@ -589,11 +592,13 @@ def _tree_path_vector(graph, domain, v1, v2):
     return vec
 
 
-def _normalize_slot(points, triangles, tri_idx, k):
+def _normalize_slot(spinors, triangles, tri_idx, k, rank):
     """Frame carrying a lifted triangle to standard position with the
-    fermion opposite its k-th half-edge; returns (frame, invariants)."""
+    fermion opposite its k-th half-edge, from the spinors the lift carries
+    (`minkowski._spinor_frame`); returns (frame, invariants)."""
     cs = triangles[tri_idx].corners
-    g, r, s, t, phi = normalize_triple(points[cs[(k + 1) % 3]], points[cs[k]], points[cs[(k + 2) % 3]])
+    sa, sb, sc = ([GrassmannNumber.wrap(rank, x) for x in spinors[cs[(k + j) % 3]]] for j in (1, 0, 2))
+    g, r, s, t, phi = _spinor_frame(sa, sb, sc)
     return g, (r, s, t, phi)
 
 
@@ -694,8 +699,8 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
         k1 = graph.vertices[v1].index(h1)
         k2 = graph.vertices[v2].index(h2)
         (t2,) = _attach_level(coords, factors, points, spinors, triangles, [(tri_of_vertex[v2], k2)])
-        g1, inv1 = _normalize_slot(points, triangles, t1, k1)
-        g2, inv2 = _normalize_slot(points, triangles, t2, k1)
+        g1, inv1 = _normalize_slot(spinors, triangles, t1, k1, coords.rank)
+        g2, inv2 = _normalize_slot(spinors, triangles, t2, k1, coords.rank)
         for x, y in zip(inv1, inv2):
             if (x - y).max_abs() > 1e-6:
                 raise ValueError(

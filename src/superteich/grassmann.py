@@ -4,8 +4,8 @@ An element of the rank-N algebra is stored as a dense vector of 2**N real
 coefficients, one per subset of the generators; bit k of the index encodes
 generator k+1.  The empty subset's coefficient is the body, everything else
 is the soul.  Odd generators anticommute and square to zero, so the soul is
-nilpotent, and inverse, sqrt, rsqrt and fourth_root are one finite binomial
-series, x**alpha for alpha = -1, 1/2, -1/2 and 1/4.
+nilpotent, and inverse, sqrt and rsqrt are one finite binomial series,
+x**alpha for alpha = -1, 1/2 and -1/2.
 
 All public arithmetic rejects mixed ranks instead of promoting.  Equality is
 coefficientwise within a configurable tolerance (default 1e-9) because the
@@ -381,12 +381,6 @@ def grassmann(value, rank=DEFAULT_RANK):
     if isinstance(value, GrassmannNumber):
         return value
     return GrassmannNumber.scalar(float(value), rank)
-
-
-def fourth_root(a):
-    """x**(1/4) with positive body, in one series; the domain of sqrt."""
-    a._even_root_check("fourth_root")
-    return a._power_series(0.25)
 
 
 def odd_derivative(a, i):

@@ -23,7 +23,10 @@ Every special light-cone point is the square (u^2, v^2, uv, u xi, v xi) of
 a spinor (u, v, xi) of R^{2|1}, the defining representation of OSp(1|2),
 with invariant form omega(s,t) = u v' - v u' + xi xi' and
 <A,B> = omega(a,b)^2 / 2; act(g, A) squares the row spinor a g.
-mu_invariant and `_far_spinor` read the spinors and build no group element.
+mu_invariant and `_far_spinor` read the spinors and build no group element;
+normalize_triple's element is the inverse of the frame of the three
+spinors (`_spinor_frame`), whose rows are the spinors of the standard
+basis carried to the triple.
 With n the unit odd direction omega-orthogonal to a and c, and
 eta = omega(n, b),
 
@@ -37,8 +40,7 @@ closed form, the same for each cyclic rotation of (a, b, c),
          / sqrt(omega(a,b) omega(b,c) omega(c,a)),
 
 which mu_invariant evaluates, reporting the sign of the value for the
-order of the points given.  normalize_point and normalize_triple build the
-group element (for build_rep, and as an oracle).
+order of the points given.
 
 Where the spinors come from: `_spinor` takes the square root of a point
 (one rsqrt series, then the light-cone check) once, and stores it on the
@@ -71,7 +73,6 @@ from .grassmann import (
     GrassmannNumber,
     canonicalize_sign,
     common_rank,
-    fourth_root,
     grassmann,
     format_grassmann,
     parse_grassmann,
@@ -188,7 +189,7 @@ def fermion_label(a, tol=1e-9):
     return canonicalize_sign(raw)
 
 
-# -- orbit normal forms -------------------------------------------------------
+# -- standard position from spinors --------------------------------------------
 
 
 class ElementError(ValueError):
@@ -215,37 +216,6 @@ def _reject(bad, noun, message, *values):
     raise ElementError(message % (("%s %d" % (noun, k),) + values), k, message % ((noun,) + values))
 
 
-def normalize_point(a, tol=1e-9):
-    """Group element g and odd theta with act(g, a) = (1,0,0,0,theta).
-
-    Constructive: rotate x1/x2 if needed, shear y positive, equalize x1 = x2
-    by a diagonal, finish with the t(1,1,1+phi psi,phi,psi) transporter.
-    """
-    rank = a.rank
-    steps = []
-    b = a
-    if b.x1.body < b.x2.body:
-        r = sl.rotate90(rank)
-        steps.append(r)
-        b = act(r, b)
-    _reject(b.x1.body <= tol, "light-cone point", "degenerate %s (zero body)")
-    shear = (1.0 + abs(b.y.body)) / b.x1.body
-    u = sl.upper_shear(shear, rank)
-    steps.append(u)
-    b = act(u, b)
-    p = fourth_root(b.x2 * b.x1.inverse())
-    d = sl.diag(p, p.inverse())
-    steps.append(d)
-    b = act(d, b)
-    t = b.x1
-    tinv = t.inverse()
-    g_t = sl.gt(t, b.phi * tinv, b.theta * tinv)
-    steps.append(g_t)
-    g = sl.smul_many(*steps)
-    out = act(g, a)
-    return g, out.theta
-
-
 def triple_orientation(a, b, c):
     """Determinant of the bosonic bodies; positive for a positive triple
     (an array over the batch of stacked triples)."""
@@ -258,31 +228,70 @@ def normalize_triple(a, b, c, tol=1e-9):
     points.
 
     Returns (g, r, s, t, phi) with act(g,a) = r(0,1,0,0,0),
-    act(g,b) = t(1,1,1,phi,phi), act(g,c) = s(1,0,0,0,0); deterministic, so
-    the other lift of the same triple is obtained by the fermionic reflection.
+    act(g,b) = t(1,1,1,phi,phi), act(g,c) = s(1,0,0,0,0): the orientation
+    check, then the spinors of the three points (`_spinor`) and their frame
+    (`_spinor_frame`).  Deterministic, so the other lift of the same triple
+    is obtained by the fermionic reflection.
     """
     det = triple_orientation(a, b, c)
     _reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
-    for p, position in zip((a, b, c), _POSITIONS):
-        _spinor(p, position, tol)
-    g1, _ = normalize_point(c, tol)
-    a1 = act(g1, a)
-    _reject(abs(a1.x2.body) <= tol, "triple", "%s is not linearly independent")
-    x2inv = a1.x2.inverse()
-    g2 = sl.stabilizer(-(a1.y * x2inv), -(x2inv * a1.theta), GrassmannNumber(a.rank))
-    g12 = sl.smul(g1, g2)
-    b2 = act(g12, b)
+    sa, sb, sc = (_spinor(p, position, tol) for p, position in zip((a, b, c), _POSITIONS))
+    return _spinor_frame(sa, sb, sc, tol)
+
+
+def _spinor_frame(sa, sb, sc, tol=1e-9):
+    """normalize_triple's (g, r, s, t, phi) from the spinors (u, v, xi) of
+    the triple's points, each signed as `_spinor` signs it.
+
+    On the sheet of `_far_spinor` (c is sc negated where its |u| is below
+    its |v|, where it pivots on v; a is sa signed so that omega(a, c) has a
+    negative body) with b signed so that omega(c, b) has a positive body,
+    the standard position has the
+    spinors a = (0, sqrt r, 0), b = sqrt t (1, 1, phi), c = (sqrt s, 0, 0).
+    With w_xy = omega(x, y), which the group keeps, and n the unit odd
+    direction omega-orthogonal to a and c, this gives
+
+        t = w_cb w_ba / w_ca,  s = w_ca w_cb / w_ba,  r = w_ba w_ca / w_cb,
+        phi = omega(n, b) / sqrt t,
+
+    and the frame F with the rows c / sqrt s, a / sqrt r and
+    (-n_u, -n_v, 1 + n_u n_v), which carries the standard spinors to a, b
+    and c (act(F, P) squares the row spinor of P times F); g = F^-1.
+
+    Rejects a and c when w_ca^2 is within tol ("not linearly independent"),
+    a middle point when w_cb^2 or (w_ba / w_ca)^2 is within tol, its x2 and
+    x1 once c and a are put on the axes ("degenerates"), and one with a
+    y-body of at most 0 in standard position, the body of t ("not
+    positive").
+
+    c's sheet is read off its spinor: where its |u| and |v| agree to
+    rounding (x1 = x2), it may differ from a sheet read off the point's
+    x1 < x2, which negates phi and multiplies g by the fermionic
+    reflection."""
+    c = _signed(sc, -1.0 if abs(sc[0].body) < abs(sc[1].body) else 1.0)
+    w = _omega(sa, c)
+    _reject(w.body**2 <= tol, "triple", "%s is not linearly independent")
+    sign_a = -np.sign(w.body)
+    a, w_ca = _signed(sa, sign_a), w * -sign_a
+    w_cb, w_ba = _omega(c, sb), _omega(sb, a)
     _reject(
-        (b2.x1.body <= tol) | (b2.x2.body <= tol),
+        (w_cb.body**2 <= tol) | ((w_ba.body / w_ca.body) ** 2 <= tol),
         "triple", "middle point of %s degenerates under normalization",
     )
-    p = fourth_root(b2.x2 * b2.x1.inverse())
-    g = sl.smul(g12, sl.diag(p, p.inverse()))
-    af, bf, cf = act(g, a), act(g, b), act(g, c)
-    _reject(bf.y.body <= 0, "triple", "%s is not positive (middle y-body %g)", bf.y.body)
-    t = bf.x1
-    phi = bf.phi * t.inverse()
-    return g, af.x2, cf.x1, t, phi
+    sign_b = np.sign(w_cb.body)
+    b, w_cb, w_ba = _signed(sb, sign_b), w_cb * sign_b, w_ba * sign_b
+    t = w_cb * w_ba * w_ca.inverse()
+    _reject(t.body <= 0, "triple", "%s is not positive (middle y-body %g)", t.body)
+    s = w_ca * w_cb * w_ba.inverse()
+    r = w_ba * w_ca * w_cb.inverse()
+    n_u, n_v, n_w = _odd_direction(a, c, -w_ca)
+    s_rsqrt, r_rsqrt = s.rsqrt(), r.rsqrt()
+    frame = sl.SuperMatrix([[x * s_rsqrt for x in c], [x * r_rsqrt for x in a], [-n_u, -n_v, n_w]])
+    return sl.inverse_osp(frame), r, s, t, _omega((n_u, n_v, n_w), b) * t.rsqrt()
+
+
+def _signed(spinor, sign):
+    return [x * sign for x in spinor]
 
 
 _POSITIONS = ("first", "second", "third")
@@ -407,8 +416,9 @@ def mu_invariant(a, b, c, tol=1e-9):
     formula of the rotation (a, b, c); a mismatch raises ValueError.
 
     Returns (representative, sign) with the value sign * representative.
-    sign need not be the sign of normalize_triple's phi; reflecting all
-    three points flips it.
+    The value is normalize_triple's phi times the signs that put the three
+    spinors on its sheet (`_spinor_frame`), so the two may differ in sign;
+    reflecting all three points flips both.
     """
     spinors = [_spinor(p, pos, tol) for p, pos in zip((a, b, c), _POSITIONS)]
     # d and omega over the pairs (a,b), (b,c), (c,a), which a cyclic

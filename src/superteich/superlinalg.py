@@ -249,25 +249,6 @@ def stabilizer(c, beta, theta, rank=None):
     )
 
 
-def gt(t, phi, psi, rank=None):
-    """The normal-form transporter: maps t(1,1,1+phi psi, phi, psi) to e_theta.
-
-    Rows: (0, -sqrt(t), 0 / 1/sqrt(t), sqrt(t)(1+phi psi), -psi / 0, sqrt(t) psi, 1).
-    """
-    rank = common_rank((t, phi, psi), rank)
-    t, phi, psi = (grassmann(v, rank) for v in (t, phi, psi))
-    r = t.rsqrt()
-    rt = t * r
-    return SuperMatrix(
-        [
-            [0, -rt, 0],
-            [r, rt * (1 + phi * psi), -psi],
-            [0, rt * psi, 1],
-        ],
-        rank,
-    )
-
-
 def random_osp(rng, rank=DEFAULT_RANK, blocks=2, odd_terms=2, scale=0.4):
     """Random member built by multiplying exact members (closure sampling)."""
     g = identity(rank)

@@ -12,7 +12,7 @@ from superteich import fatgraph_spin as fg
 from superteich import minkowski as mk
 from superteich import superlinalg as sl
 from superteich.grassmann import GrassmannNumber, random_element
-from test_minkowski import count_calls
+from test_minkowski import count_calls, normalize_triple_chain
 
 RANK = 8
 
@@ -124,19 +124,16 @@ def spinors_of(points):
     return [np.stack([x.coeffs for x in mk._spinor(p, "first", 1e-9)]) for p in points]
 
 
-def assert_same_lift(lifted, oracle, lift_scale=False):
+def assert_same_lift(lifted, oracle):
     """The lift equals the oracle's: the same triangles, and each point
-    within 1e-12 of its own scale, or with lift_scale of the largest
-    coefficient of the whole oracle lift."""
+    within 1e-12 of its own scale."""
     points, triangles = oracle
     assert [(t.vertex, t.corners, t.delta, t.parent) for t in lifted.triangles] == [
         (t.vertex, t.corners, t.delta, t.parent) for t in triangles
     ]
     assert len(lifted.points) == len(points)
-    whole = max(1.0, max(float(np.abs(q.coeffs).max()) for q in points))
     for p, q in zip(lifted.points, points):
-        scale = whole if lift_scale else max(1.0, float(np.abs(q.coeffs).max()))
-        assert p.max_coeff_diff(q) <= 1e-12 * scale
+        assert p.max_coeff_diff(q) <= 1e-12 * max(1.0, float(np.abs(q.coeffs).max()))
 
 
 class TestLift:
@@ -194,16 +191,15 @@ class TestLift:
     @pytest.mark.parametrize("name", ["theta", "genus_two"])
     def test_depth_three_matches_one_by_one_from_every_slot_on_wide_lambdas(self, name):
         """The side factors against the one-by-one oracle: lambda bodies in
-        [0.4, 2.5], three levels, every base slot.  The oracle carries each
-        point back from standard position with a group element built from
-        its parent triple, so its rounding is set by the largest point of
-        the lift (points reach 3.5e3 here), and the gap is measured at that
-        scale."""
+        [0.4, 2.5], three levels, every base slot, with points up to 3.5e3.
+        The oracle carries each point back from standard position by the
+        inverse of its parent triple's spinor frame, so each point is
+        compared at its own scale."""
         r = np.random.default_rng(35)
         graph = SPINES[name]()
         for base in itertools.product(range(graph.num_vertices), range(3)):
             chart = random_chart(r, graph, bodies=(0.4, 2.5))
-            assert_same_lift(dc.lift(chart, 3, *base), lift_one_by_one(chart, 3, *base), lift_scale=True)
+            assert_same_lift(dc.lift(chart, 3, *base), lift_one_by_one(chart, 3, *base))
 
     @pytest.mark.parametrize(
         "args, message",
@@ -279,6 +275,84 @@ class TestCarriedSpinors:
             for carried, own, p in zip(spinors, spinors_of(points), points):
                 scale = max(1.0, float(np.abs(p.coeffs).max()))
                 assert np.abs(carried - own).max() <= 1e-12 * scale
+
+
+class TestStandardPosition:
+    """normalize_triple on the triangles of a lift, and the frames build_rep
+    makes from the spinors the lift carries."""
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    def test_lift_triangles_match_the_chain(self, name):
+        """Every slot of every triangle of a depth-3 lift with lambda bodies
+        in [0.4, 2.5] (points up to about 1.4e3): the spinor frame agrees
+        with the step-by-step standard position within 1e-11 of the
+        triple's largest coefficient.  The chain acts on the points six
+        times, and its rounding grows with them."""
+        lifted = dc.lift(random_chart(np.random.default_rng(37), SPINES[name](), bodies=(0.4, 2.5)), 3)
+        for tri in lifted.triangles:
+            for k in range(3):
+                trip = [lifted.points[tri.corners[(k + j) % 3]] for j in (1, 0, 2)]
+                scale = max(1.0, max(float(np.abs(p.coeffs).max()) for p in trip))
+                for x, y in zip(mk.normalize_triple(*trip), normalize_triple_chain(*trip)):
+                    assert np.abs(x.coeffs - y.coeffs).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    def test_frames_from_carried_spinors_are_normalize_triples(self, name):
+        """`_normalize_slot` reads the spinors the lift carries.  Its r, s
+        and t are normalize_triple's on the points; so are g and phi, except
+        that where the third point's x1 and x2 agree to rounding, the two
+        may take c on opposite sheets (which of u, v is the pivot is then a
+        coin toss), and the frame differs by the fermionic reflection."""
+        chart = random_chart(np.random.default_rng(38), SPINES[name](), bodies=(0.4, 2.5))
+        factors = dc._side_factors(chart, dc.delta_coloring(chart.graph, 0))
+        points, spinors = dc._base_triangle(chart, factors, 0, 0)
+        triangles = [dc.LiftedTriangle(0, (0, 1, 2), 1, -1)]
+        # every side of every triangle, so that some attach back across
+        # their parent's side, onto near copies of the base t-slot point
+        jobs = [(0, k) for k in range(3)]
+        for _ in range(3):
+            jobs = [(t, k) for t in dc._attach_level(chart, factors, points, spinors, triangles, jobs) for k in range(3)]
+        reflected = 0
+        for tri_idx, tri in enumerate(triangles):
+            for k in range(3):
+                g, (rr, ss, tt, phi) = dc._normalize_slot(spinors, triangles, tri_idx, k, RANK)
+                trip = [points[tri.corners[(k + j) % 3]] for j in (1, 0, 2)]
+                want = mk.normalize_triple(*trip)
+                scale = max(1.0, max(float(np.abs(p.coeffs).max()) for p in trip))
+
+                def close(x, y):
+                    return np.abs(x.coeffs - y.coeffs).max() <= 1e-12 * scale
+
+                assert all(close(x, y) for x, y in zip((rr, ss, tt), want[1:4]))
+                if close(g, want[0]) and close(phi, want[4]):
+                    continue
+                c = trip[2]
+                assert abs(c.x1.body - c.x2.body) <= 1e-12 * scale
+                assert close(g, sl.smul(want[0], sl.fermionic_reflection(RANK))) and close(phi, -want[4])
+                reflected += 1
+        assert reflected <= 3, "reflected frames: %d" % reflected
+
+
+class TestBaseVertex:
+    """delta_coloring and fundamental_domain take a vertex of the fatgraph
+    as the base, and name any other value."""
+
+    BAD = [
+        (-1, r"^base_vertex must be in 0\.\.1, got -1$"),
+        (2, r"^base_vertex must be in 0\.\.1, got 2$"),
+        (True, r"^base_vertex must be an int, got True$"),
+        (0.0, r"^base_vertex must be an int, got 0\.0$"),
+    ]
+
+    @pytest.mark.parametrize("value, message", BAD)
+    def test_delta_coloring_rejects_a_bad_base(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            dc.delta_coloring(fg.theta_graph(), value)
+
+    @pytest.mark.parametrize("value, message", BAD)
+    def test_fundamental_domain_rejects_a_bad_base(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            dc.fundamental_domain(fg.theta_graph(), value)
 
 
 class TestGauge:

@@ -1,11 +1,12 @@
-"""Super Minkowski points: pairing, action, orbit normal forms, Ptolemy moves."""
+"""Super Minkowski points: pairing, action, standard position, Ptolemy moves."""
 
 import numpy as np
 import pytest
 
-from superteich.grassmann import GrassmannNumber, canonicalize_sign, fourth_root, grassmann, random_element, stack
+from superteich.grassmann import GrassmannNumber, canonicalize_sign, common_rank, grassmann, random_element, stack
 from superteich import superlinalg as sl
 from superteich import minkowski as mk
+from test_grassmann import fourth_root
 
 RANK = 8
 
@@ -153,9 +154,79 @@ class TestFermionLabel:
             mk.fermion_label(vec(0, 0, 0, G1, G2))
 
 
+# -- the step-by-step standard position: an oracle for the spinor frame -------
+
+
+def gt(t, phi, psi, rank=None):
+    """The normal-form transporter: maps t(1,1,1+phi psi, phi, psi) to e_theta.
+
+    Rows: (0, -sqrt(t), 0 / 1/sqrt(t), sqrt(t)(1+phi psi), -psi / 0, sqrt(t) psi, 1).
+    """
+    rank = common_rank((t, phi, psi), rank)
+    t, phi, psi = (grassmann(v, rank) for v in (t, phi, psi))
+    r = t.rsqrt()
+    rt = t * r
+    return sl.SuperMatrix([[0, -rt, 0], [r, rt * (1 + phi * psi), -psi], [0, rt * psi, 1]], rank)
+
+
+def normalize_point(a, tol=1e-9):
+    """Group element g and odd theta with act(g, a) = (1,0,0,0,theta).
+
+    Constructive: rotate x1/x2 if needed, shear y positive, equalize x1 = x2
+    by a diagonal, finish with the t(1,1,1+phi psi,phi,psi) transporter.
+    """
+    rank = a.rank
+    steps = []
+    b = a
+    if b.x1.body < b.x2.body:
+        r = sl.rotate90(rank)
+        steps.append(r)
+        b = mk.act(r, b)
+    mk._reject(b.x1.body <= tol, "light-cone point", "degenerate %s (zero body)")
+    u = sl.upper_shear((1.0 + abs(b.y.body)) / b.x1.body, rank)
+    steps.append(u)
+    b = mk.act(u, b)
+    p = fourth_root(b.x2 * b.x1.inverse())
+    d = sl.diag(p, p.inverse())
+    steps.append(d)
+    b = mk.act(d, b)
+    tinv = b.x1.inverse()
+    steps.append(gt(b.x1, b.phi * tinv, b.theta * tinv))
+    g = sl.smul_many(*steps)
+    return g, mk.act(g, a).theta
+
+
+def normalize_triple_chain(a, b, c, tol=1e-9):
+    """normalize_triple as a chain of group elements, with its checks and
+    messages: c to (1,0,0,0,0) by normalize_point, a onto the x2 axis by
+    the stabilizer of c, then a diagonal equalizing the middle point's x1
+    and x2, with the positive triple and the spinors of its points checked
+    first.  Returns (g, r, s, t, phi) read off the acted points."""
+    det = mk.triple_orientation(a, b, c)
+    mk._reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
+    for p, position in zip((a, b, c), mk._POSITIONS):
+        mk._spinor(p, position, tol)
+    g1, _ = normalize_point(c, tol)
+    a1 = mk.act(g1, a)
+    mk._reject(abs(a1.x2.body) <= tol, "triple", "%s is not linearly independent")
+    x2inv = a1.x2.inverse()
+    g12 = sl.smul(g1, sl.stabilizer(-(a1.y * x2inv), -(x2inv * a1.theta), GrassmannNumber(a.rank)))
+    b2 = mk.act(g12, b)
+    mk._reject(
+        (b2.x1.body <= tol) | (b2.x2.body <= tol),
+        "triple", "middle point of %s degenerates under normalization",
+    )
+    p = fourth_root(b2.x2 * b2.x1.inverse())
+    g = sl.smul(g12, sl.diag(p, p.inverse()))
+    af, bf, cf = mk.act(g, a), mk.act(g, b), mk.act(g, c)
+    mk._reject(bf.y.body <= 0, "triple", "%s is not positive (middle y-body %g)", bf.y.body)
+    t = bf.x1
+    return g, af.x2, cf.x1, t, bf.phi * t.inverse()
+
+
 class TestNormalizePoint:
     def test_base_point(self):
-        g, th = mk.normalize_point(s_slot(1.0))
+        g, th = normalize_point(s_slot(1.0))
         assert th.max_abs() < 1e-12
         assert mk.act(g, s_slot(1.0)).isclose(mk.e_zero(RANK), 1e-12)
 
@@ -163,14 +234,14 @@ class TestNormalizePoint:
     def test_unit_scale_transporter(self):
         a = mk.SuperVector(ONE, ONE, 1 + G1 * G2, G1, G2)
         assert mk.pairing(a, a).max_abs() < 1e-12
-        _, th = mk.normalize_point(a)
+        _, th = normalize_point(a)
         assert th.isclose(G2 - G1, 1e-12)
 
     def test_random_special_points(self):
         r = rng(8)
         for _ in range(50):
             a = mk.random_special_point(r, RANK)
-            g, th = mk.normalize_point(a)
+            g, th = normalize_point(a)
             assert th.max_abs() < 1e-9
             assert mk.act(g, a).max_coeff_diff(mk.e_theta(th, RANK)) < 1e-9
 
@@ -178,12 +249,12 @@ class TestNormalizePoint:
         r = rng(9)
         for _ in range(50):
             a = mk.random_light_cone_point(r, RANK)
-            g, th = mk.normalize_point(a)
+            g, th = normalize_point(a)
             assert mk.act(g, a).max_coeff_diff(mk.e_theta(th, RANK)) < 1e-9
 
     def test_group_element_is_member(self):
         r = rng(10)
-        g, _ = mk.normalize_point(mk.random_light_cone_point(r, RANK))
+        g, _ = normalize_point(mk.random_light_cone_point(r, RANK))
         assert sl.is_osp(g, 1e-9)
 
     # normal form is unique up to the sign of theta
@@ -192,12 +263,45 @@ class TestNormalizePoint:
         for _ in range(25):
             th = random_element(r, RANK, parity="odd", terms=2)
             g = sl.random_osp(r, RANK, blocks=2)
-            _, tp = mk.normalize_point(mk.act(g, mk.e_theta(th, RANK)))
+            _, tp = normalize_point(mk.act(g, mk.e_theta(th, RANK)))
             assert min((tp - th).max_abs(), (tp + th).max_abs()) < 1e-9
 
     def test_zero_body_rejected(self):
         with pytest.raises(ValueError):
-            mk.normalize_point(vec(0, 0, 0))
+            normalize_point(vec(0, 0, 0))
+
+
+def rejected_triple(reason):
+    """A triple normalize_triple rejects for the given reason, with the tol
+    to call it with: (a, b, c, tol)."""
+    a, b, c = standard_triple(phi=G1)
+    return {
+        "negative": (c, b, a, 1e-9),
+        # omega(c, a)^2 = r s = 1e-10
+        "dependent": (r_slot(1e-5), b, s_slot(1e-5), 1e-9),
+        # omega(c, b)^2 = s t = 1e-10, with every body above tol
+        "degenerate": (a, t_slot(1e-3, G1), s_slot(1e-7), 1e-9),
+        # spinors (1, 1), (1, y) and (1, -1) with y^2 = 1 + 5e-9: b's x2 is
+        # 1e-8 below y^2, within the cone check's slack, which makes the
+        # bodies' determinant positive while omega(b, a) = 1 - y is
+        # negative; a tol below (1 - y)^2 lets it past the degeneracy check
+        "not_positive": (
+            vec(1.0, 1.0, 1.0), vec(1.0, 1.0 - 5e-9, float(np.sqrt(1.0 + 5e-9))), vec(1.0, 1.0, -1.0), 1e-20,
+        ),
+        "zero_body": (vec(0.0, 0.0, -0.5), b, c, 1e-9),
+        "off_cone": (a, b, vec(0.8, 0.0, 0.0, ZERO, 0.3 * G2), 1e-9),
+    }[reason]
+
+
+# normalize_triple's message for each reason it rejects a triple
+TRIPLE_REJECTIONS = {
+    "negative": r"triple is not positively oriented \(body determinant -",
+    "dependent": "triple is not linearly independent",
+    "degenerate": "middle point of triple degenerates under normalization",
+    "not_positive": r"triple is not positive \(middle y-body -",
+    "zero_body": "first point of triple has zero body",
+    "off_cone": "third point of triple is not on the special light cone",
+}
 
 
 class TestNormalizeTriple:
@@ -244,6 +348,21 @@ class TestNormalizeTriple:
         a, b, c = standard_triple()
         with pytest.raises(ValueError):
             mk.normalize_triple(c, b, a)
+
+    @pytest.mark.parametrize("reason", sorted(TRIPLE_REJECTIONS))
+    def test_each_rejection_keeps_the_chains_message(self, reason):
+        """Each reason is named as the chain named it, and the chain rejects
+        the same triple the same way.  The chain reads the middle point's
+        y-body off the acted point, where it is the bodies' determinant
+        over r s, so past the orientation check its positivity check is
+        reached only through rounding; the frame reads it off the spinors,
+        which may differ from the point by the cone check's slack."""
+        *trip, tol = rejected_triple(reason)
+        with pytest.raises(ValueError, match="^" + TRIPLE_REJECTIONS[reason]):
+            mk.normalize_triple(*trip, tol=tol)
+        if reason != "not_positive":
+            with pytest.raises(ValueError, match="^" + TRIPLE_REJECTIONS[reason]):
+                normalize_triple_chain(*trip, tol=tol)
 
     def test_off_cone_middle_point_rejected(self):
         """A middle point t(1,1,1,phi,theta) with phi != theta is not the
@@ -402,7 +521,8 @@ def _oracle_triples(rank):
 
 
 class TestMuInvariantOracle:
-    """The spinor formula against the standard position of normalize_triple."""
+    """The spinor formula against the standard position built step by step
+    (`normalize_triple_chain`), which reads no spinor."""
 
     @pytest.mark.parametrize("rank", [8, 12])
     def test_matches_normalize_triple(self, rank):
@@ -412,7 +532,7 @@ class TestMuInvariantOracle:
         assert any(turned) and not all(turned)
         for trip in trips:
             rep, _ = mk.mu_invariant(*trip)
-            want, _ = canonicalize_sign(mk.normalize_triple(*trip)[4])
+            want, _ = canonicalize_sign(normalize_triple_chain(*trip)[4])
             scale = max(1.0, rep.max_abs(), want.max_abs())
             assert (rep - want).max_abs() <= 1e-9 * scale
             assert want.max_abs() > 0.1
@@ -435,6 +555,62 @@ class TestMuInvariantOracle:
             xis = [mk._spinor(p, pos, 1e-9)[2] for p, pos in zip(trip, mk._POSITIONS)]
             triple_term = max(triple_term, (xis[0] * xis[1] * xis[2]).max_abs())
         assert triple_term > 1e-3
+
+
+class TestSpinorFrame:
+    """normalize_triple is the inverse of the frame of the triple's spinors:
+    checked against the step-by-step standard position
+    (`normalize_triple_chain`)."""
+
+    @staticmethod
+    def triples(rank):
+        trips = _oracle_triples(rank)
+        if rank == RANK:
+            r = rng(17)
+            trips += [random_positive_triple(r) for _ in range(20)]
+        return trips
+
+    @pytest.mark.parametrize("rank", [8, 12])
+    def test_matches_the_chain(self, rank):
+        trips = self.triples(rank)
+        # c's spinor is taken on both sheets: some third points have x1 < x2
+        turned = [c.x1.body < c.x2.body for _, _, c in trips]
+        assert any(turned) and not all(turned)
+        for trip in trips:
+            got = mk.normalize_triple(*trip)
+            want = normalize_triple_chain(*trip)
+            scale = max(1.0, max(float(np.abs(p.coeffs).max()) for p in trip))
+            for x, y in zip(got, want):
+                assert np.abs(x.coeffs - y.coeffs).max() <= 1e-12 * scale
+            assert want[4].max_abs() > 0.1
+
+    @pytest.mark.parametrize("rank", [8, 12])
+    def test_group_element_is_a_member(self, rank):
+        for trip in self.triples(rank):
+            assert sl.osp_residual(mk.normalize_triple(*trip)[0]) <= 1e-12
+
+    def test_makes_no_act_or_smul_call(self, monkeypatch):
+        trips = self.triples(RANK)[:6]
+        calls = []
+
+        def counting(owner, name):
+            inner = getattr(owner, name)
+
+            def counted(*args):
+                calls.append(name)
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(mk, "act")
+        counting(sl, "smul")
+        counting(mk._kernels, "smul_coeffs")
+        for trip in trips:
+            mk.normalize_triple(*trip)
+        assert not calls
+        # the counters see the chain's calls
+        normalize_triple_chain(*trips[0])
+        assert {"act", "smul", "smul_coeffs"} <= set(calls)
 
 
 class TestMuInvariantRejects:
@@ -515,8 +691,9 @@ STACK_REJECTIONS = {
 
 
 class TestFarPoint:
-    """far_point against the group-element path: normalize_triple's frame,
-    basic_calculation there, and the inverse carrying the point back."""
+    """far_point against the group-element path: the step-by-step standard
+    position (`normalize_triple_chain`), basic_calculation there, and the
+    inverse carrying the point back."""
 
     @pytest.mark.parametrize("rank", [8, 12])
     def test_matches_basic_calculation_carried_back(self, rank):
@@ -526,7 +703,7 @@ class TestFarPoint:
         turned = [c.x1.body < c.x2.body for _, _, c in trips]
         assert any(turned) and not all(turned)
         for a, b, c in trips:
-            g, rr, ss, tt, _ = mk.normalize_triple(a, b, c)
+            g, rr, ss, tt, _ = normalize_triple_chain(a, b, c)
             lam_a, lam_b, lam_e = ((x * y * 0.5).sqrt() for x, y in ((rr, tt), (tt, ss), (rr, ss)))
             lam_c, lam_d, lam_e, sigma = _far_point_labels(rank, r, lam_e)
             d_std = mk.basic_calculation(lam_a, lam_b, lam_c, lam_d, lam_e, sigma)
@@ -1028,7 +1205,7 @@ class TestSuperplane:
         h = hyperboloid_point(r0)
         els = [
             sl.stabilizer(0.3, 0.2 * G1, ZERO),
-            sl.gt(grassmann(1.4, RANK), 0.1 * G1, 0.2 * G2),
+            gt(grassmann(1.4, RANK), 0.1 * G1, 0.2 * G2),
             exp_odd_plus(0.3 * G1),
             exp_odd_minus(0.3 * G2),
             sl.random_osp(r0, RANK, blocks=2),

@@ -8,7 +8,7 @@ from superteich.grassmann import GrassmannNumber, random_element
 from superteich import decorated as dc
 from superteich import minkowski as mk
 from superteich import superlinalg as sl
-from test_minkowski import draw_stack, exp_odd_minus, exp_odd_plus, prime_element
+from test_minkowski import draw_stack, exp_odd_minus, exp_odd_plus, gt, prime_element
 
 RANK = 8
 
@@ -207,7 +207,7 @@ class TestMembership:
         assert sl.is_osp(sl.rotate90(RANK))
         assert sl.is_osp(sl.diag(2.0, 0.5, RANK))
         assert sl.is_osp(sl.stabilizer(r.normal(), odd(r), odd(r)))
-        assert sl.is_osp(sl.gt(1.8, odd(r), odd(r)))
+        assert sl.is_osp(gt(1.8, odd(r), odd(r)))
         assert sl.is_osp(exp_odd_plus(odd(r)))
         assert sl.is_osp(exp_odd_minus(odd(r)))
 
@@ -292,7 +292,7 @@ class TestNamedElements:
     def test_gt_at_unit_params(self):
         want = sl.SuperMatrix([[0, -1, 0], [1, 1, 0], [0, 0, 1]], RANK)
         z = GrassmannNumber(RANK)
-        assert sl.gt(1.0, z, z).isclose(want, 1e-15)
+        assert gt(1.0, z, z).isclose(want, 1e-15)
 
     @pytest.mark.parametrize("size", [None, 4])
     @pytest.mark.parametrize("rank", [8, 12])
@@ -305,7 +305,7 @@ class TestNamedElements:
             phi, psi = (draw_stack(r, rank, size, "odd", scale=0.4) for _ in range(2))
             rt = t.sqrt()
             want = sl.SuperMatrix([[0, -rt, 0], [rt.inverse(), rt * (1 + phi * psi), -psi], [0, rt * psi, 1]], rank)
-            assert_close_to_scale(sl.gt(t, phi, psi), want)
+            assert_close_to_scale(gt(t, phi, psi), want)
 
     def test_diag_sdet_one(self):
         t = 2.7
@@ -391,7 +391,7 @@ RANK_CONSTRUCTORS = {
     "SuperMatrix": (lambda *e: sl.SuperMatrix([e[0:3], e[3:6], e[6:9]]), (1, 0, 0, 0, 1, 0, 0, 0, 1)),
     "diag": (sl.diag, (2.0, 0.5)),
     "stabilizer": (sl.stabilizer, (0.4, 0.0, 0.0)),
-    "gt": (sl.gt, (1.8, 0.0, 0.0)),
+    "gt": (gt, (1.8, 0.0, 0.0)),
     "exp_odd_plus": (exp_odd_plus, (0.0,)),
     "exp_odd_minus": (exp_odd_minus, (0.0,)),
     "e_theta": (mk.e_theta, (0.0,)),
