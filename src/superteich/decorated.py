@@ -260,24 +260,19 @@ def flip_coords(coords, e):
 
 def delta_coloring(graph, base_vertex=0):
     """Alternating triangle signs: +1 at the base, flipping across every
-    edge.  Raises when the fatgraph is not bipartite, or the base vertex is
-    not one of its vertices."""
+    edge, read off the parity of depth in the spanning tree from the base
+    (`Fatgraph.spanning_tree`).  Raises naming the first edge whose ends
+    share a color when the fatgraph is not bipartite, and raises when it is
+    not connected or the base vertex is not one of its vertices."""
     _require_index("base_vertex", base_vertex, graph.num_vertices)
     colors = [0] * graph.num_vertices
-    colors[base_vertex] = 1
-    queue = collections.deque([base_vertex])
-    while queue:
-        v = queue.popleft()
-        for h in graph.vertices[v]:
-            w = graph.vertex_of(graph.partner(h))
-            if colors[w] == 0:
-                colors[w] = -colors[v]
-                queue.append(w)
-            elif colors[w] != -colors[v]:
-                raise ValueError(
-                    "fatgraph is not bipartite (edge %d); flip to a bipartite "
-                    "spine first" % graph.edge_of(h)
-                )
+    for v, h in graph.spanning_tree(base_vertex).items():
+        colors[v] = 1 if h is None else -colors[graph.vertex_of(h)]
+    for j, (h1, h2) in enumerate(graph.edges):
+        if colors[graph.vertex_of(h1)] == colors[graph.vertex_of(h2)]:
+            raise ValueError(
+                "fatgraph is not bipartite (edge %d); flip to a bipartite spine first" % j
+            )
     return colors
 
 
@@ -539,57 +534,29 @@ def lift(coords, depth, base_vertex=0, base_side=0):
 
 class FundamentalDomain:
     """Tree-of-triangles domain: one triangle per fatgraph vertex glued
-    along a spanning tree, one pairing generator per leftover edge."""
+    along the spanning tree from the base vertex, one pairing generator per
+    leftover edge.  tree is `Fatgraph.spanning_tree(base_vertex)`: each
+    vertex, in the order reached, mapped to the half-edge at its parent
+    through which it was reached (None at the base)."""
 
-    __slots__ = ("base_vertex", "tree_edges", "generators", "parents")
+    __slots__ = ("base_vertex", "tree", "generators")
 
-    def __init__(self, base_vertex, tree_edges, generators, parents):
+    def __init__(self, base_vertex, tree, generators):
         self.base_vertex = base_vertex
-        self.tree_edges = tuple(tree_edges)
+        self.tree = tree
         self.generators = tuple(generators)
-        self.parents = parents
 
 
 def fundamental_domain(graph, base_vertex=0):
-    """Breadth-first spanning tree rooted at the base vertex; parents maps
-    each vertex to (parent vertex, connecting edge).  Rejects a base vertex
-    that is not one of the fatgraph's vertices."""
+    """The domain of the breadth-first spanning tree from the base vertex;
+    its generators are the non-tree edges, in edge order.  Rejects a base
+    vertex that is not one of the fatgraph's vertices, and a fatgraph that
+    is not connected."""
     _require_index("base_vertex", base_vertex, graph.num_vertices)
-    parents = {base_vertex: (None, None)}
-    tree = []
-    queue = collections.deque([base_vertex])
-    while queue:
-        v = queue.popleft()
-        for h in graph.vertices[v]:
-            w = graph.vertex_of(graph.partner(h))
-            if w not in parents:
-                parents[w] = (v, graph.edge_of(h))
-                tree.append(graph.edge_of(h))
-                queue.append(w)
-    if len(parents) != graph.num_vertices:
-        raise ValueError("fatgraph is not connected")
-    generators = [j for j in range(graph.num_edges) if j not in set(tree)]
-    return FundamentalDomain(base_vertex, tree, generators, parents)
-
-
-def _tree_path_vector(graph, domain, v1, v2):
-    """Mod-2 edge vector of the spanning-tree path between two vertices."""
-    vec = np.zeros(graph.num_edges, dtype=np.uint8)
-
-    def walk_up(v):
-        path = []
-        while domain.parents[v][0] is not None:
-            path.append(v)
-            v = domain.parents[v][0]
-        return path, v
-
-    up1, _ = walk_up(v1)
-    up2, _ = walk_up(v2)
-    for v in up1:
-        vec[domain.parents[v][1]] ^= 1
-    for v in up2:
-        vec[domain.parents[v][1]] ^= 1
-    return vec
+    tree = graph.spanning_tree(base_vertex)
+    tree_edges = {graph.edge_of(h) for h in tree.values() if h is not None}
+    generators = [j for j in range(graph.num_edges) if j not in tree_edges]
+    return FundamentalDomain(base_vertex, tree, generators)
 
 
 def _normalize_slot(spinors, triangles, tri_idx, k, rank):
@@ -619,9 +586,12 @@ class SuperRep:
         return [self.elements[j] for j in self.domain.generators]
 
     def equivariance_residual(self):
-        """Worst pointwise gap of act(pairing, corner) against the matched
-        corner of the paired triangle, over all generators (undressed
-        pairings; the spin dressing twists odd signs only)."""
+        """Worst pointwise gap of act(raw pairing, corner k of t1) against
+        corner k of t2, over all generators, with (t1, t2) = extras[j]: the
+        raw pairing carries t1's corners onto t2's.  The dressed element
+        raw * R (R the fermionic reflection), where it differs, carries
+        them onto t2's corners with phi and theta negated, so it is not the
+        one checked here."""
         worst = 0.0
         for j in self.domain.generators:
             g = self.raw_elements[j]
@@ -650,12 +620,7 @@ class SuperRep:
         return word
 
     def puncture_traces(self):
-        out = []
-        for orbit in self.coords.graph.boundary_orbits():
-            w = self.puncture_word(orbit)
-            tr = sl.bosonic_reduction(w)
-            out.append(float(tr[0, 0] + tr[1, 1]))
-        return out
+        return [_bosonic_trace_body(self.puncture_word(orbit)) for orbit in self.coords.graph.boundary_orbits()]
 
 
 def _bosonic_trace_body(g):
@@ -664,10 +629,24 @@ def _bosonic_trace_body(g):
 
 
 def build_rep(coords, domain=None, tol=EQ_TOL):
-    """Representation from a fundamental domain: lift the domain triangles,
-    pair each non-tree edge by frames normalized at the shared side, and
-    resolve the odd sign sheet so each pairing's bosonic trace sign is
-    negative exactly on even quadratic-form classes."""
+    """Representation from a fundamental domain.
+
+    The domain's triangles are lifted in the order of its spanning tree,
+    each attached across the slot of the half-edge at its parent.  Each
+    generator edge j, from h1 at v1 to h2 at v2, is paired by lifting a
+    second copy t2 of v1's triangle across j from v2's triangle, and
+    putting t1 (v1's own) and t2 in standard position at h1's slot, with
+    frames g1 and g2.  Their r, s and t must agree; phi may agree or be
+    negated, as the two frames may sit on opposite sheets.  The raw
+    pairing is g1 g2^-1, or g1 R g2^-1 where phi is negated (R the
+    fermionic reflection): either way it carries t1's corners onto t2's
+    (`SuperRep.equivariance_residual`).
+
+    The spin structure then enters as a sign dressing: with q the
+    quadratic form on j's fundamental cycle in the tree, the element is
+    raw R, where the raw bosonic trace has the wrong sign for q (negative
+    exactly when q = 0), and raw otherwise.  raw R carries t1's corners
+    onto t2's with phi and theta negated."""
     graph = coords.graph
     if domain is None:
         domain = fundamental_domain(graph)
@@ -675,21 +654,14 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
     points, spinors = _base_triangle(coords, factors, domain.base_vertex, 0)
     triangles = [LiftedTriangle(domain.base_vertex, (0, 1, 2), 1, -1)]
     tri_of_vertex = {domain.base_vertex: 0}
-    order = sorted(
-        (v for v in range(graph.num_vertices) if v != domain.base_vertex),
-        key=lambda v: _tree_depth(domain, v),
-    )
-    for v in order:
-        pv, edge = domain.parents[v]
-        tri_idx = tri_of_vertex[pv]
-        hs = graph.vertices[pv]
-        k = next(
-            i for i, h in enumerate(hs)
-            if graph.edge_of(h) == edge and graph.vertex_of(graph.partner(h)) == v
-        )
-        (tri_of_vertex[v],) = _attach_level(coords, factors, points, spinors, triangles, [(tri_idx, k)])
+    for v, h in domain.tree.items():
+        if h is not None:
+            pv = graph.vertex_of(h)
+            jobs = [(tri_of_vertex[pv], graph.vertices[pv].index(h))]
+            (tri_of_vertex[v],) = _attach_level(coords, factors, points, spinors, triangles, jobs)
     lifted = LiftedTriangulation(coords, points, triangles, domain.base_vertex, 0)
     form = fg.QuadraticForm(graph, coords.orientation)
+    reflection = sl.fermionic_reflection(coords.rank)
     elements, raw_elements, q_values, extras = {}, {}, {}, {}
     for j in domain.generators:
         h1, h2 = graph.edges[j]
@@ -701,15 +673,18 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
         (t2,) = _attach_level(coords, factors, points, spinors, triangles, [(tri_of_vertex[v2], k2)])
         g1, inv1 = _normalize_slot(spinors, triangles, t1, k1, coords.rank)
         g2, inv2 = _normalize_slot(spinors, triangles, t2, k1, coords.rank)
-        for x, y in zip(inv1, inv2):
+        phi1, phi2 = inv1[3], inv2[3]
+        negated = (phi1 + phi2).max_abs() < (phi1 - phi2).max_abs()
+        for x, y in zip(inv1, inv2[:3] + (-phi2 if negated else phi2,)):
             if (x - y).max_abs() > 1e-6:
                 raise ValueError(
                     "paired triangles disagree in standard position (edge %d)" % j
                 )
-        raw = sl.smul(g1, sl.inverse_osp(g2))
-        vec = _tree_path_vector(graph, domain, v1, v2)
-        vec[j] ^= 1
-        qv = int(form.value(vec))
+        if negated:
+            raw = sl.smul_many(g1, reflection, sl.inverse_osp(g2))
+        else:
+            raw = sl.smul(g1, sl.inverse_osp(g2))
+        qv = int(form.value(graph.fundamental_cycle(domain.tree, j)))
         tb = _bosonic_trace_body(raw)
         if abs(tb) <= tol:
             raise ValueError(
@@ -718,7 +693,7 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
             )
         want_negative = qv == 0
         if (tb > 0) == want_negative:
-            dressed = sl.smul_many(g1, sl.fermionic_reflection(coords.rank), sl.inverse_osp(g2))
+            dressed = sl.smul(raw, reflection)
         else:
             dressed = raw
         elements[j] = dressed
@@ -726,14 +701,6 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
         q_values[j] = qv
         extras[j] = (t1, t2)
     return SuperRep(coords, domain, elements, raw_elements, q_values, lifted, extras)
-
-
-def _tree_depth(domain, v):
-    d = 0
-    while domain.parents[v][0] is not None:
-        v = domain.parents[v][0]
-        d += 1
-    return d
 
 
 # -- the invariant two-form ----------------------------------------------------

@@ -188,62 +188,49 @@ class Fatgraph:
             vec[self._edge_of[h]] ^= 1
         return vec
 
-    def spanning_tree(self):
-        """Edge indices of a BFS spanning tree (smallest ids first)."""
-        root = 0
-        seen_v = {root}
-        tree = []
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for h in self.vertices[v]:
-                    w = self._vertex_of[self._partner[h]]
-                    if w not in seen_v:
-                        seen_v.add(w)
-                        tree.append(self._edge_of[h])
-                        nxt.append(w)
-            frontier = nxt
-        return sorted(tree)
+    def spanning_tree(self, root=0):
+        """Breadth-first spanning tree from root, trying each vertex's
+        half-edges in ccw order: a dict from each vertex, in the order
+        reached, to the half-edge at its parent through which it was
+        reached (None at the root).  Raises ValueError naming the first
+        vertex not reached when the graph is not connected, and naming a
+        root that is not an int vertex index."""
+        if isinstance(root, bool) or not isinstance(root, numbers.Integral) or not 0 <= root < self.num_vertices:
+            raise ValueError("root must be a vertex in 0..%d, got %r" % (self.num_vertices - 1, root))
+        tree, order = {root: None}, [root]
+        for v in order:
+            for h in self.vertices[v]:
+                w = self._vertex_of[self._partner[h]]
+                if w not in tree:
+                    tree[w] = h
+                    order.append(w)
+        if len(tree) != self.num_vertices:
+            missing = min(set(range(self.num_vertices)) - set(tree))
+            raise ValueError(
+                "fatgraph is not connected: vertex %d is not reached from vertex %d" % (missing, root)
+            )
+        return tree
+
+    def fundamental_cycle(self, tree, j):
+        """Mod-2 edge vector of the cycle edge j closes in a spanning tree
+        (`spanning_tree`): edge j plus the tree paths from its two ends to
+        the root.  Zero for a tree edge."""
+        vec = np.zeros(self.num_edges, dtype=np.uint8)
+        vec[j] = 1
+        for h in self.edges[j]:
+            h_up = tree[self._vertex_of[h]]
+            while h_up is not None:
+                vec[self._edge_of[h_up]] ^= 1
+                h_up = tree[self._vertex_of[h_up]]
+        return vec
 
     def cycle_basis(self):
-        """Fundamental-cycle edge vectors, one per non-tree edge."""
-        tree = set(self.spanning_tree())
-        adj = {v: [] for v in range(self.num_vertices)}
-        for j in sorted(tree):
-            h1, h2 = self.edges[j]
-            adj[self._vertex_of[h1]].append((self._vertex_of[h2], j))
-            adj[self._vertex_of[h2]].append((self._vertex_of[h1], j))
-        basis = []
-        for j in range(self.num_edges):
-            if j in tree:
-                continue
-            vec = np.zeros(self.num_edges, dtype=np.uint8)
-            vec[j] = 1
-            h1, h2 = self.edges[j]
-            a, b = self._vertex_of[h1], self._vertex_of[h2]
-            for j2 in self._tree_path(adj, a, b):
-                vec[j2] ^= 1
-            basis.append(vec)
-        return basis
-
-    def _tree_path(self, adj, a, b):
-        prev = {a: None}
-        frontier = [a]
-        while frontier and b not in prev:
-            nxt = []
-            for v in frontier:
-                for w, j in adj[v]:
-                    if w not in prev:
-                        prev[w] = (v, j)
-                        nxt.append(w)
-            frontier = nxt
-        path = []
-        v = b
-        while prev[v] is not None:
-            v, j = prev[v]
-            path.append(j)
-        return path
+        """Fundamental-cycle edge vectors of the spanning tree from vertex
+        0, one per non-tree edge, in edge order.  Raises ValueError when the
+        graph is not connected."""
+        tree = self.spanning_tree()
+        tree_edges = {self._edge_of[h] for h in tree.values() if h is not None}
+        return [self.fundamental_cycle(tree, j) for j in range(self.num_edges) if j not in tree_edges]
 
 
 def theta_graph():

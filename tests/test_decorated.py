@@ -396,6 +396,16 @@ class TestGauge:
         assert not dc.gauge_equal(chart, chart.replace(mus=mus))
 
 
+def bipartite_spine(name):
+    """The spine after the flips of `bipartite_flip_path`."""
+    g = SPINES[name]()
+    om = fg.Orientation.from_bits(g, (0,) * g.num_edges)
+    for e in dc.bipartite_flip_path(g):
+        res = fg.flip(g, e, om)
+        g, om = res.graph, res.orientation
+    return g
+
+
 class TestBipartiteFlipPath:
     @pytest.mark.parametrize("name", sorted(SPINES))
     def test_path_makes_the_spine_bipartite(self, name):
@@ -408,11 +418,7 @@ class TestBipartiteFlipPath:
             assert path
             with pytest.raises(ValueError, match="not bipartite"):
                 dc.delta_coloring(g)
-        om = fg.Orientation.from_bits(g, (0,) * g.num_edges)
-        for e in path:
-            res = fg.flip(g, e, om)
-            g, om = res.graph, res.orientation
-        dc.delta_coloring(g)
+        dc.delta_coloring(bipartite_spine(name))
 
     def test_no_path_within_the_cap_raises(self):
         with pytest.raises(ValueError, match="no bipartite spine within 0 flips"):
@@ -471,3 +477,130 @@ class TestFlipCoords:
         mus[1] = GrassmannNumber.generator(1, RANK)
         with pytest.raises(ValueError, match=r"mu\[0\]'s generator g1 .* mu\[1\] uses it"):
             dc.pullback_check(chart.replace(mus=mus), 0)
+
+
+def rep_charts(graph, seed, count=12):
+    """Rank-8 charts with lambdas uniform in [0.4, 2.5], mus the generators
+    and random orientations."""
+    r = np.random.default_rng(seed)
+    for _ in range(count):
+        om = fg.Orientation.from_bits(graph, [int(b) for b in r.integers(0, 2, graph.num_edges)])
+        lambdas = [float(x) for x in r.uniform(0.4, 2.5, graph.num_edges)]
+        yield dc.standard_chart(graph, om, rank=RANK).replace(lambdas=lambdas)
+
+
+def points_scale(points):
+    return max(float(np.abs(p.coeffs).max()) for p in points)
+
+
+REP_BASES = [(name, base) for name in sorted(SPINES) for base in range(bipartite_spine(name).num_vertices)]
+
+# row factors that negate the phi and theta of a point
+ODD_NEGATED = np.array([1, 1, 1, -1, -1.0])[:, None]
+
+
+class TestBuildRep:
+    """build_rep on the four spines made bipartite, from every base vertex,
+    with bounds scaled by the largest lifted point."""
+
+    @pytest.mark.parametrize("name, base", REP_BASES)
+    def test_punctures_are_parabolic_and_split_by_spin(self, name, base):
+        """Every puncture trace is +-2, and -2 exactly on the NS punctures
+        of `puncture_types`; the pairings are equivariant."""
+        graph = bipartite_spine(name)
+        domain = dc.fundamental_domain(graph, base)
+        for chart in rep_charts(graph, seed=7):
+            rep = dc.build_rep(chart, domain)
+            scale = points_scale(rep.lifted.points)
+            types = fg.puncture_types(graph, chart.orientation)
+            traces = rep.puncture_traces()
+            assert len(traces) == len(types)
+            for tr, kind in zip(traces, types):
+                assert abs(abs(tr) - 2) <= 1e-12 * scale
+                assert (tr < 0) == (kind == "NS"), (traces, types)
+            assert rep.equivariance_residual() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_raw_pairing_carries_corners_and_dressed_reflects_them(self, name):
+        """The raw pairing of generator j carries the corners of t1 onto
+        those of t2, (t1, t2) = extras[j], and equivariance_residual is the
+        worst gap of exactly that.  The dressed element, where it is not the
+        raw one, carries them onto t2's corners with phi and theta
+        negated, and not onto t2's own."""
+        graph = bipartite_spine(name)
+        dressed = 0
+        for chart in rep_charts(graph, seed=8, count=4):
+            for base in range(graph.num_vertices):
+                rep = dc.build_rep(chart, dc.fundamental_domain(graph, base))
+                scale = points_scale(rep.lifted.points)
+                worst = 0.0
+                for j in rep.domain.generators:
+                    t1, t2 = (rep.lifted.triangles[t] for t in rep.extras[j])
+                    ends = [
+                        (rep.lifted.points[t1.corners[k]], rep.lifted.points[t2.corners[k]])
+                        for k in range(3)
+                    ]
+                    for p1, p2 in ends:
+                        worst = max(worst, mk.act(rep.raw_elements[j], p1).max_coeff_diff(p2))
+                    if rep.elements[j] is rep.raw_elements[j]:
+                        continue
+                    dressed += 1
+                    moved = [(mk.act(rep.elements[j], p1).coeffs, p2.coeffs) for p1, p2 in ends]
+                    assert max(np.abs(x - y * ODD_NEGATED).max() for x, y in moved) <= 1e-12 * scale
+                    assert max(np.abs(x - y).max() for x, y in moved) > 1e-6 * scale
+                assert worst <= 1e-12 * scale
+                assert rep.equivariance_residual() == worst
+        assert dressed
+
+
+class TestThetaSharpCase:
+    """On theta the body of the representation is Fuchsian for the
+    once-punctured torus, so classical identities hold on the body traces
+    x = tr A, y = tr B and z = tr AB of the two generators."""
+
+    def test_fricke_markov_commutator_and_penner(self):
+        r = np.random.default_rng(41)
+        graph = fg.theta_graph()
+        for i in range(40):
+            chart = random_chart(r, graph, bodies=(0.4, 2.5))
+            rep = dc.build_rep(chart, dc.fundamental_domain(graph, i % 2))
+            a, b = rep.generators()
+            x, y = dc._bosonic_trace_body(a), dc._bosonic_trace_body(b)
+            z = dc._bosonic_trace_body(sl.smul(a, b))
+            size = x * x + y * y + z * z
+            assert abs(size - x * y * z) <= 1e-14 * size
+            commutator = sl.smul_many(a, b, sl.inverse_osp(a), sl.inverse_osp(b))
+            assert abs(dc._bosonic_trace_body(commutator) + 2) <= 1e-14 * size
+            # Penner: |tr| of the generator of edge j is (sum of squared
+            # lambdas) / (lambda of the tree edge * lambda_j)
+            lam = [x.body for x in chart.lambdas]
+            (h_tree,) = [h for h in rep.domain.tree.values() if h is not None]
+            for j, tr in zip(rep.domain.generators, (x, y)):
+                want = sum(v * v for v in lam) / (lam[graph.edge_of(h_tree)] * lam[j])
+                assert abs(abs(tr) - want) <= 1e-13 * want
+
+
+def two_thetas():
+    """Two theta components: vertices 0, 1 and 2, 3."""
+    return fg.Fatgraph(
+        [(0, 2, 4), (1, 3, 5), (6, 8, 10), (7, 9, 11)],
+        [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)],
+    )
+
+
+class TestDisconnected:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: g.cycle_basis(),
+            lambda g: g.spanning_tree(),
+            lambda g: fg.QuadraticForm(g, fg.Orientation.from_bits(g, (0,) * g.num_edges)),
+            lambda g: fg.spin_class(g, fg.Orientation.from_bits(g, (0,) * g.num_edges)),
+            lambda g: dc.delta_coloring(g),
+            lambda g: dc.fundamental_domain(g),
+        ],
+        ids=["cycle_basis", "spanning_tree", "QuadraticForm", "spin_class", "delta_coloring", "fundamental_domain"],
+    )
+    def test_rejected_naming_a_vertex_not_reached(self, call):
+        with pytest.raises(ValueError, match=r"^fatgraph is not connected: vertex 2 is not reached from vertex 0$"):
+            call(two_thetas())

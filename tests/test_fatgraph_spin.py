@@ -716,6 +716,42 @@ class TestFatgraph:
                     deg = sum(int(vec[g.edge_of(h)]) for h in g.vertices[v])
                     assert deg in (0, 2)
 
+    @pytest.mark.parametrize("graphs", SPINES_AND_RANDOM)
+    def test_spanning_tree_from_every_root(self, graphs):
+        """The tree reaches each vertex once, level by level, through a
+        half-edge of a vertex reached before it.  The fundamental cycle of
+        a tree edge is zero; that of any other edge j is a cycle made of j
+        and tree edges."""
+        for g in graphs():
+            for root in range(g.num_vertices):
+                tree = g.spanning_tree(root)
+                order = list(tree)
+                assert sorted(order) == list(range(g.num_vertices))
+                assert order[0] == root and tree[root] is None
+                depth = {root: 0}
+                for v in order[1:]:
+                    u = g.vertex_of(tree[v])
+                    assert order.index(u) < order.index(v)
+                    assert g.vertex_of(g.partner(tree[v])) == v
+                    depth[v] = depth[u] + 1
+                assert [depth[v] for v in order] == sorted(depth.values())
+                tree_edges = {g.edge_of(h) for v, h in tree.items() if v != root}
+                assert len(tree_edges) == g.num_vertices - 1
+                for j in range(g.num_edges):
+                    vec = g.fundamental_cycle(tree, j)
+                    if j in tree_edges:
+                        assert not vec.any()
+                        continue
+                    assert vec[j] == 1
+                    assert set(np.flatnonzero(vec).tolist()) <= tree_edges | {j}
+                    for v in range(g.num_vertices):
+                        assert sum(int(vec[g.edge_of(h)]) for h in g.vertices[v]) in (0, 2)
+
+    @pytest.mark.parametrize("root", [-1, 2, True, 0.0])
+    def test_spanning_tree_rejects_a_root_that_is_not_a_vertex(self, root):
+        with pytest.raises(ValueError, match=r"^root must be a vertex in 0\.\.1, got %s$" % root):
+            fg.theta_graph().spanning_tree(root)
+
 
 class TestOrientation:
     def test_bits_round_trip(self):
