@@ -17,11 +17,13 @@ from . import superlinalg as sl
 from .grassmann import (
     DEFAULT_RANK,
     GrassmannNumber,
+    canonicalize_sign,
     common_rank,
     format_grassmann,
     grassmann,
     odd_derivative,
     parse_grassmann,
+    stack,
 )
 from .minkowski import (
     ElementError,
@@ -134,49 +136,22 @@ def standard_chart(graph, orientation=None, odd="generators", rank=DEFAULT_RANK)
 # -- gauge classes -------------------------------------------------------------
 
 
-def _reflection_solution(graph, target_bits):
-    """Vertex set whose reflections reverse exactly the target edges,
-    normalized to exclude vertex 0 (reflecting every vertex reverses
-    nothing)."""
-    rows = [graph.incidence_row(v) for v in range(graph.num_vertices)]
-    combo, rest, _ = fg.gf2_solve(rows, target_bits)
-    if rest.any():
-        raise ValueError("orientations differ by more than vertex reflections")
-    if combo[0]:
-        combo ^= 1
-    return [v for v in range(graph.num_vertices) if combo[v]]
-
-
 def canonical_gauge(coords):
-    """Deterministic representative of the gauge class: canonical
-    orientation representative, gauge bit +1, and the first significant mu
-    coefficient made positive.  Gauge-equivalent charts map to equal charts."""
+    """Deterministic representative of the gauge class (vertex reflections
+    and the global sign).  One `fg.gf2_solve` over the reflection rows gives
+    the canonical orientation, `orientation_class`'s (the rest), and the
+    vertices whose reflections reach it (the combo); then
+    `canonicalize_sign` of the stacked mus makes the first significant mu
+    coefficient positive, and the gauge bit is +1.  Gauge-equivalent charts
+    map to equal charts (within EQ_TOL where every mu is below it)."""
     graph = coords.graph
-    can = fg.orientation_class(coords.orientation)
-    delta_bits = tuple(
-        a ^ b for a, b in zip(coords.orientation.bits, can.bits)
-    )
-    flips = _reflection_solution(graph, delta_bits)
-    mus = list(coords.mus)
-    for v in flips:
-        mus[v] = -mus[v]
-    if coords.gauge < 0:
-        mus = [-m for m in mus]
-    scale = max([1.0] + [m.max_abs() for m in mus])
-    thresh = EQ_TOL * scale
-    sign = 1.0
-    for m in mus:
-        lead = 0.0
-        for c in m.coeffs:
-            if abs(c) > thresh:
-                lead = c
-                break
-        if lead:
-            sign = 1.0 if lead > 0 else -1.0
-            break
+    combo, rest, _ = fg.gf2_solve(fg._reflection_rows(graph), coords.orientation.bits)
+    mus = [-m if flip else m for m, flip in zip(coords.mus, combo)]
+    _, sign = canonicalize_sign(stack(mus), EQ_TOL)
     if sign < 0:
         mus = [-m for m in mus]
-    return coords.replace(mus=mus, orientation=can, gauge=1)
+    orientation = fg.Orientation.from_bits(graph, tuple(int(x) for x in rest))
+    return coords.replace(mus=mus, orientation=orientation, gauge=1)
 
 
 def gauge_equal(x, y, tol=EQ_TOL):
@@ -223,8 +198,11 @@ def _flip_once(coords, e):
     keeps its tail half (the new diagonal points at the triangle that
     carries nu) and the arrow of leaf c, the edge of sigma^2(tail of e),
     reverses.  That is the orientation of the paper's flip figure, so the
-    new mu-invariants are worn as they come, with no vertex reflection."""
+    new mu-invariants are worn as they come, with no vertex reflection.
+    `fg.flip` comes first, so an edge that is not an int index of the
+    chart, or is a loop, is rejected, named, before any Grassmann work."""
     graph = coords.graph
+    res = fg.flip(graph, e, coords.orientation)
     a, b, c, d, v_theta, v_sigma = _quad_labels(coords, e)
     lam_e = coords.lambdas[e]
     theta = coords.mus[v_theta]
@@ -232,7 +210,6 @@ def _flip_once(coords, e):
     chi = a * c * (b * d).inverse()
     f = ptolemy_even(a, b, c, d, lam_e, sigma, theta)
     nu, mu_new = ptolemy_odd(sigma, theta, chi)
-    res = fg.flip(graph, e, coords.orientation)
     v_nu, v_mu = _nu_mu_vertices(graph, coords.orientation, e, res, v_theta, v_sigma)
     lambdas = list(coords.lambdas)
     lambdas[e] = f
@@ -247,12 +224,13 @@ def _flip_once(coords, e):
 def flip_coords(coords, e):
     """Super Ptolemy transformation on the chart at edge e: new diagonal
     lambda-length, new mu-invariants on the two adjacent vertices, flipped
-    fatgraph with evolved orientation.  Returns the canonical gauge."""
-    graph = coords.graph
-    if graph.is_loop(e):
-        raise ValueError("edge %d is a loop and cannot be flipped" % e)
-    base = canonical_gauge(coords)
-    return canonical_gauge(_flip_once(base, e))
+    fatgraph with evolved orientation, in the canonical gauge.
+
+    The chart is flipped as it is (`_flip_once`) and canonicalized once,
+    on the way out: the flip respects gauge classes, so a vertex
+    reflection or the global sign of the input changes the output by a
+    gauge move only, and canonical gauge takes it away."""
+    return canonical_gauge(_flip_once(coords, e))
 
 
 # -- bipartite colorings -------------------------------------------------------
@@ -264,7 +242,7 @@ def delta_coloring(graph, base_vertex=0):
     (`Fatgraph.spanning_tree`).  Raises naming the first edge whose ends
     share a color when the fatgraph is not bipartite, and raises when it is
     not connected or the base vertex is not one of its vertices."""
-    _require_index("base_vertex", base_vertex, graph.num_vertices)
+    fg._require_index("base_vertex", base_vertex, graph.num_vertices)
     colors = [0] * graph.num_vertices
     for v, h in graph.spanning_tree(base_vertex).items():
         colors[v] = 1 if h is None else -colors[graph.vertex_of(h)]
@@ -479,15 +457,6 @@ def _attach_level(coords, factors, points, spinors, triangles, jobs):
     return range(len(triangles) - len(made), len(triangles))
 
 
-def _require_index(name, value, count):
-    """Reject a value that is not an int (a bool is not), or not in
-    0..count - 1, naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError("%s must be an int, got %r" % (name, value))
-    if not 0 <= value < count:
-        raise ValueError("%s must be in 0..%d, got %r" % (name, count - 1, value))
-
-
 def lift(coords, depth, base_vertex=0, base_side=0):
     """Recursive light-cone lift: base triangle in standard position, then
     breadth-first attachment out to the given combinatorial depth, feeding
@@ -515,7 +484,7 @@ def lift(coords, depth, base_vertex=0, base_side=0):
         raise ValueError("depth must be an int, got %r" % (depth,))
     if depth < 1:
         raise ValueError("depth must be at least 1, got %d" % depth)
-    _require_index("base_side", base_side, 3)
+    fg._require_index("base_side", base_side, 3)
     factors = _side_factors(coords, delta_coloring(graph, base_vertex))
     points, spinors = _base_triangle(coords, factors, base_vertex, base_side)
     triangles = [LiftedTriangle(base_vertex, (0, 1, 2), 1, -1)]
@@ -535,13 +504,15 @@ def lift(coords, depth, base_vertex=0, base_side=0):
 class FundamentalDomain:
     """Tree-of-triangles domain: one triangle per fatgraph vertex glued
     along the spanning tree from the base vertex, one pairing generator per
-    leftover edge.  tree is `Fatgraph.spanning_tree(base_vertex)`: each
-    vertex, in the order reached, mapped to the half-edge at its parent
-    through which it was reached (None at the base)."""
+    leftover edge, of the fatgraph graph.  tree is
+    `Fatgraph.spanning_tree(base_vertex)`: each vertex, in the order
+    reached, mapped to the half-edge at its parent through which it was
+    reached (None at the base)."""
 
-    __slots__ = ("base_vertex", "tree", "generators")
+    __slots__ = ("graph", "base_vertex", "tree", "generators")
 
-    def __init__(self, base_vertex, tree, generators):
+    def __init__(self, graph, base_vertex, tree, generators):
+        self.graph = graph
         self.base_vertex = base_vertex
         self.tree = tree
         self.generators = tuple(generators)
@@ -552,11 +523,11 @@ def fundamental_domain(graph, base_vertex=0):
     its generators are the non-tree edges, in edge order.  Rejects a base
     vertex that is not one of the fatgraph's vertices, and a fatgraph that
     is not connected."""
-    _require_index("base_vertex", base_vertex, graph.num_vertices)
+    fg._require_index("base_vertex", base_vertex, graph.num_vertices)
     tree = graph.spanning_tree(base_vertex)
     tree_edges = {graph.edge_of(h) for h in tree.values() if h is not None}
     generators = [j for j in range(graph.num_edges) if j not in tree_edges]
-    return FundamentalDomain(base_vertex, tree, generators)
+    return FundamentalDomain(graph, base_vertex, tree, generators)
 
 
 def _normalize_slot(spinors, triangles, tri_idx, k, rank):
@@ -646,10 +617,14 @@ def build_rep(coords, domain=None, tol=EQ_TOL):
     quadratic form on j's fundamental cycle in the tree, the element is
     raw R, where the raw bosonic trace has the wrong sign for q (negative
     exactly when q = 0), and raw otherwise.  raw R carries t1's corners
-    onto t2's with phi and theta negated."""
+    onto t2's with phi and theta negated.  Rejects a domain made for
+    another fatgraph, naming the two."""
     graph = coords.graph
     if domain is None:
         domain = fundamental_domain(graph)
+    if (domain.graph.vertices, domain.graph.edges) != (graph.vertices, graph.edges):
+        sizes = tuple((x.num_vertices, x.num_edges) for x in (domain.graph, graph))
+        raise ValueError("fundamental domain is of another fatgraph, (V, E) = %r, than the chart's %r" % sizes)
     factors = _side_factors(coords, delta_coloring(graph, domain.base_vertex))
     points, spinors = _base_triangle(coords, factors, domain.base_vertex, 0)
     triangles = [LiftedTriangle(domain.base_vertex, (0, 1, 2), 1, -1)]
@@ -838,15 +813,25 @@ def two_form(coords):
 # -- pullback through the flip -------------------------------------------------
 
 
+def _single_generator(m, message):
+    """(i, c) of an odd value c g_i, one generator times a number; raises
+    ValueError(message) for any other value."""
+    nz = np.nonzero(m.coeffs)[0]
+    if len(nz) != 1 or bin(int(nz[0])).count("1") != 1:
+        raise ValueError(message)
+    return int(nz[0]).bit_length(), float(m.coeffs[nz[0]])
+
+
 def _promote_odd(coords):
     """Replace zero mus by fresh generators so odd partials can be read off
-    exactly; returns (promoted coords, per-vertex (index, scale), promo mask)."""
+    exactly; returns (promoted coords, {("m", v): (generator, coefficient)},
+    promo mask)."""
     rank = coords.rank
     used = 0
     for x in list(coords.lambdas) + list(coords.mus):
         for m in np.nonzero(x.coeffs)[0]:
             used |= int(m)
-    slots = []
+    odds = {}
     mus = list(coords.mus)
     promo_mask = 0
     free = [i for i in range(1, rank + 1) if not (used >> (i - 1)) & 1]
@@ -857,17 +842,13 @@ def _promote_odd(coords):
             i = free.pop(0)
             mus[v] = GrassmannNumber.generator(i, rank)
             promo_mask |= 1 << (i - 1)
-            slots.append((i, 1.0))
+            odds[("m", v)] = (i, 1.0)
         else:
-            nz = np.nonzero(m.coeffs)[0]
-            if len(nz) != 1 or bin(int(nz[0])).count("1") != 1:
-                raise ValueError(
-                    "pullback probing needs single-generator mus (mu[%d] is not)" % v
-                )
-            i = int(nz[0]).bit_length()
-            _require_unshared(coords, v, i)
-            slots.append((i, float(m.coeffs[nz[0]])))
-    return coords.replace(mus=mus), slots, promo_mask
+            odds[("m", v)] = _single_generator(
+                m, "pullback probing needs single-generator mus (mu[%d] is not)" % v
+            )
+            _require_unshared(coords, v, odds[("m", v)][0])
+    return coords.replace(mus=mus), odds, promo_mask
 
 
 def _require_unshared(coords, v, i):
@@ -889,37 +870,25 @@ def _require_unshared(coords, v, i):
             )
 
 
-def _flip_outputs(coords, e):
-    """All chart coordinates after the flip, keyed for the form basis."""
-    res = flip_coords(coords, e)
-    out = {("l", j): res.lambdas[j] for j in range(res.graph.num_edges)}
-    out.update({("m", v): res.mus[v] for v in range(res.graph.num_vertices)})
-    return out, res
-
-
-def _chart_differentials(evaluate, coords, slots):
-    """One-form differential of every output of `evaluate` with respect to
-    the chart coordinates: central finite differences on lambda bodies,
-    exact left derivatives on mu generators."""
-    rank = coords.rank
-    base = evaluate(coords)
+def _differentials(evaluate, evens, odds):
+    """One-form differential of every output of evaluate, which maps a dict
+    like evens (form key to even coordinate) to a dict of outputs and is
+    called at evens first: central finite differences on each even body,
+    exact left derivatives in each odd generator, odds mapping a form key to
+    (generator, coefficient)."""
+    base = evaluate(evens)
+    rank = next(iter(base.values())).rank
     forms = {key: OneForm(rank) for key in base}
-    for j in range(coords.graph.num_edges):
-        h = FD_STEP * max(1.0, abs(coords.lambdas[j].body))
-        lam_hi = list(coords.lambdas)
-        lam_hi[j] = lam_hi[j] + h
-        lam_lo = list(coords.lambdas)
-        lam_lo[j] = lam_lo[j] - h
-        hi = evaluate(coords.replace(lambdas=lam_hi))
-        lo = evaluate(coords.replace(lambdas=lam_lo))
+    for k, x in evens.items():
+        h = FD_STEP * max(1.0, abs(x.body))
+        hi = evaluate({**evens, k: x + h})
+        lo = evaluate({**evens, k: x - h})
         for key in base:
-            part = (hi[key] - lo[key]) * (0.5 / h)
-            _add_partial(forms[key], ("l", j), part)
-    for v, (gen, scale) in enumerate(slots):
+            _add_partial(forms[key], k, (hi[key] - lo[key]) * (0.5 / h))
+    for k, (gen, scale) in odds.items():
         for key in base:
-            part = odd_derivative(base[key], gen) * (1.0 / scale)
-            _add_partial(forms[key], ("m", v), part)
-    return base, forms
+            _add_partial(forms[key], k, odd_derivative(base[key], gen) * (1.0 / scale))
+    return forms
 
 
 def _add_partial(form, key, part):
@@ -933,20 +902,26 @@ def _add_partial(form, key, part):
 
 def pullback_check(coords, e, details=False):
     """Max coefficient gap between the chart two-form and the flipped
-    chart's two-form pulled back through flip_coords by the graded chain
-    rule.  With details=True also returns the offending pair label.  The
-    two-form holds each mu only through d(mu)^2, so the gap cannot see the
-    sign of any mu and is no evidence for a mu-sign law."""
-    work = canonical_gauge(coords)
-    work, slots, promo_mask = _promote_odd(work)
-    _, flipped = _flip_outputs(work, e)
-    omega_after = two_form(flipped)
+    chart's two-form pulled back by the graded chain rule.  With
+    details=True also returns the offending pair label.
 
-    def evaluate(pt):
-        outs, _ = _flip_outputs(pt, e)
-        return outs
+    It pulls back through the raw flip `_flip_once`, with one gauge pass on
+    the input and none per evaluation: the gauge moves only mu signs, and
+    the two-form holds each mu only through d(mu)^2.  So the gap cannot see
+    the sign of any mu either, and is no evidence for a mu-sign law."""
+    work, odds, promo_mask = _promote_odd(canonical_gauge(coords))
+    flipped = []
 
-    _, forms = _chart_differentials(evaluate, work, slots)
+    def evaluate(evens):
+        res = _flip_once(work.replace(lambdas=list(evens.values())), e)
+        flipped.append(res)
+        out = {("l", j): x for j, x in enumerate(res.lambdas)}
+        out.update((("m", v), x) for v, x in enumerate(res.mus))
+        return out
+
+    evens = {("l", j): x for j, x in enumerate(work.lambdas)}
+    forms = _differentials(evaluate, evens, odds)
+    omega_after = two_form(flipped[0])
     pulled = SuperTwoForm(work.rank)
     one = GrassmannNumber.scalar(1.0, work.rank)
     for (k1, k2), c in omega_after.terms.items():
@@ -970,37 +945,24 @@ def ptolemy_form_identity(sigma, theta, chi, rank=None):
     sigma, theta, chi = (grassmann(x, rank) for x in (sigma, theta, chi))
     if chi.body <= 0:
         raise ValueError("chi needs a positive body")
+    odds = {
+        ("o", 0): _single_generator(sigma, "sigma must be a single-generator odd value"),
+        ("o", 1): _single_generator(theta, "theta must be a single-generator odd value"),
+    }
 
-    def read_gen(m, what):
-        nz = np.nonzero(m.coeffs)[0]
-        if len(nz) != 1 or bin(int(nz[0])).count("1") != 1:
-            raise ValueError("%s must be a single-generator odd value" % what)
-        return int(nz[0]).bit_length(), float(m.coeffs[nz[0]])
-
-    g_s, s_s = read_gen(sigma, "sigma")
-    g_t, s_t = read_gen(theta, "theta")
-
-    def evaluate(s, t, x):
-        mu, nu = ptolemy_odd(s, t, x)
+    def evaluate(evens):
+        x = evens[("x", 0)]
+        mu, nu = ptolemy_odd(sigma, theta, x)
         return {
-            ("o", 0): s,
-            ("o", 1): t,
+            ("o", 0): sigma,
+            ("o", 1): theta,
             ("o", 2): mu,
             ("o", 3): nu,
-            ("o", 4): t * s,
+            ("o", 4): theta * sigma,
             ("x", 0): x,
         }
 
-    base = evaluate(sigma, theta, chi)
-    forms = {key: OneForm(rank) for key in base}
-    h = FD_STEP * max(1.0, abs(chi.body))
-    hi = evaluate(sigma, theta, chi + h)
-    lo = evaluate(sigma, theta, chi - h)
-    for key in base:
-        _add_partial(forms[key], ("x", 0), (hi[key] - lo[key]) * (0.5 / h))
-    for key in base:
-        _add_partial(forms[key], ("o", 0), odd_derivative(base[key], g_s) * (1.0 / s_s))
-        _add_partial(forms[key], ("o", 1), odd_derivative(base[key], g_t) * (1.0 / s_t))
+    forms = _differentials(evaluate, {("x", 0): chi}, odds)
     total = SuperTwoForm(rank)
     one = GrassmannNumber.scalar(1.0, rank)
     total.add_scaled(wedge(forms[("o", 2)], forms[("o", 2)]), one)
@@ -1048,10 +1010,10 @@ def parse_coords(text, rank=DEFAULT_RANK):
     for ln in rest:
         if ln.startswith("lambda "):
             _, name, val = ln.split(None, 2)
-            lambdas[int(name[1:])] = parse_grassmann(val, rank)
+            fg._put_indexed(lambdas, ln, name, "e", parse_grassmann(val, rank))
         elif ln.startswith("mu "):
             _, name, val = ln.split(None, 2)
-            mus[int(name[1:])] = parse_grassmann(val, rank)
+            fg._put_indexed(mus, ln, name, "v", parse_grassmann(val, rank))
         elif ln.startswith("gauge "):
             parts = ln.split()
             if len(parts) != 2 or parts[1] not in ("+", "-"):

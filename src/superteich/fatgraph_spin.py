@@ -65,6 +65,15 @@ def _partition_fault(groups, n, where, member):
     return "half-edge %r in the %s is not in 0..%d" % (extra[0], where, n - 1)
 
 
+def _require_index(name, value, count):
+    """Reject a value that is not an int (a bool is not), or not in
+    0..count - 1, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an int, got %r" % (name, value))
+    if not 0 <= value < count:
+        raise ValueError("%s must be in 0..%d, got %r" % (name, count - 1, value))
+
+
 class Fatgraph:
     """Immutable trivalent fatgraph: ccw vertex triples plus edge pairing."""
 
@@ -171,6 +180,9 @@ class Fatgraph:
 
     @property
     def genus(self):
+        """Genus of the fattened surface; raises ValueError, as
+        `spanning_tree` does, when the graph is not connected."""
+        self.spanning_tree()
         chi = self.num_vertices - self.num_edges
         return (2 - self.punctures - chi) // 2
 
@@ -535,8 +547,7 @@ def flip(graph, e, orientation):
     checked again; only the six half-edges of the two vertices are.
     """
     num_edges = graph.num_edges
-    if not 0 <= e < num_edges:
-        raise ValueError("edge %r is not in 0..%d" % (e, num_edges - 1))
+    _require_index("edge", e, num_edges)
     if len(orientation.tails) != num_edges:
         raise ValueError(
             "orientation has %d edges, the fatgraph %d" % (len(orientation.tails), num_edges)
@@ -562,7 +573,11 @@ def flip(graph, e, orientation):
 
 
 def is_isomorphic(g1, g2):
-    """Fatgraph isomorphism via rooted propagation over all root images."""
+    """Fatgraph isomorphism via rooted propagation over all root images.
+    Raises ValueError, as `spanning_tree` does, when either graph is not
+    connected: the propagation reaches one component only."""
+    g1.spanning_tree()
+    g2.spanning_tree()
     n1, n2 = 2 * g1.num_edges, 2 * g2.num_edges
     if n1 != n2 or g1.num_vertices != g2.num_vertices:
         return False
@@ -605,36 +620,48 @@ def write_fatgraph(graph, orientation=None):
 
 
 def parse_fatgraph(text):
+    """Read `write_fatgraph`'s format.  The lines vK and eK are numbered
+    0..count - 1, each number once, in any order; a ValueError quotes the
+    first line that is not."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != "fatgraph v1":
         raise ValueError("missing fatgraph v1 header")
-    verts, edges, orient_tokens = {}, {}, None
+    groups, orient_line = {"v": [], "e": []}, None
     for ln in lines[1:]:
         if ln.startswith("orient:"):
-            orient_tokens = ln[len("orient:"):].split()
+            orient_line = ln
             continue
         head, _, rest = ln.partition(":")
-        ids = rest.split()
-        if head.startswith("v"):
-            verts[int(head[1:])] = [_half_id(t) for t in ids]
-        elif head.startswith("e"):
-            edges[int(head[1:])] = tuple(_half_id(t) for t in ids)
-        else:
+        if head[:1] not in groups:
             raise ValueError("unrecognized line %r" % ln)
-    vlist = [verts[i] for i in range(len(verts))]
-    elist = [edges[j] for j in range(len(edges))]
+        groups[head[0]].append((ln, head, rest.split()))
+    vlist, elist = ([None] * len(groups[k]) for k in "ve")
+    for k, slots in (("v", vlist), ("e", elist)):
+        for ln, head, ids in groups[k]:
+            _put_indexed(slots, ln, head, k, [_half_id(t) for t in ids])
     graph = Fatgraph(vlist, elist)
     orientation = None
-    if orient_tokens is not None:
-        if len(orient_tokens) != 2 * graph.num_edges:
+    if orient_line is not None:
+        tokens = orient_line[len("orient:"):].split()
+        if len(tokens) != 2 * graph.num_edges:
             raise ValueError("orient block must list every edge")
         tails = [None] * graph.num_edges
-        for a, b in zip(orient_tokens[::2], orient_tokens[1::2]):
-            if not a.startswith("e"):
-                raise ValueError("bad orient token %r" % a)
-            tails[int(a[1:])] = _half_id(b)
+        for a, b in zip(tokens[::2], tokens[1::2]):
+            _put_indexed(tails, orient_line, a, "e", _half_id(b))
         orientation = Orientation(graph, tails)
     return graph, orientation
+
+
+def _put_indexed(slots, line, token, prefix, value):
+    """Store value in slots at the number in token, which must be prefix
+    and then an int in 0..len(slots) - 1, not taken before; a ValueError
+    quotes the line of a text format otherwise."""
+    digits = token[len(prefix):]
+    if not (token.startswith(prefix) and digits.isdecimal() and int(digits) < len(slots)):
+        raise ValueError("%r in line %r is not in %s0..%s%d" % (token, line, prefix, prefix, len(slots) - 1))
+    if slots[int(digits)] is not None:
+        raise ValueError("line %r repeats %s" % (line, token))
+    slots[int(digits)] = value
 
 
 def _half_id(tok):

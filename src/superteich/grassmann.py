@@ -403,11 +403,14 @@ def canonicalize_sign(a, tol=1e-9):
     bitmask order made positive.  Returns (representative, sign) with
     a = sign * representative; sign is +1.0 for (near-)zero input.
 
-    Significance is judged relative to the largest coefficient so that
-    roundoff junk below real terms never decides the sign."""
+    a may be a stack: its coefficients are read in `coeffs.flat` order
+    (element by element, each in bitmask order), and one sign serves the
+    whole stack.  Significance is judged relative to the largest
+    coefficient, of the whole stack, so that roundoff junk below real terms
+    never decides the sign."""
     thresh = tol * max(1.0, a.max_abs())
     first = np.flatnonzero(np.abs(a.coeffs) > thresh)
-    if first.size and a.coeffs[first[0]] < 0:
+    if first.size and a.coeffs.flat[first[0]] < 0:
         return -a, -1.0
     return a, 1.0
 

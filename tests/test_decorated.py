@@ -2,6 +2,7 @@
 and the super Ptolemy flip."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,28 @@ class TestCoordsText:
         with pytest.raises(ValueError) as err:
             dc.parse_coords(text, RANK)
         assert repr(bad_line) in str(err.value)
+
+    THETA = dc.write_coords(dc.standard_chart(fg.theta_graph(), rank=RANK))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("v1: h1 h3 h5", "v2: h1 h3 h5", "'v2' in line 'v2: h1 h3 h5' is not in v0..v1"),
+            ("v1: h1 h3 h5", "v0: h1 h3 h5", "line 'v0: h1 h3 h5' repeats v0"),
+            ("e2: h4 h5", "e-2: h4 h5", "'e-2' in line 'e-2: h4 h5' is not in e0..e2"),
+            ("e0 h0 e1", "e0 h0 e7", "'e7' in line 'orient: e0 h0 e7 h2 e2 h4' is not in e0..e2"),
+            ("lambda e2", "lambda e7", "'e7' in line 'lambda e7 1.0' is not in e0..e2"),
+            ("lambda e2", "lambda e1", "line 'lambda e1 1.0' repeats e1"),
+            ("mu v1", "mu v-1", "'v-1' in line 'mu v-1 1.0*g{2}' is not in v0..v1"),
+        ],
+        ids=["vertex_gap", "vertex_twice", "negative_edge", "orient_edge", "lambda_edge", "lambda_twice",
+             "negative_mu"],
+    )
+    def test_misnumbered_line_is_quoted(self, old, new, message):
+        assert old in self.THETA
+        with pytest.raises(ValueError) as err:
+            dc.parse_coords(self.THETA.replace(old, new), RANK)
+        assert str(err.value) == message
 
 
 def attach_one(coords, deltas, points, triangles, tri_idx, k):
@@ -369,20 +392,33 @@ class TestGauge:
             assert dc.canonical_gauge(moved.flip_gauge()).isclose(can)
 
     @pytest.mark.parametrize("name", sorted(SPINES))
-    def test_reflection_solution_reproduces_reachable_targets(self, name):
+    def test_canonical_gauge_is_invariant_over_every_reflection_subset(self, name):
+        """Reflecting any set of vertices, with either gauge bit, leaves the
+        canonical gauge unchanged, and its orientation is
+        `orientation_class`'s representative."""
         g = SPINES[name]()
-        rows = [g.incidence_row(v) for v in range(g.num_vertices)]
+        chart = random_chart(np.random.default_rng(5), g)
+        can = dc.canonical_gauge(chart)
+        assert can.orientation.bits == fg.orientation_class(chart.orientation).bits
+        assert can.gauge == 1
         for flips in itertools.product((0, 1), repeat=g.num_vertices):
-            target = sum((r for r, f in zip(rows, flips) if f), np.zeros_like(rows[0])) % 2
-            sol = dc._reflection_solution(g, target)
-            assert 0 not in sol
-            got = sum((rows[v] for v in sol), np.zeros_like(rows[0])) % 2
-            assert np.array_equal(got, target)
-        # an edge on a cycle cannot be reversed alone
-        on_cycle = int(np.argmax(g.cycle_basis()[0]))
-        with pytest.raises(ValueError):
-            dc._reflection_solution(g, np.eye(g.num_edges, dtype=np.uint8)[on_cycle])
+            moved = chart
+            for v in np.flatnonzero(flips):
+                moved = moved.reflect_vertex(int(v))
+            for x in (moved, moved.flip_gauge()):
+                assert dc.canonical_gauge(x).isclose(can)
 
+    def test_one_solve_per_canonical_gauge_and_one_gauge_pass_per_flip(self, monkeypatch):
+        chart = random_chart(np.random.default_rng(6), fg.genus_two_spine())
+        calls = []
+        for module, name in ((fg, "gf2_solve"), (dc, "canonical_gauge")):
+            inner = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=inner, _n=name: calls.append(_n) or _f(*a))
+        dc.canonical_gauge(chart)
+        assert calls == ["canonical_gauge", "gf2_solve"]
+        calls.clear()
+        dc.flip_coords(chart, 0)
+        assert calls == ["canonical_gauge", "gf2_solve"]
 
     @pytest.mark.parametrize("name", sorted(SPINES))
     def test_gauge_equal_up_to_reflections_and_sign(self, name):
@@ -456,6 +492,46 @@ class TestFlipCoords:
             if not g.is_loop(e):
                 assert dc.pullback_check(chart, e) <= 1e-6, "edge %d" % e
 
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_flip_respects_gauge_classes(self, name):
+        """A vertex reflection or the global sign of the input changes the
+        flipped chart by a gauge move only, so `flip_coords`, which
+        canonicalizes its output alone, gives the same chart."""
+        g = SPINES[name]()
+        r = np.random.default_rng(11)
+        for _ in range(3):
+            chart = random_chart(r, g)
+            moves = [chart.flip_gauge()] + [chart.reflect_vertex(v) for v in range(g.num_vertices)]
+            for e in range(g.num_edges):
+                if g.is_loop(e):
+                    continue
+                want = dc.flip_coords(chart, e)
+                for k, moved in enumerate(moves):
+                    assert dc.flip_coords(moved, e).isclose(want), "edge %d, move %d" % (e, k)
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_two_form_pulls_back_at_generic_lambda(self, name):
+        """Lambdas uniform in [0.4, 2.5], so the cross-ratio chi is not 1."""
+        g = SPINES[name]()
+        for chart in rep_charts(g, seed=9, count=3):
+            for e in range(g.num_edges):
+                if not g.is_loop(e):
+                    assert dc.pullback_check(chart, e) <= 1e-6, "edge %d" % e
+
+    @pytest.mark.parametrize(
+        "e, message",
+        [(True, r"^edge must be an int, got True$"), (1.0, r"^edge must be an int, got 1\.0$"),
+         (9, r"^edge must be in 0\.\.8, got 9$"), (-1, r"^edge must be in 0\.\.8, got -1$")],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [lambda x, e: fg.flip(x.graph, e, x.orientation), dc.flip_coords, dc.pullback_check],
+        ids=["flip", "flip_coords", "pullback_check"],
+    )
+    def test_edge_is_checked_up_front(self, call, e, message):
+        with pytest.raises(ValueError, match=message):
+            call(dc.standard_chart(fg.genus_two_spine(), rank=RANK), e)
+
     @pytest.mark.parametrize("name", ["theta", "genus_two"])
     def test_pullback_rejects_a_generator_shared_with_a_lambda(self, name):
         """0.3 g1 g8 in lambda_0 shares g1 with mu[0]: differentiating in g1
@@ -519,6 +595,14 @@ class TestBuildRep:
                 assert abs(abs(tr) - 2) <= 1e-12 * scale
                 assert (tr < 0) == (kind == "NS"), (traces, types)
             assert rep.equivariance_residual() <= 1e-12 * scale
+
+    def test_domain_of_another_fatgraph_is_rejected(self):
+        theta, two = fg.theta_graph(), fg.genus_two_spine()
+        for chart_graph, domain_graph in ((two, theta), (theta, two)):
+            sizes = [(x.num_vertices, x.num_edges) for x in (domain_graph, chart_graph)]
+            message = "fundamental domain is of another fatgraph, (V, E) = %r, than the chart's %r" % tuple(sizes)
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                dc.build_rep(dc.standard_chart(chart_graph, rank=RANK), dc.fundamental_domain(domain_graph))
 
     @pytest.mark.parametrize("name", sorted(SPINES))
     def test_raw_pairing_carries_corners_and_dressed_reflects_them(self, name):
@@ -598,8 +682,11 @@ class TestDisconnected:
             lambda g: fg.spin_class(g, fg.Orientation.from_bits(g, (0,) * g.num_edges)),
             lambda g: dc.delta_coloring(g),
             lambda g: dc.fundamental_domain(g),
+            lambda g: g.genus,
+            lambda g: fg.is_isomorphic(g, g),
         ],
-        ids=["cycle_basis", "spanning_tree", "QuadraticForm", "spin_class", "delta_coloring", "fundamental_domain"],
+        ids=["cycle_basis", "spanning_tree", "QuadraticForm", "spin_class", "delta_coloring", "fundamental_domain",
+             "genus", "is_isomorphic"],
     )
     def test_rejected_naming_a_vertex_not_reached(self, call):
         with pytest.raises(ValueError, match=r"^fatgraph is not connected: vertex 2 is not reached from vertex 0$"):

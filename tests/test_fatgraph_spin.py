@@ -1283,7 +1283,7 @@ class TestFlipRule:
     def test_flip_rejects_edge_out_of_range(self, e):
         g = fg.genus_two_spine()
         om = fg.Orientation.from_bits(g, [0] * g.num_edges)
-        with pytest.raises(ValueError, match=r"^edge %d is not in 0\.\.8$" % e):
+        with pytest.raises(ValueError, match=r"^edge must be in 0\.\.8, got %d$" % e):
             fg.flip(g, e, om)
 
     def test_flip_rejects_orientation_of_another_graph_size(self):

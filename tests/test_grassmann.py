@@ -402,7 +402,7 @@ def test_kernel_associative_at_rank_12(a, b, c):
 def _loop_canonicalize_sign(a, tol=1e-9):
     """Per-coefficient scan: the first coefficient above the threshold decides."""
     thresh = tol * max(1.0, a.max_abs())
-    for c in a.coeffs:
+    for c in a.coeffs.flat:
         if abs(c) > thresh:
             return (-a, -1.0) if c < 0 else (a, 1.0)
     return a, 1.0
@@ -415,20 +415,30 @@ def _terms_at_rank_12(terms):
     return g
 
 
-@pytest.mark.parametrize(
-    "terms",
-    [
-        [(1, -1e-12), (5, 2.0), (7, -3.0)],  # leading term below the threshold
-        [(1, 1e-12), (5, -2.0), (7, 3.0)],
-        [(3, -0.5), (9, 1.0), (2048, 1.0)],  # negative leading coefficient
-        [(6, 0.25), (1 << 11, -4.0)],
-        [(4095, -1.0)],
-        [],  # the zero element
-        [(2, 1e-11)],  # only roundoff junk: nothing is significant
-    ],
-)
+SIGN_CASES = [
+    [(1, -1e-12), (5, 2.0), (7, -3.0)],  # leading term below the threshold
+    [(1, 1e-12), (5, -2.0), (7, 3.0)],
+    [(3, -0.5), (9, 1.0), (2048, 1.0)],  # negative leading coefficient
+    [(6, 0.25), (1 << 11, -4.0)],
+    [(4095, -1.0)],
+    [],  # the zero element
+    [(2, 1e-11)],  # only roundoff junk: nothing is significant
+]
+
+
+@pytest.mark.parametrize("terms", SIGN_CASES)
 def test_canonicalize_sign_matches_loop(terms):
-    a = _terms_at_rank_12(terms)
+    _assert_sign_matches_loop(_terms_at_rank_12(terms))
+
+
+@pytest.mark.parametrize("terms", SIGN_CASES)
+def test_canonicalize_sign_of_a_stack_reads_it_flat(terms):
+    """A stack takes one sign, from its coefficients read in flat order:
+    here zero, the element, then 0.5 g1."""
+    _assert_sign_matches_loop(stack([GrassmannNumber(12), _terms_at_rank_12(terms), _terms_at_rank_12([(1, 0.5)])]))
+
+
+def _assert_sign_matches_loop(a):
     rep, sign = canonicalize_sign(a)
     want_rep, want_sign = _loop_canonicalize_sign(a)
     assert sign == want_sign
