@@ -4,8 +4,9 @@ orientation tracking the odd sign sheet, and a global sign gauge bit.
 
 The module implements the super Ptolemy flip on charts, the recursive
 light-cone lift of a chart (one breadth-first level at a time), holonomy
-representations built from a fundamental domain, and the even two-form with
-its flip-invariance checker (graded chain-rule pullback)."""
+representations as products of two elementary frames along a fundamental
+domain, and the even two-form with its flip-invariance checker (graded
+chain-rule pullback)."""
 
 import collections
 
@@ -29,9 +30,7 @@ from .minkowski import (
     ElementError,
     SuperVector,
     _far_spinor,
-    _spinor_frame,
     _square,
-    act,
     mu_invariant,
     pairing,
     ptolemy_even,
@@ -180,6 +179,12 @@ def _quad_labels(coords, e):
     return a, b, c, d, graph.vertex_of(h_theta), graph.vertex_of(h_sigma)
 
 
+def _cross_ratio(a, b, c, d):
+    """The cross-ratio chi = a c / (b d) of an edge's quadrilateral, from
+    `_quad_labels`'s lambda-lengths; the same from either end of the edge."""
+    return a * c * (b * d).inverse()
+
+
 def _nu_mu_vertices(graph, om, e, res, v_theta, v_sigma):
     """Post-flip vertices carrying the two new odd invariants: the nu
     triangle is the one keeping the halves that carried b and c."""
@@ -207,7 +212,7 @@ def _flip_once(coords, e):
     lam_e = coords.lambdas[e]
     theta = coords.mus[v_theta]
     sigma = coords.mus[v_sigma]
-    chi = a * c * (b * d).inverse()
+    chi = _cross_ratio(a, b, c, d)
     f = ptolemy_even(a, b, c, d, lam_e, sigma, theta)
     nu, mu_new = ptolemy_odd(sigma, theta, chi)
     v_nu, v_mu = _nu_mu_vertices(graph, coords.orientation, e, res, v_theta, v_sigma)
@@ -530,57 +535,60 @@ def fundamental_domain(graph, base_vertex=0):
     return FundamentalDomain(graph, base_vertex, tree, generators)
 
 
-def _normalize_slot(spinors, triangles, tri_idx, k, rank):
-    """Frame carrying a lifted triangle to standard position with the
-    fermion opposite its k-th half-edge, from the spinors the lift carries
-    (`minkowski._spinor_frame`); returns (frame, invariants)."""
-    cs = triangles[tri_idx].corners
-    sa, sb, sc = ([GrassmannNumber.wrap(rank, x) for x in spinors[cs[(k + j) % 3]]] for j in (1, 0, 2))
-    g, r, s, t, phi = _spinor_frame(sa, sb, sc)
-    return g, (r, s, t, phi)
+def _turn(coords, v, steps):
+    """Frame of v's triangle in standard position at slot k + steps, steps
+    1 or 2, in its standard position at slot k: T_v for one sigma-turn,
+    T_v^-1 for two, with m = mu_v gauge.  T_v is R times the frame
+    (`minkowski._spinor_frame`) of the next slot's standard spinors, R the
+    fermionic reflection, so phi = m on every slot and T_v^3 = I."""
+    m = coords.mus[v] * float(coords.gauge)
+    if steps == 1:
+        return sl.SuperMatrix([[-1, -1, -m], [1, 0, 0], [m, 0, 1]], coords.rank)
+    return sl.SuperMatrix([[0, 1, 0], [-1, -1, -m], [0, -m, 1]], coords.rank)
+
+
+def _crossing(coords, h):
+    """Frame of the triangle across the edge of half-edge h, at its
+    partner's slot, in that of h's triangle at h's slot:
+
+        E_h = (0, -x, 0 / 1/x, 0, 0 / 0, 0, 1),  x = eps sqrt(chi),
+
+    with chi the edge's cross-ratio (`_cross_ratio`).  For eps = 1 it is
+    the frame of the triangle that `minkowski._far_spinor` puts across the
+    side; eps = -1 where h is the edge's head (the crossing runs against
+    the arrow), and this sign is where the spin structure enters.  So
+    E_partner(h) E_h = I."""
+    e = coords.graph.edge_of(h)
+    chi = _cross_ratio(*_quad_labels(coords, e)[:4])
+    eps = -1.0 if h == coords.orientation.head(e) else 1.0
+    # chi^(-1/2) gives 1/x, and x = chi chi^(-1/2), from one series
+    x_inv = chi.rsqrt() * eps
+    return sl.SuperMatrix([[0, -(chi * x_inv), 0], [x_inv, 0, 0], [0, 0, 1]], coords.rank)
 
 
 class SuperRep:
-    """Holonomy built from edge pairings of a fundamental domain: one group
-    element per non-tree edge, plus the lifted domain for diagnostics."""
+    """Holonomy of a chart from a fundamental domain.  frames[h] is the
+    frame of the triangle of h's vertex in standard position at h's slot
+    (the fermion at the corner opposite h): act(frames[h], P) carries each
+    standard point P to the domain.  elements holds one group element per
+    generator edge."""
 
-    def __init__(self, coords, domain, elements, raw_elements, q_values, lifted, extras):
+    def __init__(self, coords, domain, frames, elements):
         self.coords = coords
         self.domain = domain
+        self.frames = frames
         self.elements = elements
-        self.raw_elements = raw_elements
-        self.q_values = q_values
-        self.lifted = lifted
-        self.extras = extras
 
     def generators(self):
         return [self.elements[j] for j in self.domain.generators]
 
-    def equivariance_residual(self):
-        """Worst pointwise gap of act(raw pairing, corner k of t1) against
-        corner k of t2, over all generators, with (t1, t2) = extras[j]: the
-        raw pairing carries t1's corners onto t2's.  The dressed element
-        raw * R (R the fermionic reflection), where it differs, carries
-        them onto t2's corners with phi and theta negated, so it is not the
-        one checked here."""
-        worst = 0.0
-        for j in self.domain.generators:
-            g = self.raw_elements[j]
-            t1, t2 = self.extras[j]
-            tri1 = self.lifted.triangles[t1]
-            tri2 = self.lifted.triangles[t2]
-            for k in range(3):
-                lhs = act(g, self.lifted.points[tri1.corners[k]])
-                rhs = self.lifted.points[tri2.corners[k]]
-                worst = max(worst, lhs.max_coeff_diff(rhs))
-        return worst
-
-    def puncture_word(self, orbit):
-        """Holonomy of a boundary cycle: generator crossings composed in
-        orbit order (tree crossings stay inside the domain)."""
+    def word(self, arrivals):
+        """Holonomy of a closed walk given by the half-edges it arrives at,
+        in order: its generator crossings composed (tree crossings stay
+        inside the domain).  A boundary orbit is such a walk."""
         graph = self.coords.graph
         word = sl.identity(self.coords.rank)
-        for h in orbit:
+        for h in arrivals:
             j = graph.edge_of(h)
             if j not in self.elements:
                 continue
@@ -591,7 +599,7 @@ class SuperRep:
         return word
 
     def puncture_traces(self):
-        return [_bosonic_trace_body(self.puncture_word(orbit)) for orbit in self.coords.graph.boundary_orbits()]
+        return [_bosonic_trace_body(self.word(orbit)) for orbit in self.coords.graph.boundary_orbits()]
 
 
 def _bosonic_trace_body(g):
@@ -599,83 +607,39 @@ def _bosonic_trace_body(g):
     return float(m[0, 0] + m[1, 1])
 
 
-def build_rep(coords, domain=None, tol=EQ_TOL):
-    """Representation from a fundamental domain.
+def build_rep(coords, domain=None):
+    """Representation from a fundamental domain, as a product of the two
+    elementary frames read off the chart, `_turn` and `_crossing`.
 
-    The domain's triangles are lifted in the order of its spanning tree,
-    each attached across the slot of the half-edge at its parent.  Each
-    generator edge j, from h1 at v1 to h2 at v2, is paired by lifting a
-    second copy t2 of v1's triangle across j from v2's triangle, and
-    putting t1 (v1's own) and t2 in standard position at h1's slot, with
-    frames g1 and g2.  Their r, s and t must agree; phi may agree or be
-    negated, as the two frames may sit on opposite sheets.  The raw
-    pairing is g1 g2^-1, or g1 R g2^-1 where phi is negated (R the
-    fermionic reflection): either way it carries t1's corners onto t2's
-    (`SuperRep.equivariance_residual`).
-
-    The spin structure then enters as a sign dressing: with q the
-    quadratic form on j's fundamental cycle in the tree, the element is
-    raw R, where the raw bosonic trace has the wrong sign for q (negative
-    exactly when q = 0), and raw otherwise.  raw R carries t1's corners
-    onto t2's with phi and theta negated.  Rejects a domain made for
-    another fatgraph, naming the two."""
+    The base triangle's frame is the identity at slot 0.  A tree child
+    reached through h gets E_h times its parent's frame at h's slot, at the
+    slot of partner(h); a frame at another slot of the same triangle is the
+    turn to it times that one.  Generator edge j = (h1, h2) is
+    frames[h1]^-1 E_h2 frames[h2]: it carries v1's triangle onto its copy
+    across h2.  The spin structure enters through the signs of the
+    crossings alone.  Rejects a domain made for another fatgraph, naming
+    the two."""
     graph = coords.graph
     if domain is None:
         domain = fundamental_domain(graph)
     if (domain.graph.vertices, domain.graph.edges) != (graph.vertices, graph.edges):
         sizes = tuple((x.num_vertices, x.num_edges) for x in (domain.graph, graph))
         raise ValueError("fundamental domain is of another fatgraph, (V, E) = %r, than the chart's %r" % sizes)
-    factors = _side_factors(coords, delta_coloring(graph, domain.base_vertex))
-    points, spinors = _base_triangle(coords, factors, domain.base_vertex, 0)
-    triangles = [LiftedTriangle(domain.base_vertex, (0, 1, 2), 1, -1)]
-    tri_of_vertex = {domain.base_vertex: 0}
+    frames = [None] * (2 * graph.num_edges)
     for v, h in domain.tree.items():
-        if h is not None:
-            pv = graph.vertex_of(h)
-            jobs = [(tri_of_vertex[pv], graph.vertices[pv].index(h))]
-            (tri_of_vertex[v],) = _attach_level(coords, factors, points, spinors, triangles, jobs)
-    lifted = LiftedTriangulation(coords, points, triangles, domain.base_vertex, 0)
-    form = fg.QuadraticForm(graph, coords.orientation)
-    reflection = sl.fermionic_reflection(coords.rank)
-    elements, raw_elements, q_values, extras = {}, {}, {}, {}
+        hs = graph.vertices[v]
+        if h is None:
+            k, frame = 0, sl.identity(coords.rank)
+        else:
+            k, frame = hs.index(graph.partner(h)), sl.smul(_crossing(coords, h), frames[h])
+        frames[hs[k]] = frame
+        for steps in (1, 2):
+            frames[hs[(k + steps) % 3]] = sl.smul(_turn(coords, v, steps), frame)
+    elements = {}
     for j in domain.generators:
         h1, h2 = graph.edges[j]
-        v1 = graph.vertex_of(h1)
-        v2 = graph.vertex_of(h2)
-        t1 = tri_of_vertex[v1]
-        k1 = graph.vertices[v1].index(h1)
-        k2 = graph.vertices[v2].index(h2)
-        (t2,) = _attach_level(coords, factors, points, spinors, triangles, [(tri_of_vertex[v2], k2)])
-        g1, inv1 = _normalize_slot(spinors, triangles, t1, k1, coords.rank)
-        g2, inv2 = _normalize_slot(spinors, triangles, t2, k1, coords.rank)
-        phi1, phi2 = inv1[3], inv2[3]
-        negated = (phi1 + phi2).max_abs() < (phi1 - phi2).max_abs()
-        for x, y in zip(inv1, inv2[:3] + (-phi2 if negated else phi2,)):
-            if (x - y).max_abs() > 1e-6:
-                raise ValueError(
-                    "paired triangles disagree in standard position (edge %d)" % j
-                )
-        if negated:
-            raw = sl.smul_many(g1, reflection, sl.inverse_osp(g2))
-        else:
-            raw = sl.smul(g1, sl.inverse_osp(g2))
-        qv = int(form.value(graph.fundamental_cycle(domain.tree, j)))
-        tb = _bosonic_trace_body(raw)
-        if abs(tb) <= tol:
-            raise ValueError(
-                "pairing trace body %.3g at edge %d is too close to zero to "
-                "resolve the sign sheet" % (tb, j)
-            )
-        want_negative = qv == 0
-        if (tb > 0) == want_negative:
-            dressed = sl.smul(raw, reflection)
-        else:
-            dressed = raw
-        elements[j] = dressed
-        raw_elements[j] = raw
-        q_values[j] = qv
-        extras[j] = (t1, t2)
-    return SuperRep(coords, domain, elements, raw_elements, q_values, lifted, extras)
+        elements[j] = sl.smul_many(sl.inverse_osp(frames[h1]), _crossing(coords, h2), frames[h2])
+    return SuperRep(coords, domain, frames, elements)
 
 
 # -- the invariant two-form ----------------------------------------------------
@@ -1008,12 +972,12 @@ def parse_coords(text, rank=DEFAULT_RANK):
     mus = [None] * graph.num_vertices
     gauge = None
     for ln in rest:
-        if ln.startswith("lambda "):
-            _, name, val = ln.split(None, 2)
-            fg._put_indexed(lambdas, ln, name, "e", parse_grassmann(val, rank))
-        elif ln.startswith("mu "):
-            _, name, val = ln.split(None, 2)
-            fg._put_indexed(mus, ln, name, "v", parse_grassmann(val, rank))
+        if ln.startswith(("lambda ", "mu ")):
+            parts = ln.split(None, 2)
+            if len(parts) != 3:
+                raise ValueError("line %r needs a name and a value" % ln)
+            slots, prefix = (lambdas, "e") if parts[0] == "lambda" else (mus, "v")
+            fg._put_indexed(slots, ln, parts[1], prefix, parse_grassmann(parts[2], rank))
         elif ln.startswith("gauge "):
             parts = ln.split()
             if len(parts) != 2 or parts[1] not in ("+", "-"):

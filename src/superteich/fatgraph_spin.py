@@ -638,7 +638,7 @@ def parse_fatgraph(text):
     vlist, elist = ([None] * len(groups[k]) for k in "ve")
     for k, slots in (("v", vlist), ("e", elist)):
         for ln, head, ids in groups[k]:
-            _put_indexed(slots, ln, head, k, [_half_id(t) for t in ids])
+            _put_indexed(slots, ln, head, k, [_half_id(t, ln) for t in ids])
     graph = Fatgraph(vlist, elist)
     orientation = None
     if orient_line is not None:
@@ -647,7 +647,7 @@ def parse_fatgraph(text):
             raise ValueError("orient block must list every edge")
         tails = [None] * graph.num_edges
         for a, b in zip(tokens[::2], tokens[1::2]):
-            _put_indexed(tails, orient_line, a, "e", _half_id(b))
+            _put_indexed(tails, orient_line, a, "e", _half_id(b, orient_line))
         orientation = Orientation(graph, tails)
     return graph, orientation
 
@@ -664,7 +664,9 @@ def _put_indexed(slots, line, token, prefix, value):
     slots[int(digits)] = value
 
 
-def _half_id(tok):
-    if not tok.startswith("h"):
-        raise ValueError("bad half-edge token %r" % tok)
+def _half_id(tok, line):
+    """The number K of a half-edge token hK; a ValueError quotes the line
+    of a text format otherwise."""
+    if not (tok.startswith("h") and tok[1:].isdecimal()):
+        raise ValueError("bad half-edge token %r in line %r" % (tok, line))
     return int(tok[1:])

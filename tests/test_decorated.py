@@ -1,5 +1,5 @@
-"""Decorated charts: the coords text format, the gauge, the light-cone lift
-and the super Ptolemy flip."""
+"""Decorated charts: the coords text format, the gauge, the light-cone lift,
+the super Ptolemy flip and the holonomy representation."""
 
 import itertools
 import re
@@ -57,11 +57,18 @@ class TestCoordsText:
             ("lambda e2", "lambda e7", "'e7' in line 'lambda e7 1.0' is not in e0..e2"),
             ("lambda e2", "lambda e1", "line 'lambda e1 1.0' repeats e1"),
             ("mu v1", "mu v-1", "'v-1' in line 'mu v-1 1.0*g{2}' is not in v0..v1"),
+            ("e0: h0 h1", "e0: h0 hx", "bad half-edge token 'hx' in line 'e0: h0 hx'"),
+            ("v1: h1 h3 h5", "v1: h1 3 h5", "bad half-edge token '3' in line 'v1: h1 3 h5'"),
+            ("e0 h0 e1", "e0 h-1 e1", "bad half-edge token 'h-1' in line 'orient: e0 h-1 e1 h2 e2 h4'"),
+            ("lambda e2 1.0", "lambda e2", "line 'lambda e2' needs a name and a value"),
+            ("mu v1 1.0*g{2}", "mu v1", "line 'mu v1' needs a name and a value"),
         ],
         ids=["vertex_gap", "vertex_twice", "negative_edge", "orient_edge", "lambda_edge", "lambda_twice",
-             "negative_mu"],
+             "negative_mu", "edge_half", "vertex_half", "orient_half", "lambda_value", "mu_value"],
     )
     def test_misnumbered_line_is_quoted(self, old, new, message):
+        """A misnumbered line, a malformed half-edge token or a missing
+        value is rejected with a ValueError that quotes the line."""
         assert old in self.THETA
         with pytest.raises(ValueError) as err:
             dc.parse_coords(self.THETA.replace(old, new), RANK)
@@ -301,8 +308,8 @@ class TestCarriedSpinors:
 
 
 class TestStandardPosition:
-    """normalize_triple on the triangles of a lift, and the frames build_rep
-    makes from the spinors the lift carries."""
+    """normalize_triple on the triangles of a lift, and the spinor frames of
+    the spinors the lift carries."""
 
     @pytest.mark.parametrize("name", ["theta", "genus_two"])
     def test_lift_triangles_match_the_chain(self, name):
@@ -321,8 +328,9 @@ class TestStandardPosition:
 
     @pytest.mark.parametrize("name", ["theta", "genus_two"])
     def test_frames_from_carried_spinors_are_normalize_triples(self, name):
-        """`_normalize_slot` reads the spinors the lift carries.  Its r, s
-        and t are normalize_triple's on the points; so are g and phi, except
+        """`_spinor_frame` of the spinors the lift carries, at each slot
+        k of each triangle on the corners k + 1, k and k + 2.  Its r, s and
+        t are normalize_triple's on the points; so are g and phi, except
         that where the third point's x1 and x2 agree to rounding, the two
         may take c on opposite sheets (which of u, v is the pivot is then a
         coin toss), and the frame differs by the fermionic reflection."""
@@ -336,9 +344,10 @@ class TestStandardPosition:
         for _ in range(3):
             jobs = [(t, k) for t in dc._attach_level(chart, factors, points, spinors, triangles, jobs) for k in range(3)]
         reflected = 0
-        for tri_idx, tri in enumerate(triangles):
+        for tri in triangles:
             for k in range(3):
-                g, (rr, ss, tt, phi) = dc._normalize_slot(spinors, triangles, tri_idx, k, RANK)
+                carried = ([GrassmannNumber.wrap(RANK, x) for x in spinors[tri.corners[(k + j) % 3]]] for j in (1, 0, 2))
+                g, rr, ss, tt, phi = mk._spinor_frame(*carried)
                 trip = [points[tri.corners[(k + j) % 3]] for j in (1, 0, 2)]
                 want = mk.normalize_triple(*trip)
                 scale = max(1.0, max(float(np.abs(p.coeffs).max()) for p in trip))
@@ -565,36 +574,232 @@ def rep_charts(graph, seed, count=12):
         yield dc.standard_chart(graph, om, rank=RANK).replace(lambdas=lambdas)
 
 
-def points_scale(points):
-    return max(float(np.abs(p.coeffs).max()) for p in points)
+def generators_scale(rep):
+    return max(g.scale() for g in rep.generators())
+
+
+def supertrace(g):
+    """a + d - f, the conjugacy invariant of `superlinalg.smul`'s product."""
+    rows = g.rows
+    return rows[0][0] + rows[1][1] - rows[2][2]
+
+
+def closed_walk(r, graph, steps):
+    """The arrivals of a random closed walk: steps random crossings from a
+    random vertex, then back to it along the spanning tree rooted there."""
+    start = int(r.integers(graph.num_vertices))
+    v, arrivals = start, []
+    for _ in range(steps):
+        arrivals.append(graph.partner(graph.vertices[v][int(r.integers(3))]))
+        v = graph.vertex_of(arrivals[-1])
+    tree = graph.spanning_tree(start)
+    while v != start:
+        arrivals.append(tree[v])
+        v = graph.vertex_of(tree[v])
+    return arrivals
+
+
+def world_triangle(chart, factors, h, frame):
+    """Corners 0, 1 and 2 of the triangle of h's vertex in standard
+    position at h's slot (`_base_triangle` with the chart's side factors,
+    phi = mu gauge), carried by act(frame, .)."""
+    graph = chart.graph
+    v = graph.vertex_of(h)
+    points, _ = dc._base_triangle(chart, factors, v, graph.vertices[v].index(h))
+    return [mk.act(frame, p) for p in points]
 
 
 REP_BASES = [(name, base) for name in sorted(SPINES) for base in range(bipartite_spine(name).num_vertices)]
 
-# row factors that negate the phi and theta of a point
-ODD_NEGATED = np.array([1, 1, 1, -1, -1.0])[:, None]
+# dumbbell and four-puncture are not bipartite as shipped
+SHIPPED_BASES = [(name, base) for name in ("dumbbell", "four_puncture") for base in range(SPINES[name]().num_vertices)]
+
+
+def assert_parabolic_and_split_by_spin(graph, base):
+    """Every puncture trace is +-2, and -2 exactly on the NS punctures of
+    `puncture_types`, within 1e-12 of the generators' scale."""
+    domain = dc.fundamental_domain(graph, base)
+    for chart in rep_charts(graph, seed=7):
+        rep = dc.build_rep(chart, domain)
+        scale = generators_scale(rep)
+        types = fg.puncture_types(graph, chart.orientation)
+        traces = rep.puncture_traces()
+        assert len(traces) == len(types)
+        for tr, kind in zip(traces, types):
+            assert abs(abs(tr) - 2) <= 1e-12 * scale
+            assert (tr < 0) == (kind == "NS"), (traces, types)
+
+
+class TestFrames:
+    """The two elementary frames of `build_rep` in closed form: the turn
+    T_v and the crossing E_h, against the spinor frames they stand for."""
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_turn_is_the_reflected_frame_of_the_next_slot(self, name):
+        """_turn(v, steps) is R inverse_osp(g) of the standard spinors at
+        slot k + steps (`_base_triangle` at slot k, read on the corners
+        after, at and before that slot), R the fermionic reflection."""
+        r = np.random.default_rng(14)
+        graph = SPINES[name]()
+        reflection = sl.fermionic_reflection(RANK)
+        for chart in [random_chart(r, graph) for _ in range(2)]:
+            factors = dc._side_factors(chart, [1] * graph.num_vertices)
+            for v, k, steps in itertools.product(range(graph.num_vertices), range(3), (1, 2)):
+                _, spinors = dc._base_triangle(chart, factors, v, k)
+                slot = (k + steps) % 3
+                std = ([GrassmannNumber.wrap(RANK, x) for x in spinors[(slot + j) % 3]] for j in (1, 0, 2))
+                frame = sl.smul(reflection, sl.inverse_osp(mk._spinor_frame(*std)[0]))
+                assert frame.max_coeff_diff(dc._turn(chart, v, steps)) <= 1e-15 * frame.scale()
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_crossing_is_the_frame_of_the_far_triangle(self, name):
+        """The triangle `_far_spinor` puts across the side of h from h's
+        triangle in standard position has the frame E_h (at its partner's
+        slot) where the crossing runs along the arrow, and R E_h where it
+        runs against it."""
+        r = np.random.default_rng(15)
+        graph = SPINES[name]()
+        reflection = sl.fermionic_reflection(RANK)
+        for chart in [random_chart(r, graph, bodies=(0.4, 2.5)) for _ in range(2)]:
+            factors = dc._side_factors(chart, [1] * graph.num_vertices)
+            for h in range(2 * graph.num_edges):
+                v, h2 = graph.vertex_of(h), graph.partner(h)
+                k, v2 = graph.vertices[v].index(h), graph.vertex_of(h2)
+                _, spinors = dc._base_triangle(chart, factors, v, k)
+                slot = 3 * v2 + graph.vertices[v2].index(h2)
+                sa, sc = spinors[(k + 1) % 3], spinors[(k + 2) % 3]
+                far = mk._far_spinor(sa[:, None], sc[:, None], factors.factors[:, [slot]], RANK)[:, 0]
+                # the far triangle at its slot: corners after, at and before it
+                sides = ([GrassmannNumber.wrap(RANK, x) for x in s] for s in (sc, far, sa))
+                frame = sl.inverse_osp(mk._spinor_frame(*sides)[0])
+                want = dc._crossing(chart, h)
+                if h == chart.orientation.head(graph.edge_of(h)):
+                    want = sl.smul(reflection, want)
+                assert frame.max_coeff_diff(want) <= 1e-15 * want.scale()
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_exact_identities(self, name):
+        """T_v^3 = I, T_v T_v^-1 = I and E_partner(h) E_h = I, each matrix
+        in OSp(1|2)."""
+        r = np.random.default_rng(16)
+        graph = SPINES[name]()
+        one = sl.identity(RANK)
+        for chart in [random_chart(r, graph, bodies=(0.4, 2.5)) for _ in range(2)]:
+            for v in range(graph.num_vertices):
+                turn, back = dc._turn(chart, v, 1), dc._turn(chart, v, 2)
+                assert sl.smul_many(turn, turn, turn).max_coeff_diff(one) <= 1e-15
+                assert sl.smul(turn, back).max_coeff_diff(one) <= 1e-15
+                assert max(sl.osp_residual(turn), sl.osp_residual(back)) <= 1e-12
+            for h in range(2 * graph.num_edges):
+                cross = dc._crossing(chart, h)
+                assert sl.smul(dc._crossing(chart, graph.partner(h)), cross).max_coeff_diff(one) <= 1e-15
+                assert sl.osp_residual(cross) <= 1e-12
 
 
 class TestBuildRep:
-    """build_rep on the four spines made bipartite, from every base vertex,
-    with bounds scaled by the largest lifted point."""
+    """build_rep on the four spines, from every base vertex, with bounds
+    scaled by the largest generator or point."""
 
     @pytest.mark.parametrize("name, base", REP_BASES)
     def test_punctures_are_parabolic_and_split_by_spin(self, name, base):
-        """Every puncture trace is +-2, and -2 exactly on the NS punctures
-        of `puncture_types`; the pairings are equivariant."""
-        graph = bipartite_spine(name)
-        domain = dc.fundamental_domain(graph, base)
-        for chart in rep_charts(graph, seed=7):
-            rep = dc.build_rep(chart, domain)
-            scale = points_scale(rep.lifted.points)
-            types = fg.puncture_types(graph, chart.orientation)
-            traces = rep.puncture_traces()
-            assert len(traces) == len(types)
-            for tr, kind in zip(traces, types):
-                assert abs(abs(tr) - 2) <= 1e-12 * scale
-                assert (tr < 0) == (kind == "NS"), (traces, types)
-            assert rep.equivariance_residual() <= 1e-12 * scale
+        """On the spines made bipartite."""
+        assert_parabolic_and_split_by_spin(bipartite_spine(name), base)
+
+    @pytest.mark.parametrize("name, base", SHIPPED_BASES)
+    def test_punctures_split_on_spines_that_are_not_bipartite(self, name, base):
+        """The frame product needs no delta coloring, so the spines that
+        are not bipartite as shipped need no flips first."""
+        graph = SPINES[name]()
+        with pytest.raises(ValueError, match="not bipartite"):
+            dc.delta_coloring(graph)
+        assert_parabolic_and_split_by_spin(graph, base)
+
+    @pytest.mark.parametrize(
+        "name, shipped", [(name, False) for name in sorted(SPINES)] + [("dumbbell", True), ("four_puncture", True)]
+    )
+    def test_closed_walk_supertraces_are_conjugacy_invariants(self, name, shipped):
+        """The supertrace of the word of a closed walk (`SuperRep.word`) is
+        the same from every base vertex, after `flip_gauge` and after every
+        `reflect_vertex`: these move the representation by a conjugation
+        only.  The bound is 1e-12 of the larger of its body and the two
+        words' largest entries, as a short walk with a trace near 2 can have
+        large entries."""
+        graph = SPINES[name]() if shipped else bipartite_spine(name)
+        r = np.random.default_rng(17)
+        charts = list(rep_charts(graph, seed=17, count=2)) + [random_chart(r, graph, bodies=(0.4, 2.5)) for _ in range(2)]
+        for chart in charts:
+            walks = [closed_walk(r, graph, int(r.integers(1, 7))) for _ in range(12)]
+            rep = dc.build_rep(chart)
+            want = [rep.word(w) for w in walks]
+            moved = [dc.build_rep(chart, dc.fundamental_domain(graph, b)) for b in range(1, graph.num_vertices)]
+            moved.append(dc.build_rep(chart.flip_gauge()))
+            moved.extend(dc.build_rep(chart.reflect_vertex(v)) for v in range(graph.num_vertices))
+            for k, rep in enumerate(moved):
+                for w, g in zip(walks, want):
+                    moved_g, s = rep.word(w), supertrace(g)
+                    gap = (supertrace(moved_g) - s).max_abs()
+                    scale = max(abs(s.body), g.scale(), moved_g.scale())
+                    assert gap <= 1e-12 * scale, "move %d, walk %r: %.3g" % (k, w, gap)
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_frames_carry_the_domain_onto_the_light_cone(self, name):
+        """The lift as an oracle: each frame carries its triangle's standard
+        position to world points, and so does E_h2 frames[h2] for the copy
+        of generator j = (h1, h2)'s triangle t1 across h2.  The three slots
+        of a vertex give one triangle; the triangles on the two sides of
+        each edge (a tree edge, or a generator's copy and the triangle at
+        h2) share the corners of their common side; act(element_j, .)
+        carries t1's corners onto its copy's; every side pairs to lambda^2,
+        and every triangle's mu_invariant is +-mu_v.  Bounds are 1e-12 of
+        the largest point."""
+        graph = SPINES[name]()
+        r = np.random.default_rng(18)
+        charts = list(rep_charts(graph, seed=18, count=2)) + [random_chart(r, graph, bodies=(0.4, 2.5)) for _ in range(2)]
+        for chart, base in itertools.product(charts, range(graph.num_vertices)):
+            rep = dc.build_rep(chart, dc.fundamental_domain(graph, base))
+            factors = dc._side_factors(chart, [1] * graph.num_vertices)
+            tris = [world_triangle(chart, factors, h, rep.frames[h]) for h in range(2 * graph.num_edges)]
+            copies = {}
+            for j in rep.domain.generators:
+                h1, h2 = graph.edges[j]
+                copies[j] = world_triangle(chart, factors, h1, sl.smul(dc._crossing(chart, h2), rep.frames[h2]))
+            points = [p for tri in tris + list(copies.values()) for p in tri]
+            scale = max(float(np.abs(p.coeffs).max()) for p in points)
+            gaps = [p.max_coeff_diff(q) for hs in graph.vertices for h in hs[1:] for p, q in zip(tris[hs[0]], tris[h])]
+            for j, (h1, h2) in enumerate(graph.edges):
+                k1, k2 = (graph.vertices[graph.vertex_of(h)].index(h) for h in (h1, h2))
+                near, far = copies.get(j, tris[h1]), tris[h2]
+                gaps += [near[(k1 + 1) % 3].max_coeff_diff(far[(k2 + 2) % 3]),
+                         near[(k1 + 2) % 3].max_coeff_diff(far[(k2 + 1) % 3])]
+                if j in copies:
+                    gaps += [mk.act(rep.elements[j], p).max_coeff_diff(q) for p, q in zip(tris[h1], copies[j])]
+            assert max(gaps) <= 1e-12 * scale
+            owners = [graph.vertex_of(h) for h in range(2 * graph.num_edges)]
+            owners += [graph.vertex_of(graph.edges[j][0]) for j in copies]
+            triangles = [dc.LiftedTriangle(v, (3 * i, 3 * i + 1, 3 * i + 2), 1, -1) for i, v in enumerate(owners)]
+            lifted = dc.LiftedTriangulation(chart, points, triangles, base, 0)
+            assert lifted.pairing_residual() <= 1e-12 * scale
+            assert lifted.mu_residual() <= 1e-12 * scale
+
+    def test_builds_from_the_chart_alone(self, monkeypatch):
+        """build_rep calls no lift, no delta coloring, no quadratic form and
+        no standard position; the counters do see a lift's calls."""
+        calls = []
+        names = [(dc, "_attach_level"), (dc, "lift"), (dc, "delta_coloring"), (fg, "QuadraticForm")]
+        # minkowski's names also in decorated, should it import them by name
+        names += [(m, n) for m in (mk, dc) for n in ("normalize_triple", "_spinor_frame")]
+        for module, name in names:
+            inner = getattr(module, name, None)
+            if inner is not None:
+                monkeypatch.setattr(module, name, lambda *a, _f=inner, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        r = np.random.default_rng(19)
+        for name in sorted(SPINES):
+            graph = SPINES[name]()
+            for base in range(graph.num_vertices):
+                dc.build_rep(random_chart(r, graph), dc.fundamental_domain(graph, base))
+        assert calls == []
+        dc.lift(random_chart(r, fg.theta_graph()), 1)
+        assert calls == ["lift", "delta_coloring", "_attach_level"]
 
     def test_domain_of_another_fatgraph_is_rejected(self):
         theta, two = fg.theta_graph(), fg.genus_two_spine()
@@ -603,38 +808,6 @@ class TestBuildRep:
             message = "fundamental domain is of another fatgraph, (V, E) = %r, than the chart's %r" % tuple(sizes)
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 dc.build_rep(dc.standard_chart(chart_graph, rank=RANK), dc.fundamental_domain(domain_graph))
-
-    @pytest.mark.parametrize("name", sorted(SPINES))
-    def test_raw_pairing_carries_corners_and_dressed_reflects_them(self, name):
-        """The raw pairing of generator j carries the corners of t1 onto
-        those of t2, (t1, t2) = extras[j], and equivariance_residual is the
-        worst gap of exactly that.  The dressed element, where it is not the
-        raw one, carries them onto t2's corners with phi and theta
-        negated, and not onto t2's own."""
-        graph = bipartite_spine(name)
-        dressed = 0
-        for chart in rep_charts(graph, seed=8, count=4):
-            for base in range(graph.num_vertices):
-                rep = dc.build_rep(chart, dc.fundamental_domain(graph, base))
-                scale = points_scale(rep.lifted.points)
-                worst = 0.0
-                for j in rep.domain.generators:
-                    t1, t2 = (rep.lifted.triangles[t] for t in rep.extras[j])
-                    ends = [
-                        (rep.lifted.points[t1.corners[k]], rep.lifted.points[t2.corners[k]])
-                        for k in range(3)
-                    ]
-                    for p1, p2 in ends:
-                        worst = max(worst, mk.act(rep.raw_elements[j], p1).max_coeff_diff(p2))
-                    if rep.elements[j] is rep.raw_elements[j]:
-                        continue
-                    dressed += 1
-                    moved = [(mk.act(rep.elements[j], p1).coeffs, p2.coeffs) for p1, p2 in ends]
-                    assert max(np.abs(x - y * ODD_NEGATED).max() for x, y in moved) <= 1e-12 * scale
-                    assert max(np.abs(x - y).max() for x, y in moved) > 1e-6 * scale
-                assert worst <= 1e-12 * scale
-                assert rep.equivariance_residual() == worst
-        assert dressed
 
 
 class TestThetaSharpCase:
