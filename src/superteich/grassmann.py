@@ -251,19 +251,28 @@ class GrassmannNumber:
         body b and nilpotent n, on the coefficient arrays.  The sum starts at
         the k = 1 term, so the first product is n n, grows in place, and
         stops at the first power of n that vanishes for every element of a
-        stack; b**alpha must be real (the callers check the body)."""
+        stack; b**alpha must be real (the callers check the body).
+
+        The terms of n are found once per series, and each power's terms
+        by the one scan that tests it for zero: every step is one scan and
+        one `_kernels.product` of the power's terms with n's, keyed on the
+        batch element for a stack of more than one."""
         b = self.coeffs[..., :1]
         n = self.coeffs / b
         n[..., 0] = 0.0
         out = n * alpha
         out[..., 0] = 1.0
-        term, c = n, alpha
+        flat = n.reshape(-1)
+        tn = _kernels.terms(flat)
+        vn, keyed = flat[tn], flat.size > 1 << self.rank
+        term, tt, c = flat, tn, alpha
         for k in range(2, self.rank + 1):
-            term = _kernels.multiply_coeffs(term, n, self.rank)
-            if not term.any():
+            term = _kernels.product(tt, term[tt], tn, vn, self.rank, keyed, flat.size)
+            tt = _kernels.terms(term)
+            if not tt.size:
                 break
             c *= (alpha - (k - 1)) / k  # C(alpha, k), recursively
-            out += term * c
+            out += term.reshape(out.shape) * c
         out *= b**alpha
         return GrassmannNumber.wrap(self.rank, out)
 
@@ -385,17 +394,16 @@ def grassmann(value, rank=DEFAULT_RANK):
 
 def odd_derivative(a, i):
     """Left derivative with respect to generator i (1-based): each monomial
-    containing g_i loses it, signed by the generators written before it."""
+    containing g_i loses it, signed by the generators written before it.
+    One signed gather over the coefficient axis, so a may be a stack."""
+    if not 1 <= i <= a.rank:
+        raise ValueError("generator index out of range")
     bit = 1 << (i - 1)
-    below = bit - 1
-    pc = _popcount(a.rank)
-    out = GrassmannNumber(a.rank)
-    masks = np.nonzero(a.coeffs)[0]
-    for m in masks:
-        if m & bit:
-            sign = -1.0 if (pc[m & below] & 1) else 1.0
-            out.coeffs[m ^ bit] += sign * a.coeffs[m]
-    return out
+    idx = np.arange(1 << a.rank)
+    sign = np.where(idx & bit, 0.0, 1.0 - 2.0 * (_popcount(a.rank)[idx & (bit - 1)] & 1))
+    # + 0.0 turns the -0.0 of -1.0 * 0.0 (no monomial lands there) and of
+    # c * 0.0 (c < 0, a monomial without g_i) into 0.0
+    return GrassmannNumber.wrap(a.rank, a.coeffs[..., idx | bit] * sign + 0.0)
 
 
 def canonicalize_sign(a, tol=1e-9):
@@ -423,7 +431,12 @@ _TERM_RE = re.compile(
 
 
 def format_grassmann(a, precision=None):
-    """`c` for the body, `c*g{i,j}` for soul terms, joined by ' + ' / ' - '."""
+    """`c` for the body, `c*g{i,j}` for soul terms, joined by ' + ' / ' - '.
+    A stack is formatted element by element in batch order, in brackets
+    that nest like its batch axes: `[c1, c2]`."""
+    if a.coeffs.ndim > 1:
+        rows = (format_grassmann(GrassmannNumber.wrap(a.rank, c), precision) for c in a.coeffs)
+        return "[%s]" % ", ".join(rows)
     parts = []
     fmt = (lambda v: repr(float(v))) if precision is None else (lambda v: "%.*g" % (precision, v))
     for mask in range(1 << a.rank):

@@ -55,9 +55,9 @@ only on the chart, are computed once per lift for every (vertex, slot)
 (see `decorated.lift`).
 
 mu_invariant keeps one product per term, of single elements, on purpose:
-in the ptolemy benchmark its products are of single rank-12 elements, and
-stacking them (its odd-direction check as one five-row product) ran that
-benchmark at 0.81-0.88 of its speed.
+in the ptolemy benchmark its products are of single rank-12 elements,
+which take the kernel's straight path (no broadcast, no keys and no body
+test), while a stacked product pays for those on every call.
 
 pairing, act, triple_orientation and basic_calculation take stacks,
 (..., 5, 2**rank) arrays of points; a failed check names the first failing

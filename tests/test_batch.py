@@ -109,7 +109,8 @@ def test_batched_act_matches_elements(rank, data):
 def test_batch_crosses_the_pair_block(monkeypatch):
     """With a block size of 7 pairs, the candidate pairs of one key, and the
     keys of one batch, are cut across several blocks; so are the pairs of
-    a product of two single elements."""
+    a product of two single elements.  The pairs come in one order on every
+    path, so each result is bit for bit the one-block result."""
     r = np.random.default_rng(5)
     a = np.zeros((4, 1 << RANK))
     b = np.zeros((4, 1 << RANK))
@@ -124,12 +125,12 @@ def test_batch_crosses_the_pair_block(monkeypatch):
     paths_ab = on_each_path(_kernels.multiply_coeffs, a, b, RANK)
     for got_ab, got_gh in zip(paths_ab, on_each_path(_kernels.smul_coeffs, g, h, 4)):
         for k in range(4):
-            assert_close_to_scale(got_ab[k], want_ab[k])
+            assert np.array_equal(got_ab[k], want_ab[k])
         for k in range(3):
-            assert_close_to_scale(got_gh[k], want_gh[k])
+            assert np.array_equal(got_gh[k], want_gh[k])
     # one element, one key: the all-pairs candidates go in blocks too
     for k in range(4):
-        assert_close_to_scale(_kernels.multiply_coeffs(a[k], b[k], RANK), want_ab[k])
+        assert np.array_equal(_kernels.multiply_coeffs(a[k], b[k], RANK), want_ab[k])
 
 
 def test_product_of_clashing_terms_is_float_zero():

@@ -10,6 +10,7 @@ from superteich.grassmann import (
     GrassmannNumber,
     canonicalize_sign,
     format_grassmann,
+    odd_derivative,
     parse_grassmann,
     random_element,
     stack,
@@ -249,6 +250,48 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 parse_grassmann(bad, RANK)
 
+    def test_stack_element_by_element(self):
+        """A stack reads as its elements in batch order, in brackets that
+        nest like the batch axes; str and repr agree with it."""
+        a = 0.5 + 2 * gen(1) * gen(2)
+        both = stack([a, -a])
+        assert format_grassmann(both) == "[0.5 + 2.0*g{1,2}, -0.5 - 2.0*g{1,2}]"
+        assert str(both) == format_grassmann(both)
+        assert repr(both) == "GrassmannNumber(rank=%d, %s)" % (RANK, format_grassmann(both))
+        nested = stack([both, stack([GrassmannNumber(RANK), gen(3)])])
+        assert format_grassmann(nested, 3) == "[[0.5 + 2*g{1,2}, -0.5 - 2*g{1,2}], [0, 1*g{3}]]"
+
+
+# -- the left derivative in an odd generator -----------------------------------
+
+
+def _loop_odd_derivative(a, i):
+    """Per-monomial loop: each monomial containing g_i loses it, signed by
+    the generators written before it (one element)."""
+    bit = 1 << (i - 1)
+    out = GrassmannNumber(a.rank)
+    for m in np.nonzero(a.coeffs)[0]:
+        if m & bit:
+            sign = -1.0 if bin(m & (bit - 1)).count("1") % 2 else 1.0
+            out.coeffs[m ^ bit] += sign * a.coeffs[m]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_element, any_element, st.integers(1, RANK))
+def test_odd_derivative_matches_loop(a, b, i):
+    """Bit for bit, signed zeros included, on an element and on a stack."""
+    assert odd_derivative(a, i).coeffs.tobytes() == _loop_odd_derivative(a, i).coeffs.tobytes()
+    rows = odd_derivative(stack([a, b, -a]), i).coeffs
+    for row, x in zip(rows, (a, b, -a)):
+        assert row.tobytes() == _loop_odd_derivative(x, i).coeffs.tobytes()
+
+
+def test_odd_derivative_rejects_a_generator_out_of_range():
+    for i in (0, RANK + 1):
+        with pytest.raises(ValueError, match="^generator index out of range$"):
+            odd_derivative(gen(1), i)
+
 
 def test_random_element_parity_restriction():
     rng = np.random.default_rng(3)
@@ -367,13 +410,64 @@ def test_kernel_matches_reference(rank, data):
     _assert_close(_kernels.multiply_coeffs(a, b, rank), _reference_product(a, b, rank))
 
 
-def test_kernel_full_fill_in_blocks():
+def test_kernel_full_fill_in_blocks(monkeypatch):
     """At rank 12 a full-fill product has 4**12 pairs, above the kernel's
-    block size, so its terms are taken in several blocks."""
+    block size, so its terms are taken in several blocks: bit for bit the
+    product taken in one block, as the pairs come in one order."""
     rng = np.random.default_rng(12)
     a, b = rng.uniform(-1, 1, (2, 1 << 12))
     assert a.size * b.size > _kernels._MAX_PAIRS
-    _assert_close(_kernels.multiply_coeffs(a, b, 12), _reference_product(a, b, 12))
+    got = _kernels.multiply_coeffs(a, b, 12)
+    _assert_close(got, _reference_product(a, b, 12))
+    monkeypatch.setattr(_kernels, "_MAX_PAIRS", a.size * b.size)
+    assert np.array_equal(got, _kernels.multiply_coeffs(a, b, 12))
+
+
+def _count_calls(monkeypatch, name):
+    """List that gets the size of the first argument of each call of
+    `_kernels.<name>`."""
+    calls = []
+    inner = getattr(_kernels, name)
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return inner(*args)
+
+    monkeypatch.setattr(_kernels, name, counted)
+    return calls
+
+
+def test_zero_first_operand_leaves_the_second_unscanned(monkeypatch):
+    """A product whose first operand is zero scans it and returns zeros,
+    for single elements, stacks and supermatrices alike."""
+    rng = np.random.default_rng(4)
+    b = rng.uniform(-1, 1, (3, N))
+    g = rng.uniform(-1, 1, (3, 3, N))
+    scans = _count_calls(monkeypatch, "terms")
+    got = [
+        _kernels.multiply_coeffs(np.zeros(N), b[0], RANK),
+        _kernels.multiply_coeffs(np.zeros((3, N)), b, RANK),
+        _kernels.multiply_coeffs(np.zeros(N), b, RANK),
+        _kernels.smul_coeffs(np.zeros((3, 3, N)), g, RANK),
+    ]
+    assert scans == [N, 3 * N, 3 * N, 9 * N]
+    for x, shape in zip(got, [(N,), (3, N), (3, N), (3, 3, N)]):
+        assert x.dtype == np.float64 and x.shape == shape and not x.any()
+
+
+def test_series_scans_n_once_and_each_power_once():
+    """x = 2 + g1 g2 + g3 g4: n**2 is the last power of n that does not
+    vanish, so the series makes two products and three scans (n, n**2 and
+    the zero n**3), and no call of multiply_coeffs; a stack the same."""
+    x = 2.0 + gen(1) * gen(2) + gen(3) * gen(4)
+    for y in (x, stack([x, 3.0 + gen(5) * gen(6)])):
+        with pytest.MonkeyPatch.context() as m:
+            scans = _count_calls(m, "terms")
+            products = _count_calls(m, "product")
+            multiplies = _count_calls(m, "multiply_coeffs")
+            y.inverse()
+        assert scans == [y.coeffs.size] * 3
+        assert len(products) == 2 and not multiplies
 
 
 def test_generators_anticommute_at_rank_14():
