@@ -8,9 +8,11 @@ quadratic form q on cycle vectors is read off the fatgraph's own turns and
 arrows.  A flip acts on orientations by the paper's local rule: every arrow
 keeps its tail half-edge and one leaf of the quadrilateral reverses.
 
-Conventions.  Half-edges are integers; sigma is the ccw successor at a
-vertex, partner the edge involution.  A cycle vector (a mod-2 edge vector
-of even degree at every vertex) splits into vertex-disjoint closed walks.
+Conventions.  Half-edges are the ints 0..2E-1, and every per-half-edge
+table of a `Fatgraph` is a sequence indexed by half-edge; sigma is the ccw
+successor at a vertex, partner the edge involution.  A cycle vector (a
+mod-2 edge vector of even degree at every vertex) splits into
+vertex-disjoint closed walks.
 A walk enters a vertex at h_in and leaves it at h_out, which is sigma(h_in)
 (a sigma-turn) or sigma^2(h_in), then walks the edge of h_out from h_out to
 its partner: along the arrow when h_out is the edge's tail, else against.
@@ -34,18 +36,20 @@ exactly when that number is even, and Neveu-Schwarz otherwise.
 
 import collections
 import itertools
-import numbers
 
 import numpy as np
 
 
+def _is_int(x):
+    """Whether x is an integer (a numpy one too) other than a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _partitions(groups, n):
-    """Whether the half-edges of groups are 0..n-1, each once; False also
-    when they do not sort (a half-edge that is not a number)."""
-    try:
-        return sorted(h for g in groups for h in g) == list(range(n))
-    except TypeError:
-        return False
+    """Whether the half-edges of groups are the ints 0..n-1, each once; a
+    float or a bool equal to an int in range is not one of them."""
+    halves = [h for g in groups for h in g]
+    return all(_is_int(h) for h in halves) and sorted(halves) == list(range(n))
 
 
 def _partition_fault(groups, n, where, member):
@@ -55,7 +59,7 @@ def _partition_fault(groups, n, where, member):
     range."""
     for k, g in enumerate(groups):
         for h in g:
-            if not isinstance(h, numbers.Integral):
+            if not _is_int(h):
                 return "half-edge %r %s %d %r is not an integer" % (h, member, k, g)
     count = collections.Counter(h for g in groups for h in g)
     for h in range(n):
@@ -68,14 +72,21 @@ def _partition_fault(groups, n, where, member):
 def _require_index(name, value, count):
     """Reject a value that is not an int (a bool is not), or not in
     0..count - 1, naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise ValueError("%s must be an int, got %r" % (name, value))
     if not 0 <= value < count:
         raise ValueError("%s must be in 0..%d, got %r" % (name, count - 1, value))
 
 
 class Fatgraph:
-    """Immutable trivalent fatgraph: ccw vertex triples plus edge pairing."""
+    """Immutable trivalent fatgraph: ccw vertex triples plus edge pairing.
+
+    The half-edges are the ints 0..2E-1, so its four half-edge tables are
+    flat sequences indexed by half-edge: `_vertex_of` and `_sigma` (lists,
+    read off the vertex triples) and `_edge_of` and `_partner` (tuples, read
+    off the edges).  A flip (`_rewired`) copies the two vertex tables and
+    rewrites six entries of each; it shares the edge tables, like `edges`
+    itself, with the graph it came from, and nothing ever writes them."""
 
     __slots__ = ("vertices", "edges", "_vertex_of", "_edge_of", "_sigma", "_partner")
 
@@ -93,18 +104,17 @@ class Fatgraph:
                 raise ValueError("edge %d is %r, not a pair of two distinct half-edges" % (j, e))
         if not _partitions(self.edges, n):
             raise ValueError(_partition_fault(self.edges, n, "edges", "of edge"))
-        self._vertex_of = {}
-        self._sigma = {}
+        vertex_of, sigma = [0] * n, [0] * n
         for i, v in enumerate(self.vertices):
             for k, h in enumerate(v):
-                self._vertex_of[h] = i
-                self._sigma[h] = v[(k + 1) % 3]
-        self._edge_of = {}
-        self._partner = {}
+                vertex_of[h] = i
+                sigma[h] = v[(k + 1) % 3]
+        edge_of, partner = [0] * n, [0] * n
         for j, (h1, h2) in enumerate(self.edges):
-            self._edge_of[h1] = self._edge_of[h2] = j
-            self._partner[h1] = h2
-            self._partner[h2] = h1
+            edge_of[h1] = edge_of[h2] = j
+            partner[h1], partner[h2] = h2, h1
+        self._vertex_of, self._sigma = vertex_of, sigma
+        self._edge_of, self._partner = tuple(edge_of), tuple(partner)
 
     def _rewired(self, u, tri_u, w, tri_w):
         """The fatgraph with new ccw triples (tuples) at vertices u and w,
@@ -112,9 +122,9 @@ class Fatgraph:
 
         The check is local: the two new triples must hold exactly the six
         half-edges the two old ones held, so the half-edge partition stays
-        whole.  The edge tables are shared with this graph and never
-        written; the vertex and sigma tables are copied and only the six
-        half-edges are rewritten."""
+        whole.  The edge tables are shared with this graph; the vertex and
+        sigma tables are copied by slicing and only the six half-edges are
+        rewritten."""
         old = self.vertices[u] + self.vertices[w]
         if u == w or len(tri_u) != 3 or len(tri_w) != 3 or sorted(tri_u + tri_w) != sorted(old):
             raise ValueError(
@@ -126,11 +136,14 @@ class Fatgraph:
         vertices[u], vertices[w] = tri_u, tri_w
         out.vertices = tuple(vertices)
         out.edges, out._edge_of, out._partner = self.edges, self._edge_of, self._partner
-        out._vertex_of, out._sigma = dict(self._vertex_of), dict(self._sigma)
-        for i, tri in ((u, tri_u), (w, tri_w)):
-            for k in range(3):
-                out._vertex_of[tri[k]] = i
-                out._sigma[tri[k]] = tri[(k + 1) % 3]
+        out._vertex_of = vertex_of = self._vertex_of[:]
+        out._sigma = sigma = self._sigma[:]
+        a, b, c = tri_u
+        vertex_of[a] = vertex_of[b] = vertex_of[c] = u
+        sigma[a], sigma[b], sigma[c] = b, c, a
+        a, b, c = tri_w
+        vertex_of[a] = vertex_of[b] = vertex_of[c] = w
+        sigma[a], sigma[b], sigma[c] = b, c, a
         return out
 
     @property
@@ -207,7 +220,7 @@ class Fatgraph:
         reached (None at the root).  Raises ValueError naming the first
         vertex not reached when the graph is not connected, and naming a
         root that is not an int vertex index."""
-        if isinstance(root, bool) or not isinstance(root, numbers.Integral) or not 0 <= root < self.num_vertices:
+        if not _is_int(root) or not 0 <= root < self.num_vertices:
             raise ValueError("root must be a vertex in 0..%d, got %r" % (self.num_vertices - 1, root))
         tree, order = {root: None}, [root]
         for v in order:
@@ -287,6 +300,14 @@ class Orientation:
         self.tails = tails
 
     @classmethod
+    def _unchecked(cls, graph, tails):
+        """An orientation from a tuple of tails known to lie on the graph's
+        edges, one per edge in order, built without checking them."""
+        out = cls.__new__(cls)
+        out.graph, out.tails = graph, tails
+        return out
+
+    @classmethod
     def from_bits(cls, graph, bits):
         return cls(graph, tuple(graph.edges[j][b] for j, b in enumerate(bits)))
 
@@ -317,6 +338,8 @@ class Orientation:
         return Orientation(self.graph, tails)
 
     def __eq__(self, other):
+        if not isinstance(other, Orientation):
+            return NotImplemented
         return self.graph is other.graph and self.tails == other.tails
 
     def __hash__(self):
@@ -542,30 +565,47 @@ def flip(graph, e, orientation):
     orientation is returned as the rule gives it, not as the canonical
     representative of its class, so a flip costs O(E).
 
-    The flipped graph is the old one with its two end vertices rewired: the
-    edges, and every other vertex, are unchanged, so the whole graph is not
-    checked again; only the six half-edges of the two vertices are.
+    The flipped graph is the old one with its two end vertices rewired
+    (`Fatgraph._rewired`): it copies the vertex and sigma tables and
+    rewrites the six half-edges of the two vertices, which are all it
+    checks, and shares the edges and the edge and partner tables with the
+    old graph.  The orientation must be one of a graph whose edges are, or
+    equal, the fatgraph's, which along a walk of flips is an identity test
+    on the shared edges; a ValueError names the first edge that differs.
+    Its tails then lie on the fatgraph's edges, and the rule's one partner
+    swap keeps each on its edge, so the new orientation is built without
+    checking its tails again.
     """
-    num_edges = graph.num_edges
+    edges = graph.edges
+    num_edges = len(edges)
     _require_index("edge", e, num_edges)
-    if len(orientation.tails) != num_edges:
+    tails = orientation.tails
+    if len(tails) != num_edges:
+        raise ValueError("orientation has %d edges, the fatgraph %d" % (len(tails), num_edges))
+    other = orientation.graph.edges
+    if other is not edges and other != edges:
+        j = next(j for j in range(num_edges) if other[j] != edges[j])
         raise ValueError(
-            "orientation has %d edges, the fatgraph %d" % (len(orientation.tails), num_edges)
+            "orientation is of another fatgraph: its edge %d is %r, the fatgraph's %r"
+            % (j, other[j], edges[j])
         )
-    if graph.is_loop(e):
+    vertex_of, sigma = graph._vertex_of, graph._sigma
+    h_eu, h_ew = edges[e]
+    u, w = vertex_of[h_eu], vertex_of[h_ew]
+    if u == w:
         raise ValueError("cannot flip loop edge %d" % e)
-    h_eu, h_ew = graph.edges[e]
-    u, w = graph.vertex_of(h_eu), graph.vertex_of(h_ew)
-    h_nw, h_sw = graph.sigma(h_eu), graph.sigma(graph.sigma(h_eu))
-    h_se, h_ne = graph.sigma(h_ew), graph.sigma(graph.sigma(h_ew))
+    h_nw = sigma[h_eu]
+    h_sw = sigma[h_nw]
+    h_se = sigma[h_ew]
+    h_ne = sigma[h_se]
 
     # t keeps u's id with ccw (e, ne, nw), b gets (e, sw, se)
     new_graph = graph._rewired(u, (h_eu, h_ne, h_nw), w, (h_ew, h_sw, h_se))
 
-    tails = list(orientation.tails)
-    leaf_c = graph.edge_of(graph.sigma(graph.sigma(tails[e])))
-    tails[leaf_c] = graph.partner(tails[leaf_c])
-    new_or = Orientation(new_graph, tails)
+    tails = list(tails)
+    leaf_c = graph._edge_of[sigma[sigma[tails[e]]]]
+    tails[leaf_c] = graph._partner[tails[leaf_c]]
+    new_or = Orientation._unchecked(new_graph, tuple(tails))
     return FlipResult(new_graph, new_or, e, (h_eu, h_nw, h_sw, h_ew, h_se, h_ne))
 
 

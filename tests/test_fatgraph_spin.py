@@ -699,6 +699,27 @@ class TestFatgraph:
         with pytest.raises(ValueError, match=r"^half-edge None of edge 1 \(None, 5\) is not an integer$"):
             fg.Fatgraph([(0, 1, 2), (3, 4, 5)], [(0, 3), (None, 5), (1, 4)])
 
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            ([(0, 2, 4), (1.0, 3, 5)], [(0, 1), (2, 3), (4, 5)], r"1\.0 at vertex 1 \(1\.0, 3, 5\)"),
+            ([(0, 2, 4), (True, 3, 5)], [(0, 1), (2, 3), (4, 5)], r"True at vertex 1 \(True, 3, 5\)"),
+            ([(0, 2, 4), (1, 3, 5)], [(0, 1), (2.0, 3), (4, 5)], r"2\.0 of edge 1 \(2\.0, 3\)"),
+            ([(0, 2, 4), (1, 3, 5)], [(0, 1), (2, 3), (4, True)], r"True of edge 2 \(4, True\)"),
+        ],
+        ids=["float-at-vertex", "bool-at-vertex", "float-of-edge", "bool-of-edge"],
+    )
+    def test_rejects_a_float_or_bool_equal_to_a_half_edge(self, vertices, edges, message):
+        with pytest.raises(ValueError, match=r"^half-edge %s is not an integer$" % message):
+            fg.Fatgraph(vertices, edges)
+
+    def test_accepts_numpy_integer_half_edges(self):
+        g = fg.Fatgraph(
+            [tuple(np.int64(h) for h in v) for v in fg.theta_graph().vertices],
+            [tuple(np.int64(h) for h in e) for e in fg.theta_graph().edges],
+        )
+        assert lookups(g) == lookups(fg.theta_graph())
+
     def test_rejects_half_edge_out_of_range(self):
         with pytest.raises(ValueError, match=r"^half-edge 10 in the vertex triples is not in 0\.\.9$"):
             fg.Fatgraph(
@@ -764,6 +785,12 @@ class TestOrientation:
     def test_rejects_tails_not_one_per_edge(self, tails):
         with pytest.raises(ValueError, match="^%d tails given for the 9 edges of the graph$" % len(tails)):
             fg.Orientation(fg.genus_two_spine(), tails)
+
+    def test_compares_unequal_to_what_is_not_an_orientation(self):
+        om = fg.Orientation.from_bits(fg.theta_graph(), (0, 1, 0))
+        assert om != None  # noqa: E711
+        assert om != 3 and not om == 3
+        assert om in [None, om] and None not in [om]
 
     def test_reflection_reverses_incident_edges(self):
         g = fg.dumbbell_graph()
@@ -1292,6 +1319,26 @@ class TestFlipRule:
         with pytest.raises(ValueError, match="^orientation has 3 edges, the fatgraph 9$"):
             fg.flip(g, 0, om)
 
+    def test_flip_rejects_orientation_of_a_graph_with_other_edges(self):
+        g = fg.theta_graph()
+        other = fg.Fatgraph(g.vertices, [(0, 1), (2, 5), (3, 4)])
+        om = fg.Orientation.from_bits(other, (0, 0, 0))
+        with pytest.raises(
+            ValueError,
+            match=r"^orientation is of another fatgraph: its edge 1 is \(2, 5\), the fatgraph's \(2, 3\)$",
+        ):
+            fg.flip(g, 0, om)
+
+    def test_flip_accepts_orientation_of_another_graph_with_equal_edges(self):
+        theta, dumbbell = fg.theta_graph(), fg.dumbbell_graph()
+        assert theta.edges == dumbbell.edges and theta.edges is not dumbbell.edges
+        for bits in itertools.product((0, 1), repeat=3):
+            res = fg.flip(theta, 0, fg.Orientation.from_bits(dumbbell, bits))
+            own = fg.flip(theta, 0, fg.Orientation.from_bits(theta, bits))
+            assert res.orientation.graph is res.graph
+            assert res.orientation.tails == own.orientation.tails
+            assert res.graph.vertices == own.graph.vertices
+
     def test_transport_rejects_vector_of_wrong_length(self):
         g = fg.genus_two_spine()
         res = fg.flip(g, 0, fg.Orientation.from_bits(g, [0] * g.num_edges))
@@ -1338,6 +1385,30 @@ class TestRewiring:
                 rebuilt = fg.Fatgraph(res.graph.vertices, res.graph.edges)
                 assert lookups(res.graph) == lookups(rebuilt)
                 assert lookups(g) == before
+                g, om = res.graph, res.orientation
+
+    @pytest.mark.parametrize("num_vertices", [4, 6, 8])
+    def test_walk_tables_match_the_checked_constructors(self, num_vertices):
+        """Along seeded walks of 30 flips, the rewired graph's four
+        half-edge tables equal those the checked constructor builds, the
+        flip's orientation equals the checked one on the same tails and
+        differs from the old one at leaf c alone, and the edges are shared."""
+        rng = np.random.default_rng(400 + num_vertices)
+        for _ in range(3):
+            g = random_fatgraph(rng, num_vertices)
+            om = fg.Orientation.from_bits(g, rng.integers(0, 2, size=g.num_edges))
+            for _ in range(30):
+                e = int(rng.choice(flippable(g)))
+                res = fg.flip(g, e, om)
+                rebuilt = fg.Fatgraph(res.graph.vertices, res.graph.edges)
+                for table in ("_vertex_of", "_sigma", "_edge_of", "_partner"):
+                    assert getattr(res.graph, table) == getattr(rebuilt, table), table
+                assert res.orientation == fg.Orientation(res.graph, res.orientation.tails)
+                tails = list(om.tails)
+                leaf_c = g.edge_of(g.sigma_inv(om.tail(e)))
+                tails[leaf_c] = g.partner(tails[leaf_c])
+                assert res.orientation.tails == tuple(tails)
+                assert res.graph.edges is g.edges
                 g, om = res.graph, res.orientation
 
     def test_rejects_triples_without_the_old_half_edges(self):
