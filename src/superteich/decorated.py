@@ -3,10 +3,10 @@ per edge, odd mu-invariant per vertex (the dual triangle), an edge
 orientation tracking the odd sign sheet, and a global sign gauge bit.
 
 The module implements the super Ptolemy flip on charts, the recursive
-light-cone lift of a chart (one breadth-first level at a time), holonomy
-representations as products of two elementary frames along a fundamental
-domain, and the even two-form with its flip-invariance checker (graded
-chain-rule pullback)."""
+light-cone lift of a chart (one breadth-first level at a time, its fermion
+signs read off the orientation), holonomy representations as products of
+two elementary frames along a fundamental domain, and the even two-form
+with its flip-invariance checker (graded chain-rule pullback)."""
 
 import collections
 
@@ -63,7 +63,10 @@ def _odd_coord(x, rank, what):
 
 class DecoratedCoords:
     """A decorated chart: lambdas per edge, mus per vertex, an Orientation
-    and a sign gauge in {+1, -1}."""
+    and a sign gauge in {+1, -1}.  The orientation's graph must be the
+    chart's, or have equal vertices and equal edges: the signs of the lift
+    and of the representation are read off its arrows.  A ValueError names
+    the first edge that differs."""
 
     __slots__ = ("graph", "lambdas", "mus", "orientation", "gauge", "rank")
 
@@ -72,8 +75,12 @@ class DecoratedCoords:
             raise ValueError("need one lambda-length per edge")
         if len(mus) != graph.num_vertices:
             raise ValueError("need one mu-invariant per vertex")
-        if orientation.graph is not graph and orientation.graph.vertices != graph.vertices:
-            raise ValueError("orientation belongs to a different fatgraph")
+        other = orientation.graph
+        if other is not graph:
+            if other.vertices != graph.vertices:
+                raise ValueError("orientation belongs to a different fatgraph")
+            if other.edges != graph.edges:
+                raise fg._edge_mismatch(other.edges, graph.edges)
         if gauge not in (1, -1):
             raise ValueError("gauge must be +1 or -1")
         rank = common_rank(list(lambdas) + list(mus), rank)
@@ -238,82 +245,23 @@ def flip_coords(coords, e):
     return canonical_gauge(_flip_once(coords, e))
 
 
-# -- bipartite colorings -------------------------------------------------------
-
-
-def delta_coloring(graph, base_vertex=0):
-    """Alternating triangle signs: +1 at the base, flipping across every
-    edge, read off the parity of depth in the spanning tree from the base
-    (`Fatgraph.spanning_tree`).  Raises naming the first edge whose ends
-    share a color when the fatgraph is not bipartite, and raises when it is
-    not connected or the base vertex is not one of its vertices."""
-    fg._require_index("base_vertex", base_vertex, graph.num_vertices)
-    colors = [0] * graph.num_vertices
-    for v, h in graph.spanning_tree(base_vertex).items():
-        colors[v] = 1 if h is None else -colors[graph.vertex_of(h)]
-    for j, (h1, h2) in enumerate(graph.edges):
-        if colors[graph.vertex_of(h1)] == colors[graph.vertex_of(h2)]:
-            raise ValueError(
-                "fatgraph is not bipartite (edge %d); flip to a bipartite spine first" % j
-            )
-    return colors
-
-
-def _is_bipartite(graph):
-    try:
-        delta_coloring(graph)
-    except ValueError:
-        return False
-    return True
-
-
-def bipartite_flip_path(graph, max_flips=4):
-    """Breadth-first search for a flip sequence (edge indices) making the
-    fatgraph bipartite.  Raises when the cap is hit, reporting the deepest
-    sequences tried."""
-    if _is_bipartite(graph):
-        return []
-    om = fg.Orientation.from_bits(graph, (0,) * graph.num_edges)
-    start = (graph, om)
-    frontier = [(start, [])]
-    seen = {tuple(sorted(tuple(v) for v in graph.vertices))}
-    for _ in range(max_flips):
-        nxt = []
-        for (g, o), path in frontier:
-            for e in range(g.num_edges):
-                if g.is_loop(e):
-                    continue
-                res = fg.flip(g, e, o)
-                key = tuple(sorted(tuple(v) for v in res.graph.vertices))
-                if key in seen:
-                    continue
-                seen.add(key)
-                trail = path + [e]
-                if _is_bipartite(res.graph):
-                    return trail
-                nxt.append(((res.graph, res.orientation), trail))
-        frontier = nxt
-    partial = frontier[0][1] if frontier else []
-    raise ValueError(
-        "no bipartite spine within %d flips (deepest attempt %r)" % (max_flips, partial)
-    )
-
-
 # -- the recursive light-cone lift ---------------------------------------------
 
 
 class LiftedTriangle:
     """One triangle of the lifted triangulation: its fatgraph vertex, the
-    three point ids (corner k opposite the k-th half-edge, clockwise),
-    the alternating sign delta, and the parent triangle index (-1 for the
-    base)."""
+    three point ids (corner k opposite the k-th half-edge, clockwise), the
+    entry slot (the half-edge it was reached through; the base's is the
+    lift's base side), the sign its kappa was put with (`lift`; +1 at the
+    base), and the parent triangle index (-1 for the base)."""
 
-    __slots__ = ("vertex", "corners", "delta", "parent")
+    __slots__ = ("vertex", "corners", "entry", "sign", "parent")
 
-    def __init__(self, vertex, corners, delta, parent):
+    def __init__(self, vertex, corners, entry, sign, parent):
         self.vertex = vertex
         self.corners = tuple(corners)
-        self.delta = delta
+        self.entry = entry
+        self.sign = sign
         self.parent = parent
 
 
@@ -349,7 +297,10 @@ class LiftedTriangulation:
 
     def mu_residual(self):
         """Worst gap between each triangle's recomputed mu-invariant and
-        the assigned vertex coordinate, up to overall sign."""
+        the assigned vertex coordinate, up to overall sign: the mu of a
+        bare triple is fixed only up to its spinors' signs
+        (`minkowski.mu_invariant`).  The signs are pinned by comparing the
+        lift with `build_rep`'s frame product instead."""
         worst = 0.0
         for tri in self.triangles:
             # corners are stored clockwise; mu is defined on positive triples
@@ -363,21 +314,21 @@ class LiftedTriangulation:
 
 # The side factors of a lift, one row per (vertex, slot), row 3 v + j:
 # factors is the (3, 3V, 2**rank) array (alpha, beta, kappa), squares holds
-# k^2 and roots k, and deltas is the coloring they were made with.
-_SideFactors = collections.namedtuple("_SideFactors", "deltas factors squares roots")
+# k^2 and roots k.
+_SideFactors = collections.namedtuple("_SideFactors", "factors squares roots")
 
 
-def _side_factors(coords, deltas):
+def _side_factors(coords):
     """The side factors of every (vertex, slot) of the chart.  Crossing
     into the triangle of vertex v over the edge of its slot j, with lam_e
     that edge's lambda-length and lam_d, lam_c those of slots j + 1 and
-    j + 2, the new point's spinor is d = alpha c - beta a + kappa n
+    j + 2, the new point's spinor is d = alpha c - beta a + s kappa n
     (`minkowski._far_spinor`), with alpha = lam_d / lam_e,
-    beta = lam_c / lam_e, kappa = k mu_v gauge delta_v and
-    k^2 = sqrt2 lam_c lam_d / lam_e.  They depend on the chart and the
-    delta coloring alone, so a lift makes them once: one inverse series
-    over the E lambdas, one sqrt series over the 3V values k^2, and three
-    products."""
+    beta = lam_c / lam_e, kappa = k mu_v gauge, k^2 = sqrt2 lam_c lam_d /
+    lam_e, and s the sign of the crossing (`lift`), which `_attach_level`
+    puts on the gathered kappa.  They depend on the chart alone, so a lift
+    makes them once: one inverse series over the E lambdas, one sqrt
+    series over the 3V values k^2, and three products."""
     graph = coords.graph
     rank = coords.rank
     lam = np.stack([x.coeffs for x in coords.lambdas])
@@ -388,10 +339,9 @@ def _side_factors(coords, deltas):
     factors[:2] = _kernels.multiply_coeffs(lam[[d, c]], inv[e], rank)
     squares = ROOT2 * _kernels.multiply_coeffs(factors[1], lam[d], rank)
     roots = GrassmannNumber.wrap(rank, squares).sqrt().coeffs
-    signs = coords.gauge * np.asarray(deltas, dtype=float)
-    sigma = np.stack([m.coeffs * sign for m, sign in zip(coords.mus, signs)])
+    sigma = np.stack([m.coeffs for m in coords.mus]) * float(coords.gauge)
     factors[2] = _kernels.multiply_coeffs(roots, sigma.repeat(3, axis=0), rank)
-    return _SideFactors(deltas, factors, squares, roots)
+    return _SideFactors(factors, squares, roots)
 
 
 def _base_triangle(coords, factors, v, side):
@@ -422,12 +372,14 @@ def _attach_level(coords, factors, points, spinors, triangles, jobs):
     in jobs, all at once, by one `minkowski._far_spinor` call: the spinors
     of the sides' corners travel as two (3, B, 2**rank) arrays, and the
     side factors (`_side_factors`) of the slots crossed into are gathered
-    by index.  spinors holds the spinor of each point, as a (3, 2**rank)
-    array signed as `minkowski._spinor` signs it.  Appends the points,
-    their spinors and the triangles in the order of jobs and returns the
-    new triangle indices."""
+    by index, with each kappa times the sign of its crossing (`lift`).
+    spinors holds the spinor of each point, as a (3, 2**rank) array signed
+    as `minkowski._spinor` signs it.  Appends the points, their spinors
+    and the triangles in the order of jobs and returns the new triangle
+    indices."""
     graph = coords.graph
-    side_a, side_c, slots, made = [], [], [], []
+    tails = coords.orientation.tails
+    side_a, side_c, slots, signs, made = [], [], [], [], []
     for tri_idx, k in jobs:
         tri = triangles[tri_idx]
         cs = tri.corners
@@ -435,21 +387,24 @@ def _attach_level(coords, factors, points, spinors, triangles, jobs):
         h2 = graph.partner(h)
         v2 = graph.vertex_of(h2)
         j0 = graph.vertices[v2].index(h2)
-        delta2 = -tri.delta
-        if factors.deltas[v2] != delta2:
-            raise ValueError("delta coloring is inconsistent across edge %d" % graph.edge_of(h))
+        # s = s_tau eps(h) tau_k (`lift`)
+        eps = 1 if tails[graph.edge_of(h)] == h else -1
+        turned = k != tri.entry if tri.parent < 0 else k == (tri.entry + 1) % 3
+        sign = tri.sign * eps * (-1 if turned else 1)
         side_a.append(spinors[cs[(k + 1) % 3]])
         side_c.append(spinors[cs[(k + 2) % 3]])
         slots.append(3 * v2 + j0)
+        signs.append(sign)
         corners = [0, 0, 0]
         corners[j0] = len(points) + len(made)
         corners[(j0 + 1) % 3] = cs[(k + 2) % 3]
         corners[(j0 + 2) % 3] = cs[(k + 1) % 3]
-        made.append(LiftedTriangle(v2, corners, delta2, tri_idx))
+        made.append(LiftedTriangle(v2, corners, j0, sign, tri_idx))
+    # fancy indexing copies, so the signs leave the side factors as they are
+    level = factors.factors[:, slots]
+    level[2] *= np.array(signs, dtype=float)[:, None]
     try:
-        d = _far_spinor(
-            np.stack(side_a, axis=1), np.stack(side_c, axis=1), factors.factors[:, slots], coords.rank
-        )
+        d = _far_spinor(np.stack(side_a, axis=1), np.stack(side_c, axis=1), level, coords.rank)
     except ElementError as err:
         tri_idx, k = jobs[err.element]
         raise ValueError(
@@ -463,43 +418,74 @@ def _attach_level(coords, factors, points, spinors, triangles, jobs):
 
 
 def lift(coords, depth, base_vertex=0, base_side=0):
-    """Recursive light-cone lift: base triangle in standard position, then
-    breadth-first attachment out to the given combinatorial depth, feeding
-    each new triangle its delta-modified mu-invariant.
+    """Recursive light-cone lift: base triangle in standard position at
+    base_side, then breadth-first attachment out to the given
+    combinatorial depth.  The triangle put across half-edge h, slot k of
+    triangle tau (entry slot e, sign s_tau), gets kappa (`_side_factors`)
+    times its sign
+
+        s = s_tau eps(h) tau_k,
+
+    with eps(h) = -1 where h is its edge's head, as in `_crossing`, and
+    tau_k = -1 where k = e + 1 (mod 3); at the base, s = +1 and tau_k = -1
+    where k != e.  So each lifted triangle is act(F, .) of its standard
+    points at its entry slot, F its path frame in `build_rep`'s terms: the
+    identity at the base, `_turn` to the slot crossed, then `_crossing`.
+
+    Derivation.  Let sigma be the sign of c's spinor on `_far_spinor`'s
+    sheet against c0 F, its standard spinor c0 = (sqrt s, 0, 0) times the
+    frame, whose odd-odd body is +1, as in every turn and crossing.  Then
+    a's is sigma a0 F, a0 = (0, sqrt r, 0), as omega(a, c) has a negative
+    body, n is (0, 0, 1) F, and d = sigma (alpha c0 - beta a0 + sigma kappa
+    (0, 0, 1)) F.  From standard position the far triangle has the frame
+    E_h where kappa carries eps(h), and R E_h (R the fermionic reflection)
+    where it carries -eps(h); so the sign is eps(h) sigma.  At k = e + 1,
+    c is corner e, and (1, 0, 0) T = -(1, 1, m) negates its frame spinor
+    (T = `_turn`); at k = e + 2, c is corner e + 1, and
+    (1, 0, 0) T^2 = (0, 1, 0) keeps it.  Corner e + 1 of
+    a triangle put with s is its parent's c, and E_h's first row is
+    (1/x, 0, 0) with x = eps(h) sqrt(chi), so its sigma is s.  The new
+    corner e lies beyond the entry side, with no cut of the sheet between
+    it and corner e + 1: the one cut is the base's fermion corner
+    (x1 = x2, y > 0), which the sheet takes from that side.  So corner e
+    has sigma = s too.  In the base (F = I) sigma is +1 at c = s(1,0,0)
+    and at the fermion corner, but -1 at a = r(0,1,0), which the sheet
+    negates: corners e and e + 1 straddle the cut.
 
     The lift carries one spinor per point, and never takes the square root
     of a point it built: the base triangle's spinors are closed forms in
     its r, s and t, and each new point is the square of the spinor that
     `minkowski._far_spinor` returns, which is carried to the next level.
-    The side factors alpha, beta and kappa of that spinor depend only on
-    the chart, so they are made once per lift for every (vertex, slot)
-    (`_side_factors`), and r, s, t and their roots are among them.  The
-    triangles of one breadth-first level depend only on their parents, so
-    each level is attached at once (see `_attach_level`), as a handful of
-    products of whole (3, B, 2**rank) spinor stacks, with no group
-    element; the points and triangles come out in the order of attaching
-    them one by one, parent by parent and side by side.  The spinors are
-    not stored on the points, so a check of the lift
-    (`LiftedTriangulation.mu_residual`) works each one out from its point.
+    The side factors alpha, beta and kappa depend only on the chart, so
+    they are made once per lift for every (vertex, slot), and r, s, t and
+    their roots are among them.  The triangles of one breadth-first level
+    depend only on their parents, so each level is attached at once (see
+    `_attach_level`), as a handful of products of whole (3, B, 2**rank)
+    spinor stacks, with no group element; the points and triangles come
+    out in the order of attaching them one by one, parent by parent and
+    side by side.  The spinors are not stored on the points, so a check of
+    the lift (`LiftedTriangulation.mu_residual`) works each one out from
+    its point.
 
-    Rejects a depth that is not an int or is below 1, and a base vertex or
-    side (0, 1 or 2) that is not an index of the chart, naming the value."""
+    Rejects a depth that is not an int or is below 1, a base vertex or
+    side (0, 1 or 2) that is not an index of the chart, naming the value,
+    and a fatgraph that is not connected, naming a vertex not reached."""
     graph = coords.graph
     if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
         raise ValueError("depth must be an int, got %r" % (depth,))
     if depth < 1:
         raise ValueError("depth must be at least 1, got %d" % depth)
     fg._require_index("base_side", base_side, 3)
-    factors = _side_factors(coords, delta_coloring(graph, base_vertex))
+    fg._require_index("base_vertex", base_vertex, graph.num_vertices)
+    # a lift of one component of a disconnected fatgraph is no lift of it
+    graph.spanning_tree(base_vertex)
+    factors = _side_factors(coords)
     points, spinors = _base_triangle(coords, factors, base_vertex, base_side)
-    triangles = [LiftedTriangle(base_vertex, (0, 1, 2), 1, -1)]
-    frontier = [(0, None)]
+    triangles = [LiftedTriangle(base_vertex, (0, 1, 2), base_side, 1, -1)]
+    frontier = [0]
     for _ in range(depth):
-        jobs = [(t, k) for t, parent_side in frontier for k in range(3) if k != parent_side]
-        frontier = []
-        for (tri_idx, k), new_idx in zip(jobs, _attach_level(coords, factors, points, spinors, triangles, jobs)):
-            h2 = graph.partner(graph.vertices[triangles[tri_idx].vertex][k])
-            frontier.append((new_idx, graph.vertices[triangles[new_idx].vertex].index(h2)))
+        jobs = [(t, k) for t in frontier for k in range(3) if t == 0 or k != triangles[t].entry]
+        frontier = _attach_level(coords, factors, points, spinors, triangles, jobs)
     return LiftedTriangulation(coords, points, triangles, base_vertex, base_side)
 
 
@@ -553,11 +539,11 @@ def _crossing(coords, h):
 
         E_h = (0, -x, 0 / 1/x, 0, 0 / 0, 0, 1),  x = eps sqrt(chi),
 
-    with chi the edge's cross-ratio (`_cross_ratio`).  For eps = 1 it is
-    the frame of the triangle that `minkowski._far_spinor` puts across the
-    side; eps = -1 where h is the edge's head (the crossing runs against
-    the arrow), and this sign is where the spin structure enters.  So
-    E_partner(h) E_h = I."""
+    with chi the edge's cross-ratio (`_cross_ratio`), and eps = -1 where h
+    is the edge's head (the crossing runs against the arrow): this sign is
+    where the spin structure enters.  From h's triangle in standard
+    position, E_h is the frame of the triangle `lift` puts across the side,
+    with kappa times eps.  E_partner(h) E_h = I."""
     e = coords.graph.edge_of(h)
     chi = _cross_ratio(*_quad_labels(coords, e)[:4])
     eps = -1.0 if h == coords.orientation.head(e) else 1.0

@@ -553,6 +553,15 @@ def _corner_passage(vec, leaf1, leaf2):
     return bool(vec[leaf1]) and bool(vec[leaf2])
 
 
+def _edge_mismatch(other, edges):
+    """The ValueError for an orientation whose graph has the edges other
+    where the fatgraph has edges (as many), naming the first that differs."""
+    j = next(j for j in range(len(edges)) if other[j] != edges[j])
+    return ValueError(
+        "orientation is of another fatgraph: its edge %d is %r, the fatgraph's %r" % (j, other[j], edges[j])
+    )
+
+
 def flip(graph, e, orientation):
     """Flip a non-loop edge and evolve the orientation with the spin class.
 
@@ -584,11 +593,7 @@ def flip(graph, e, orientation):
         raise ValueError("orientation has %d edges, the fatgraph %d" % (len(tails), num_edges))
     other = orientation.graph.edges
     if other is not edges and other != edges:
-        j = next(j for j in range(num_edges) if other[j] != edges[j])
-        raise ValueError(
-            "orientation is of another fatgraph: its edge %d is %r, the fatgraph's %r"
-            % (j, other[j], edges[j])
-        )
+        raise _edge_mismatch(other, edges)
     vertex_of, sigma = graph._vertex_of, graph._sigma
     h_eu, h_ew = edges[e]
     u, w = vertex_of[h_eu], vertex_of[h_ew]

@@ -47,7 +47,9 @@ Where the spinors come from: `_spinor` takes the square root of a point
 point.  A lift takes no square root of a point it built: it carries the
 spinor of every point, and `_far_spinor` builds the spinor d of the next
 point from the spinors of a side (a, c) and the side factors alpha, beta,
-kappa, as d = alpha c - beta a + kappa n; `_square` squares it.  Spinors
+kappa, as d = alpha c - beta a + kappa n; `_square` squares it.  Its
+sheet of spinor signs is cut at x1 = x2, y > 0, through the fermion corner
+t(1,1,1,phi,phi) of a standard triangle (`decorated.lift`).  Spinors
 travel as (3, ..., 2**rank) arrays (u, v, xi), so that one product of two
 such stacks makes a row of every spinor of a lift level at once: a level
 is a handful of whole-stack products, and the side factors, which depend
@@ -243,10 +245,10 @@ def _spinor_frame(sa, sb, sc, tol=1e-9):
     """normalize_triple's (g, r, s, t, phi) from the spinors (u, v, xi) of
     the triple's points, each signed as `_spinor` signs it.
 
-    On the sheet of `_far_spinor` (c is sc negated where its |u| is below
-    its |v|, where it pivots on v; a is sa signed so that omega(a, c) has a
-    negative body) with b signed so that omega(c, b) has a positive body,
-    the standard position has the
+    On the sheet of `_far_spinor` (c is sc negated where its u body is
+    below its v body; a is sa signed so that omega(a, c) has a negative
+    body) with b signed so that omega(c, b) has a positive body, the
+    standard position has the
     spinors a = (0, sqrt r, 0), b = sqrt t (1, 1, phi), c = (sqrt s, 0, 0).
     With w_xy = omega(x, y), which the group keeps, and n the unit odd
     direction omega-orthogonal to a and c, this gives
@@ -264,11 +266,11 @@ def _spinor_frame(sa, sb, sc, tol=1e-9):
     y-body of at most 0 in standard position, the body of t ("not
     positive").
 
-    c's sheet is read off its spinor: where its |u| and |v| agree to
-    rounding (x1 = x2), it may differ from a sheet read off the point's
-    x1 < x2, which negates phi and multiplies g by the fermionic
-    reflection."""
-    c = _signed(sc, -1.0 if abs(sc[0].body) < abs(sc[1].body) else 1.0)
+    c's sheet is read off its spinor, and is cut where u = v (x1 = x2,
+    y > 0): there c's sign is a coin toss of rounding, and may differ from
+    a sheet read off the point's x1 < x2, which negates phi and multiplies
+    g by the fermionic reflection."""
+    c = _signed(sc, -1.0 if sc[0].body < sc[1].body else 1.0)
     w = _omega(sa, c)
     _reject(w.body**2 <= tol, "triple", "%s is not linearly independent")
     sign_a = -np.sign(w.body)
@@ -498,17 +500,21 @@ def _far_spinor(sa, sc, factors, rank, tol=1e-9):
     (u, v, xi) over a batch of sides (a lift level's is (3, B, 2**rank)),
     each signed as `_spinor` signs it (its pivot's body positive), and
     factors the array (alpha, beta, kappa) of the same shape.
-    On normalize_triple's sheet, c is sc negated where it pivots on v, and
-    a is sa signed so that omega(a, c) has a negative body; n depends on
-    neither sign.  Each step is one product over the whole stack: omega(a,
-    c) with the numerators of n, then (after one inverse series) n_u and
-    n_v, n_u n_v, and d.  The positive triple itself is not checked here:
+    On normalize_triple's sheet, c is sc negated where its u body is below
+    its v body, and a is sa signed so that omega(a, c) has a negative body;
+    n depends on neither sign.  The sheet takes the sign with u > v, so it
+    is continuous along the circle of spinor lines but at u = v, where
+    x1 = x2 and y > 0, as at a standard triangle's fermion corner
+    t(1,1,1,phi,phi): there it jumps, taking u = v > 0 from the side of
+    u > v.  Each step is one product over the whole stack: omega(a, c)
+    with the numerators of n, then (after one inverse series) n_u and n_v,
+    n_u n_v, and d.  The positive triple itself is not checked here:
     a lift's triples are positive by construction.  Rejects a and c that
     are dependent within tol, naming the first failing element.
 
     Returns d signed as `_spinor` signs it, so a lift can carry it to the
     next level (the sign leaves its square unchanged)."""
-    c = sc * np.where(np.abs(sc[0, ..., :1]) < np.abs(sc[1, ..., :1]), -1.0, 1.0)
+    c = sc * np.where(sc[0, ..., :1] < sc[1, ..., :1], -1.0, 1.0)
     q = _kernels.multiply_coeffs(sa[_SIDE_A], c[_SIDE_C], rank)
     # u v' - v u', the body of omega(a, c), as xi_a xi_c has none
     det = q[0] - q[1]

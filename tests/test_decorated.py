@@ -75,7 +75,45 @@ class TestCoordsText:
         assert str(err.value) == message
 
 
-def attach_one(coords, deltas, points, triangles, tri_idx, k):
+class TestChartOrientation:
+    def test_orientation_of_other_edges_is_rejected_naming_the_edge(self):
+        """Theta's vertices with its edges rewired: the arrows of theta's
+        orientation would sit on other edges of the chart."""
+        theta = fg.theta_graph()
+        rewired = fg.Fatgraph(theta.vertices, [(0, 3), (2, 5), (4, 1)])
+        om = fg.Orientation.from_bits(theta, (0, 0, 0))
+        message = r"^orientation is of another fatgraph: its edge 0 is \(0, 1\), the fatgraph's \(0, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            dc.standard_chart(rewired, orientation=om, rank=RANK)
+        chart = dc.standard_chart(theta, rank=RANK)
+        with pytest.raises(ValueError, match=r"its edge 0 is \(0, 3\), the fatgraph's \(0, 1\)$"):
+            chart.replace(orientation=fg.Orientation.from_bits(rewired, (0, 0, 0)))
+
+    def test_orientation_of_other_vertices_is_rejected(self):
+        theta, two = fg.theta_graph(), fg.genus_two_spine()
+        with pytest.raises(ValueError, match="^orientation belongs to a different fatgraph$"):
+            dc.standard_chart(theta, orientation=fg.Orientation.from_bits(two, (0,) * two.num_edges), rank=RANK)
+
+    def test_orientation_of_an_equal_graph_is_accepted(self):
+        theta = fg.theta_graph()
+        om = fg.Orientation.from_bits(fg.theta_graph(), (1, 0, 1))
+        assert dc.standard_chart(theta, orientation=om, rank=RANK).orientation is om
+
+
+def crossing_sign(coords, tri, k):
+    """The sign of the triangle put across slot k of tri, by the rule of
+    `lift`: tri's sign, times -1 where the crossing runs against the arrow,
+    times -1 for one sigma-turn from tri's entry slot, or in the base for
+    any turn."""
+    graph = coords.graph
+    h = graph.vertices[tri.vertex][k]
+    eps = -1 if h == coords.orientation.head(graph.edge_of(h)) else 1
+    turns = (k - tri.entry) % 3
+    turned = turns != 0 if tri.parent < 0 else turns == 1
+    return tri.sign * eps * (-1 if turned else 1)
+
+
+def attach_one(coords, points, triangles, tri_idx, k):
     """Oracle: grow the lift across side k of triangle tri_idx alone, with
     unbatched calls; returns the new triangle index."""
     graph = coords.graph
@@ -97,36 +135,30 @@ def attach_one(coords, deltas, points, triangles, tri_idx, k):
     j0 = hs2.index(h2)
     c = lam[graph.edge_of(hs2[(j0 + 2) % 3])]
     d = lam[graph.edge_of(hs2[(j0 + 1) % 3])]
-    delta2 = -tri.delta
-    assert deltas[v2] == delta2
-    sigma = coords.mus[v2] * float(coords.gauge * delta2)
+    sign = crossing_sign(coords, tri, k)
+    sigma = coords.mus[v2] * float(coords.gauge * sign)
     d_std = mk.basic_calculation(a, b, c, d, e, sigma, rank=coords.rank)
     points.append(mk.act(sl.inverse_osp(g), d_std))
     corners = [0, 0, 0]
     corners[j0] = len(points) - 1
     corners[(j0 + 1) % 3] = cs[(k + 2) % 3]
     corners[(j0 + 2) % 3] = cs[(k + 1) % 3]
-    triangles.append(dc.LiftedTriangle(v2, corners, delta2, tri_idx))
+    triangles.append(dc.LiftedTriangle(v2, corners, j0, sign, tri_idx))
     return len(triangles) - 1
 
 
 def lift_one_by_one(coords, depth, base_vertex=0, base_side=0):
     """Oracle: the breadth-first lift, one triangle at a time."""
-    graph = coords.graph
-    deltas = dc.delta_coloring(graph, base_vertex)
-    points, _ = dc._base_triangle(coords, dc._side_factors(coords, deltas), base_vertex, base_side)
-    triangles = [dc.LiftedTriangle(base_vertex, (0, 1, 2), 1, -1)]
-    frontier = [(0, None)]
+    points, _ = dc._base_triangle(coords, dc._side_factors(coords), base_vertex, base_side)
+    triangles = [dc.LiftedTriangle(base_vertex, (0, 1, 2), base_side, 1, -1)]
+    frontier = [0]
     for _ in range(depth):
-        nxt = []
-        for tri_idx, parent_side in frontier:
-            for k in range(3):
-                if k == parent_side:
-                    continue
-                new_idx = attach_one(coords, deltas, points, triangles, tri_idx, k)
-                h2 = graph.partner(graph.vertices[triangles[tri_idx].vertex][k])
-                nxt.append((new_idx, graph.vertices[triangles[new_idx].vertex].index(h2)))
-        frontier = nxt
+        frontier = [
+            attach_one(coords, points, triangles, t, k)
+            for t in frontier
+            for k in range(3)
+            if t == 0 or k != triangles[t].entry
+        ]
     return points, triangles
 
 
@@ -158,8 +190,8 @@ def assert_same_lift(lifted, oracle):
     """The lift equals the oracle's: the same triangles, and each point
     within 1e-12 of its own scale."""
     points, triangles = oracle
-    assert [(t.vertex, t.corners, t.delta, t.parent) for t in lifted.triangles] == [
-        (t.vertex, t.corners, t.delta, t.parent) for t in triangles
+    assert [(t.vertex, t.corners, t.entry, t.sign, t.parent) for t in lifted.triangles] == [
+        (t.vertex, t.corners, t.entry, t.sign, t.parent) for t in triangles
     ]
     assert len(lifted.points) == len(points)
     for p, q in zip(lifted.points, points):
@@ -167,7 +199,7 @@ def assert_same_lift(lifted, oracle):
 
 
 class TestLift:
-    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    @pytest.mark.parametrize("name", sorted(SPINES))
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_lift_reproduces_lambda_and_mu(self, name, depth):
         lifted = dc.lift(dc.standard_chart(SPINES[name](), rank=RANK), depth, 0, 0)
@@ -175,7 +207,7 @@ class TestLift:
         assert lifted.pairing_residual() <= 1e-9
         assert lifted.mu_residual() <= 1e-9
 
-    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    @pytest.mark.parametrize("name", sorted(SPINES))
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_level_at_a_time_matches_one_by_one(self, name, depth):
         chart = dc.standard_chart(SPINES[name](), rank=RANK)
@@ -196,7 +228,7 @@ class TestLift:
         j = cs.index(new_corner)
         spinors[new_corner] = spinors[cs[(j + 1) % 3]]
         jobs = [(t, k) for t in (1, 2) for k in range(3)]
-        factors = dc._side_factors(chart, dc.delta_coloring(chart.graph, 0))
+        factors = dc._side_factors(chart)
         message = (
             r"^cannot attach across side %d of lifted triangle 2 \(graph vertex %d\): "
             r"first and third points of triple are linearly dependent" % ((j + 2) % 3, triangles[2].vertex)
@@ -209,7 +241,7 @@ class TestLift:
         )
         assert len(made) == 6
 
-    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    @pytest.mark.parametrize("name", sorted(SPINES))
     def test_level_at_a_time_matches_one_by_one_on_random_charts(self, name):
         r = np.random.default_rng(31)
         for _ in range(4):
@@ -218,7 +250,7 @@ class TestLift:
             assert_same_lift(dc.lift(chart, 2, *base), lift_one_by_one(chart, 2, *base))
 
 
-    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    @pytest.mark.parametrize("name", sorted(SPINES))
     def test_depth_three_matches_one_by_one_from_every_slot_on_wide_lambdas(self, name):
         """The side factors against the one-by-one oracle: lambda bodies in
         [0.4, 2.5], three levels, every base slot, with points up to 3.5e3.
@@ -256,7 +288,7 @@ class TestLift:
         lifted = dc.lift(chart, np.int64(1), np.int64(1), np.int64(2))
         assert_same_lift(lifted, lift_one_by_one(chart, 1, 1, 2))
 
-    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    @pytest.mark.parametrize("name", sorted(SPINES))
     def test_depth_two_lift_makes_at_most_36_products(self, name, monkeypatch):
         """A lift level is a few whole-stack products and the side factors
         are made once per lift: a depth-2 lift makes at most 36 products."""
@@ -277,7 +309,7 @@ class TestCarriedSpinors:
     """The lift carries one spinor per point and takes no square root of a
     point it built."""
 
-    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    @pytest.mark.parametrize("name", sorted(SPINES))
     def test_lift_finds_no_spinor_of_a_point(self, name, monkeypatch):
         calls = count_calls(monkeypatch, "_spinor")
         r = np.random.default_rng(33)
@@ -285,7 +317,7 @@ class TestCarriedSpinors:
         assert len(lifted.triangles) == 10
         assert not calls, "_spinor calls in a depth-2 lift: %d" % len(calls)
 
-    @pytest.mark.parametrize("name", ["theta", "genus_two"])
+    @pytest.mark.parametrize("name", sorted(SPINES))
     def test_carried_spinors_are_the_points_own(self, name):
         """Each carried spinor, base triangle included, equals the spinor
         `_spinor` works out from its point, sign and all, over three levels
@@ -294,9 +326,9 @@ class TestCarriedSpinors:
         graph = SPINES[name]()
         for base in itertools.product(range(graph.num_vertices), range(3)):
             chart = random_chart(r, graph)
-            factors = dc._side_factors(chart, dc.delta_coloring(graph, base[0]))
+            factors = dc._side_factors(chart)
             points, spinors = dc._base_triangle(chart, factors, *base)
-            triangles = [dc.LiftedTriangle(base[0], (0, 1, 2), 1, -1)]
+            triangles = [dc.LiftedTriangle(base[0], (0, 1, 2), base[1], 1, -1)]
             jobs = [(0, k) for k in range(3)]
             for _ in range(3):
                 made = dc._attach_level(chart, factors, points, spinors, triangles, jobs)
@@ -335,9 +367,9 @@ class TestStandardPosition:
         may take c on opposite sheets (which of u, v is the pivot is then a
         coin toss), and the frame differs by the fermionic reflection."""
         chart = random_chart(np.random.default_rng(38), SPINES[name](), bodies=(0.4, 2.5))
-        factors = dc._side_factors(chart, dc.delta_coloring(chart.graph, 0))
+        factors = dc._side_factors(chart)
         points, spinors = dc._base_triangle(chart, factors, 0, 0)
-        triangles = [dc.LiftedTriangle(0, (0, 1, 2), 1, -1)]
+        triangles = [dc.LiftedTriangle(0, (0, 1, 2), 0, 1, -1)]
         # every side of every triangle, so that some attach back across
         # their parent's side, onto near copies of the base t-slot point
         jobs = [(0, k) for k in range(3)]
@@ -366,8 +398,8 @@ class TestStandardPosition:
 
 
 class TestBaseVertex:
-    """delta_coloring and fundamental_domain take a vertex of the fatgraph
-    as the base, and name any other value."""
+    """lift and fundamental_domain take a vertex of the fatgraph as the
+    base, and name any other value."""
 
     BAD = [
         (-1, r"^base_vertex must be in 0\.\.1, got -1$"),
@@ -377,9 +409,9 @@ class TestBaseVertex:
     ]
 
     @pytest.mark.parametrize("value, message", BAD)
-    def test_delta_coloring_rejects_a_bad_base(self, value, message):
+    def test_lift_rejects_a_bad_base(self, value, message):
         with pytest.raises(ValueError, match=message):
-            dc.delta_coloring(fg.theta_graph(), value)
+            dc.lift(dc.standard_chart(fg.theta_graph(), rank=RANK), 1, value)
 
     @pytest.mark.parametrize("value, message", BAD)
     def test_fundamental_domain_rejects_a_bad_base(self, value, message):
@@ -441,33 +473,19 @@ class TestGauge:
         assert not dc.gauge_equal(chart, chart.replace(mus=mus))
 
 
-def bipartite_spine(name):
-    """The spine after the flips of `bipartite_flip_path`."""
+# flips from the all-zero orientation that make dumbbell and four-puncture
+# bipartite, a second spine of each for the representation tests
+FLIPS = {"theta": [], "dumbbell": [0], "four_puncture": [0, 4], "genus_two": []}
+
+
+def flipped_spine(name):
+    """The spine after the flips of FLIPS."""
     g = SPINES[name]()
     om = fg.Orientation.from_bits(g, (0,) * g.num_edges)
-    for e in dc.bipartite_flip_path(g):
+    for e in FLIPS[name]:
         res = fg.flip(g, e, om)
         g, om = res.graph, res.orientation
     return g
-
-
-class TestBipartiteFlipPath:
-    @pytest.mark.parametrize("name", sorted(SPINES))
-    def test_path_makes_the_spine_bipartite(self, name):
-        g = SPINES[name]()
-        path = dc.bipartite_flip_path(g)
-        # theta and genus two are bipartite already; the other two are not
-        if name in ("theta", "genus_two"):
-            assert path == []
-        else:
-            assert path
-            with pytest.raises(ValueError, match="not bipartite"):
-                dc.delta_coloring(g)
-        dc.delta_coloring(bipartite_spine(name))
-
-    def test_no_path_within_the_cap_raises(self):
-        with pytest.raises(ValueError, match="no bipartite spine within 0 flips"):
-            dc.bipartite_flip_path(fg.dumbbell_graph(), max_flips=0)
 
 
 ORIENTATIONS = {
@@ -609,9 +627,8 @@ def world_triangle(chart, factors, h, frame):
     return [mk.act(frame, p) for p in points]
 
 
-REP_BASES = [(name, base) for name in sorted(SPINES) for base in range(bipartite_spine(name).num_vertices)]
+REP_BASES = [(name, base) for name in sorted(SPINES) for base in range(flipped_spine(name).num_vertices)]
 
-# dumbbell and four-puncture are not bipartite as shipped
 SHIPPED_BASES = [(name, base) for name in ("dumbbell", "four_puncture") for base in range(SPINES[name]().num_vertices)]
 
 
@@ -643,7 +660,7 @@ class TestFrames:
         graph = SPINES[name]()
         reflection = sl.fermionic_reflection(RANK)
         for chart in [random_chart(r, graph) for _ in range(2)]:
-            factors = dc._side_factors(chart, [1] * graph.num_vertices)
+            factors = dc._side_factors(chart)
             for v, k, steps in itertools.product(range(graph.num_vertices), range(3), (1, 2)):
                 _, spinors = dc._base_triangle(chart, factors, v, k)
                 slot = (k + steps) % 3
@@ -661,7 +678,7 @@ class TestFrames:
         graph = SPINES[name]()
         reflection = sl.fermionic_reflection(RANK)
         for chart in [random_chart(r, graph, bodies=(0.4, 2.5)) for _ in range(2)]:
-            factors = dc._side_factors(chart, [1] * graph.num_vertices)
+            factors = dc._side_factors(chart)
             for h in range(2 * graph.num_edges):
                 v, h2 = graph.vertex_of(h), graph.partner(h)
                 k, v2 = graph.vertices[v].index(h), graph.vertex_of(h2)
@@ -702,16 +719,15 @@ class TestBuildRep:
 
     @pytest.mark.parametrize("name, base", REP_BASES)
     def test_punctures_are_parabolic_and_split_by_spin(self, name, base):
-        """On the spines made bipartite."""
-        assert_parabolic_and_split_by_spin(bipartite_spine(name), base)
+        """On the spines after the flips of FLIPS."""
+        assert_parabolic_and_split_by_spin(flipped_spine(name), base)
 
     @pytest.mark.parametrize("name, base", SHIPPED_BASES)
     def test_punctures_split_on_spines_that_are_not_bipartite(self, name, base):
-        """The frame product needs no delta coloring, so the spines that
-        are not bipartite as shipped need no flips first."""
+        """The frame product needs no two-coloring of the triangles, so
+        dumbbell and four-puncture, which have none as shipped, need no
+        flips first."""
         graph = SPINES[name]()
-        with pytest.raises(ValueError, match="not bipartite"):
-            dc.delta_coloring(graph)
         assert_parabolic_and_split_by_spin(graph, base)
 
     @pytest.mark.parametrize(
@@ -724,7 +740,7 @@ class TestBuildRep:
         only.  The bound is 1e-12 of the larger of its body and the two
         words' largest entries, as a short walk with a trace near 2 can have
         large entries."""
-        graph = SPINES[name]() if shipped else bipartite_spine(name)
+        graph = SPINES[name]() if shipped else flipped_spine(name)
         r = np.random.default_rng(17)
         charts = list(rep_charts(graph, seed=17, count=2)) + [random_chart(r, graph, bodies=(0.4, 2.5)) for _ in range(2)]
         for chart in charts:
@@ -757,7 +773,7 @@ class TestBuildRep:
         charts = list(rep_charts(graph, seed=18, count=2)) + [random_chart(r, graph, bodies=(0.4, 2.5)) for _ in range(2)]
         for chart, base in itertools.product(charts, range(graph.num_vertices)):
             rep = dc.build_rep(chart, dc.fundamental_domain(graph, base))
-            factors = dc._side_factors(chart, [1] * graph.num_vertices)
+            factors = dc._side_factors(chart)
             tris = [world_triangle(chart, factors, h, rep.frames[h]) for h in range(2 * graph.num_edges)]
             copies = {}
             for j in rep.domain.generators:
@@ -776,16 +792,16 @@ class TestBuildRep:
             assert max(gaps) <= 1e-12 * scale
             owners = [graph.vertex_of(h) for h in range(2 * graph.num_edges)]
             owners += [graph.vertex_of(graph.edges[j][0]) for j in copies]
-            triangles = [dc.LiftedTriangle(v, (3 * i, 3 * i + 1, 3 * i + 2), 1, -1) for i, v in enumerate(owners)]
+            triangles = [dc.LiftedTriangle(v, (3 * i, 3 * i + 1, 3 * i + 2), 0, 1, -1) for i, v in enumerate(owners)]
             lifted = dc.LiftedTriangulation(chart, points, triangles, base, 0)
             assert lifted.pairing_residual() <= 1e-12 * scale
             assert lifted.mu_residual() <= 1e-12 * scale
 
     def test_builds_from_the_chart_alone(self, monkeypatch):
-        """build_rep calls no lift, no delta coloring, no quadratic form and
-        no standard position; the counters do see a lift's calls."""
+        """build_rep calls no lift, no quadratic form and no standard
+        position; the counters do see a lift's calls."""
         calls = []
-        names = [(dc, "_attach_level"), (dc, "lift"), (dc, "delta_coloring"), (fg, "QuadraticForm")]
+        names = [(dc, "_attach_level"), (dc, "lift"), (fg, "QuadraticForm")]
         # minkowski's names also in decorated, should it import them by name
         names += [(m, n) for m in (mk, dc) for n in ("normalize_triple", "_spinor_frame")]
         for module, name in names:
@@ -799,7 +815,7 @@ class TestBuildRep:
                 dc.build_rep(random_chart(r, graph), dc.fundamental_domain(graph, base))
         assert calls == []
         dc.lift(random_chart(r, fg.theta_graph()), 1)
-        assert calls == ["lift", "delta_coloring", "_attach_level"]
+        assert calls == ["lift", "_attach_level"]
 
     def test_domain_of_another_fatgraph_is_rejected(self):
         theta, two = fg.theta_graph(), fg.genus_two_spine()
@@ -808,6 +824,95 @@ class TestBuildRep:
             message = "fundamental domain is of another fatgraph, (V, E) = %r, than the chart's %r" % tuple(sizes)
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 dc.build_rep(dc.standard_chart(chart_graph, rank=RANK), dc.fundamental_domain(domain_graph))
+
+
+def path_frames(lifted):
+    """The frame of each lifted triangle at its entry slot, composed as
+    `build_rep` composes frames: the identity at the base, and for a child,
+    the crossing (`_crossing`) times its parent's frame turned to the slot
+    crossed (`_turn`)."""
+    chart = lifted.coords
+    graph = chart.graph
+    frames = []
+    for tri in lifted.triangles:
+        if tri.parent < 0:
+            frames.append(sl.identity(RANK))
+            continue
+        parent = lifted.triangles[tri.parent]
+        h = graph.partner(graph.vertices[tri.vertex][tri.entry])
+        frame = frames[tri.parent]
+        steps = (graph.vertices[parent.vertex].index(h) - parent.entry) % 3
+        if steps:
+            frame = sl.smul(dc._turn(chart, parent.vertex, steps), frame)
+        frames.append(sl.smul(dc._crossing(chart, h), frame))
+    return frames
+
+
+def lifted_child(lifted, tri_idx, h):
+    """Index of the triangle the lift put across half-edge h of triangle
+    tri_idx."""
+    graph = lifted.coords.graph
+    (idx,) = [
+        i for i, t in enumerate(lifted.triangles)
+        if t.parent == tri_idx and graph.partner(graph.vertices[t.vertex][t.entry]) == h
+    ]
+    return idx
+
+
+class TestSignedLift:
+    """The lift is the frame product of `build_rep`, fermion signs and all.
+    `LiftedTriangulation.mu_residual` compares each triangle's mu only up to
+    sign, as the mu of a bare triple is fixed only up to its spinors' signs;
+    these tests pin the sign of every lifted point."""
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_lift_is_the_frame_product(self, name):
+        """From every base slot, at depth 3: each lifted point is act of its
+        triangle's path frame on its standard point (`_base_triangle` at the
+        entry slot), within 1e-12 of the largest point."""
+        r = np.random.default_rng(23)
+        graph = SPINES[name]()
+        for base in itertools.product(range(graph.num_vertices), range(3)):
+            chart = random_chart(r, graph, bodies=(0.4, 2.5))
+            lifted = dc.lift(chart, 3, *base)
+            factors = dc._side_factors(chart)
+            scale = max(float(np.abs(p.coeffs).max()) for p in lifted.points)
+            for tri, frame in zip(lifted.triangles, path_frames(lifted)):
+                standard, _ = dc._base_triangle(chart, factors, tri.vertex, tri.entry)
+                for corner, p in zip(tri.corners, standard):
+                    gap = mk.act(frame, p).max_coeff_diff(lifted.points[corner])
+                    assert gap <= 1e-12 * scale, (base, tri.vertex, tri.entry, gap)
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_generators_carry_lifted_triangles_onto_lifted_triangles(self, name):
+        """rho-equivariance, from base (0, 0): for generator j = (h1, h2),
+        act(element_j, .) carries the lifted corners of v1's tree triangle
+        onto those of the triangle lifted across h2 from v2's, corner by
+        corner, within 1e-12 of the largest point."""
+        graph = SPINES[name]()
+        domain = dc.fundamental_domain(graph, 0)
+        r = np.random.default_rng(24)
+        charts = list(rep_charts(graph, seed=24, count=2)) + [random_chart(r, graph, bodies=(0.4, 2.5)) for _ in range(2)]
+        # deep enough to reach across every generator from the tree
+        level = {}
+        for v, h in domain.tree.items():
+            level[v] = 0 if h is None else level[graph.vertex_of(h)] + 1
+        for chart in charts:
+            rep = dc.build_rep(chart, domain)
+            lifted = dc.lift(chart, max(level.values()) + 1, 0, 0)
+            tree = {}
+            for v, h in domain.tree.items():
+                tree[v] = 0 if h is None else lifted_child(lifted, tree[graph.vertex_of(h)], h)
+            copies = {j: lifted_child(lifted, tree[graph.vertex_of(graph.edges[j][1])], graph.edges[j][1])
+                      for j in domain.generators}
+            scale = max(float(np.abs(p.coeffs).max()) for p in lifted.points)
+            for j, copy in copies.items():
+                near = lifted.triangles[tree[graph.vertex_of(graph.edges[j][0])]]
+                far = lifted.triangles[copy]
+                assert near.vertex == far.vertex
+                for i, k in zip(near.corners, far.corners):
+                    gap = mk.act(rep.elements[j], lifted.points[i]).max_coeff_diff(lifted.points[k])
+                    assert gap <= 1e-12 * scale, (j, gap)
 
 
 class TestThetaSharpCase:
@@ -853,12 +958,12 @@ class TestDisconnected:
             lambda g: g.spanning_tree(),
             lambda g: fg.QuadraticForm(g, fg.Orientation.from_bits(g, (0,) * g.num_edges)),
             lambda g: fg.spin_class(g, fg.Orientation.from_bits(g, (0,) * g.num_edges)),
-            lambda g: dc.delta_coloring(g),
+            lambda g: dc.lift(dc.standard_chart(g, rank=RANK), 1),
             lambda g: dc.fundamental_domain(g),
             lambda g: g.genus,
             lambda g: fg.is_isomorphic(g, g),
         ],
-        ids=["cycle_basis", "spanning_tree", "QuadraticForm", "spin_class", "delta_coloring", "fundamental_domain",
+        ids=["cycle_basis", "spanning_tree", "QuadraticForm", "spin_class", "lift", "fundamental_domain",
              "genus", "is_isomorphic"],
     )
     def test_rejected_naming_a_vertex_not_reached(self, call):
