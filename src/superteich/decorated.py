@@ -6,7 +6,9 @@ The module implements the super Ptolemy flip on charts, the recursive
 light-cone lift of a chart (one breadth-first level at a time, its fermion
 signs read off the orientation), holonomy representations as products of
 two elementary frames along a fundamental domain, and the even two-form
-with its flip-invariance checker (graded chain-rule pullback)."""
+with its flip-invariance checker (graded chain-rule pullback, each partial
+taken exactly by moving one coordinate along a nilpotent direction on two
+extra generators)."""
 
 import collections
 
@@ -38,9 +40,6 @@ from .minkowski import (
 )
 
 EQ_TOL = 1e-9
-
-# finite-difference step for even partial derivatives, relative to the body
-FD_STEP = 1e-6
 
 ROOT2 = float(np.sqrt(2.0))
 
@@ -687,12 +686,6 @@ class SuperTwoForm:
         for (k1, k2), c in other.terms.items():
             self.add(k1, k2, scale * c)
 
-    def coefficient(self, k1, k2):
-        if k2 < k1:
-            raise ValueError("coefficients are stored normal-ordered")
-        c = self.terms.get((k1, k2))
-        return c if c is not None else GrassmannNumber(self.rank)
-
     def max_gap(self, other):
         """(worst coefficient difference, offending key pair label)."""
         keys = set(self.terms) | set(other.terms)
@@ -703,14 +696,6 @@ class SuperTwoForm:
             if gap > worst:
                 worst, label = gap, _pair_label(k)
         return worst, label
-
-    def drop_generators(self, mask):
-        """Zero every coefficient term touching the given generator mask."""
-        for c in self.terms.values():
-            idx = np.nonzero(c.coeffs)[0]
-            for m in idx:
-                if m & mask:
-                    c.coeffs[m] = 0.0
 
 
 def _pair_label(pair):
@@ -763,81 +748,38 @@ def two_form(coords):
 # -- pullback through the flip -------------------------------------------------
 
 
-def _single_generator(m, message):
-    """(i, c) of an odd value c g_i, one generator times a number; raises
-    ValueError(message) for any other value."""
-    nz = np.nonzero(m.coeffs)[0]
-    if len(nz) != 1 or bin(int(nz[0])).count("1") != 1:
-        raise ValueError(message)
-    return int(nz[0]).bit_length(), float(m.coeffs[nz[0]])
+def _chart_values(coords):
+    """Form key to coordinate: ("l", j) per edge lambda, ("m", v) per vertex
+    mu."""
+    out = {("l", j): x for j, x in enumerate(coords.lambdas)}
+    out.update((("m", v), x) for v, x in enumerate(coords.mus))
+    return out
 
 
-def _promote_odd(coords):
-    """Replace zero mus by fresh generators so odd partials can be read off
-    exactly; returns (promoted coords, {("m", v): (generator, coefficient)},
-    promo mask)."""
-    rank = coords.rank
-    used = 0
-    for x in list(coords.lambdas) + list(coords.mus):
-        for m in np.nonzero(x.coeffs)[0]:
-            used |= int(m)
-    odds = {}
-    mus = list(coords.mus)
-    promo_mask = 0
-    free = [i for i in range(1, rank + 1) if not (used >> (i - 1)) & 1]
-    for v, m in enumerate(mus):
-        if m.is_zero():
-            if not free:
-                raise ValueError("rank %d has no spare generator to probe mu[%d]" % (rank, v))
-            i = free.pop(0)
-            mus[v] = GrassmannNumber.generator(i, rank)
-            promo_mask |= 1 << (i - 1)
-            odds[("m", v)] = (i, 1.0)
-        else:
-            odds[("m", v)] = _single_generator(
-                m, "pullback probing needs single-generator mus (mu[%d] is not)" % v
-            )
-            _require_unshared(coords, v, odds[("m", v)][0])
-    return coords.replace(mus=mus), odds, promo_mask
-
-
-def _require_unshared(coords, v, i):
-    """Raise unless generator i, the one of mu[v], appears in no lambda and
-    in no other mu: the odd partials read off by differentiating in it would
-    otherwise differentiate those coordinates too."""
-    holds = ((np.arange(1 << coords.rank) >> (i - 1)) & 1).astype(bool)
-    for j, lam in enumerate(coords.lambdas):
-        if np.any(lam.coeffs[holds]):
-            raise ValueError(
-                "pullback probing needs mu[%d]'s generator g%d to appear in no other "
-                "coordinate, but the lambda of edge %d uses it" % (v, i, j)
-            )
-    for w, mu in enumerate(coords.mus):
-        if w != v and np.any(mu.coeffs[holds]):
-            raise ValueError(
-                "pullback probing needs mu[%d]'s generator g%d to appear in no other "
-                "coordinate, but mu[%d] uses it" % (v, i, w)
-            )
-
-
-def _differentials(evaluate, evens, odds):
+def _differentials(evaluate, values):
     """One-form differential of every output of evaluate, which maps a dict
-    like evens (form key to even coordinate) to a dict of outputs and is
-    called at evens first: central finite differences on each even body,
-    exact left derivatives in each odd generator, odds mapping a form key to
-    (generator, coefficient)."""
-    base = evaluate(evens)
-    rank = next(iter(base.values())).rank
-    forms = {key: OneForm(rank) for key in base}
-    for k, x in evens.items():
-        h = FD_STEP * max(1.0, abs(x.body))
-        hi = evaluate({**evens, k: x + h})
-        lo = evaluate({**evens, k: x - h})
-        for key in base:
-            _add_partial(forms[key], k, (hi[key] - lo[key]) * (0.5 / h))
-    for k, (gen, scale) in odds.items():
-        for key in base:
-            _add_partial(forms[key], k, odd_derivative(base[key], gen) * (1.0 / scale))
+    like values (form key to coordinate, all of rank r) to a dict of
+    outputs.  Every partial is exact: evaluate runs at rank r + 2, where
+    generators r + 1 and r + 2 appear nowhere, with one coordinate moved by
+    a nilpotent direction, eta = g_{r+1} g_{r+2} for an even coordinate and
+    g = g_{r+1} for an odd one.  As eta^2 = 0, f(x + eta) = f(x) + f'(x) eta,
+    and f' is the eta block coeffs[..., 3 << r:]; as g^2 = 0,
+    f(x + g) = f(x) + g f'(x), and f' is the left derivative in g, cut back
+    to rank r."""
+    rank = next(iter(values.values())).rank
+    raised = {}
+    for k, x in values.items():
+        c = np.zeros(4 << rank)
+        c[: 1 << rank] = x.coeffs
+        raised[k] = GrassmannNumber.wrap(rank + 2, c)
+    eta = GrassmannNumber.monomial([rank + 1, rank + 2], 1.0, rank + 2)
+    g = GrassmannNumber.generator(rank + 1, rank + 2)
+    forms = collections.defaultdict(lambda: OneForm(rank))
+    for k, x in raised.items():
+        even = _form_parity(k)
+        for key, y in evaluate({**raised, k: x + (eta if even else g)}).items():
+            c = y.coeffs[3 << rank :] if even else odd_derivative(y, rank + 1).coeffs[: 1 << rank]
+            _add_partial(forms[key], k, GrassmannNumber.wrap(rank, c))
     return forms
 
 
@@ -855,32 +797,28 @@ def pullback_check(coords, e, details=False):
     chart's two-form pulled back by the graded chain rule.  With
     details=True also returns the offending pair label.
 
-    It pulls back through the raw flip `_flip_once`, with one gauge pass on
-    the input and none per evaluation: the gauge moves only mu signs, and
-    the two-form holds each mu only through d(mu)^2.  So the gap cannot see
-    the sign of any mu either, and is no evidence for a mu-sign law."""
-    work, odds, promo_mask = _promote_odd(canonical_gauge(coords))
-    flipped = []
+    The chart is put in canonical gauge and flipped once by the raw flip
+    `_flip_once`, for the two-form after the flip; the flip's partials are
+    then exact, one evaluation per lambda and per mu at rank + 2 with that
+    coordinate moved by a nilpotent direction (`_differentials`).  So any
+    chart can be checked, whatever generators its lambdas and mus share.
+    The gauge moves only mu signs, and the two-form holds each mu only
+    through d(mu)^2, so the gap cannot see the sign of any mu either, and
+    is no evidence for a mu-sign law."""
+    work = canonical_gauge(coords)
+    after = _flip_once(work, e)
+    n = work.graph.num_edges
 
-    def evaluate(evens):
-        res = _flip_once(work.replace(lambdas=list(evens.values())), e)
-        flipped.append(res)
-        out = {("l", j): x for j, x in enumerate(res.lambdas)}
-        out.update((("m", v), x) for v, x in enumerate(res.mus))
-        return out
+    def evaluate(x):
+        x = list(x.values())
+        return _chart_values(
+            _flip_once(DecoratedCoords(work.graph, x[:n], x[n:], work.orientation, work.gauge), e)
+        )
 
-    evens = {("l", j): x for j, x in enumerate(work.lambdas)}
-    forms = _differentials(evaluate, evens, odds)
-    omega_after = two_form(flipped[0])
-    pulled = SuperTwoForm(work.rank)
-    one = GrassmannNumber.scalar(1.0, work.rank)
-    for (k1, k2), c in omega_after.terms.items():
-        pulled.add_scaled(wedge(forms[k1], forms[k2]), c)
-    omega_before = two_form(work)
-    diff = SuperTwoForm(work.rank)
-    diff.add_scaled(omega_before, one)
-    diff.add_scaled(pulled, -one)
-    diff.drop_generators(promo_mask)
+    forms = _differentials(evaluate, _chart_values(work))
+    diff = two_form(work)
+    for (k1, k2), c in two_form(after).terms.items():
+        diff.add_scaled(wedge(forms[k1], forms[k2]), -c)
     worst, label = diff.max_gap(SuperTwoForm(work.rank))
     if details:
         return worst, label
@@ -890,29 +828,20 @@ def pullback_check(coords, e, details=False):
 def ptolemy_form_identity(sigma, theta, chi, rank=None):
     """Max residual coefficient of the odd-flip form identity: the squares
     of the new mu differentials minus the old ones minus the cross term
-    d(theta*sigma) d(chi) / ((1+chi) sqrt(chi))."""
+    d(theta*sigma) d(chi) / ((1+chi) sqrt(chi)), with exact partials
+    (`_differentials`).  sigma and theta are any odd values, chi any even
+    one with a positive body."""
     rank = common_rank((sigma, theta, chi), rank)
-    sigma, theta, chi = (grassmann(x, rank) for x in (sigma, theta, chi))
-    if chi.body <= 0:
-        raise ValueError("chi needs a positive body")
-    odds = {
-        ("o", 0): _single_generator(sigma, "sigma must be a single-generator odd value"),
-        ("o", 1): _single_generator(theta, "theta must be a single-generator odd value"),
-    }
+    sigma = _odd_coord(sigma, rank, "sigma")
+    theta = _odd_coord(theta, rank, "theta")
+    chi = _even_coord(chi, rank, "chi")
 
-    def evaluate(evens):
-        x = evens[("x", 0)]
-        mu, nu = ptolemy_odd(sigma, theta, x)
-        return {
-            ("o", 0): sigma,
-            ("o", 1): theta,
-            ("o", 2): mu,
-            ("o", 3): nu,
-            ("o", 4): theta * sigma,
-            ("x", 0): x,
-        }
+    def evaluate(x):
+        s, t, c = x[("o", 0)], x[("o", 1)], x[("x", 0)]
+        mu, nu = ptolemy_odd(s, t, c)
+        return {("o", 0): s, ("o", 1): t, ("o", 2): mu, ("o", 3): nu, ("o", 4): t * s, ("x", 0): c}
 
-    forms = _differentials(evaluate, {("x", 0): chi}, odds)
+    forms = _differentials(evaluate, {("o", 0): sigma, ("o", 1): theta, ("x", 0): chi})
     total = SuperTwoForm(rank)
     one = GrassmannNumber.scalar(1.0, rank)
     total.add_scaled(wedge(forms[("o", 2)], forms[("o", 2)]), one)

@@ -138,9 +138,6 @@ class GrassmannNumber:
         tol = EQ_TOL if tol is None else tol
         return not np.any(np.abs(self.even_part().coeffs) > tol)
 
-    def coeff(self, mask):
-        return float(self.coeffs[mask])
-
     def extract_coefficient(self, indices):
         """Coefficient of the monomial on the given 1-based generator set."""
         mask = 0

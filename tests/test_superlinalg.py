@@ -427,8 +427,12 @@ def test_mixed_ranks_raise(name):
 
 
 def test_ptolemy_form_identity_ranks():
+    # sigma, theta and chi are of order 1, so 1e-12 of scale is 1e-12
     g1, g2 = GrassmannNumber.generator(1, 11), GrassmannNumber.generator(2, 11)
-    assert dc.ptolemy_form_identity(g1, g2, 1.3) < 1e-6
-    assert dc.ptolemy_form_identity(g1, g2, GrassmannNumber.scalar(1.3, 11)) < 1e-6
+    assert dc.ptolemy_form_identity(g1, g2, 1.3) < 1e-12
+    assert dc.ptolemy_form_identity(g1, g2, GrassmannNumber.scalar(1.3, 11)) < 1e-12
+    # sigma of two monomials, one of them sharing g2 with theta
+    sigma = g1 + GrassmannNumber.monomial([2, 3, 4], 0.4, 11)
+    assert dc.ptolemy_form_identity(sigma, g2, 1.3) < 1e-12
     with pytest.raises(ValueError):
         dc.ptolemy_form_identity(g1, GrassmannNumber.generator(2, 9), 1.3)
