@@ -6,9 +6,16 @@ The module implements the super Ptolemy flip on charts, the recursive
 light-cone lift of a chart (one breadth-first level at a time, its fermion
 signs read off the orientation), holonomy representations as products of
 two elementary frames along a fundamental domain, and the even two-form
-with its flip-invariance checker (graded chain-rule pullback, each partial
-taken exactly by moving one coordinate along a nilpotent direction on two
-extra generators)."""
+with its flip-invariance checker.
+
+The two-form is one integer matrix read off the fatgraph (`two_form`): in
+the coordinates (log lambda, mu) its coefficients are constant.  A flip
+changes three coordinates, from at most seven inputs, so its Jacobian is
+the identity outside the quadrilateral's block, and the check
+J^T Omega' J = Omega, with graded signs, runs on that block alone
+(`pullback_check`).  The block's partials are exact, from one stacked
+evaluation of the Ptolemy formulas with each coordinate moved along a
+nilpotent direction on two extra generators (`_jacobian`)."""
 
 import collections
 
@@ -20,6 +27,7 @@ from . import superlinalg as sl
 from .grassmann import (
     DEFAULT_RANK,
     GrassmannNumber,
+    _popcount,
     canonicalize_sign,
     common_rank,
     format_grassmann,
@@ -171,23 +179,23 @@ def gauge_equal(x, y, tol=EQ_TOL):
 def _quad_labels(coords, e):
     """Quadrilateral data around a non-loop edge: the triangle carrying theta
     sits at the head of the oriented edge, the sigma one at its tail.  (b, a)
-    are the lambda-lengths counterclockwise after the head half, (d, c) after
-    the tail half.  Returns (a, b, c, d, theta_vertex, sigma_vertex)."""
+    are the edges counterclockwise after the head half, (d, c) after the
+    tail half.  Returns ((a, b, c, d, e), theta_vertex, sigma_vertex)."""
     graph = coords.graph
     om = coords.orientation
     h_theta = om.head(e)
     h_sigma = om.tail(e)
-    lam = coords.lambdas
-    b = lam[graph.edge_of(graph.sigma(h_theta))]
-    a = lam[graph.edge_of(graph.sigma(graph.sigma(h_theta)))]
-    d = lam[graph.edge_of(graph.sigma(h_sigma))]
-    c = lam[graph.edge_of(graph.sigma(graph.sigma(h_sigma)))]
-    return a, b, c, d, graph.vertex_of(h_theta), graph.vertex_of(h_sigma)
+    b = graph.edge_of(graph.sigma(h_theta))
+    a = graph.edge_of(graph.sigma(graph.sigma(h_theta)))
+    d = graph.edge_of(graph.sigma(h_sigma))
+    c = graph.edge_of(graph.sigma(graph.sigma(h_sigma)))
+    return (a, b, c, d, e), graph.vertex_of(h_theta), graph.vertex_of(h_sigma)
 
 
 def _cross_ratio(a, b, c, d):
     """The cross-ratio chi = a c / (b d) of an edge's quadrilateral, from
-    `_quad_labels`'s lambda-lengths; the same from either end of the edge."""
+    the lambda-lengths of `_quad_labels`'s edges; the same from either end
+    of the edge.  Each may be a stack."""
     return a * c * (b * d).inverse()
 
 
@@ -214,13 +222,9 @@ def _flip_once(coords, e):
     chart, or is a loop, is rejected, named, before any Grassmann work."""
     graph = coords.graph
     res = fg.flip(graph, e, coords.orientation)
-    a, b, c, d, v_theta, v_sigma = _quad_labels(coords, e)
-    lam_e = coords.lambdas[e]
-    theta = coords.mus[v_theta]
-    sigma = coords.mus[v_sigma]
-    chi = _cross_ratio(a, b, c, d)
-    f = ptolemy_even(a, b, c, d, lam_e, sigma, theta)
-    nu, mu_new = ptolemy_odd(sigma, theta, chi)
+    edges, v_theta, v_sigma = _quad_labels(coords, e)
+    lam = [coords.lambdas[j] for j in edges]
+    f, nu, mu_new = _ptolemy(*lam, coords.mus[v_sigma], coords.mus[v_theta])
     v_nu, v_mu = _nu_mu_vertices(graph, coords.orientation, e, res, v_theta, v_sigma)
     lambdas = list(coords.lambdas)
     lambdas[e] = f
@@ -544,7 +548,7 @@ def _crossing(coords, h):
     position, E_h is the frame of the triangle `lift` puts across the side,
     with kappa times eps.  E_partner(h) E_h = I."""
     e = coords.graph.edge_of(h)
-    chi = _cross_ratio(*_quad_labels(coords, e)[:4])
+    chi = _cross_ratio(*(coords.lambdas[j] for j in _quad_labels(coords, e)[0][:4]))
     eps = -1.0 if h == coords.orientation.head(e) else 1.0
     # chi^(-1/2) gives 1/x, and x = chi chi^(-1/2), from one series
     x_inv = chi.rsqrt() * eps
@@ -629,229 +633,189 @@ def build_rep(coords, domain=None):
 
 # -- the invariant two-form ----------------------------------------------------
 
-# basis differential keys: ("l", j) for lambda edges (form-odd),
-# ("m", v) for mu vertices (form-even); extra kinds for scratch charts
-_FORM_ODD = {"l": 1, "x": 1, "m": 0, "o": 0}
+
+def two_form(graph):
+    """The even two-form as its integer matrix Omega over the coordinates
+    (log lambda_0, ..., log lambda_{E-1}, mu_0, ..., mu_{V-1}): for each
+    pair (i, j) of edges consecutive in the clockwise order (h0, h2, h1) at
+    a vertex, Omega_ij += 1 and Omega_ji -= 1; Omega is -1 on the mu
+    diagonal and 0 between the lambda and mu blocks.  This is the form
+
+        sum_v (d log a ^ d log b + cyclic) - sum_v d mu_v d mu_v,
+
+    whose coefficients in these coordinates are constant, so it is read
+    off the fatgraph alone.  In the chart's own differentials the
+    coefficient of d lambda_i ^ d lambda_j (i < j) is
+    Omega_ij / (lambda_i lambda_j), and that of d mu_v d mu_v is -1."""
+    num_edges = graph.num_edges
+    omega = np.zeros((num_edges + graph.num_vertices,) * 2, dtype=np.int64)
+    for v, hs in enumerate(graph.vertices):
+        clockwise = [graph.edge_of(h) for h in (hs[0], hs[2], hs[1])]
+        for i, j in zip(clockwise, clockwise[1:] + clockwise[:1]):
+            omega[i, j] += 1
+            omega[j, i] -= 1
+        omega[num_edges + v, num_edges + v] = -1
+    return omega
 
 
-def _form_parity(key):
-    return _FORM_ODD[key[0]]
+def _involution(c, rank):
+    """The grade involution of a coefficient array: its odd part negated."""
+    return np.where(_popcount(rank) & 1, -c, c)
 
 
-def _coeff_parity(c, tol=1e-12):
-    if c.is_zero(tol):
-        return None
-    p = c.parity(1e-7)
-    if p == "mixed":
-        raise ValueError("graded form coefficients must be homogeneous")
-    return 1 if p == "odd" else 0
+def _jacobian(evaluate, args, coords, even):
+    """Exact partials of evaluate's outputs along n coordinates, from one
+    stacked evaluation at rank r + 2 (r the rank of args), where generators
+    r + 1 and r + 2 appear nowhere.  Argument s of evaluate is coordinate
+    coords[s], and coordinate i moves in stack element i: an even one
+    (even[i]) as a log, x -> x (1 + eta) with eta = g_{r+1} g_{r+2}, an odd
+    one as x -> x + g with g = g_{r+1}.  As eta^2 = g^2 = 0, an output
+    becomes y + (dy / d log x) eta, read off the eta block
+    coeffs[3 << r:], or y + g dy/dx, with the left derivative in g.
 
-
-class OneForm:
-    """Sum of coeff * d(coordinate), coefficients stored left."""
-
-    def __init__(self, rank, terms=None):
-        self.rank = rank
-        self.terms = dict(terms or {})
-
-    def add(self, key, coeff):
-        if key in self.terms:
-            self.terms[key] = self.terms[key] + coeff
+    Returns the outputs at rank r, an (outputs, 2**r) array, and the
+    (outputs, n, 2**r) Jacobian with its coefficients on the left,
+    dy = sum_i jac[:, i] du_i, u_i = log x_i for an even coordinate and x_i
+    for an odd one: a partial along an even coordinate goes through the
+    grade involution, as du_i anticommutes with odd elements."""
+    rank = args[0].rank
+    x = np.zeros((len(args), len(even), 4 << rank))
+    for s, (arg, i) in enumerate(zip(args, coords)):
+        x[s, :, : 1 << rank] = arg.coeffs
+        if even[i]:
+            x[s, i, 3 << rank :] = arg.coeffs
         else:
-            self.terms[key] = coeff
+            x[s, i, 1 << rank] = 1.0
+    y = np.stack([out.coeffs for out in evaluate(*(GrassmannNumber.wrap(rank + 2, c) for c in x))])
+    odd = odd_derivative(GrassmannNumber.wrap(rank + 2, y), rank + 1).coeffs[..., : 1 << rank]
+    return y[:, 0, : 1 << rank], np.where(even[:, None], _involution(y[..., 3 << rank :], rank), odd)
 
 
-class SuperTwoForm:
-    """Normal-ordered graded two-form: coefficients over key pairs with
-    key1 <= key2; equal keys survive only for form-even differentials."""
+def _pullback_gap(jac, after, before, even, scales):
+    """The pullback of the form `after` through jac minus the form
+    `before`, as the normal-ordered coefficients of the inputs' plain
+    differentials: an (n, n, 2**r) array, zero below the diagonal, whose
+    entry (a, b), a <= b, is the coefficient of dx_a dx_b.
 
-    def __init__(self, rank):
-        self.rank = rank
-        self.terms = {}
+    jac (m, n, 2**r) is `_jacobian`'s, in the inputs' coordinates u_a.
+    after (m, m) and before (n, n) are integer forms,
+    sum_{k <= l} form[k, l] du_k du_l, read on and above the diagonal.
+    Differentials of even inputs (even, n booleans) anticommute and square
+    to zero; those of odd inputs commute.  scales (n, 2**r) holds the
+    factors dx_a = du_a / scales[a]: x_a's inverse for an even input, 1 for
+    an odd one.
 
-    def add(self, k1, k2, coeff):
-        p1, p2 = _form_parity(k1), _form_parity(k2)
-        if k2 < k1:
-            k1, k2 = k2, k1
-            if p1 & p2:
-                coeff = -coeff
-        if k1 == k2 and p1:
-            return
-        if (k1, k2) in self.terms:
-            self.terms[(k1, k2)] = self.terms[(k1, k2)] + coeff
-        else:
-            self.terms[(k1, k2)] = coeff
-
-    def add_scaled(self, other, scale):
-        for (k1, k2), c in other.terms.items():
-            self.add(k1, k2, scale * c)
-
-    def max_gap(self, other):
-        """(worst coefficient difference, offending key pair label)."""
-        keys = set(self.terms) | set(other.terms)
-        worst, label = 0.0, ""
-        zero = GrassmannNumber(self.rank)
-        for k in sorted(keys):
-            gap = (self.terms.get(k, zero) - other.terms.get(k, zero)).max_abs()
-            if gap > worst:
-                worst, label = gap, _pair_label(k)
-        return worst, label
-
-
-def _pair_label(pair):
-    (a, i), (b, j) = pair
-    return "d%s%d*d%s%d" % (a, i, b, j)
+    Moving du_a past a coefficient c puts c through the grade involution g
+    where u_a is even, so before ordering, du_a du_b has the coefficient
+    sum_k jac[k, a] (upper(after) g(jac))[k, b] at an even u_a, and the same
+    without g at an odd one.  The pair (b, a), b > a, then moves to (a, b),
+    negated where both inputs are even."""
+    n = len(even)
+    rank = jac.shape[-1].bit_length() - 1
+    # right[s, k, b]: the rows of upper(after) times jac, through g for s = 1
+    right = np.einsum("kl,slbc->skbc", np.triu(after).astype(float), np.stack([jac, _involution(jac, rank)]))
+    right = right[even.astype(int)].swapaxes(0, 1)
+    # rows of plain numbers (the coordinates passed through) scale their
+    # right factors; the others multiply them
+    plain = ~jac[..., 1:].any(axis=(1, 2))
+    unordered = np.einsum("ka,kabc->abc", jac[plain, :, 0], right[plain]) + _kernels.multiply_coeffs(
+        jac[~plain, :, None], right[~plain], rank
+    ).sum(axis=0)
+    moved = unordered.swapaxes(0, 1) * np.where(even[:, None] & even, -1.0, 1.0)[..., None]
+    gap = np.where(np.triu(np.ones((n, n), bool), 1)[..., None], unordered + moved, 0.0)
+    odd = np.flatnonzero(~even)
+    gap[odd, odd] = unordered[odd, odd]
+    gap[..., 0] -= np.triu(before)
+    return _kernels.multiply_coeffs(gap, _kernels.multiply_coeffs(scales[:, None], scales, rank), rank)
 
 
-def wedge(f, g):
-    """Graded product of one-forms; differentials of even coordinates
-    anticommute, of odd coordinates commute."""
-    out = SuperTwoForm(f.rank)
-    for k1, c1 in f.terms.items():
-        p1 = _form_parity(k1)
-        for k2, c2 in g.terms.items():
-            pc = _coeff_parity(c2)
-            if pc is None:
-                continue
-            coeff = c1 * c2
-            if pc & p1:
-                coeff = -coeff
-            out.add(k1, k2, coeff)
-    return out
-
-
-def _dlog(key, value, rank):
-    return OneForm(rank, {key: value.inverse()})
-
-
-def two_form(coords):
-    """Even two-form of the chart: per vertex, the cyclic sum of
-    d log(lambda) wedges in clockwise half-edge order minus the square of
-    the vertex's mu differential."""
-    graph = coords.graph
-    rank = coords.rank
-    out = SuperTwoForm(rank)
-    one = GrassmannNumber.scalar(1.0, rank)
-    for v in range(graph.num_vertices):
-        hs = graph.vertices[v]
-        clockwise = (hs[0], hs[2], hs[1])
-        logs = [
-            _dlog(("l", graph.edge_of(h)), coords.lambdas[graph.edge_of(h)], rank)
-            for h in clockwise
-        ]
-        for i in range(3):
-            out.add_scaled(wedge(logs[i], logs[(i + 1) % 3]), one)
-        out.add(("m", v), ("m", v), -one)
-    return out
-
-
-# -- pullback through the flip -------------------------------------------------
-
-
-def _chart_values(coords):
-    """Form key to coordinate: ("l", j) per edge lambda, ("m", v) per vertex
-    mu."""
-    out = {("l", j): x for j, x in enumerate(coords.lambdas)}
-    out.update((("m", v), x) for v, x in enumerate(coords.mus))
-    return out
-
-
-def _differentials(evaluate, values):
-    """One-form differential of every output of evaluate, which maps a dict
-    like values (form key to coordinate, all of rank r) to a dict of
-    outputs.  Every partial is exact: evaluate runs at rank r + 2, where
-    generators r + 1 and r + 2 appear nowhere, with one coordinate moved by
-    a nilpotent direction, eta = g_{r+1} g_{r+2} for an even coordinate and
-    g = g_{r+1} for an odd one.  As eta^2 = 0, f(x + eta) = f(x) + f'(x) eta,
-    and f' is the eta block coeffs[..., 3 << r:]; as g^2 = 0,
-    f(x + g) = f(x) + g f'(x), and f' is the left derivative in g, cut back
-    to rank r."""
-    rank = next(iter(values.values())).rank
-    raised = {}
-    for k, x in values.items():
-        c = np.zeros(4 << rank)
-        c[: 1 << rank] = x.coeffs
-        raised[k] = GrassmannNumber.wrap(rank + 2, c)
-    eta = GrassmannNumber.monomial([rank + 1, rank + 2], 1.0, rank + 2)
-    g = GrassmannNumber.generator(rank + 1, rank + 2)
-    forms = collections.defaultdict(lambda: OneForm(rank))
-    for k, x in raised.items():
-        even = _form_parity(k)
-        for key, y in evaluate({**raised, k: x + (eta if even else g)}).items():
-            c = y.coeffs[3 << rank :] if even else odd_derivative(y, rank + 1).coeffs[: 1 << rank]
-            _add_partial(forms[key], k, GrassmannNumber.wrap(rank, c))
-    return forms
-
-
-def _add_partial(form, key, part):
-    p = _coeff_parity(part, 1e-11)
-    if p is None:
-        return
-    if p & _form_parity(key):
-        part = -part
-    form.add(key, part)
+def _ptolemy(a, b, c, d, lam_e, sigma, theta):
+    """The flip's new values (f, nu, mu) from its seven inputs, each of
+    which may be a stack."""
+    nu, mu = ptolemy_odd(sigma, theta, _cross_ratio(a, b, c, d))
+    return ptolemy_even(a, b, c, d, lam_e, sigma, theta), nu, mu
 
 
 def pullback_check(coords, e, details=False):
-    """Max coefficient gap between the chart two-form and the flipped
-    chart's two-form pulled back by the graded chain rule.  With
-    details=True also returns the offending pair label.
+    """Max coefficient gap between the chart's two-form and the flipped
+    chart's, pulled back through the flip: J^T Omega' J = Omega, with
+    graded signs, where Omega and Omega' are the integer matrices of
+    `two_form` before and after the flip and J the flip's Jacobian in the
+    coordinates (log lambda, mu).  With details=True also returns the
+    offending pair, as in "dl3*dm1".
 
-    The chart is put in canonical gauge and flipped once by the raw flip
-    `_flip_once`, for the two-form after the flip; the flip's partials are
-    then exact, one evaluation per lambda and per mu at rank + 2 with that
-    coordinate moved by a nilpotent direction (`_differentials`).  So any
-    chart can be checked, whatever generators its lambdas and mus share.
-    The gauge moves only mu signs, and the two-form holds each mu only
-    through d(mu)^2, so the gap cannot see the sign of any mu either, and
+    The flip changes three coordinates, f, nu and mu', and they depend on
+    at most seven inputs, a, b, c, d, lambda_e, sigma and theta.  Outside
+    the rows and columns of the quadrilateral's edges and its two vertices
+    J is the identity and Omega' is Omega, so the gap there is zero, and
+    only that block is checked.  Its partials are exact, from one stacked
+    evaluation of the Ptolemy formulas with each coordinate of the block
+    moved along a nilpotent direction (`_jacobian`), so any chart can be
+    checked, whatever generators its lambdas and mus share.  The gap is
+    given in the chart's own differentials, as coefficients of
+    d lambda ^ d lambda, d lambda d mu and d mu d mu.  The form holds each
+    mu only through d mu^2, so the gap cannot see the sign of any mu, and
     is no evidence for a mu-sign law."""
-    work = canonical_gauge(coords)
-    after = _flip_once(work, e)
-    n = work.graph.num_edges
-
-    def evaluate(x):
-        x = list(x.values())
-        return _chart_values(
-            _flip_once(DecoratedCoords(work.graph, x[:n], x[n:], work.orientation, work.gauge), e)
-        )
-
-    forms = _differentials(evaluate, _chart_values(work))
-    diff = two_form(work)
-    for (k1, k2), c in two_form(after).terms.items():
-        diff.add_scaled(wedge(forms[k1], forms[k2]), -c)
-    worst, label = diff.max_gap(SuperTwoForm(work.rank))
-    if details:
-        return worst, label
-    return worst
+    graph = coords.graph
+    res = fg.flip(graph, e, coords.orientation)
+    edges, v_theta, v_sigma = _quad_labels(coords, e)
+    v_nu, v_mu = _nu_mu_vertices(graph, coords.orientation, e, res, v_theta, v_sigma)
+    num_edges = graph.num_edges
+    block = sorted(set(edges)) + sorted(num_edges + v for v in (v_theta, v_sigma))
+    even = np.array([k < num_edges for k in block])
+    slots = [block.index(k) for k in edges + (num_edges + v_sigma, num_edges + v_theta)]
+    lambdas = [coords.lambdas[j] for j in edges]
+    values, parts = _jacobian(_ptolemy, lambdas + [coords.mus[v_sigma], coords.mus[v_theta]], slots, even)
+    rank = coords.rank
+    jac = np.zeros((len(block),) * 2 + (1 << rank,))
+    jac[range(len(block)), range(len(block)), 0] = 1.0
+    # d log f = df / f
+    f_inv = GrassmannNumber.wrap(rank, values[0]).inverse()
+    jac[block.index(e)] = _kernels.multiply_coeffs(f_inv.coeffs, parts[0], rank)
+    jac[block.index(num_edges + v_nu)] = parts[1]
+    jac[block.index(num_edges + v_mu)] = parts[2]
+    scales = np.zeros_like(jac[0])
+    scales[even] = stack([coords.lambdas[k] for k in block if k < num_edges]).inverse().coeffs
+    scales[~even, 0] = 1.0
+    after, before = (two_form(g)[np.ix_(block, block)] for g in (res.graph, graph))
+    gap = np.abs(_pullback_gap(jac, after, before, even, scales)).max(axis=-1)
+    a, b = np.unravel_index(np.argmax(gap), gap.shape)
+    worst = float(gap[a, b])
+    if not details:
+        return worst
+    names = ["d%s%d" % (("l", k) if k < num_edges else ("m", k - num_edges)) for k in block]
+    return worst, names[a] + "*" + names[b] if worst > 0 else ""
 
 
 def ptolemy_form_identity(sigma, theta, chi, rank=None):
-    """Max residual coefficient of the odd-flip form identity: the squares
-    of the new mu differentials minus the old ones minus the cross term
-    d(theta*sigma) d(chi) / ((1+chi) sqrt(chi)), with exact partials
-    (`_differentials`).  sigma and theta are any odd values, chi any even
-    one with a positive body."""
+    """Max residual coefficient of the odd-flip form identity
+
+        d mu^2 + d nu^2 - d sigma^2 - d theta^2
+            - d(theta sigma) d chi / ((1 + chi) sqrt(chi)) = 0,
+
+    (nu, mu) = `ptolemy_odd`(sigma, theta, chi), in the plain differentials
+    of sigma, theta and chi.  It is `_pullback_gap`'s integer form over
+    (nu, mu, sigma, theta, theta sigma, w), with dw = d chi /
+    ((1 + chi) sqrt(chi)) entered as its Jacobian row, and the partials
+    are exact (`_jacobian`).  sigma and theta are any odd values, chi any
+    even one with a positive body."""
     rank = common_rank((sigma, theta, chi), rank)
     sigma = _odd_coord(sigma, rank, "sigma")
     theta = _odd_coord(theta, rank, "theta")
     chi = _even_coord(chi, rank, "chi")
-
-    def evaluate(x):
-        s, t, c = x[("o", 0)], x[("o", 1)], x[("x", 0)]
-        mu, nu = ptolemy_odd(s, t, c)
-        return {("o", 0): s, ("o", 1): t, ("o", 2): mu, ("o", 3): nu, ("o", 4): t * s, ("x", 0): c}
-
-    forms = _differentials(evaluate, {("o", 0): sigma, ("o", 1): theta, ("x", 0): chi})
-    total = SuperTwoForm(rank)
-    one = GrassmannNumber.scalar(1.0, rank)
-    total.add_scaled(wedge(forms[("o", 2)], forms[("o", 2)]), one)
-    total.add_scaled(wedge(forms[("o", 3)], forms[("o", 3)]), one)
-    total.add_scaled(wedge(forms[("o", 0)], forms[("o", 0)]), -one)
-    total.add_scaled(wedge(forms[("o", 1)], forms[("o", 1)]), -one)
-    coef = ((one + chi) * chi.sqrt()).inverse()
-    total.add_scaled(wedge(forms[("o", 4)], forms[("x", 0)]), -coef)
-    worst, _ = total.max_gap(SuperTwoForm(rank))
-    return worst
+    even = np.array([False, False, True])
+    _, parts = _jacobian(lambda s, t, c: (*ptolemy_odd(s, t, c), t * s), [sigma, theta, chi], [0, 1, 2], even)
+    jac = np.zeros((6, 3, 1 << rank))
+    jac[[0, 1, 4]] = parts
+    jac[2, 0, 0] = jac[3, 1, 0] = 1.0
+    # dw / d log chi = sqrt(chi) / (1 + chi)
+    jac[5, 2] = (chi.sqrt() * (1 + chi).inverse()).coeffs
+    form = np.diag([1, 1, -1, -1, 0, 0])
+    form[4, 5] = -1
+    scales = np.zeros((3, 1 << rank))
+    scales[:2, 0] = 1.0
+    scales[2] = chi.inverse().coeffs
+    return float(np.abs(_pullback_gap(jac, form, np.zeros((3, 3), int), even, scales)).max())
 
 
 # -- serialization -------------------------------------------------------------

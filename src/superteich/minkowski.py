@@ -532,21 +532,26 @@ def _far_spinor(sa, sc, factors, rank, tol=1e-9):
 
 
 def ptolemy_even(a, b, c, d, e, sigma, theta, rank=None):
-    """Flipped-diagonal lambda-length f with the odd correction term."""
+    """Flipped-diagonal lambda-length f with the odd correction term,
+
+        e f = ac + bd + sigma theta sqrt(ac bd),
+
+    which is (ac + bd)(1 + sigma theta sqrt(chi) / (1 + chi)), chi = ac / bd,
+    as sqrt(chi) / (1 + chi) = sqrt(ac bd) / (ac + bd) for positive bodies:
+    six products and two series.  Every argument may be a stack."""
     rank = common_rank((a, b, c, d, e, sigma, theta), rank)
     a, b, c, d, e, sigma, theta = (
         grassmann(v, rank) for v in (a, b, c, d, e, sigma, theta)
     )
-    chi = a * c * (d * b).inverse()
-    rootchi = chi.sqrt()
-    corr = 1 + sigma * theta * rootchi * (1 + chi).inverse()
-    return (a * c + b * d) * corr * e.inverse()
+    ac, bd = a * c, b * d
+    return (ac + bd + sigma * theta * (ac * bd).sqrt()) * e.inverse()
 
 
 def ptolemy_odd(sigma, theta, chi):
-    """Odd invariants (nu, mu) of the two triangles after the flip."""
-    if chi.body <= 0:
-        raise ValueError("cross-ratio must have positive body")
+    """Odd invariants (nu, mu) of the two triangles after the flip.  Each
+    argument may be a stack; a cross-ratio without a positive body is
+    rejected, naming the first such element of a stack."""
+    _reject(chi.body <= 0, "cross-ratio", "%s must have positive body")
     rootchi = chi.sqrt()
     denom = (1 + chi).rsqrt()
     nu = (theta * rootchi + sigma) * denom

@@ -1,6 +1,7 @@
 """Decorated charts: the coords text format, the gauge, the light-cone lift,
 the super Ptolemy flip and the holonomy representation."""
 
+import fractions
 import itertools
 import re
 
@@ -13,6 +14,7 @@ from superteich import fatgraph_spin as fg
 from superteich import minkowski as mk
 from superteich import superlinalg as sl
 from superteich.grassmann import GrassmannNumber, random_element
+from test_fatgraph_spin import random_graphs
 from test_minkowski import count_calls, normalize_triple_chain
 
 RANK = 8
@@ -550,19 +552,43 @@ class TestFlipCoords:
 
     @pytest.mark.parametrize("name", ["theta", "genus_two"])
     def test_exact_partials_match_central_differences(self, name):
-        """The eta-block partials of `_flip_once`'s outputs agree with
-        central differences, whose own truncation error is near 1e-9."""
-        chart = dc.canonical_gauge(random_chart(np.random.default_rng(26), SPINES[name](), bodies=(0.4, 2.5)))
-        evaluate = flip_outputs(chart, 1)
-        exact = dc._differentials(evaluate, dc._chart_values(chart))
-        oracle = central_differences(evaluate, dc._chart_values(chart))
-        zero = GrassmannNumber(RANK)
-        for out, form in oracle.items():
-            for k, part in form.terms.items():
-                want = exact[out].terms.get(k, zero)
-                assert (part - want).max_abs() <= 1e-8 * max(1.0, want.max_abs()), (out, k)
-            # no even partial is missing from the oracle
-            assert {k for k in exact[out].terms if k[0] == "l"} <= set(form.terms), out
+        """`pullback_check`'s Jacobian block along the quadrilateral's
+        lambdas (`_jacobian` of the Ptolemy formulas, in log lambda) agrees
+        with central differences of `_flip_once`'s outputs in log lambda,
+        whose own truncation error is near 1e-9."""
+        chart = random_chart(np.random.default_rng(26), SPINES[name](), bodies=(0.4, 2.5))
+        e = 1
+        edges, v_theta, v_sigma = dc._quad_labels(chart, e)
+        block = sorted(set(edges))
+        even = np.array([True] * len(block) + [False, False])
+        slots = [block.index(j) for j in edges] + [len(block), len(block) + 1]
+        args = [chart.lambdas[j] for j in edges] + [chart.mus[v_sigma], chart.mus[v_theta]]
+        _, jac = dc._jacobian(dc._ptolemy, args, slots, even)
+        res = fg.flip(chart.graph, e, chart.orientation)
+        v_nu, v_mu = dc._nu_mu_vertices(chart.graph, chart.orientation, e, res, v_theta, v_sigma)
+        for i, j in enumerate(block):
+            oracle = central_differences(chart, e, j)
+            for k, out in enumerate(["l%d" % e, "m%d" % v_nu, "m%d" % v_mu]):
+                # jac holds the partial through the grade involution
+                want = GrassmannNumber.wrap(RANK, jac[k, i])
+                want = want.even_part() - want.odd_part()
+                assert (oracle[out] - want).max_abs() <= 1e-8 * max(1.0, want.max_abs()), (out, j)
+
+    def test_details_name_the_offending_pair(self, monkeypatch):
+        """A flip whose nu is off by 1e-3 sigma breaks the d sigma^2 term:
+        details=True gives the same gap and names that pair."""
+        chart = dc.standard_chart(fg.genus_two_spine(), rank=RANK)
+        _, _, v_sigma = dc._quad_labels(chart, 4)
+        ptolemy = dc._ptolemy
+
+        def skewed(*args):
+            f, nu, mu = ptolemy(*args)
+            return f, nu + 1e-3 * args[5], mu
+
+        monkeypatch.setattr(dc, "_ptolemy", skewed)
+        worst, label = dc.pullback_check(chart, 4, details=True)
+        assert worst == dc.pullback_check(chart, 4) > 1e-3
+        assert label == "dm%d*dm%d" % (v_sigma, v_sigma)
 
     @pytest.mark.parametrize(
         "e, message",
@@ -598,42 +624,29 @@ class TestFlipCoords:
 
 def assert_pulls_back(chart):
     """`pullback_check` within 1e-12 of the chart two-form's largest
-    coefficient (or of 1) on every edge that is not a loop."""
-    bound = 1e-12 * max([1.0] + [c.max_abs() for c in dc.two_form(chart).terms.values()])
+    coefficient in the chart's own differentials, souls included: the
+    largest |Omega_ij (lambda_i lambda_j)^-1|, or 1, the d mu^2 term's."""
+    omega = dc.two_form(chart.graph)
+    inv = [x.inverse() for x in chart.lambdas]
+    pairs = itertools.combinations(range(chart.graph.num_edges), 2)
+    bound = 1e-12 * max([1.0] + [(inv[i] * inv[j] * float(omega[i, j])).max_abs() for i, j in pairs])
     for e in range(chart.graph.num_edges):
         if not chart.graph.is_loop(e):
             assert dc.pullback_check(chart, e) <= bound, "edge %d" % e
 
 
-def flip_outputs(chart, e):
-    """`pullback_check`'s evaluate: `_flip_once` of the chart with the
-    coordinates given, of any rank, as a dict of form keys."""
-    n = chart.graph.num_edges
+def central_differences(chart, e, j, step=1e-6):
+    """Reference for the partials in log lambda_j of `_flip_once`'s new
+    values at edge e, keyed "l<e>" and "m<v>": central differences with
+    lambda_j scaled by exp(+-step)."""
+    def flipped(t):
+        lambdas = list(chart.lambdas)
+        lambdas[j] = lambdas[j] * float(np.exp(t))
+        out = dc._flip_once(chart.replace(lambdas=lambdas), e)
+        return {"l%d" % e: out.lambdas[e], **{"m%d" % v: m for v, m in enumerate(out.mus)}}
 
-    def evaluate(x):
-        x = list(x.values())
-        return dc._chart_values(
-            dc._flip_once(dc.DecoratedCoords(chart.graph, x[:n], x[n:], chart.orientation, chart.gauge), e)
-        )
-
-    return evaluate
-
-
-def central_differences(evaluate, values, step=1e-6):
-    """Reference for the even partials: central differences on each even
-    coordinate's body, with a step relative to the body, put in one-forms
-    as `_differentials` puts them."""
-    base = evaluate(values)
-    forms = {key: dc.OneForm(RANK) for key in base}
-    for k, x in values.items():
-        if not dc._form_parity(k):
-            continue
-        h = step * max(1.0, abs(x.body))
-        hi = evaluate({**values, k: x + h})
-        lo = evaluate({**values, k: x - h})
-        for key in base:
-            dc._add_partial(forms[key], k, (hi[key] - lo[key]) * (0.5 / h))
-    return forms
+    hi, lo = flipped(step), flipped(-step)
+    return {key: (hi[key] - lo[key]) * (0.5 / step) for key in hi}
 
 
 def rep_charts(graph, seed, count=12):
@@ -699,6 +712,70 @@ def assert_parabolic_and_split_by_spin(graph, base):
         for tr, kind in zip(traces, types):
             assert abs(abs(tr) - 2) <= 1e-12 * scale
             assert (tr < 0) == (kind == "NS"), (traces, types)
+
+
+def integer_rank(rows):
+    """Rank of an integer matrix, by exact elimination over the rationals."""
+    m = [[fractions.Fraction(int(x)) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                ratio = m[i][col] / m[rank][col]
+                m[i] = [x - ratio * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def puncture_vectors(graph):
+    """One row per puncture p: n_e(p), the number of half-edges of edge e
+    in p's boundary orbit."""
+    return [np.bincount([graph.edge_of(h) for h in orbit], minlength=graph.num_edges)
+            for orbit in graph.boundary_orbits()]
+
+
+HOROCYCLE_GRAPHS = [pytest.param(lambda: [make() for make in SPINES.values()], id="spines")] + [
+    pytest.param(lambda v=v: random_graphs(27 + v, v, 10), id="random-V%d" % v) for v in (2, 4, 6, 8)
+]
+
+
+class TestHorocycleFibre:
+    """The two-form is degenerate along the horocycle fibres: its lambda
+    block has rank E - s, and rescaling the horocycle at a puncture p,
+    lambda_e -> lambda_e t^(n_e(p) / 2), is in its kernel.  So the s
+    puncture vectors span the kernel, and the form descends to the
+    undecorated space.  All of it is exact integer arithmetic."""
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_matrix_blocks(self, name):
+        """Antisymmetric on the lambda block, -1 on the mu diagonal and 0
+        elsewhere."""
+        g = SPINES[name]()
+        omega = dc.two_form(g)
+        num_edges = g.num_edges
+        assert omega.dtype.kind == "i"
+        assert (omega[:num_edges, :num_edges] == -omega[:num_edges, :num_edges].T).all()
+        assert (omega[num_edges:, num_edges:] == -np.eye(g.num_vertices, dtype=int)).all()
+        assert not omega[:num_edges, num_edges:].any() and not omega[num_edges:, :num_edges].any()
+
+    @pytest.mark.parametrize("name, rank", [("theta", 2), ("dumbbell", 0), ("four_puncture", 2), ("genus_two", 8)])
+    def test_lambda_block_rank_on_the_spines(self, name, rank):
+        g = SPINES[name]()
+        assert integer_rank(dc.two_form(g)[: g.num_edges, : g.num_edges]) == rank == g.num_edges - g.punctures
+
+    @pytest.mark.parametrize("graphs", HOROCYCLE_GRAPHS)
+    def test_puncture_vectors_span_the_kernel(self, graphs):
+        for g in graphs():
+            omega = dc.two_form(g)[: g.num_edges, : g.num_edges]
+            vectors = puncture_vectors(g)
+            assert integer_rank(omega) == g.num_edges - g.punctures
+            assert integer_rank(vectors) == g.punctures
+            for n in vectors:
+                assert not (omega @ n).any()
 
 
 class TestFrames:

@@ -1055,6 +1055,22 @@ class TestPtolemyEven:
             f = mk.ptolemy_even(a, b, c, d, e, sg, th)
             assert (f * f - mk.pairing(B, D)).max_abs() < 1e-8
 
+    def test_factored_form_with_souls_and_stacks(self):
+        """e f = ac + bd + sigma theta sqrt(ac bd) is
+        (ac + bd)(1 + sigma theta sqrt(chi) / (1 + chi)), chi = ac / bd,
+        also where the lambdas carry even souls; a stack of inputs gives
+        each element's value."""
+        r0 = rng(22)
+        args = [[random_element(r0, RANK, parity="even", terms=2, scale=0.2, body=float(r0.uniform(0.5, 2.0)))
+                 for _ in range(5)] + [random_element(r0, RANK, parity="odd", terms=2) for _ in range(2)]
+                for _ in range(4)]
+        stacked = mk.ptolemy_even(*(stack(col) for col in zip(*args)))
+        for k, (a, b, c, d, e, sg, th) in enumerate(args):
+            chi = a * c * (b * d).inverse()
+            want = (a * c + b * d) * (1 + sg * th * chi.sqrt() * (1 + chi).inverse()) * e.inverse()
+            assert (mk.ptolemy_even(a, b, c, d, e, sg, th) - want).max_abs() < 1e-12
+            assert (GrassmannNumber.wrap(RANK, stacked.coeffs[k]) - want).max_abs() < 1e-12
+
 
 class TestPtolemyOdd:
     def test_chi_one(self):
@@ -1081,8 +1097,15 @@ class TestPtolemyOdd:
         assert (th2 + th).max_abs() < 1e-12
 
     def test_bad_chi_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cross-ratio must have positive body$"):
             mk.ptolemy_odd(G1, G2, grassmann(-1.0, RANK))
+
+    def test_bad_chi_in_a_stack_is_named(self):
+        chi = stack([grassmann(x, RANK) for x in (1.5, 0.7, -0.2, 0.0)])
+        with pytest.raises(mk.ElementError, match="^cross-ratio 2 must have positive body$") as err:
+            mk.ptolemy_odd(G1, G2, chi)
+        assert err.value.element == 2
+        assert err.value.reason == "cross-ratio must have positive body"
 
 
 # -- projective models: the super half-plane and RP^{1|1}, for the tests -----
