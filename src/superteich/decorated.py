@@ -40,14 +40,12 @@ from .minkowski import (
     ElementError,
     SuperVector,
     _far_spinor,
+    _ptolemy_even,
     _square,
     mu_invariant,
     pairing,
-    ptolemy_even,
     ptolemy_odd,
 )
-
-EQ_TOL = 1e-9
 
 ROOT2 = float(np.sqrt(2.0))
 
@@ -79,9 +77,9 @@ class DecoratedCoords:
 
     def __init__(self, graph, lambdas, mus, orientation, gauge=1, rank=None):
         if len(lambdas) != graph.num_edges:
-            raise ValueError("need one lambda-length per edge")
+            raise ValueError("need one lambda-length per edge: %d for %d edges" % (len(lambdas), graph.num_edges))
         if len(mus) != graph.num_vertices:
-            raise ValueError("need one mu-invariant per vertex")
+            raise ValueError("need one mu-invariant per vertex: %d for %d vertices" % (len(mus), graph.num_vertices))
         other = orientation.graph
         if other is not graph:
             if other.vertices != graph.vertices:
@@ -89,7 +87,7 @@ class DecoratedCoords:
             if other.edges != graph.edges:
                 raise fg._edge_mismatch(other.edges, graph.edges)
         if gauge not in (1, -1):
-            raise ValueError("gauge must be +1 or -1")
+            raise ValueError("gauge must be +1 or -1, got %r" % (gauge,))
         rank = common_rank(list(lambdas) + list(mus), rank)
         self.graph = graph
         self.lambdas = tuple(
@@ -120,29 +118,26 @@ class DecoratedCoords:
         mus[v] = -mus[v]
         return self.replace(mus=mus, orientation=self.orientation.reflect(v))
 
-    def isclose(self, other, tol=EQ_TOL):
+    def isclose(self, other):
+        """Same fatgraph, orientation and gauge, and every lambda and mu
+        within `grassmann.EQ_TOL` coefficientwise."""
         if self.graph.vertices != other.graph.vertices or self.graph.edges != other.graph.edges:
             return False
         if self.orientation.tails != other.orientation.tails or self.gauge != other.gauge:
             return False
-        return all(a.isclose(b, tol) for a, b in zip(self.lambdas, other.lambdas)) and all(
-            a.isclose(b, tol) for a, b in zip(self.mus, other.mus)
+        return all(a.isclose(b) for a, b in zip(self.lambdas, other.lambdas)) and all(
+            a.isclose(b) for a, b in zip(self.mus, other.mus)
         )
 
 
-def standard_chart(graph, orientation=None, odd="generators", rank=DEFAULT_RANK):
-    """Unit lambda-lengths with mus either distinct generators or zero."""
+def standard_chart(graph, orientation=None, rank=DEFAULT_RANK):
+    """Unit lambda-lengths, and mu_v the generator v + 1."""
     if orientation is None:
         orientation = fg.Orientation.from_bits(graph, (0,) * graph.num_edges)
     one = GrassmannNumber.scalar(1.0, rank)
-    if odd == "generators":
-        if graph.num_vertices > rank:
-            raise ValueError("rank too small for one generator per vertex")
-        mus = [GrassmannNumber.generator(v + 1, rank) for v in range(graph.num_vertices)]
-    elif odd == "zero":
-        mus = [GrassmannNumber(rank) for _ in range(graph.num_vertices)]
-    else:
-        raise ValueError("odd must be 'generators' or 'zero'")
+    if graph.num_vertices > rank:
+        raise ValueError("rank too small for one generator per vertex")
+    mus = [GrassmannNumber.generator(v + 1, rank) for v in range(graph.num_vertices)]
     return DecoratedCoords(graph, [one] * graph.num_edges, mus, orientation, 1, rank=rank)
 
 
@@ -156,21 +151,23 @@ def canonical_gauge(coords):
     vertices whose reflections reach it (the combo); then
     `canonicalize_sign` of the stacked mus makes the first significant mu
     coefficient positive, and the gauge bit is +1.  Gauge-equivalent charts
-    map to equal charts (within EQ_TOL where every mu is below it)."""
+    map to equal charts (within `grassmann.EQ_TOL` where every mu is below
+    it)."""
     graph = coords.graph
     combo, rest, _ = fg.gf2_solve(fg._reflection_rows(graph), coords.orientation.bits)
     mus = [-m if flip else m for m, flip in zip(coords.mus, combo)]
-    _, sign = canonicalize_sign(stack(mus), EQ_TOL)
+    _, sign = canonicalize_sign(stack(mus))
     if sign < 0:
         mus = [-m for m in mus]
     orientation = fg.Orientation.from_bits(graph, tuple(int(x) for x in rest))
     return coords.replace(mus=mus, orientation=orientation, gauge=1)
 
 
-def gauge_equal(x, y, tol=EQ_TOL):
-    """Whether two charts agree up to vertex reflections and global sign."""
-    cx, cy = canonical_gauge(x), canonical_gauge(y)
-    return cx.isclose(cy, tol)
+def gauge_equal(x, y):
+    """Whether two charts agree up to vertex reflections and global sign,
+    within `grassmann.EQ_TOL` (`DecoratedCoords.isclose` of their canonical
+    gauges)."""
+    return canonical_gauge(x).isclose(canonical_gauge(y))
 
 
 # -- the super Ptolemy flip ----------------------------------------------------
@@ -731,9 +728,11 @@ def _pullback_gap(jac, after, before, even, scales):
 
 def _ptolemy(a, b, c, d, lam_e, sigma, theta):
     """The flip's new values (f, nu, mu) from its seven inputs, each of
-    which may be a stack."""
-    nu, mu = ptolemy_odd(sigma, theta, _cross_ratio(a, b, c, d))
-    return ptolemy_even(a, b, c, d, lam_e, sigma, theta), nu, mu
+    which may be a stack: ac and bd are formed once, for the cross-ratio
+    (as `_cross_ratio` forms it) and for `minkowski.ptolemy_even`."""
+    ac, bd = a * c, b * d
+    nu, mu = ptolemy_odd(sigma, theta, ac * bd.inverse())
+    return _ptolemy_even(ac, bd, lam_e, sigma, theta), nu, mu
 
 
 def pullback_check(coords, e, details=False):
@@ -835,7 +834,7 @@ def write_coords(coords):
 def parse_coords(text, rank=DEFAULT_RANK):
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != "coords v1":
-        raise ValueError("missing coords v1 header")
+        raise ValueError("missing coords v1 header, got %r" % (lines[0] if lines else ""))
     graph_lines, rest = [], []
     for ln in lines[1:]:
         if ln.startswith(("fatgraph", "v", "e", "orient")) and not ln.startswith(
@@ -864,10 +863,9 @@ def parse_coords(text, rank=DEFAULT_RANK):
             gauge = 1 if parts[1] == "+" else -1
         else:
             raise ValueError("unrecognized line %r" % ln)
-    if any(x is None for x in lambdas):
-        raise ValueError("missing lambda line")
-    if any(x is None for x in mus):
-        raise ValueError("missing mu line")
+    for slots, name, prefix in ((lambdas, "lambda", "e"), (mus, "mu", "v")):
+        if None in slots:
+            raise ValueError("missing %s line for %s%d" % (name, prefix, slots.index(None)))
     if gauge is None:
         raise ValueError("missing gauge line")
     return DecoratedCoords(graph, lambdas, mus, orientation, gauge, rank=rank)

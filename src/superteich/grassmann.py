@@ -8,8 +8,13 @@ nilpotent, and inverse, sqrt and rsqrt are one finite binomial series,
 x**alpha for alpha = -1, 1/2 and -1/2.
 
 All public arithmetic rejects mixed ranks instead of promoting.  Equality is
-coefficientwise within a configurable tolerance (default 1e-9) because the
-downstream geometry forces irrational coefficients like sqrt(2).
+coefficientwise within EQ_TOL, because the downstream geometry forces
+irrational coefficients like sqrt(2).  The package writes that tolerance
+once, here: `==`, the parity tests and `canonicalize_sign` read it, and so
+do `superlinalg.is_osp`, `minkowski.mu_invariant`, the chart comparisons
+of `decorated` and the default degeneracy thresholds of `minkowski`.
+`isclose` and `is_zero` default to it and take another value for a single
+comparison.
 
 A GrassmannNumber may also hold a stack of elements: leading (batch) axes in
 front of the coefficient axis.  Arithmetic broadcasts over them, `body` is
@@ -26,7 +31,7 @@ from . import _kernels
 
 DEFAULT_RANK = 8
 
-# per-coefficient tolerance used by __eq__ / is_even / is_odd
+# the package's one coefficient tolerance (see the module docstring)
 EQ_TOL = 1e-9
 
 _popcounts = {}
@@ -40,6 +45,14 @@ def _popcount(rank):
     return pc
 
 
+def _generator_bit(i, rank):
+    """The coefficient-index bit of generator i (1-based) at the given rank;
+    an index outside 1..rank is rejected, named."""
+    if not 1 <= i <= rank:
+        raise ValueError("generator index %r out of range 1..%d" % (i, rank))
+    return 1 << (i - 1)
+
+
 class GrassmannNumber:
     """Element of the rank-N real Grassmann algebra."""
 
@@ -47,7 +60,7 @@ class GrassmannNumber:
 
     def __init__(self, rank, coeffs=None):
         if not (isinstance(rank, (int, np.integer)) and rank >= 1):
-            raise ValueError("rank must be a positive integer")
+            raise ValueError("rank must be a positive integer, got %r" % (rank,))
         self.rank = int(rank)
         n = 1 << self.rank
         if coeffs is None:
@@ -55,7 +68,7 @@ class GrassmannNumber:
         else:
             c = np.asarray(coeffs, dtype=float)
             if c.ndim == 0 or c.shape[-1] != n:
-                raise ValueError("coefficient vector must have length 2**rank")
+                raise ValueError("coefficient vector must have length 2**rank = %d, got shape %r" % (n, c.shape))
             self.coeffs = c.copy()
 
     @classmethod
@@ -78,10 +91,8 @@ class GrassmannNumber:
     @staticmethod
     def generator(i, rank=DEFAULT_RANK):
         """The i-th odd generator, 1-based."""
-        if not 1 <= i <= rank:
-            raise ValueError("generator index out of range")
         g = GrassmannNumber(rank)
-        g.coeffs[1 << (i - 1)] = 1.0
+        g.coeffs[_generator_bit(i, rank)] = 1.0
         return g
 
     @staticmethod
@@ -89,11 +100,9 @@ class GrassmannNumber:
         """coeff * product of generators with the given 1-based indices."""
         mask = 0
         for i in indices:
-            if not 1 <= i <= rank:
-                raise ValueError("generator index out of range")
-            bit = 1 << (i - 1)
+            bit = _generator_bit(i, rank)
             if mask & bit:
-                raise ValueError("repeated generator index")
+                raise ValueError("repeated generator index %d" % i)
             mask |= bit
         g = GrassmannNumber(rank)
         g.coeffs[mask] = float(coeff)
@@ -118,40 +127,37 @@ class GrassmannNumber:
     def odd_part(self):
         return GrassmannNumber.wrap(self.rank, np.where(_popcount(self.rank) & 1, self.coeffs, 0.0))
 
-    def parity(self, tol=None):
-        """'even', 'odd' or 'mixed'; the zero element counts as even."""
-        tol = EQ_TOL if tol is None else tol
+    def parity(self):
+        """'even', 'odd' or 'mixed', ignoring coefficients within EQ_TOL of
+        zero; the zero element counts as even."""
         pc = _popcount(self.rank)
-        has_even = np.any(np.abs(self.coeffs[..., (pc & 1) == 0]) > tol)
-        has_odd = np.any(np.abs(self.coeffs[..., (pc & 1) == 1]) > tol)
+        has_even = np.any(np.abs(self.coeffs[..., (pc & 1) == 0]) > EQ_TOL)
+        has_odd = np.any(np.abs(self.coeffs[..., (pc & 1) == 1]) > EQ_TOL)
         if has_even and has_odd:
             return "mixed"
         if has_odd:
             return "odd"
         return "even"
 
-    def is_even(self, tol=None):
-        tol = EQ_TOL if tol is None else tol
-        return not np.any(np.abs(self.odd_part().coeffs) > tol)
+    def is_even(self):
+        """Whether every odd coefficient is within EQ_TOL of zero."""
+        return not np.any(np.abs(self.odd_part().coeffs) > EQ_TOL)
 
-    def is_odd(self, tol=None):
-        tol = EQ_TOL if tol is None else tol
-        return not np.any(np.abs(self.even_part().coeffs) > tol)
+    def is_odd(self):
+        """Whether every even coefficient is within EQ_TOL of zero."""
+        return not np.any(np.abs(self.even_part().coeffs) > EQ_TOL)
 
     def extract_coefficient(self, indices):
         """Coefficient of the monomial on the given 1-based generator set."""
         mask = 0
         for i in indices:
-            if not 1 <= i <= self.rank:
-                raise ValueError("generator index out of range")
-            mask |= 1 << (i - 1)
+            mask |= _generator_bit(i, self.rank)
         return float(self.coeffs[mask])
 
     def max_abs(self):
         return float(np.max(np.abs(self.coeffs)))
 
-    def is_zero(self, tol=None):
-        tol = EQ_TOL if tol is None else tol
+    def is_zero(self, tol=EQ_TOL):
         return not np.any(np.abs(self.coeffs) > tol)
 
     # -- arithmetic --------------------------------------------------------
@@ -202,20 +208,6 @@ class GrassmannNumber:
         if isinstance(other, (int, float, np.integer, np.floating)):
             return GrassmannNumber.wrap(self.rank, self.coeffs * float(other))
         return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return GrassmannNumber.wrap(self.rank, self.coeffs / float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
@@ -334,7 +326,7 @@ class GrassmannArray:
             raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
         return other.coeffs
 
-    def isclose(self, other, tol=1e-9):
+    def isclose(self, other, tol=EQ_TOL):
         return bool(np.all(np.abs(self.coeffs - self._other(other)) <= tol))
 
     def max_coeff_diff(self, other):
@@ -393,9 +385,7 @@ def odd_derivative(a, i):
     """Left derivative with respect to generator i (1-based): each monomial
     containing g_i loses it, signed by the generators written before it.
     One signed gather over the coefficient axis, so a may be a stack."""
-    if not 1 <= i <= a.rank:
-        raise ValueError("generator index out of range")
-    bit = 1 << (i - 1)
+    bit = _generator_bit(i, a.rank)
     idx = np.arange(1 << a.rank)
     sign = np.where(idx & bit, 0.0, 1.0 - 2.0 * (_popcount(a.rank)[idx & (bit - 1)] & 1))
     # + 0.0 turns the -0.0 of -1.0 * 0.0 (no monomial lands there) and of
@@ -403,17 +393,17 @@ def odd_derivative(a, i):
     return GrassmannNumber.wrap(a.rank, a.coeffs[..., idx | bit] * sign + 0.0)
 
 
-def canonicalize_sign(a, tol=1e-9):
+def canonicalize_sign(a):
     """Canonical representative of {a, -a}: first significant coefficient in
     bitmask order made positive.  Returns (representative, sign) with
     a = sign * representative; sign is +1.0 for (near-)zero input.
 
     a may be a stack: its coefficients are read in `coeffs.flat` order
     (element by element, each in bitmask order), and one sign serves the
-    whole stack.  Significance is judged relative to the largest
-    coefficient, of the whole stack, so that roundoff junk below real terms
-    never decides the sign."""
-    thresh = tol * max(1.0, a.max_abs())
+    whole stack.  A coefficient is significant above EQ_TOL times
+    max(1, the largest coefficient of the whole stack), so that roundoff
+    junk below real terms never decides the sign."""
+    thresh = EQ_TOL * max(1.0, a.max_abs())
     first = np.flatnonzero(np.abs(a.coeffs) > thresh)
     if first.size and a.coeffs.flat[first[0]] < 0:
         return -a, -1.0
@@ -458,7 +448,7 @@ def parse_grassmann(text, rank=DEFAULT_RANK):
     g = GrassmannNumber(rank)
     s = text.strip()
     if not s:
-        raise ValueError("empty Grassmann literal")
+        raise ValueError("empty Grassmann literal %r" % text)
     # split into signed terms; the lookbehind keeps exponents like 1e-05 intact
     pieces = re.split(r"(?<![eE])([+-])", s)
     terms = []
@@ -469,8 +459,6 @@ def parse_grassmann(text, rank=DEFAULT_RANK):
         if not tok:
             raise ValueError("dangling sign in %r" % text)
         terms.append((-1.0 if pieces[k] == "-" else 1.0, tok))
-    if not terms:
-        raise ValueError("empty Grassmann literal")
     for sign, t in terms:
         if "g{" not in t:
             g.coeffs[0] += sign * float(t)
@@ -483,10 +471,7 @@ def parse_grassmann(text, rank=DEFAULT_RANK):
         idx = m.group("idx").strip()
         if idx:
             for tok in idx.split(","):
-                i = int(tok)
-                if not 1 <= i <= rank:
-                    raise ValueError("generator index %d out of range for rank %d" % (i, rank))
-                bit = 1 << (i - 1)
+                bit = _generator_bit(int(tok), rank)
                 if mask & bit:
                     raise ValueError("repeated generator index in %r" % t)
                 mask |= bit

@@ -71,6 +71,7 @@ import numpy as np
 from . import _kernels
 from .grassmann import (
     DEFAULT_RANK,
+    EQ_TOL,
     GrassmannArray,
     GrassmannNumber,
     canonicalize_sign,
@@ -103,16 +104,6 @@ class SuperVector(GrassmannArray):
     def components(self):
         return tuple(self._entry(k) for k in range(5))
 
-    def scale(self, s):
-        s = grassmann(s, self.rank)
-        return SuperVector(*(s * v for v in self.components()), rank=self.rank)
-
-    def __add__(self, other):
-        return SuperVector.wrap(self.rank, self.coeffs + self._other(other))
-
-    def __sub__(self, other):
-        return SuperVector.wrap(self.rank, self.coeffs - self._other(other))
-
     def __neg__(self):
         return SuperVector.wrap(self.rank, -self.coeffs)
 
@@ -137,7 +128,7 @@ def e_zero(rank=DEFAULT_RANK):
 
 def pairing(a, b):
     if a.rank != b.rank:
-        raise ValueError("rank mismatch")
+        raise ValueError("rank mismatch: %d vs %d" % (a.rank, b.rank))
     return (
         (a.x1 * b.x2 + b.x1 * a.x2) * 0.5
         - a.y * b.y
@@ -170,21 +161,24 @@ def act(g, a):
     return SuperVector.wrap(a.rank, out)
 
 
-def is_light_cone(a, tol=1e-9):
-    if pairing(a, a).max_abs() > tol:
+def is_light_cone(a):
+    """Whether <a,a> vanishes and the x1, x2 bodies are non-negative, each
+    within EQ_TOL."""
+    if pairing(a, a).max_abs() > EQ_TOL:
         return False
-    return a.x1.body >= -tol and a.x2.body >= -tol
+    return a.x1.body >= -EQ_TOL and a.x2.body >= -EQ_TOL
 
 
-def fermion_label(a, tol=1e-9):
-    """Odd orbit invariant of a light-cone point, canonical up to sign.
+def fermion_label(a):
+    """Odd orbit invariant of a light-cone point, canonical up to sign, read
+    off x1 when its body is above EQ_TOL, otherwise off x2.
 
     Returns (representative, sign); the raw value is sign * representative.
     """
     # x1^(1/2) theta - y x1^(-1/2) phi = x1^(-1/2) (x1 theta - y phi)
-    if a.x1.body > tol:
+    if a.x1.body > EQ_TOL:
         raw = a.x1.rsqrt() * (a.x1 * a.theta - a.y * a.phi)
-    elif a.x2.body > tol:
+    elif a.x2.body > EQ_TOL:
         raw = a.x2.rsqrt() * (a.x2 * a.phi - a.y * a.theta)
     else:
         raise ValueError("fermion label needs an invertible x1 or x2")
@@ -225,7 +219,7 @@ def triple_orientation(a, b, c):
     return float(det) if det.ndim == 0 else det
 
 
-def normalize_triple(a, b, c, tol=1e-9):
+def normalize_triple(a, b, c, tol=EQ_TOL):
     """Standard position of a positive triple (a, b, c) of special light-cone
     points.
 
@@ -241,7 +235,7 @@ def normalize_triple(a, b, c, tol=1e-9):
     return _spinor_frame(sa, sb, sc, tol)
 
 
-def _spinor_frame(sa, sb, sc, tol=1e-9):
+def _spinor_frame(sa, sb, sc, tol=EQ_TOL):
     """normalize_triple's (g, r, s, t, phi) from the spinors (u, v, xi) of
     the triple's points, each signed as `_spinor` signs it.
 
@@ -394,7 +388,7 @@ def _in_byte_order(xs):
     return [xs[k] for k in order], -1.0 if inversions % 2 else 1.0
 
 
-def mu_invariant(a, b, c, tol=1e-9):
+def mu_invariant(a, b, c):
     """Odd invariant of a positive triple, canonical up to the sign gauge,
     read off the spinors (u_s, v_s, xi_s) of the three points (`_spinor`).
     With d_st = u_s v_t - v_s u_t and omega_st = d_st + xi_s xi_t,
@@ -415,14 +409,17 @@ def mu_invariant(a, b, c, tol=1e-9):
     multiplied, in the byte order of their values (the xi product times the
     sign of that order), so cyclic relabelings return the identical value.
     At run time the value is compared, within 1e-7, with the odd-direction
-    formula of the rotation (a, b, c); a mismatch raises ValueError.
+    formula of the rotation (a, b, c); a mismatch raises ValueError, as do
+    a point with x1 and x2 bodies within EQ_TOL of zero, two points whose
+    omega has a body within EQ_TOL of zero, and a triple that is not
+    positive.
 
     Returns (representative, sign) with the value sign * representative.
     The value is normalize_triple's phi times the signs that put the three
     spinors on its sheet (`_spinor_frame`), so the two may differ in sign;
     reflecting all three points flips both.
     """
-    spinors = [_spinor(p, pos, tol) for p, pos in zip((a, b, c), _POSITIONS)]
+    spinors = [_spinor(p, pos, EQ_TOL) for p, pos in zip((a, b, c), _POSITIONS)]
     # d and omega over the pairs (a,b), (b,c), (c,a), which a cyclic
     # relabeling permutes; the body of omega(s,t) is the determinant of
     # (u, v) and (u', v')
@@ -431,7 +428,7 @@ def mu_invariant(a, b, c, tol=1e-9):
         s, t = spinors[k], spinors[(k + 1) % 3]
         d = s[0] * t[1] - s[1] * t[0]
         w = d + s[2] * t[2]
-        if abs(w.body) <= tol:
+        if abs(w.body) <= EQ_TOL:
             names = " and ".join(_POSITIONS[j] for j in sorted((k, (k + 1) % 3)))
             raise ValueError("%s points of triple are linearly dependent" % names)
         dets.append(d)
@@ -485,7 +482,7 @@ _SIDE_A = [0, 1, 2, 2, 2, 0, 1]
 _SIDE_C = [1, 0, 2, 0, 1, 2, 2]
 
 
-def _far_spinor(sa, sc, factors, rank, tol=1e-9):
+def _far_spinor(sa, sc, factors, rank, tol=EQ_TOL):
     """The spinor of basic_calculation's point D put across the side (a, c)
     of a positive triple, in the triple's own frame, for a stack of sides:
 
@@ -543,7 +540,12 @@ def ptolemy_even(a, b, c, d, e, sigma, theta, rank=None):
     a, b, c, d, e, sigma, theta = (
         grassmann(v, rank) for v in (a, b, c, d, e, sigma, theta)
     )
-    ac, bd = a * c, b * d
+    return _ptolemy_even(a * c, b * d, e, sigma, theta)
+
+
+def _ptolemy_even(ac, bd, e, sigma, theta):
+    """`ptolemy_even` from the products ac and bd, which a flip also needs
+    for its cross-ratio: Grassmann numbers of one rank, or stacks."""
     return (ac + bd + sigma * theta * (ac * bd).sqrt()) * e.inverse()
 
 

@@ -85,7 +85,7 @@ class SuperMatrix(GrassmannArray):
     def __init__(self, rows, rank=None):
         flat = [e for row in rows for e in row]
         if len(flat) != 9:
-            raise ValueError("SuperMatrix needs a 3x3 entry grid")
+            raise ValueError("SuperMatrix needs a 3x3 entry grid, got %d entries" % len(flat))
         rank, c = stack_entries(flat, rank)
         self._own(rank, c.reshape(c.shape[:-2] + (3, 3, -1)))
 
@@ -100,18 +100,6 @@ class SuperMatrix(GrassmannArray):
     @property
     def rows(self):
         return [_Row(self, i) for i in range(3)]
-
-    def __mul__(self, other):
-        if isinstance(other, SuperMatrix):
-            return smul(self, other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        return self.isclose(other, EQ_TOL)
-
-    __hash__ = None
 
     def scale(self):
         return float(np.max(np.abs(self.coeffs)))
@@ -183,8 +171,9 @@ def osp_residual(g):
     return worst
 
 
-def is_osp(g, tol=1e-9):
-    return osp_residual(g) <= tol
+def is_osp(g):
+    """Membership, as `osp_residual` within EQ_TOL."""
+    return osp_residual(g) <= EQ_TOL
 
 
 def inverse_osp(g):
@@ -280,11 +269,11 @@ def format_supermatrix(g):
 def parse_supermatrix(text, rank=DEFAULT_RANK):
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) != 3:
-        raise ValueError("SuperMatrix text must have exactly 3 nonempty lines")
+        raise ValueError("SuperMatrix text must have exactly 3 nonempty lines, got %d" % len(lines))
     rows = []
     for ln in lines:
         cells = ln.split("|")
         if len(cells) != 3:
-            raise ValueError("each SuperMatrix line must have 3 '|'-separated entries")
+            raise ValueError("SuperMatrix line %r has %d '|'-separated entries, not 3" % (ln, len(cells)))
         rows.append([parse_grassmann(cell, rank) for cell in cells])
     return SuperMatrix(rows, rank)

@@ -76,6 +76,55 @@ class TestCoordsText:
             dc.parse_coords(self.THETA.replace(old, new), RANK)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("coords v1\n", "", "missing coords v1 header, got 'fatgraph v1'"),
+            ("orient: e0 h0 e1 h2 e2 h4\n", "", "coords file needs an orient: block"),
+            ("lambda e1 1.0\n", "", "missing lambda line for e1"),
+            ("mu v0 1.0*g{1}\n", "", "missing mu line for v0"),
+            ("gauge +\n", "", "missing gauge line"),
+            ("gauge +\n", "gauge +\nzeta 3\n", "unrecognized line 'zeta 3'"),
+            ("lambda e1 1.0", "lambda e1 1.0*g{1}", "lambda[1] must be Grassmann even"),
+            ("lambda e1 1.0", "lambda e1 -0.5", "lambda[1] needs a positive body, got -0.5"),
+            ("mu v1 1.0*g{2}", "mu v1 1.0*g{1,2}", "mu[1] must be Grassmann odd"),
+        ],
+        ids=["header", "orient", "lambda_missing", "mu_missing", "gauge_missing", "unrecognized",
+             "lambda_odd", "lambda_body", "mu_even"],
+    )
+    def test_incomplete_or_bad_chart_is_named(self, old, new, message):
+        """A missing line names the edge or vertex it should have given,
+        and a bad value names its coordinate."""
+        assert old in self.THETA
+        with pytest.raises(ValueError) as err:
+            dc.parse_coords(self.THETA.replace(old, new), RANK)
+        assert str(err.value) == message
+
+
+class TestChartRejections:
+    def test_wrong_counts_and_gauge_are_named(self):
+        theta = fg.theta_graph()
+        chart = dc.standard_chart(theta, rank=RANK)
+        om = chart.orientation
+        with pytest.raises(ValueError, match=r"^need one lambda-length per edge: 2 for 3 edges$"):
+            dc.DecoratedCoords(theta, chart.lambdas[:2], chart.mus, om)
+        with pytest.raises(ValueError, match=r"^need one mu-invariant per vertex: 3 for 2 vertices$"):
+            dc.DecoratedCoords(theta, chart.lambdas, chart.mus + chart.mus[:1], om)
+        with pytest.raises(ValueError, match=r"^gauge must be \+1 or -1, got 0$"):
+            chart.replace(gauge=0)
+
+    def test_form_identity_names_the_argument_at_fault(self):
+        """`_even_coord` and `_odd_coord` name the coordinate at fault."""
+        g1, g2 = (GrassmannNumber.generator(i, RANK) for i in (1, 2))
+        with pytest.raises(ValueError, match=r"^sigma must be Grassmann odd$"):
+            dc.ptolemy_form_identity(g1 + 0.5, g2, 2.0)
+        with pytest.raises(ValueError, match=r"^theta must be Grassmann odd$"):
+            dc.ptolemy_form_identity(g1, 1.0, 2.0, rank=RANK)
+        with pytest.raises(ValueError, match=r"^chi must be Grassmann even$"):
+            dc.ptolemy_form_identity(g1, g2, 1 + g1)
+        with pytest.raises(ValueError, match=r"^chi needs a positive body, got 0$"):
+            dc.ptolemy_form_identity(g1, g2, 0.0)
+
 
 class TestChartOrientation:
     def test_orientation_of_other_edges_is_rejected_naming_the_edge(self):
@@ -536,6 +585,26 @@ class TestFlipCoords:
                     assert dc.flip_coords(moved, e).isclose(want), "edge %d, move %d" % (e, k)
 
     @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_flip_forms_ac_and_bd_once(self, name, monkeypatch):
+        """One `_flip_once` makes 11 products: ac and bd serve both the
+        cross-ratio and the new lambda-length, which is
+        `minkowski.ptolemy_even`'s bit for bit."""
+        g = SPINES[name]()
+        chart = random_chart(np.random.default_rng(5), g)
+        calls = []
+        inner = _kernels.multiply_coeffs
+        monkeypatch.setattr(_kernels, "multiply_coeffs", lambda *args: calls.append(1) or inner(*args))
+        for e in range(g.num_edges):
+            if g.is_loop(e):
+                continue
+            calls.clear()
+            out = dc._flip_once(chart, e)
+            assert len(calls) == 11
+            edges, v_theta, v_sigma = dc._quad_labels(chart, e)
+            f = mk.ptolemy_even(*(chart.lambdas[j] for j in edges), chart.mus[v_sigma], chart.mus[v_theta])
+            assert np.array_equal(out.lambdas[e].coeffs, f.coeffs)
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
     def test_two_form_pulls_back_at_generic_lambda(self, name):
         """Lambdas uniform in [0.4, 2.5], so the cross-ratio chi is not 1."""
         for chart in rep_charts(SPINES[name](), seed=9, count=3):
@@ -776,6 +845,76 @@ class TestHorocycleFibre:
             assert integer_rank(vectors) == g.punctures
             for n in vectors:
                 assert not (omega @ n).any()
+
+    # the horocycle action itself, on charts and lifts (Penner, Decorated
+    # Teichmueller Theory, ch. 2): rescaling the horocycle at puncture p by
+    # t_p moves lambda_e to lambda_e prod_p t_p^(n_e(p) / 2) and leaves every
+    # mu alone
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_mu_is_blind_to_rescaling_one_corner(self, name):
+        """mu_invariant of each lifted triangle keeps its value and sign
+        when one corner is scaled by 2 or 0.3: its numerator and
+        sqrt(omega_ab omega_bc omega_ca) each scale by sqrt(t)."""
+        chart = random_chart(np.random.default_rng(31), SPINES[name]())
+        lifted = dc.lift(chart, 2)
+        for tri in lifted.triangles:
+            a, c, b = (lifted.points[i] for i in tri.corners)
+            rep, sign = mk.mu_invariant(a, b, c)
+            for k, t in itertools.product(range(3), (2.0, 0.3)):
+                triple = [a, b, c]
+                triple[k] = mk.SuperVector.wrap(RANK, triple[k].coeffs * t)
+                moved, moved_sign = mk.mu_invariant(*triple)
+                assert moved_sign == sign
+                assert (moved - rep).max_abs() <= 1e-12, (tri.vertex, k, t)
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_flip_commutes_with_rescaling(self, name):
+        """At every puncture and every non-loop edge: rescale then flip
+        equals flip then rescale, within EQ_TOL.  The boundary orbits are
+        renumbered by the flip, so the puncture after it is the orbit that
+        keeps a half-edge of another edge."""
+        g = SPINES[name]()
+        chart = random_chart(np.random.default_rng(7), g)
+        orbits = g.boundary_orbits()
+        for e in range(g.num_edges):
+            if g.is_loop(e):
+                continue
+            flipped = dc.flip_coords(chart, e)
+            after = flipped.graph.boundary_orbits()
+            for p, orbit in enumerate(orbits):
+                kept = {h for h in orbit if g.edge_of(h) != e}
+                (q,) = [q for q, other in enumerate(after) if kept & set(other)]
+                ts = np.where(np.arange(len(orbits)) == p, 1.7, 1.0)
+                ts_after = np.where(np.arange(len(after)) == q, 1.7, 1.0)
+                assert dc.flip_coords(rescaled(chart, ts), e).isclose(rescaled(flipped, ts_after)), (e, p)
+
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_lift_of_the_rescaled_chart_is_the_rescaled_lift(self, name):
+        """Each lifted point is scaled by the t of its puncture, the
+        boundary orbit of the half-edge after the one its corner faces;
+        every triangle holding the point names the same puncture."""
+        g = SPINES[name]()
+        chart = random_chart(np.random.default_rng(3), g)
+        ts = np.array([1.7, 0.6, 2.3, 0.8])[: g.punctures]
+        lifted, moved = dc.lift(chart, 2), dc.lift(rescaled(chart, ts), 2)
+        where = {h: p for p, orbit in enumerate(g.boundary_orbits()) for h in orbit}
+        puncture = {}
+        for tri in lifted.triangles:
+            hs = g.vertices[tri.vertex]
+            for k, i in enumerate(tri.corners):
+                assert puncture.setdefault(i, where[hs[(k + 1) % 3]]) == where[hs[(k + 1) % 3]]
+        assert len(moved.points) == len(lifted.points) == len(puncture)
+        for i, (p, q) in enumerate(zip(moved.points, lifted.points)):
+            want = q.coeffs * ts[puncture[i]]
+            assert np.abs(p.coeffs - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), i
+
+
+def rescaled(chart, ts):
+    """The chart with the horocycle at puncture p rescaled by ts[p]:
+    lambda_e times prod_p ts[p]^(n_e(p) / 2), the mus as they are."""
+    factors = np.prod(np.asarray(ts, float)[:, None] ** (np.array(puncture_vectors(chart.graph)) / 2.0), axis=0)
+    return chart.replace(lambdas=[lam * float(f) for lam, f in zip(chart.lambdas, factors)])
 
 
 class TestFrames:

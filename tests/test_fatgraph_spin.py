@@ -1496,6 +1496,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             fg.parse_fatgraph("v0: h0 h1 h2\n")
 
+    def test_rejects_an_unrecognized_line_quoting_it(self):
+        text = "fatgraph v1\nv0: h0 h2 h4\nv1: h1 h3 h5\nx0: h0 h1\ne1: h2 h3\ne2: h4 h5\n"
+        with pytest.raises(ValueError, match="^unrecognized line 'x0: h0 h1'$"):
+            fg.parse_fatgraph(text)
+
     def test_rejects_bad_tokens(self):
         text = "fatgraph v1\nv0: h0 h2 h4\nv1: h1 h3 h5\ne0: h0 x1\ne1: h2 h3\ne2: h4 h5\n"
         with pytest.raises(ValueError):

@@ -162,10 +162,31 @@ class TestErrors:
             take(1 + gen(1))
 
     def test_generator_index_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^generator index 0 out of range 1\.\.4$"):
             GrassmannNumber.generator(0, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^generator index 5 out of range 1\.\.4$"):
             GrassmannNumber.generator(5, 4)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: GrassmannNumber(0), "rank must be a positive integer, got 0"),
+            (lambda: GrassmannNumber(2.0), "rank must be a positive integer, got 2.0"),
+            (lambda: GrassmannNumber(2, np.zeros(3)), "coefficient vector must have length 2**rank = 4, got shape (3,)"),
+            (lambda: GrassmannNumber(2, 1.0), "coefficient vector must have length 2**rank = 4, got shape ()"),
+            (lambda: GrassmannNumber.monomial([1, 7], rank=4), "generator index 7 out of range 1..4"),
+            (lambda: GrassmannNumber.monomial([2, 1, 2], rank=4), "repeated generator index 2"),
+            (lambda: gen(1).extract_coefficient([0]), "generator index 0 out of range 1..%d" % RANK),
+            (lambda: parse_grassmann("g{%d}" % (RANK + 1), RANK), "generator index %d out of range 1..%d" % (RANK + 1, RANK)),
+            (lambda: parse_grassmann("  ", RANK), "empty Grassmann literal '  '"),
+        ],
+        ids=["rank_zero", "rank_float", "length", "scalar_coeffs", "monomial_range",
+             "monomial_repeat", "extract", "parse_range", "parse_empty"],
+    )
+    def test_rejection_names_the_value(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,7 +310,7 @@ def test_odd_derivative_matches_loop(a, b, i):
 
 def test_odd_derivative_rejects_a_generator_out_of_range():
     for i in (0, RANK + 1):
-        with pytest.raises(ValueError, match="^generator index out of range$"):
+        with pytest.raises(ValueError, match=r"^generator index %d out of range 1\.\.%d$" % (i, RANK)):
             odd_derivative(gen(1), i)
 
 

@@ -215,7 +215,7 @@ class TestMembership:
         r = rng()
         g = sl.random_osp(r, RANK)
         g.rows[0][1] = g.rows[0][1] + 1e-3
-        assert not sl.is_osp(g, 1e-9)
+        assert not sl.is_osp(g)
         assert sl.osp_residual(g) > 1e-5
 
     def test_parity_violation_rejected(self):
@@ -338,10 +338,26 @@ class TestSerialization:
         assert back.isclose(g, 1e-12)
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^SuperMatrix text must have exactly 3 nonempty lines, got 2$"):
             sl.parse_supermatrix("1 | 0\n0 | 1", RANK)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^SuperMatrix text must have exactly 3 nonempty lines, got 1$"):
             sl.parse_supermatrix("1 | 0 | 0", RANK)
+
+    def test_bad_cell_count_names_the_line(self):
+        text = "1 | 0 | 0\n0 | 1\n0 | 0 | 1"
+        with pytest.raises(ValueError, match=r"^SuperMatrix line '0 \| 1' has 2 '\|'-separated entries, not 3$"):
+            sl.parse_supermatrix(text, RANK)
+
+    def test_grid_check_counts_the_entries(self):
+        with pytest.raises(ValueError, match="^SuperMatrix needs a 3x3 entry grid, got 8 entries$"):
+            sl.SuperMatrix([[1, 0, 0], [0, 1, 0], [0, 0]], RANK)
+
+    def test_rank_mismatch_names_both_ranks(self):
+        """GrassmannArray comparisons reject another rank, naming both."""
+        with pytest.raises(ValueError, match="^rank mismatch: 4 vs 5$"):
+            sl.identity(4).isclose(sl.identity(5))
+        with pytest.raises(ValueError, match="^rank mismatch: 5 vs 4$"):
+            sl.identity(5).max_coeff_diff(sl.identity(4))
 
 
 class TestStorage:
