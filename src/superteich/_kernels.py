@@ -13,14 +13,17 @@ product, in straight-line code:
   signs the pairs of `_pairs` and sums them into the dense result with one
   bincount.
 
-`multiply_coeffs`, the product of two elements, ends in `product`; so does
-`GrassmannNumber._power_series`, which finds the terms of n once per series
-and hands them to `product` at every step.  `smul_coeffs`, the product of
-two (3, 3, 2**rank) supermatrix arrays as one signed contraction, takes
-`_pairs` too, but sums each pair at its row and column, which its matched
-indices (keyed on the inner index) do not carry.  The terms of an operand
-are found by one dense scan, `terms`; a product whose first operand is zero
-never scans the second.
+`multiply_coeffs`, the product of two elements or stacks, takes one path
+for every call: broadcast, find each operand's terms by one dense scan
+(`terms`; b's only once a has turned out nonzero), then `product`, keyed
+exactly when there is more than one element.  A body-only operand pairs
+each term of the other with its body alone, sign +1, so it needs no path
+of its own.  `GrassmannNumber._power_series` finds the terms of n once
+per series and hands them to `product` at every step.  `smul_coeffs`,
+the product of two (3, 3, 2**rank) supermatrix arrays as one signed
+contraction, takes `_pairs` too, but sums each pair at its row and
+column, which its matched indices (keyed on the inner index) do not
+carry.
 
 Both take an optional batch: leading axes in front of the coefficient axis
 (of multiply_coeffs) or of the (3, 3) entry axes (of smul_coeffs), which
@@ -181,16 +184,9 @@ def _broadcast(a, b):
 def multiply_coeffs(a, b, rank):
     """Grassmann product of dense coefficient arrays with 2**rank columns;
     leading (batch) axes broadcast, and each batch element is multiplied
-    by its partner: the terms pair on the key (batch element).  With one
-    element there is one key, and every pair of terms meets that shares no
-    generator.  b is scanned for terms only once a has turned out nonzero."""
-    if a.ndim == b.ndim == 1:
-        ta = terms(a)
-        if ta.size:
-            tb = terms(b)
-            if tb.size:
-                return product(ta, a[ta], tb, b[tb], rank, False, a.size)
-        return np.zeros(a.shape)
+    by its partner: the terms pair on the key (batch element), keyed only
+    when there is more than one element.  b is scanned for terms only once
+    a has turned out nonzero."""
     a, b = _broadcast(a, b)
     af, bf = a.reshape(-1), b.reshape(-1)
     # flat term index: batch element << rank | mask
@@ -198,13 +194,7 @@ def multiply_coeffs(a, b, rank):
     tb = terms(bf) if ta.size else ta
     if not tb.size:
         return np.zeros(a.shape)
-    # an operand whose every term is a body scales the other one
-    elements = af.size >> rank
-    if ta.size <= elements and ta.size == np.count_nonzero(a[..., 0]):
-        return a[..., :1] * b
-    if tb.size <= elements and tb.size == np.count_nonzero(b[..., 0]):
-        return b[..., :1] * a
-    return product(ta, af[ta], tb, bf[tb], rank, elements > 1, af.size).reshape(a.shape)
+    return product(ta, af[ta], tb, bf[tb], rank, af.size > 1 << rank, af.size).reshape(a.shape)
 
 
 def smul_coeffs(g, h, rank):

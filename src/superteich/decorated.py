@@ -18,6 +18,7 @@ evaluation of the Ptolemy formulas with each coordinate moved along a
 nilpotent direction on two extra generators (`_jacobian`)."""
 
 import collections
+import re
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from . import _kernels
 from . import fatgraph_spin as fg
 from . import superlinalg as sl
 from .grassmann import (
-    DEFAULT_RANK,
     GrassmannNumber,
     _popcount,
     canonicalize_sign,
@@ -130,7 +130,7 @@ class DecoratedCoords:
         )
 
 
-def standard_chart(graph, orientation=None, rank=DEFAULT_RANK):
+def standard_chart(graph, orientation=None, *, rank):
     """Unit lambda-lengths, and mu_v the generator v + 1."""
     if orientation is None:
         orientation = fg.Orientation.from_bits(graph, (0,) * graph.num_edges)
@@ -138,7 +138,7 @@ def standard_chart(graph, orientation=None, rank=DEFAULT_RANK):
     if graph.num_vertices > rank:
         raise ValueError("rank too small for one generator per vertex")
     mus = [GrassmannNumber.generator(v + 1, rank) for v in range(graph.num_vertices)]
-    return DecoratedCoords(graph, [one] * graph.num_edges, mus, orientation, 1, rank=rank)
+    return DecoratedCoords(graph, [one] * graph.num_edges, mus, orientation)
 
 
 # -- gauge classes -------------------------------------------------------------
@@ -228,9 +228,7 @@ def _flip_once(coords, e):
     mus = list(coords.mus)
     mus[v_nu] = nu
     mus[v_mu] = mu_new
-    return DecoratedCoords(
-        res.graph, lambdas, mus, res.orientation, coords.gauge, rank=coords.rank
-    )
+    return DecoratedCoords(res.graph, lambdas, mus, res.orientation, coords.gauge)
 
 
 def flip_coords(coords, e):
@@ -786,7 +784,7 @@ def pullback_check(coords, e, details=False):
     return worst, names[a] + "*" + names[b] if worst > 0 else ""
 
 
-def ptolemy_form_identity(sigma, theta, chi, rank=None):
+def ptolemy_form_identity(sigma, theta, chi):
     """Max residual coefficient of the odd-flip form identity
 
         d mu^2 + d nu^2 - d sigma^2 - d theta^2
@@ -798,7 +796,7 @@ def ptolemy_form_identity(sigma, theta, chi, rank=None):
     ((1 + chi) sqrt(chi)) entered as its Jacobian row, and the partials
     are exact (`_jacobian`).  sigma and theta are any odd values, chi any
     even one with a positive body."""
-    rank = common_rank((sigma, theta, chi), rank)
+    rank = common_rank((sigma, theta, chi))
     sigma = _odd_coord(sigma, rank, "sigma")
     theta = _odd_coord(theta, rank, "theta")
     chi = _even_coord(chi, rank, "chi")
@@ -831,15 +829,17 @@ def write_coords(coords):
     return "\n".join(lines) + "\n"
 
 
-def parse_coords(text, rank=DEFAULT_RANK):
+def parse_coords(text, rank):
+    """Read `write_coords`'s format.  The fatgraph lines (the `fatgraph v1`
+    header, `orient:`, and lines headed vK: or eK:, K an integer) go to
+    `fg.parse_fatgraph`; any other line that is not a lambda, mu or gauge
+    line is rejected as unrecognized, quoted."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != "coords v1":
         raise ValueError("missing coords v1 header, got %r" % (lines[0] if lines else ""))
     graph_lines, rest = [], []
     for ln in lines[1:]:
-        if ln.startswith(("fatgraph", "v", "e", "orient")) and not ln.startswith(
-            ("lambda", "mu", "gauge")
-        ):
+        if ln == "fatgraph v1" or ln.startswith("orient:") or re.fullmatch(r"[ve]-?\d+", ln.partition(":")[0]):
             graph_lines.append(ln)
         else:
             rest.append(ln)
@@ -868,4 +868,4 @@ def parse_coords(text, rank=DEFAULT_RANK):
             raise ValueError("missing %s line for %s%d" % (name, prefix, slots.index(None)))
     if gauge is None:
         raise ValueError("missing gauge line")
-    return DecoratedCoords(graph, lambdas, mus, orientation, gauge, rank=rank)
+    return DecoratedCoords(graph, lambdas, mus, orientation, gauge)

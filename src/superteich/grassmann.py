@@ -7,7 +7,15 @@ is the soul.  Odd generators anticommute and square to zero, so the soul is
 nilpotent, and inverse, sqrt and rsqrt are one finite binomial series,
 x**alpha for alpha = -1, 1/2 and -1/2.
 
-All public arithmetic rejects mixed ranks instead of promoting.  Equality is
+All public arithmetic rejects mixed ranks instead of promoting.  There is
+no default rank: a call reads its rank off its Grassmann values
+(`common_rank`), and a rank is passed by hand only where a call can have
+none.  The constructors that build from nothing (`GrassmannNumber.scalar`,
+`superlinalg.identity`, `decorated.standard_chart`, the `parse_*` and
+`random_*` functions) require it; `SuperVector`, `SuperMatrix`,
+`superlinalg.diag`, `decorated.DecoratedCoords` and `stack_entries`, whose
+entries may all be real numbers, take it as an option.  A call with
+neither a Grassmann value nor a rank raises ValueError.  Equality is
 coefficientwise within EQ_TOL, because the downstream geometry forces
 irrational coefficients like sqrt(2).  The package writes that tolerance
 once, here: `==`, the parity tests and `canonicalize_sign` read it, and so
@@ -28,8 +36,6 @@ import re
 import numpy as np
 
 from . import _kernels
-
-DEFAULT_RANK = 8
 
 # the package's one coefficient tolerance (see the module docstring)
 EQ_TOL = 1e-9
@@ -83,20 +89,20 @@ class GrassmannNumber:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def scalar(value, rank=DEFAULT_RANK):
+    def scalar(value, rank):
         g = GrassmannNumber(rank)
         g.coeffs[0] = float(value)
         return g
 
     @staticmethod
-    def generator(i, rank=DEFAULT_RANK):
+    def generator(i, rank):
         """The i-th odd generator, 1-based."""
         g = GrassmannNumber(rank)
         g.coeffs[_generator_bit(i, rank)] = 1.0
         return g
 
     @staticmethod
-    def monomial(indices, coeff=1.0, rank=DEFAULT_RANK):
+    def monomial(indices, coeff, rank):
         """coeff * product of generators with the given 1-based indices."""
         mask = 0
         for i in indices:
@@ -364,17 +370,19 @@ def stack(values):
 
 
 def common_rank(values, rank=None):
-    """The rank of the GrassmannNumbers among values, and of rank if given;
-    DEFAULT_RANK when there is neither.  Mixed ranks raise ValueError."""
+    """The rank of the GrassmannNumbers among values, and of rank if given.
+    Mixed ranks, and neither a GrassmannNumber nor a rank, raise ValueError."""
     ranks = {v.rank for v in values if isinstance(v, GrassmannNumber)}
     if rank is not None:
         ranks.add(rank)
     if len(ranks) > 1:
         raise ValueError("rank mismatch: %s" % sorted(ranks))
-    return ranks.pop() if ranks else DEFAULT_RANK
+    if not ranks:
+        raise ValueError("no rank given, and no Grassmann value to read one off")
+    return ranks.pop()
 
 
-def grassmann(value, rank=DEFAULT_RANK):
+def grassmann(value, rank):
     """Coerce a real number or GrassmannNumber to a GrassmannNumber."""
     if isinstance(value, GrassmannNumber):
         return value
@@ -444,7 +452,7 @@ def format_grassmann(a, precision=None):
     return " ".join(parts)
 
 
-def parse_grassmann(text, rank=DEFAULT_RANK):
+def parse_grassmann(text, rank):
     g = GrassmannNumber(rank)
     s = text.strip()
     if not s:
@@ -481,7 +489,7 @@ def parse_grassmann(text, rank=DEFAULT_RANK):
 
 # -- sampling ----------------------------------------------------------------
 
-def random_element(rng, rank=DEFAULT_RANK, parity=None, terms=6, scale=1.0, body=None):
+def random_element(rng, rank, parity=None, terms=6, scale=1.0, body=None):
     """Random element for tests: `terms` monomials with N(0, scale) coefficients.
 
     parity: None for mixed, 'even'/'odd' to restrict subset cardinalities.

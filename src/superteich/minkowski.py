@@ -56,10 +56,11 @@ is a handful of whole-stack products, and the side factors, which depend
 only on the chart, are computed once per lift for every (vertex, slot)
 (see `decorated.lift`).
 
-mu_invariant keeps one product per term, of single elements, on purpose:
-in the ptolemy benchmark its products are of single rank-12 elements,
-which take the kernel's straight path (no broadcast, no keys and no body
-test), while a stacked product pays for those on every call.
+mu_invariant keeps one product per term, of single elements, on purpose.
+Every product takes the kernel's one path, but a single element's terms
+carry no key, so they pair by one grid test at any size; stacked, the
+same rank-12 terms of the ptolemy benchmark are keyed, pass the grid
+bound and take the join, and the workload ran at 0.66 times its speed.
 
 pairing, act, triple_orientation and basic_calculation take stacks,
 (..., 5, 2**rank) arrays of points; a failed check names the first failing
@@ -70,7 +71,6 @@ import numpy as np
 
 from . import _kernels
 from .grassmann import (
-    DEFAULT_RANK,
     EQ_TOL,
     GrassmannArray,
     GrassmannNumber,
@@ -118,12 +118,12 @@ class SuperVector(GrassmannArray):
         return "SuperVector%s" % format_supervector(self)
 
 
-def e_theta(theta, rank=None):
-    return SuperVector(1, 0, 0, 0, theta, rank=rank)
+def e_theta(theta):
+    return SuperVector(1, 0, 0, 0, theta)
 
 
-def e_zero(rank=DEFAULT_RANK):
-    return e_theta(GrassmannNumber(rank), rank)
+def e_zero(rank):
+    return e_theta(GrassmannNumber(rank))
 
 
 def pairing(a, b):
@@ -306,18 +306,16 @@ def _spinor(p, position, tol):
     zero, and unless it is that square within 1e-7 of its scale.
 
     A point's spinor is found once: it is stored on p once its light-cone
-    check has passed, if p's coefficients are read-only, and read back by
-    later calls.  The zero-body check runs on every call, at that call's
-    tol."""
+    check has passed, and read back by later calls.  The zero-body check
+    runs on every call, at that call's tol."""
     x1, x2 = p.x1.body, p.x2.body
     _reject(np.maximum(x1, x2) <= tol, "triple", position + " point of %s has zero body")
     found = getattr(p, "_spinor_memo", None)
     if found is None:
         found = _find_spinor(p, position)
-        if not p.coeffs.flags.writeable:
-            for x in found:
-                x.coeffs.flags.writeable = False
-            p._spinor_memo = found
+        for x in found:
+            x.coeffs.flags.writeable = False
+        p._spinor_memo = found
     return found
 
 
@@ -453,13 +451,13 @@ def mu_invariant(a, b, c):
 # -- quadrilateral moves -------------------------------------------------------
 
 
-def basic_calculation(a, b, c, d, e, sigma, rank=None):
+def basic_calculation(a, b, c, d, e, sigma):
     """Fourth point of a quadrilateral from five lambda-lengths and the odd
     invariant sigma of the far triangle, in the frame where the near triangle
     sits in standard position.  `_far_spinor` gives its world-frame form:
     the spinor of the same point put across a side of any positive triple,
     with no group element."""
-    rank = common_rank((a, b, c, d, e, sigma), rank)
+    rank = common_rank((a, b, c, d, e, sigma))
     a, b, c, d, e, sigma = (grassmann(v, rank) for v in (a, b, c, d, e, sigma))
     chi = a * c * (d * b).inverse()
     k = np.sqrt(2.0) * c * d * e.inverse()
@@ -471,7 +469,6 @@ def basic_calculation(a, b, c, d, e, sigma, rank=None):
         -k,
         k * r * sigma,
         -(k * (chi * r) * sigma),
-        rank=rank,
     )
 
 
@@ -528,7 +525,7 @@ def _far_spinor(sa, sc, factors, rank, tol=EQ_TOL):
     return d * np.where(pivot < 0, -1.0, 1.0)
 
 
-def ptolemy_even(a, b, c, d, e, sigma, theta, rank=None):
+def ptolemy_even(a, b, c, d, e, sigma, theta):
     """Flipped-diagonal lambda-length f with the odd correction term,
 
         e f = ac + bd + sigma theta sqrt(ac bd),
@@ -536,7 +533,7 @@ def ptolemy_even(a, b, c, d, e, sigma, theta, rank=None):
     which is (ac + bd)(1 + sigma theta sqrt(chi) / (1 + chi)), chi = ac / bd,
     as sqrt(chi) / (1 + chi) = sqrt(ac bd) / (ac + bd) for positive bodies:
     six products and two series.  Every argument may be a stack."""
-    rank = common_rank((a, b, c, d, e, sigma, theta), rank)
+    rank = common_rank((a, b, c, d, e, sigma, theta))
     a, b, c, d, e, sigma, theta = (
         grassmann(v, rank) for v in (a, b, c, d, e, sigma, theta)
     )
@@ -572,25 +569,23 @@ def _cone_params(rng):
     return u, v
 
 
-def random_special_point(rng, rank=DEFAULT_RANK, odd_terms=2):
+def random_special_point(rng, rank, odd_terms=2):
     """Direct sample: bodies on the cone, odd part with vanishing label."""
     u, v = _cone_params(rng)
     phi = random_element(rng, rank, parity="odd", terms=odd_terms)
     return SuperVector(
         grassmann(u * u, rank), grassmann(v * v, rank), grassmann(u * v, rank),
-        phi, (v / u) * phi, rank=rank,
+        phi, (v / u) * phi,
     )
 
 
-def random_light_cone_point(rng, rank=DEFAULT_RANK, odd_terms=2):
+def random_light_cone_point(rng, rank, odd_terms=2):
     """Direct sample: odd parts free, x1 corrected to keep the point isotropic."""
     u, v = _cone_params(rng)
     rho = random_element(rng, rank, parity="odd", terms=odd_terms)
     lam = random_element(rng, rank, parity="odd", terms=odd_terms)
     x1 = u * u - 2.0 / (v * v) * (rho * lam)
-    return SuperVector(
-        x1, grassmann(v * v, rank), grassmann(u * v, rank), rho, lam, rank=rank
-    )
+    return SuperVector(x1, grassmann(v * v, rank), grassmann(u * v, rank), rho, lam)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -616,11 +611,11 @@ def _split_top_level(s):
     return parts
 
 
-def parse_supervector(text, rank=DEFAULT_RANK):
+def parse_supervector(text, rank):
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError("SuperVector text must be parenthesized")
     parts = _split_top_level(s[1:-1])
     if len(parts) != 5:
         raise ValueError("SuperVector text must have 5 components")
-    return SuperVector(*(parse_grassmann(p, rank) for p in parts), rank=rank)
+    return SuperVector(*(parse_grassmann(p, rank) for p in parts))

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import _kernels
 from .grassmann import (
-    DEFAULT_RANK,
     EQ_TOL,
     GrassmannArray,
     GrassmannNumber,
@@ -151,11 +150,11 @@ def sdet(g):
     return (m00 * m11 - m01 * m10) * finv
 
 
-def j_matrix(rank=DEFAULT_RANK):
+def j_matrix(rank):
     return SuperMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, -1]], rank)
 
 
-def j_inverse(rank=DEFAULT_RANK):
+def j_inverse(rank):
     return SuperMatrix([[0, -1, 0], [1, 0, 0], [0, 0, -1]], rank)
 
 
@@ -188,15 +187,15 @@ def bosonic_reduction(g):
 
 # -- named elements ----------------------------------------------------------
 
-def identity(rank=DEFAULT_RANK):
+def identity(rank):
     return SuperMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], rank)
 
 
-def fermionic_reflection(rank=DEFAULT_RANK):
+def fermionic_reflection(rank):
     return SuperMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], rank)
 
 
-def rotate90(rank=DEFAULT_RANK):
+def rotate90(rank):
     return SuperMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], rank)
 
 
@@ -205,27 +204,27 @@ def diag(p, q, rank=None):
     return SuperMatrix([[p, 0, 0], [0, q, 0], [0, 0, 1]], rank)
 
 
-def sl2_embed(m, rank=DEFAULT_RANK):
+def sl2_embed(m, rank):
     """Embed a real 2x2 matrix of determinant 1 into the bosonic subgroup."""
     return SuperMatrix([[m[0][0], m[0][1], 0], [m[1][0], m[1][1], 0], [0, 0, 1]], rank)
 
 
-def lower_shear(c, rank=DEFAULT_RANK):
+def lower_shear(c, rank):
     return SuperMatrix([[1, 0, 0], [c, 1, 0], [0, 0, 1]], rank)
 
 
-def upper_shear(b, rank=DEFAULT_RANK):
+def upper_shear(b, rank):
     return SuperMatrix([[1, b, 0], [0, 1, 0], [0, 0, 1]], rank)
 
 
-def stabilizer(c, beta, theta, rank=None):
+def stabilizer(c, beta, theta):
     """Two-parameter family (plus the fixed fermion theta) fixing e_theta.
 
     Rows: (1 + c theta beta, theta beta, -c theta /
            c, 1 + c theta beta, beta /
            beta + c^2 theta, c theta, 1 + c beta theta).
     """
-    rank = common_rank((c, beta, theta), rank)
+    rank = common_rank((c, beta, theta))
     c, beta, theta = (grassmann(v, rank) for v in (c, beta, theta))
     ctb = c * theta * beta
     return SuperMatrix(
@@ -233,12 +232,11 @@ def stabilizer(c, beta, theta, rank=None):
             [1 + ctb, theta * beta, -(c * theta)],
             [c, 1 + ctb, beta],
             [beta + c * c * theta, c * theta, 1 + c * beta * theta],
-        ],
-        rank,
+        ]
     )
 
 
-def random_osp(rng, rank=DEFAULT_RANK, blocks=2, odd_terms=2, scale=0.4):
+def random_osp(rng, rank, blocks=2, odd_terms=2, scale=0.4):
     """Random member built by multiplying exact members (closure sampling)."""
     g = identity(rank)
     for _ in range(blocks):
@@ -266,7 +264,7 @@ def format_supermatrix(g):
     )
 
 
-def parse_supermatrix(text, rank=DEFAULT_RANK):
+def parse_supermatrix(text, rank):
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) != 3:
         raise ValueError("SuperMatrix text must have exactly 3 nonempty lines, got %d" % len(lines))
@@ -276,4 +274,4 @@ def parse_supermatrix(text, rank=DEFAULT_RANK):
         if len(cells) != 3:
             raise ValueError("SuperMatrix line %r has %d '|'-separated entries, not 3" % (ln, len(cells)))
         rows.append([parse_grassmann(cell, rank) for cell in cells])
-    return SuperMatrix(rows, rank)
+    return SuperMatrix(rows)

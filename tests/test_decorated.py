@@ -14,7 +14,7 @@ from superteich import fatgraph_spin as fg
 from superteich import minkowski as mk
 from superteich import superlinalg as sl
 from superteich.grassmann import GrassmannNumber, random_element
-from test_fatgraph_spin import random_graphs
+from test_fatgraph_spin import flippable, random_graphs
 from test_minkowski import count_calls, normalize_triple_chain
 
 RANK = 8
@@ -85,11 +85,15 @@ class TestCoordsText:
             ("mu v0 1.0*g{1}\n", "", "missing mu line for v0"),
             ("gauge +\n", "", "missing gauge line"),
             ("gauge +\n", "gauge +\nzeta 3\n", "unrecognized line 'zeta 3'"),
+            ("gauge +\n", "gauge +\nvalue 3\n", "unrecognized line 'value 3'"),
+            ("gauge +\n", "gauge +\neta 1\n", "unrecognized line 'eta 1'"),
+            ("gauge +\n", "gauge +\nlambd e0 1.0\n", "unrecognized line 'lambd e0 1.0'"),
             ("lambda e1 1.0", "lambda e1 1.0*g{1}", "lambda[1] must be Grassmann even"),
             ("lambda e1 1.0", "lambda e1 -0.5", "lambda[1] needs a positive body, got -0.5"),
             ("mu v1 1.0*g{2}", "mu v1 1.0*g{1,2}", "mu[1] must be Grassmann odd"),
         ],
         ids=["header", "orient", "lambda_missing", "mu_missing", "gauge_missing", "unrecognized",
+             "value_line", "eta_line", "lambd_line",
              "lambda_odd", "lambda_body", "mu_even"],
     )
     def test_incomplete_or_bad_chart_is_named(self, old, new, message):
@@ -119,7 +123,7 @@ class TestChartRejections:
         with pytest.raises(ValueError, match=r"^sigma must be Grassmann odd$"):
             dc.ptolemy_form_identity(g1 + 0.5, g2, 2.0)
         with pytest.raises(ValueError, match=r"^theta must be Grassmann odd$"):
-            dc.ptolemy_form_identity(g1, 1.0, 2.0, rank=RANK)
+            dc.ptolemy_form_identity(g1, 1.0, 2.0)
         with pytest.raises(ValueError, match=r"^chi must be Grassmann even$"):
             dc.ptolemy_form_identity(g1, g2, 1 + g1)
         with pytest.raises(ValueError, match=r"^chi needs a positive body, got 0$"):
@@ -188,7 +192,7 @@ def attach_one(coords, points, triangles, tri_idx, k):
     d = lam[graph.edge_of(hs2[(j0 + 1) % 3])]
     sign = crossing_sign(coords, tri, k)
     sigma = coords.mus[v2] * float(coords.gauge * sign)
-    d_std = mk.basic_calculation(a, b, c, d, e, sigma, rank=coords.rank)
+    d_std = mk.basic_calculation(a, b, c, d, e, sigma)
     points.append(mk.act(sl.inverse_osp(g), d_std))
     corners = [0, 0, 0]
     corners[j0] = len(points) - 1
@@ -672,6 +676,30 @@ class TestFlipCoords:
     def test_edge_is_checked_up_front(self, call, e, message):
         with pytest.raises(ValueError, match=message):
             call(dc.standard_chart(fg.genus_two_spine(), rank=RANK), e)
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [lambda: [fg.four_puncture_spine()], lambda: [fg.genus_two_spine()],
+         lambda: random_graphs(31, 6, 3), lambda: random_graphs(32, 8, 3)],
+        ids=["four_puncture", "genus_two", "random-V6", "random-V8"],
+    )
+    def test_flips_of_disjoint_edges_commute(self, graphs):
+        """Flips of two non-loop edges with no common end vertex change
+        disjoint quadrilateral centres, so either order gives the same
+        chart (the edge indices survive a flip)."""
+        r = np.random.default_rng(33)
+        pairs = 0
+        for g in graphs():
+            chart = random_chart(r, g)
+            ends = [{g.vertex_of(h) for h in g.edges[e]} for e in range(g.num_edges)]
+            for e1, e2 in itertools.combinations(flippable(g), 2):
+                if ends[e1] & ends[e2]:
+                    continue
+                pairs += 1
+                one = dc.flip_coords(dc.flip_coords(chart, e1), e2)
+                other = dc.flip_coords(dc.flip_coords(chart, e2), e1)
+                assert one.isclose(other), (e1, e2)
+        assert pairs
 
     @pytest.mark.parametrize("name", ["theta", "genus_two"])
     def test_pullback_with_a_generator_shared_with_a_lambda(self, name):

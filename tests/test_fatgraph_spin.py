@@ -2,6 +2,7 @@
 of the quadratic form, its Kasteleyn orientation, the mod-2 intersection
 form and the dual triangulation, kept here as oracles."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -946,6 +947,27 @@ class TestQuadraticForm:
         g = fg.theta_graph()
         q = fg.QuadraticForm(g, fg.orientation_classes(g)[0])
         assert q.value(np.zeros(3, dtype=np.uint8)) == 0
+
+    @pytest.mark.parametrize(
+        "name, genus, counts", [("theta", 1, {3: 3, 1: 1}), ("genus_two", 2, {10: 10, 6: 6})]
+    )
+    def test_zero_counts_are_arf_counts(self, name, genus, counts):
+        """On a spine with one puncture the span of the cycle basis is H1
+        of the closed surface, where a quadratic form of Arf invariant 0
+        has 2^(2g-1) + 2^(g-1) zeros and one of Arf invariant 1 has
+        2^(2g-1) - 2^(g-1) (Johnson 1980): counted for each class."""
+        g = SPINES[name]()
+        assert (g.genus, g.punctures) == (genus, 1)
+        basis = g.cycle_basis()
+        choices = itertools.product((0, 1), repeat=len(basis))
+        span = [sum(c * b for c, b in zip(choice, basis)) % 2 for choice in choices]
+        found = collections.Counter()
+        for om in fg.orientation_classes(g):
+            q = fg.QuadraticForm(g, om)
+            zeros = sum(1 - q.value(v) for v in span)
+            assert zeros in (2 ** (2 * genus - 1) + 2 ** (genus - 1), 2 ** (2 * genus - 1) - 2 ** (genus - 1))
+            found[zeros] += 1
+        assert found == counts
 
     def test_theta_classes_give_four_distinct_forms(self):
         g = fg.theta_graph()

@@ -174,8 +174,8 @@ class TestErrors:
             (lambda: GrassmannNumber(2.0), "rank must be a positive integer, got 2.0"),
             (lambda: GrassmannNumber(2, np.zeros(3)), "coefficient vector must have length 2**rank = 4, got shape (3,)"),
             (lambda: GrassmannNumber(2, 1.0), "coefficient vector must have length 2**rank = 4, got shape ()"),
-            (lambda: GrassmannNumber.monomial([1, 7], rank=4), "generator index 7 out of range 1..4"),
-            (lambda: GrassmannNumber.monomial([2, 1, 2], rank=4), "repeated generator index 2"),
+            (lambda: GrassmannNumber.monomial([1, 7], 1.0, 4), "generator index 7 out of range 1..4"),
+            (lambda: GrassmannNumber.monomial([2, 1, 2], 1.0, 4), "repeated generator index 2"),
             (lambda: gen(1).extract_coefficient([0]), "generator index 0 out of range 1..%d" % RANK),
             (lambda: parse_grassmann("g{%d}" % (RANK + 1), RANK), "generator index %d out of range 1..%d" % (RANK + 1, RANK)),
             (lambda: parse_grassmann("  ", RANK), "empty Grassmann literal '  '"),

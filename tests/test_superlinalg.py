@@ -429,6 +429,15 @@ def test_rank_taken_from_any_position(name, pos):
 
 
 @pytest.mark.parametrize("name", sorted(RANK_CONSTRUCTORS))
+def test_no_rank_raises(name):
+    """Real arguments only, and no rank: there is none to read off."""
+    make, args = RANK_CONSTRUCTORS[name]
+    with pytest.raises(ValueError, match="^no rank given, and no Grassmann value to read one off$"):
+        make(*args)
+
+
+# e_theta reads its rank off theta alone, so it has no second rank to clash
+@pytest.mark.parametrize("name", sorted(set(RANK_CONSTRUCTORS) - {"e_theta"}))
 def test_mixed_ranks_raise(name):
     make, args = RANK_CONSTRUCTORS[name]
     args = list(args)
