@@ -18,6 +18,7 @@ evaluation of the Ptolemy formulas with each coordinate moved along a
 nilpotent direction on two extra generators (`_jacobian`)."""
 
 import collections
+import functools
 import re
 
 import numpy as np
@@ -566,29 +567,26 @@ class SuperRep:
     def generators(self):
         return [self.elements[j] for j in self.domain.generators]
 
-    def word(self, arrivals):
-        """Holonomy of a closed walk given by the half-edges it arrives at,
-        in order: its generator crossings composed (tree crossings stay
-        inside the domain).  A boundary orbit is such a walk."""
+    def _letters(self, arrivals):
+        """Generator crossings, in order, of a closed walk (a boundary orbit,
+        say) given by the half-edges it arrives at; tree crossings add none."""
         graph = self.coords.graph
-        word = sl.identity(self.coords.rank)
         for h in arrivals:
             j = graph.edge_of(h)
-            if j not in self.elements:
-                continue
-            g = self.elements[j]
-            if h == graph.edges[j][0]:
-                g = sl.inverse_osp(g)
-            word = sl.smul(word, g)
-        return word
+            if j in self.elements:
+                yield sl.inverse_osp(self.elements[j]) if h == graph.edges[j][0] else self.elements[j]
+
+    def word(self, arrivals):
+        """Holonomy of a closed walk: its generator crossings composed."""
+        return functools.reduce(sl.smul, self._letters(arrivals), sl.identity(self.coords.rank))
 
     def puncture_traces(self):
-        return [_bosonic_trace_body(self.word(orbit)) for orbit in self.coords.graph.boundary_orbits()]
-
-
-def _bosonic_trace_body(g):
-    m = sl.bosonic_reduction(g)
-    return float(m[0, 0] + m[1, 1])
+        """Body of the trace of each puncture's `word`, from the real 2x2
+        bodies of its crossings alone: the body is a ring homomorphism."""
+        return [
+            float(np.trace(functools.reduce(np.matmul, map(sl.bosonic_reduction, self._letters(orbit)), np.eye(2))))
+            for orbit in self.coords.graph.boundary_orbits()
+        ]
 
 
 def build_rep(coords, domain=None):

@@ -42,19 +42,19 @@ closed form, the same for each cyclic rotation of (a, b, c),
 which mu_invariant evaluates, reporting the sign of the value for the
 order of the points given.
 
-Where the spinors come from: `_spinor` takes the square root of a point
-(one rsqrt series, then the light-cone check) once, and stores it on the
-point.  A lift takes no square root of a point it built: it carries the
-spinor of every point, and `_far_spinor` builds the spinor d of the next
-point from the spinors of a side (a, c) and the side factors alpha, beta,
-kappa, as d = alpha c - beta a + kappa n; `_square` squares it.  Its
-sheet of spinor signs is cut at x1 = x2, y > 0, through the fermion corner
-t(1,1,1,phi,phi) of a standard triangle (`decorated.lift`).  Spinors
-travel as (3, ..., 2**rank) arrays (u, v, xi), so that one product of two
-such stacks makes a row of every spinor of a lift level at once: a level
-is a handful of whole-stack products, and the side factors, which depend
-only on the chart, are computed once per lift for every (vertex, slot)
-(see `decorated.lift`).
+Where the spinors come from: `_spinor` finds and checks the spinor of a
+point once (one rsqrt series) and stores it on the point, so a later
+read does no work.  A lift takes no square root of a point it built: it
+carries the spinor of every point, and `_far_spinor` builds the spinor d
+of the next point from the spinors of a side (a, c) and the side factors
+alpha, beta, kappa, as d = alpha c - beta a + kappa n; `_square` squares
+it.  Its sheet of spinor signs is cut at x1 = x2, y > 0, through the
+fermion corner t(1,1,1,phi,phi) of a standard triangle
+(`decorated.lift`).  Spinors travel as (3, ..., 2**rank) arrays (u, v,
+xi), so that one product of two such stacks makes a row of every spinor
+of a lift level at once: a level is a handful of whole-stack products,
+and the side factors, which depend only on the chart, are computed once
+per lift for every (vertex, slot) (see `decorated.lift`).
 
 mu_invariant keeps one product per term, of single elements, on purpose.
 Every product takes the kernel's one path, but a single element's terms
@@ -64,7 +64,8 @@ bound and take the join, and the workload ran at 0.66 times its speed.
 
 pairing, act, triple_orientation and basic_calculation take stacks,
 (..., 5, 2**rank) arrays of points; a failed check names the first failing
-element of a stack ("triple 1 is not ...", an ElementError).
+element of a stack ("triple 1 is not ...", an ElementError).  Each zero
+test but the orientation's reads EQ_TOL as a module global at call time.
 """
 
 import numpy as np
@@ -219,23 +220,23 @@ def triple_orientation(a, b, c):
     return float(det) if det.ndim == 0 else det
 
 
-def normalize_triple(a, b, c, tol=EQ_TOL):
+def normalize_triple(a, b, c):
     """Standard position of a positive triple (a, b, c) of special light-cone
     points.
 
     Returns (g, r, s, t, phi) with act(g,a) = r(0,1,0,0,0),
     act(g,b) = t(1,1,1,phi,phi), act(g,c) = s(1,0,0,0,0): the orientation
     check, then the spinors of the three points (`_spinor`) and their frame
-    (`_spinor_frame`).  Deterministic, so the other lift of the same triple
-    is obtained by the fermionic reflection.
+    (`_spinor_frame`), whose checks read EQ_TOL.  Deterministic, so the
+    other lift of the same triple is obtained by the fermionic reflection.
     """
     det = triple_orientation(a, b, c)
     _reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
-    sa, sb, sc = (_spinor(p, position, tol) for p, position in zip((a, b, c), _POSITIONS))
-    return _spinor_frame(sa, sb, sc, tol)
+    sa, sb, sc = (_spinor(p, position) for p, position in zip((a, b, c), _POSITIONS))
+    return _spinor_frame(sa, sb, sc)
 
 
-def _spinor_frame(sa, sb, sc, tol=EQ_TOL):
+def _spinor_frame(sa, sb, sc):
     """normalize_triple's (g, r, s, t, phi) from the spinors (u, v, xi) of
     the triple's points, each signed as `_spinor` signs it.
 
@@ -254,11 +255,11 @@ def _spinor_frame(sa, sb, sc, tol=EQ_TOL):
     (-n_u, -n_v, 1 + n_u n_v), which carries the standard spinors to a, b
     and c (act(F, P) squares the row spinor of P times F); g = F^-1.
 
-    Rejects a and c when w_ca^2 is within tol ("not linearly independent"),
-    a middle point when w_cb^2 or (w_ba / w_ca)^2 is within tol, its x2 and
-    x1 once c and a are put on the axes ("degenerates"), and one with a
-    y-body of at most 0 in standard position, the body of t ("not
-    positive").
+    Rejects a and c when w_ca^2 is within EQ_TOL ("not linearly
+    independent"), a middle point when w_cb^2 or (w_ba / w_ca)^2 is within
+    EQ_TOL, its x2 and x1 once c and a are put on the axes ("degenerates"),
+    and one with a y-body of at most 0 in standard position, the body of t
+    ("not positive").
 
     c's sheet is read off its spinor, and is cut where u = v (x1 = x2,
     y > 0): there c's sign is a coin toss of rounding, and may differ from
@@ -266,12 +267,12 @@ def _spinor_frame(sa, sb, sc, tol=EQ_TOL):
     g by the fermionic reflection."""
     c = _signed(sc, -1.0 if sc[0].body < sc[1].body else 1.0)
     w = _omega(sa, c)
-    _reject(w.body**2 <= tol, "triple", "%s is not linearly independent")
+    _reject(w.body**2 <= EQ_TOL, "triple", "%s is not linearly independent")
     sign_a = -np.sign(w.body)
     a, w_ca = _signed(sa, sign_a), w * -sign_a
     w_cb, w_ba = _omega(c, sb), _omega(sb, a)
     _reject(
-        (w_cb.body**2 <= tol) | ((w_ba.body / w_ca.body) ** 2 <= tol),
+        (w_cb.body**2 <= EQ_TOL) | ((w_ba.body / w_ca.body) ** 2 <= EQ_TOL),
         "triple", "middle point of %s degenerates under normalization",
     )
     sign_b = np.sign(w_cb.body)
@@ -297,19 +298,15 @@ _POSITIONS = ("first", "second", "third")
 _PIVOT_ROWS = np.array([[0, 1, 3, 4], [1, 0, 4, 3]])
 
 
-def _spinor(p, position, tol):
+def _spinor(p, position):
     """Spinor (u, v, xi) of R^{2|1} whose square (u^2, v^2, uv, u xi, v xi)
     is the special light-cone point p, up to overall sign: u = sqrt(x1) when
     x1's body is at least x2's, otherwise v = sqrt(x2), chosen per element of
-    a stack, so the body of this pivot is positive.  Rejects p, named by its
-    position in the triple, when its x1 and x2 bodies are within tol of
-    zero, and unless it is that square within 1e-7 of its scale.
+    a stack, so the body of this pivot is positive.
 
-    A point's spinor is found once: it is stored on p once its light-cone
-    check has passed, and read back by later calls.  The zero-body check
-    runs on every call, at that call's tol."""
-    x1, x2 = p.x1.body, p.x2.body
-    _reject(np.maximum(x1, x2) <= tol, "triple", position + " point of %s has zero body")
+    A point's spinor is found and checked once (`_find_spinor`), then stored
+    on p, read-only; a later call reads it back and checks nothing.  A point
+    that fails a check stores nothing, so every call rejects it again."""
     found = getattr(p, "_spinor_memo", None)
     if found is None:
         found = _find_spinor(p, position)
@@ -320,9 +317,13 @@ def _spinor(p, position, tol):
 
 
 def _find_spinor(p, position):
-    """`_spinor`'s value, worked out from the point: one rsqrt series of the
-    pivot, then the light-cone gap check."""
-    turn = np.asarray(p.x1.body < p.x2.body)
+    """`_spinor`'s value, worked out from the point by one rsqrt series of
+    the pivot.  Rejects p, named by its position in the triple, when its x1
+    and x2 bodies are within EQ_TOL of zero, and unless it is that square
+    within 1e-7 of its scale."""
+    x1, x2 = p.x1.body, p.x2.body
+    _reject(np.maximum(x1, x2) <= EQ_TOL, "triple", position + " point of %s has zero body")
+    turn = np.asarray(x1 < x2)
     # one gather over the flattened stack picks each element's rows
     rows = p.coeffs.reshape(-1, p.coeffs.shape[-1])
     picked = rows[_PIVOT_ROWS[turn.astype(int)] + 5 * np.arange(turn.size).reshape(turn.shape + (1,))]
@@ -417,7 +418,7 @@ def mu_invariant(a, b, c):
     spinors on its sheet (`_spinor_frame`), so the two may differ in sign;
     reflecting all three points flips both.
     """
-    spinors = [_spinor(p, pos, EQ_TOL) for p, pos in zip((a, b, c), _POSITIONS)]
+    spinors = [_spinor(p, pos) for p, pos in zip((a, b, c), _POSITIONS)]
     # d and omega over the pairs (a,b), (b,c), (c,a), which a cyclic
     # relabeling permutes; the body of omega(s,t) is the determinant of
     # (u, v) and (u', v')
@@ -479,7 +480,7 @@ _SIDE_A = [0, 1, 2, 2, 2, 0, 1]
 _SIDE_C = [1, 0, 2, 0, 1, 2, 2]
 
 
-def _far_spinor(sa, sc, factors, rank, tol=EQ_TOL):
+def _far_spinor(sa, sc, factors, rank):
     """The spinor of basic_calculation's point D put across the side (a, c)
     of a positive triple, in the triple's own frame, for a stack of sides:
 
@@ -504,7 +505,7 @@ def _far_spinor(sa, sc, factors, rank, tol=EQ_TOL):
     with the numerators of n, then (after one inverse series) n_u and n_v,
     n_u n_v, and d.  The positive triple itself is not checked here:
     a lift's triples are positive by construction.  Rejects a and c that
-    are dependent within tol, naming the first failing element.
+    are dependent within EQ_TOL, naming the first failing element.
 
     Returns d signed as `_spinor` signs it, so a lift can carry it to the
     next level (the sign leaves its square unchanged)."""
@@ -512,7 +513,7 @@ def _far_spinor(sa, sc, factors, rank, tol=EQ_TOL):
     q = _kernels.multiply_coeffs(sa[_SIDE_A], c[_SIDE_C], rank)
     # u v' - v u', the body of omega(a, c), as xi_a xi_c has none
     det = q[0] - q[1]
-    _reject(np.abs(det[..., 0]) <= tol, "triple", "first and third points of %s are linearly dependent")
+    _reject(np.abs(det[..., 0]) <= EQ_TOL, "triple", "first and third points of %s are linearly dependent")
     n = np.empty_like(sc)
     numerators = np.stack([q[3] - q[5], q[4] - q[6]])
     n[:2] = _kernels.multiply_coeffs(numerators, GrassmannNumber.wrap(rank, det).inverse().coeffs, rank)

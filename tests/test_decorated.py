@@ -14,7 +14,7 @@ from superteich import fatgraph_spin as fg
 from superteich import minkowski as mk
 from superteich import superlinalg as sl
 from superteich.grassmann import GrassmannNumber, random_element
-from test_fatgraph_spin import flippable, random_graphs
+from test_fatgraph_spin import flippable, random_fatgraph, random_graphs
 from test_minkowski import count_calls, normalize_triple_chain
 
 RANK = 8
@@ -238,7 +238,7 @@ def random_chart(r, graph, bodies=(0.7, 1.6)):
 def spinors_of(points):
     """Each point's spinor as a (3, 2**rank) array, worked out from the
     point by `minkowski._spinor`."""
-    return [np.stack([x.coeffs for x in mk._spinor(p, "first", 1e-9)]) for p in points]
+    return [np.stack([x.coeffs for x in mk._spinor(p, "first")]) for p in points]
 
 
 def assert_same_lift(lifted, oracle):
@@ -797,18 +797,23 @@ SHIPPED_BASES = [(name, base) for name in ("dumbbell", "four_puncture") for base
 
 
 def assert_parabolic_and_split_by_spin(graph, base):
-    """Every puncture trace is +-2, and -2 exactly on the NS punctures of
-    `puncture_types`, within 1e-12 of the generators' scale."""
+    """`assert_punctures_split` on the representations of `rep_charts`
+    from the domain at base."""
     domain = dc.fundamental_domain(graph, base)
     for chart in rep_charts(graph, seed=7):
-        rep = dc.build_rep(chart, domain)
-        scale = generators_scale(rep)
-        types = fg.puncture_types(graph, chart.orientation)
-        traces = rep.puncture_traces()
-        assert len(traces) == len(types)
-        for tr, kind in zip(traces, types):
-            assert abs(abs(tr) - 2) <= 1e-12 * scale
-            assert (tr < 0) == (kind == "NS"), (traces, types)
+        assert_punctures_split(dc.build_rep(chart, domain))
+
+
+def assert_punctures_split(rep):
+    """Every puncture trace is +-2, and -2 exactly on the NS punctures of
+    `puncture_types`, within 1e-12 of the generators' scale."""
+    scale = generators_scale(rep)
+    types = fg.puncture_types(rep.coords.graph, rep.coords.orientation)
+    traces = rep.puncture_traces()
+    assert len(traces) == len(types)
+    for tr, kind in zip(traces, types):
+        assert abs(abs(tr) - 2) <= 1e-12 * scale
+        assert (tr < 0) == (kind == "NS"), (traces, types)
 
 
 def integer_rank(rows):
@@ -1028,6 +1033,23 @@ class TestBuildRep:
         graph = SPINES[name]()
         assert_parabolic_and_split_by_spin(graph, base)
 
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_puncture_traces_are_the_bodies_of_the_words_traces(self, name):
+        """puncture_traces multiplies real 2x2 bodies only; the body of the
+        trace of each boundary orbit's whole Grassmann word agrees with it
+        to 1e-12 of the larger of the generators' and the word's scale."""
+        graph = SPINES[name]()
+        r = np.random.default_rng(23)
+        charts = list(rep_charts(graph, seed=23, count=2)) + [random_chart(r, graph, bodies=(0.4, 2.5)) for _ in range(2)]
+        for chart in charts:
+            rep = dc.build_rep(chart)
+            traces = rep.puncture_traces()
+            assert len(traces) == len(graph.boundary_orbits())
+            for orbit, tr in zip(graph.boundary_orbits(), traces):
+                word = rep.word(orbit)
+                gap = abs(tr - np.trace(sl.bosonic_reduction(word)))
+                assert gap <= 1e-12 * max(generators_scale(rep), word.scale()), (orbit, gap)
+
     @pytest.mark.parametrize(
         "name, shipped", [(name, False) for name in sorted(SPINES)] + [("dumbbell", True), ("four_puncture", True)]
     )
@@ -1225,12 +1247,11 @@ class TestThetaSharpCase:
             chart = random_chart(r, graph, bodies=(0.4, 2.5))
             rep = dc.build_rep(chart, dc.fundamental_domain(graph, i % 2))
             a, b = rep.generators()
-            x, y = dc._bosonic_trace_body(a), dc._bosonic_trace_body(b)
-            z = dc._bosonic_trace_body(sl.smul(a, b))
+            x, y, z = (np.trace(sl.bosonic_reduction(g)) for g in (a, b, sl.smul(a, b)))
             size = x * x + y * y + z * z
             assert abs(size - x * y * z) <= 1e-14 * size
             commutator = sl.smul_many(a, b, sl.inverse_osp(a), sl.inverse_osp(b))
-            assert abs(dc._bosonic_trace_body(commutator) + 2) <= 1e-14 * size
+            assert abs(np.trace(sl.bosonic_reduction(commutator)) + 2) <= 1e-14 * size
             # Penner: |tr| of the generator of edge j is (sum of squared
             # lambdas) / (lambda of the tree edge * lambda_j)
             lam = [x.body for x in chart.lambdas]
@@ -1238,6 +1259,46 @@ class TestThetaSharpCase:
             for j, tr in zip(rep.domain.generators, (x, y)):
                 want = sum(v * v for v in lam) / (lam[graph.edge_of(h_tree)] * lam[j])
                 assert abs(abs(tr) - want) <= 1e-13 * want
+
+
+def generic_chart(num_vertices, seed=2):
+    """The generic point on a one-puncture `random_fatgraph`, the first one
+    drawn from the seed: rank V with mu_v = xi_{v+1}, so that no product of
+    two mus vanishes by accident, lambdas with a body in [0.7, 1.6] and one
+    even soul term, and a random orientation."""
+    r = np.random.default_rng(seed)
+    graph = random_fatgraph(r, num_vertices)
+    while len(graph.boundary_orbits()) != 1:
+        graph = random_fatgraph(r, num_vertices)
+    lambdas = [
+        random_element(r, num_vertices, parity="even", terms=1, scale=0.15, body=float(r.uniform(0.7, 1.6)))
+        for _ in range(graph.num_edges)
+    ]
+    mus = [GrassmannNumber.generator(v + 1, num_vertices) for v in range(num_vertices)]
+    bits = [int(b) for b in r.integers(0, 2, graph.num_edges)]
+    return dc.DecoratedCoords(graph, lambdas, mus, fg.Orientation.from_bits(graph, bits), rank=num_vertices)
+
+
+class TestGenericPointAtGenusThree:
+    def test_flip_lift_rep_and_pullback(self):
+        """On V = 10 at rank 10, in order: a flip keeps the spin class, the
+        depth-2 lift of the flipped chart reproduces its lambdas and mus,
+        its representation splits the puncture by spin, and its two-form
+        pulls back through every non-loop edge."""
+        chart = generic_chart(10)
+        graph = chart.graph
+        assert (graph.genus, len(graph.boundary_orbits()), chart.rank) == (3, 1, 10)
+        e = flippable(graph)[0]
+        q, res = fg.QuadraticForm(graph, chart.orientation), fg.flip(graph, e, chart.orientation)
+        chart = dc.flip_coords(chart, e)
+        q_out = fg.QuadraticForm(chart.graph, chart.orientation)
+        assert [q_out.value(res.transport(b)) for b in q.basis] == list(q.basis_values())
+        lifted = dc.lift(chart, 2)
+        scale = max(float(np.abs(p.coeffs).max()) for p in lifted.points)
+        assert lifted.pairing_residual() <= 1e-12 * scale
+        assert lifted.mu_residual() <= 1e-12 * scale
+        assert_punctures_split(dc.build_rep(chart))
+        assert_pulls_back(chart)
 
 
 def two_thetas():

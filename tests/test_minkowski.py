@@ -226,16 +226,18 @@ def normalize_point(a, tol=1e-9):
     return g, mk.act(g, a).theta
 
 
-def normalize_triple_chain(a, b, c, tol=1e-9):
+def normalize_triple_chain(a, b, c):
     """normalize_triple as a chain of group elements, with its checks and
     messages: c to (1,0,0,0,0) by normalize_point, a onto the x2 axis by
     the stabilizer of c, then a diagonal equalizing the middle point's x1
     and x2, with the positive triple and the spinors of its points checked
-    first.  Returns (g, r, s, t, phi) read off the acted points."""
+    first.  Its tolerance is normalize_triple's, `minkowski.EQ_TOL`.
+    Returns (g, r, s, t, phi) read off the acted points."""
+    tol = mk.EQ_TOL
     det = mk.triple_orientation(a, b, c)
     mk._reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
     for p, position in zip((a, b, c), mk._POSITIONS):
-        mk._spinor(p, position, tol)
+        mk._spinor(p, position)
     g1, _ = normalize_point(c, tol)
     a1 = mk.act(g1, a)
     mk._reject(abs(a1.x2.body) <= tol, "triple", "%s is not linearly independent")
@@ -301,9 +303,13 @@ class TestNormalizePoint:
             normalize_point(vec(0, 0, 0))
 
 
+# the u of the middle spinor of the large "not_positive_at_scale" triple
+B_LARGE = 100 + 5e-6
+
+
 def rejected_triple(reason):
-    """A triple normalize_triple rejects for the given reason, with the tol
-    to call it with: (a, b, c, tol)."""
+    """A triple normalize_triple rejects for the given reason, with the
+    `minkowski.EQ_TOL` to reject it under: (a, b, c, tol)."""
     a, b, c = standard_triple(phi=G1)
     return {
         "negative": (c, b, a, 1e-9),
@@ -314,9 +320,17 @@ def rejected_triple(reason):
         # spinors (1, 1), (1, y) and (1, -1) with y^2 = 1 + 5e-9: b's x2 is
         # 1e-8 below y^2, within the cone check's slack, which makes the
         # bodies' determinant positive while omega(b, a) = 1 - y is
-        # negative; a tol below (1 - y)^2 lets it past the degeneracy check
+        # negative; a tolerance below (1 - y)^2 lets it past the degeneracy
+        # check
         "not_positive": (
             vec(1.0, 1.0, 1.0), vec(1.0, 1.0 - 5e-9, float(np.sqrt(1.0 + 5e-9))), vec(1.0, 1.0, -1.0), 1e-20,
+        ),
+        # spinors (100, 0), (100 + 5e-6, 100) and (100, 100), with b's x2
+        # raised by 0.9e-7 of its scale, within the cone check's slack: the
+        # bodies' determinant is 4e4, but omega(b, a) is negative, and at
+        # this scale its ratio to omega(c, a) passes the degeneracy check
+        "not_positive_at_scale": (
+            vec(1e4, 0.0, 0.0), vec(B_LARGE**2, 1e4 + 0.9e-7 * B_LARGE**2, 100 * B_LARGE), vec(1e4, 1e4, 1e4), 1e-9,
         ),
         "zero_body": (vec(0.0, 0.0, -0.5), b, c, 1e-9),
         "off_cone": (a, b, vec(0.8, 0.0, 0.0, ZERO, 0.3 * G2), 1e-9),
@@ -329,6 +343,7 @@ TRIPLE_REJECTIONS = {
     "dependent": "triple is not linearly independent",
     "degenerate": "middle point of triple degenerates under normalization",
     "not_positive": r"triple is not positive \(middle y-body -",
+    "not_positive_at_scale": r"triple is not positive \(middle y-body -",
     "zero_body": "first point of triple has zero body",
     "off_cone": "third point of triple is not on the special light cone",
 }
@@ -380,19 +395,22 @@ class TestNormalizeTriple:
             mk.normalize_triple(c, b, a)
 
     @pytest.mark.parametrize("reason", sorted(TRIPLE_REJECTIONS))
-    def test_each_rejection_keeps_the_chains_message(self, reason):
+    def test_each_rejection_keeps_the_chains_message(self, reason, monkeypatch):
         """Each reason is named as the chain named it, and the chain rejects
         the same triple the same way.  The chain reads the middle point's
         y-body off the acted point, where it is the bodies' determinant
         over r s, so past the orientation check its positivity check is
         reached only through rounding; the frame reads it off the spinors,
-        which may differ from the point by the cone check's slack."""
+        which may differ from the point by the cone check's slack.  That
+        slack is relative, so at a large scale the frame rejects, at
+        EQ_TOL, a triple that the chain normalizes."""
         *trip, tol = rejected_triple(reason)
+        monkeypatch.setattr(mk, "EQ_TOL", tol)
         with pytest.raises(ValueError, match="^" + TRIPLE_REJECTIONS[reason]):
-            mk.normalize_triple(*trip, tol=tol)
-        if reason != "not_positive":
+            mk.normalize_triple(*trip)
+        if not reason.startswith("not_positive"):
             with pytest.raises(ValueError, match="^" + TRIPLE_REJECTIONS[reason]):
-                normalize_triple_chain(*trip, tol=tol)
+                normalize_triple_chain(*trip)
 
     def test_off_cone_middle_point_rejected(self):
         """A middle point t(1,1,1,phi,theta) with phi != theta is not the
@@ -417,13 +435,13 @@ def random_positive_triple(r):
     return tuple(mk.act(g, v) for v in trip)
 
 
-def rotation_values(a, b, c, tol=1e-9):
+def rotation_values(a, b, c):
     """Oracle for mu_invariant: the odd-direction value of mu for each of
     the cyclic rotations (a, b, c), (b, c, a) and (c, a, b).  For the
     rotation (p, q, r), n is the unit odd direction omega-orthogonal to the
     spinors p and r, eta = omega(n, q), and the value is
     eta omega(r, p) / sqrt(omega(p, q) omega(q, r) omega(r, p))."""
-    spinors = [mk._spinor(p, pos, tol) for p, pos in zip((a, b, c), mk._POSITIONS)]
+    spinors = [mk._spinor(p, pos) for p, pos in zip((a, b, c), mk._POSITIONS)]
     omegas = [mk._omega(spinors[k], spinors[(k + 1) % 3]) for k in range(3)]
     root_inv = (omegas[0] * omegas[1] * omegas[2]).sqrt().inverse()
     values = []
@@ -582,7 +600,7 @@ class TestMuInvariantOracle:
             rep, sign = mk.mu_invariant(*trip)
             for value in rotation_values(*trip):
                 assert (sign * rep - value).max_abs() <= 1e-12 * max(1.0, value.max_abs())
-            xis = [mk._spinor(p, pos, 1e-9)[2] for p, pos in zip(trip, mk._POSITIONS)]
+            xis = [mk._spinor(p, pos)[2] for p, pos in zip(trip, mk._POSITIONS)]
             triple_term = max(triple_term, (xis[0] * xis[1] * xis[2]).max_abs())
         assert triple_term > 1e-3
 
@@ -675,7 +693,7 @@ class TestMuInvariantRejects:
             mk.mu_invariant(c, b, a)
 
 
-def far_point(a, b, c, lam_c, lam_d, lam_e, sigma, tol=1e-9):
+def far_point(a, b, c, lam_c, lam_d, lam_e, sigma):
     """Oracle for `minkowski._far_spinor`: basic_calculation's point D
     across the side (a, c) of the positive triple (a, b, c), in the
     triple's own frame, with <C,D> = lam_c^2, <A,D> = lam_d^2 and
@@ -686,13 +704,13 @@ def far_point(a, b, c, lam_c, lam_d, lam_e, sigma, tol=1e-9):
     stacks; a failed check names the first failing element."""
     det = mk.triple_orientation(a, b, c)
     mk._reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
-    sa, sc = (np.stack([x.coeffs for x in mk._spinor(p, pos, tol)]) for p, pos in ((a, "first"), (c, "third")))
+    sa, sc = (np.stack([x.coeffs for x in mk._spinor(p, pos)]) for p, pos in ((a, "first"), (c, "third")))
     e_inv = lam_e.inverse()
     alpha, beta = lam_d * e_inv, lam_c * e_inv
     kappa = (np.sqrt(2.0) * lam_c * lam_d * e_inv).sqrt() * sigma
     # the labels of one side may serve a stack of sides
     factors = np.stack(np.broadcast_arrays(alpha.coeffs, beta.coeffs, kappa.coeffs, sa[0])[:3])
-    u, v, xi = (GrassmannNumber.wrap(a.rank, x) for x in mk._far_spinor(sa, sc, factors, a.rank, tol))
+    u, v, xi = (GrassmannNumber.wrap(a.rank, x) for x in mk._far_spinor(sa, sc, factors, a.rank))
     return mk.SuperVector(u * u, v * v, u * v, u * xi, v * xi, rank=a.rank)
 
 
@@ -805,8 +823,8 @@ def _ptolemy_points(seed):
 
 
 class TestSpinorMemo:
-    """`_spinor` finds a point's spinor once and stores it on the point; the
-    zero-body check still runs on every call."""
+    """`_spinor` finds and checks a point's spinor once and stores it on the
+    point; a point that fails a check is rejected on every call."""
 
     def test_ptolemy_pair_finds_each_spinor_once(self, monkeypatch):
         pa, pb, pc, pd = _ptolemy_points(70)
@@ -824,28 +842,35 @@ class TestSpinorMemo:
 
     def test_stored_spinor_is_read_only(self):
         p = t_slot(1.7, G1)
-        first = mk._spinor(p, "first", 1e-9)
-        assert all(x is y for x, y in zip(mk._spinor(p, "third", 1e-9), first))
+        first = mk._spinor(p, "first")
+        assert all(x is y for x, y in zip(mk._spinor(p, "third"), first))
         assert all(not x.coeffs.flags.writeable for x in first)
 
-    def test_memoized_point_still_hits_the_zero_body_check(self, monkeypatch):
-        # the square of the spinor (0.03, 0.02, 0)
+    def test_memoized_read_makes_no_check(self, monkeypatch):
+        # the square of the spinor (0.03, 0.02, 0), whose bodies are above
+        # EQ_TOL but below 1e-2
         p = vec(9e-4, 4e-4, 6e-4)
+        first = mk._spinor(p, "first")
         found = count_calls(monkeypatch, "_find_spinor")
-        mk._spinor(p, "first", 1e-9)
-        mk._spinor(p, "first", 1e-9)
-        assert len(found) == 1
+        checks = count_calls(monkeypatch, "_reject")
+        monkeypatch.setattr(mk, "EQ_TOL", 1e-2)
+        assert mk._spinor(p, "third") is first
+        assert not found and not checks
         with pytest.raises(ValueError, match="^first point of triple has zero body$"):
-            mk._spinor(p, "first", 1e-2)
-        a, b, _ = standard_triple(phi=G1)
-        with pytest.raises(ValueError, match="^third point of triple has zero body$"):
-            far_point(a, b, p, ONE, ONE, ONE, G2, tol=1e-2)
+            mk._spinor(vec(9e-4, 4e-4, 6e-4), "first")
 
     def test_point_off_the_cone_is_rejected_on_every_call(self):
         p = vec(0.8, 0.0, 0.0, ZERO, 0.3 * G2)
         for position in ("first", "third"):
             with pytest.raises(ValueError, match="^%s point of triple is not on the special light cone" % position):
-                mk._spinor(p, position, 1e-9)
+                mk._spinor(p, position)
+
+    def test_point_with_zero_body_is_rejected_on_every_call(self):
+        p = vec(0.0, 0.0, 0.0)
+        for position in ("first", "third", "first"):
+            with pytest.raises(ValueError, match="^%s point of triple has zero body$" % position):
+                mk._spinor(p, position)
+        assert getattr(p, "_spinor_memo", None) is None
 
 
 def exp_odd_plus(alpha, rank=None):

@@ -68,3 +68,18 @@ def test_every_public_name_is_used():
         if not node.name.startswith("_") and total[node.name] == _name_counts(node)[node.name]
     ]
     assert defined and not unused, unused
+
+
+def test_no_function_takes_its_own_tolerance():
+    """One tolerance: no function in src/ takes a `tol` parameter, except
+    the comparison methods isclose and is_zero, whose tol defaults to
+    `grassmann.EQ_TOL`.  A test that probes a threshold patches the
+    module's EQ_TOL instead."""
+    knobs = [
+        "%s:%d %s" % (path.name, node.lineno, node.name)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name not in ("isclose", "is_zero")
+        and "tol" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    ]
+    assert not knobs, knobs
