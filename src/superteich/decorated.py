@@ -51,8 +51,15 @@ from .minkowski import (
 ROOT2 = float(np.sqrt(2.0))
 
 
-def _even_coord(x, rank, what):
+def _finite_coord(x, rank, what):
     x = grassmann(x, rank)
+    if not np.isfinite(x.coeffs).all():
+        raise ValueError("%s has a non-finite coefficient" % what)
+    return x
+
+
+def _even_coord(x, rank, what):
+    x = _finite_coord(x, rank, what)
     if not x.is_even():
         raise ValueError("%s must be Grassmann even" % what)
     if x.body <= 0:
@@ -61,7 +68,7 @@ def _even_coord(x, rank, what):
 
 
 def _odd_coord(x, rank, what):
-    x = grassmann(x, rank)
+    x = _finite_coord(x, rank, what)
     if not x.is_odd():
         raise ValueError("%s must be Grassmann odd" % what)
     return x
@@ -287,28 +294,26 @@ class LiftedTriangulation:
         return out
 
     def pairing_residual(self):
-        """Worst coefficient gap between sqrt(pairing) and the edge lambda."""
-        worst = 0.0
-        for e, i, j in self.sides():
-            lam = pairing(self.points[i], self.points[j]).sqrt()
-            worst = max(worst, (lam - self.coords.lambdas[e]).max_abs())
-        return worst
+        """Worst coefficient gap between sqrt(pairing) and the edge lambda;
+        NaN if any gap is."""
+        lams = self.coords.lambdas
+        gaps = [(pairing(self.points[i], self.points[j]).sqrt() - lams[e]).max_abs() for e, i, j in self.sides()]
+        return float(np.max(gaps, initial=0.0))
 
     def mu_residual(self):
         """Worst gap between each triangle's recomputed mu-invariant and
         the assigned vertex coordinate, up to overall sign: the mu of a
         bare triple is fixed only up to its spinors' signs
         (`minkowski.mu_invariant`).  The signs are pinned by comparing the
-        lift with `build_rep`'s frame product instead."""
-        worst = 0.0
+        lift with `build_rep`'s frame product instead.  NaN if any gap is."""
+        gaps = []
         for tri in self.triangles:
             # corners are stored clockwise; mu is defined on positive triples
             a, c, b = (self.points[i] for i in tri.corners)
             rep, _ = mu_invariant(a, b, c)
             target = self.coords.mus[tri.vertex]
-            gap = min((rep - target).max_abs(), (rep + target).max_abs())
-            worst = max(worst, gap)
-        return worst
+            gaps.append(min((rep - target).max_abs(), (rep + target).max_abs()))
+        return float(np.max(gaps, initial=0.0))
 
 
 # The side factors of a lift, one row per (vertex, slot), row 3 v + j:
@@ -855,6 +860,8 @@ def parse_coords(text, rank):
             slots, prefix = (lambdas, "e") if parts[0] == "lambda" else (mus, "v")
             fg._put_indexed(slots, ln, parts[1], prefix, parse_grassmann(parts[2], rank))
         elif ln.startswith("gauge "):
+            if gauge is not None:
+                raise ValueError("line %r repeats the gauge line" % ln)
             parts = ln.split()
             if len(parts) != 2 or parts[1] not in ("+", "-"):
                 raise ValueError("gauge must be + or -, in line %r" % ln)

@@ -309,7 +309,11 @@ class Orientation:
 
     @classmethod
     def from_bits(cls, graph, bits):
-        return cls(graph, tuple(graph.edges[j][b] for j, b in enumerate(bits)))
+        """Tail bits[j] (0 or 1) of each edge j's half-edges; a ValueError names an edge with another bit."""
+        if not {0, 1}.issuperset(bits):
+            j, b = next((j, b) for j, b in enumerate(bits) if b not in (0, 1))
+            raise ValueError("orientation bit %r at edge %d is not 0 or 1" % (b, j))
+        return cls(graph, tuple(graph.edges[j][int(b)] for j, b in enumerate(bits)))
 
     @property
     def bits(self):
@@ -674,6 +678,8 @@ def parse_fatgraph(text):
     groups, orient_line = {"v": [], "e": []}, None
     for ln in lines[1:]:
         if ln.startswith("orient:"):
+            if orient_line is not None:
+                raise ValueError("line %r repeats the orient: line" % ln)
             orient_line = ln
             continue
         head, _, rest = ln.partition(":")

@@ -62,10 +62,12 @@ carry no key, so they pair by one grid test at any size; stacked, the
 same rank-12 terms of the ptolemy benchmark are keyed, pass the grid
 bound and take the join, and the workload ran at 0.66 times its speed.
 
+normalize_triple and mu_invariant check a triple by one rule on the
+omegas of its spinors (`_require_positive`).
 pairing, act, triple_orientation and basic_calculation take stacks,
 (..., 5, 2**rank) arrays of points; a failed check names the first failing
-element of a stack ("triple 1 is not ...", an ElementError).  Each zero
-test but the orientation's reads EQ_TOL as a module global at call time.
+element of a stack ("triple 1 is not ...", an ElementError).  Every test
+against a tolerance reads EQ_TOL as a module global at call time.
 """
 
 import numpy as np
@@ -225,13 +227,11 @@ def normalize_triple(a, b, c):
     points.
 
     Returns (g, r, s, t, phi) with act(g,a) = r(0,1,0,0,0),
-    act(g,b) = t(1,1,1,phi,phi), act(g,c) = s(1,0,0,0,0): the orientation
-    check, then the spinors of the three points (`_spinor`) and their frame
-    (`_spinor_frame`), whose checks read EQ_TOL.  Deterministic, so the
-    other lift of the same triple is obtained by the fermionic reflection.
+    act(g,b) = t(1,1,1,phi,phi), act(g,c) = s(1,0,0,0,0): the spinors of
+    the three points (`_spinor`) and their frame (`_spinor_frame`), which
+    checks the triple (`_require_positive`).  Deterministic, so the other
+    lift of the same triple is obtained by the fermionic reflection.
     """
-    det = triple_orientation(a, b, c)
-    _reject(det <= 1e-12, "triple", "%s is not positively oriented (body determinant %g)", det)
     sa, sb, sc = (_spinor(p, position) for p, position in zip((a, b, c), _POSITIONS))
     return _spinor_frame(sa, sb, sc)
 
@@ -255,36 +255,40 @@ def _spinor_frame(sa, sb, sc):
     (-n_u, -n_v, 1 + n_u n_v), which carries the standard spinors to a, b
     and c (act(F, P) squares the row spinor of P times F); g = F^-1.
 
-    Rejects a and c when w_ca^2 is within EQ_TOL ("not linearly
-    independent"), a middle point when w_cb^2 or (w_ba / w_ca)^2 is within
-    EQ_TOL, its x2 and x1 once c and a are put on the axes ("degenerates"),
-    and one with a y-body of at most 0 in standard position, the body of t
-    ("not positive").
+    The triple is checked (`_require_positive`) before any sign is chosen.
 
     c's sheet is read off its spinor, and is cut where u = v (x1 = x2,
     y > 0): there c's sign is a coin toss of rounding, and may differ from
     a sheet read off the point's x1 < x2, which negates phi and multiplies
     g by the fermionic reflection."""
     c = _signed(sc, -1.0 if sc[0].body < sc[1].body else 1.0)
-    w = _omega(sa, c)
-    _reject(w.body**2 <= EQ_TOL, "triple", "%s is not linearly independent")
-    sign_a = -np.sign(w.body)
-    a, w_ca = _signed(sa, sign_a), w * -sign_a
-    w_cb, w_ba = _omega(c, sb), _omega(sb, a)
-    _reject(
-        (w_cb.body**2 <= EQ_TOL) | ((w_ba.body / w_ca.body) ** 2 <= EQ_TOL),
-        "triple", "middle point of %s degenerates under normalization",
-    )
-    sign_b = np.sign(w_cb.body)
-    b, w_cb, w_ba = _signed(sb, sign_b), w_cb * sign_b, w_ba * sign_b
+    w_ac, w_cb, w_ba = _omega(sa, c), _omega(c, sb), _omega(sb, sa)
+    # omega is antisymmetric, and c's sign enters the volume twice
+    _require_positive(-w_ba.body, -w_cb.body, -w_ac.body)
+    sign_a, sign_b = -np.sign(w_ac.body), np.sign(w_cb.body)
+    a, b = _signed(sa, sign_a), _signed(sb, sign_b)
+    w_ca, w_cb, w_ba = w_ac * -sign_a, w_cb * sign_b, w_ba * (sign_a * sign_b)
     t = w_cb * w_ba * w_ca.inverse()
-    _reject(t.body <= 0, "triple", "%s is not positive (middle y-body %g)", t.body)
     s = w_ca * w_cb * w_ba.inverse()
     r = w_ba * w_ca * w_cb.inverse()
     n_u, n_v, n_w = _odd_direction(a, c, -w_ca)
     s_rsqrt, r_rsqrt = s.rsqrt(), r.rsqrt()
     frame = sl.SuperMatrix([[x * s_rsqrt for x in c], [x * r_rsqrt for x in a], [-n_u, -n_v, n_w]])
     return sl.inverse_osp(frame), r, s, t, _omega((n_u, n_v, n_w), b) * t.rsqrt()
+
+
+def _require_positive(w_ab, w_bc, w_ca):
+    """The one test of a triple (a, b, c), on the bodies of the omegas of
+    its spinors: each above EQ_TOL in size, or its pair is dependent, and
+    the volume w_ab w_bc w_ca above 0.  Each spinor appears twice in the
+    volume, so no sign of one changes it; for exact squares it is
+    `triple_orientation`, and on normalize_triple's sheet it is t w_ca^2,
+    so it makes t, r and s positive.  A test accepts only values above its
+    bound, so a NaN fails it."""
+    for w, pair in zip((w_ab, w_bc, w_ca), ("first and second", "second and third", "first and third")):
+        _reject(~np.greater(np.abs(w), EQ_TOL), "triple", pair + " points of %s are linearly dependent")
+    volume = w_ab * w_bc * w_ca
+    _reject(~np.greater(volume, 0.0), "triple", "%s is not positively oriented (body determinant %g)", volume)
 
 
 def _signed(spinor, sign):
@@ -337,7 +341,7 @@ def _find_spinor(p, position):
     )
     scale = np.abs(p.coeffs).max(axis=(-2, -1))
     _reject(
-        gap > 1e-7 * scale, "triple",
+        ~(gap <= 1e-7 * scale), "triple",
         position + " point of %s is not on the special light cone (gap %.3g at scale %.3g)", gap, scale,
     )
     u = GrassmannNumber.wrap(p.rank, np.where(turn[..., None], other.coeffs, piv.coeffs))
@@ -407,11 +411,8 @@ def mu_invariant(a, b, c):
     The three xi d terms are summed, and the three omega and three xi
     multiplied, in the byte order of their values (the xi product times the
     sign of that order), so cyclic relabelings return the identical value.
-    At run time the value is compared, within 1e-7, with the odd-direction
-    formula of the rotation (a, b, c); a mismatch raises ValueError, as do
-    a point with x1 and x2 bodies within EQ_TOL of zero, two points whose
-    omega has a body within EQ_TOL of zero, and a triple that is not
-    positive.
+    The triple is checked as normalize_triple checks it
+    (`_require_positive`, after `_spinor`'s checks of each point).
 
     Returns (representative, sign) with the value sign * representative.
     The value is normalize_triple's phi times the signs that put the three
@@ -420,33 +421,17 @@ def mu_invariant(a, b, c):
     """
     spinors = [_spinor(p, pos) for p, pos in zip((a, b, c), _POSITIONS)]
     # d and omega over the pairs (a,b), (b,c), (c,a), which a cyclic
-    # relabeling permutes; the body of omega(s,t) is the determinant of
-    # (u, v) and (u', v')
-    dets, omegas = [], []
-    for k in range(3):
-        s, t = spinors[k], spinors[(k + 1) % 3]
-        d = s[0] * t[1] - s[1] * t[0]
-        w = d + s[2] * t[2]
-        if abs(w.body) <= EQ_TOL:
-            names = " and ".join(_POSITIONS[j] for j in sorted((k, (k + 1) % 3)))
-            raise ValueError("%s points of triple are linearly dependent" % names)
-        dets.append(d)
-        omegas.append(w)
-    det = triple_orientation(a, b, c)
-    if det <= 1e-12:
-        raise ValueError("triple is not positively oriented (body determinant %g)" % det)
-    # the volume's body equals det
+    # relabeling permutes
+    pairs = [(spinors[k], spinors[(k + 1) % 3]) for k in range(3)]
+    dets = [s[0] * t[1] - s[1] * t[0] for s, t in pairs]
+    omegas = [d + s[2] * t[2] for d, (s, t) in zip(dets, pairs)]
+    _require_positive(*(w.body for w in omegas))
     (w0, w1, w2), _ = _in_byte_order(omegas)
     root_inv = (w0 * w1 * w2).rsqrt()
     # xi of each point times d of the opposite pair
     (t0, t1, t2), _ = _in_byte_order([spinors[k][2] * dets[(k + 1) % 3] for k in range(3)])
     (x0, x1, x2), sign = _in_byte_order([sp[2] for sp in spinors])
-    mu = (t0 + t1 + t2 + x0 * x1 * x2 * (2.0 * sign)) * root_inv
-    p, q, r = spinors
-    check = _omega(_odd_direction(p, r, -omegas[2]), q) * omegas[2] * root_inv
-    if not mu.isclose(check, 1e-7):
-        raise ValueError("closed form of the triple's invariant disagrees with its odd-direction value")
-    return canonicalize_sign(mu)
+    return canonicalize_sign((t0 + t1 + t2 + x0 * x1 * x2 * (2.0 * sign)) * root_inv)
 
 
 # -- quadrilateral moves -------------------------------------------------------
@@ -513,7 +498,7 @@ def _far_spinor(sa, sc, factors, rank):
     q = _kernels.multiply_coeffs(sa[_SIDE_A], c[_SIDE_C], rank)
     # u v' - v u', the body of omega(a, c), as xi_a xi_c has none
     det = q[0] - q[1]
-    _reject(np.abs(det[..., 0]) <= EQ_TOL, "triple", "first and third points of %s are linearly dependent")
+    _reject(~(np.abs(det[..., 0]) > EQ_TOL), "triple", "first and third points of %s are linearly dependent")
     n = np.empty_like(sc)
     numerators = np.stack([q[3] - q[5], q[4] - q[6]])
     n[:2] = _kernels.multiply_coeffs(numerators, GrassmannNumber.wrap(rank, det).inverse().coeffs, rank)

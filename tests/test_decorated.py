@@ -91,10 +91,15 @@ class TestCoordsText:
             ("lambda e1 1.0", "lambda e1 1.0*g{1}", "lambda[1] must be Grassmann even"),
             ("lambda e1 1.0", "lambda e1 -0.5", "lambda[1] needs a positive body, got -0.5"),
             ("mu v1 1.0*g{2}", "mu v1 1.0*g{1,2}", "mu[1] must be Grassmann odd"),
+            ("gauge +\n", "gauge +\ngauge -\n", "line 'gauge -' repeats the gauge line"),
+            ("gauge +\n", "gauge +\norient: e0 h1 e1 h2 e2 h4\n",
+             "line 'orient: e0 h1 e1 h2 e2 h4' repeats the orient: line"),
+            ("lambda e1 1.0", "lambda e1 nan", "lambda[1] has a non-finite coefficient"),
+            ("lambda e1 1.0", "lambda e1 inf", "lambda[1] has a non-finite coefficient"),
         ],
         ids=["header", "orient", "lambda_missing", "mu_missing", "gauge_missing", "unrecognized",
              "value_line", "eta_line", "lambd_line",
-             "lambda_odd", "lambda_body", "mu_even"],
+             "lambda_odd", "lambda_body", "mu_even", "gauge_twice", "orient_twice", "lambda_nan", "lambda_inf"],
     )
     def test_incomplete_or_bad_chart_is_named(self, old, new, message):
         """A missing line names the edge or vertex it should have given,
@@ -116,6 +121,16 @@ class TestChartRejections:
             dc.DecoratedCoords(theta, chart.lambdas, chart.mus + chart.mus[:1], om)
         with pytest.raises(ValueError, match=r"^gauge must be \+1 or -1, got 0$"):
             chart.replace(gauge=0)
+
+    def test_non_finite_coordinate_is_named(self):
+        chart = dc.standard_chart(fg.theta_graph(), rank=RANK)
+        for bad in (np.nan, np.inf):
+            mus = list(chart.mus)
+            coeffs = mus[1].coeffs.copy()
+            coeffs[4] = bad
+            mus[1] = GrassmannNumber.wrap(RANK, coeffs)
+            with pytest.raises(ValueError, match=r"^mu\[1\] has a non-finite coefficient$"):
+                chart.replace(mus=mus)
 
     def test_form_identity_names_the_argument_at_fault(self):
         """`_even_coord` and `_odd_coord` name the coordinate at fault."""
@@ -337,6 +352,18 @@ class TestLift:
         chart = dc.standard_chart(SPINES["theta"](), rank=RANK)
         with pytest.raises(ValueError, match=message):
             dc.lift(chart, *args)
+
+    def test_residuals_let_a_nan_point_through(self):
+        """A lifted point with a NaN coefficient gives a NaN pairing
+        residual, and its triangles' mu_invariant rejects it."""
+        lifted = dc.lift(dc.standard_chart(fg.theta_graph(), rank=RANK), 1)
+        assert lifted.pairing_residual() < 1e-12
+        coeffs = lifted.points[1].coeffs.copy()
+        coeffs[0, 0] = np.nan
+        lifted.points[1] = mk.SuperVector.wrap(RANK, coeffs)
+        assert np.isnan(lifted.pairing_residual())
+        with pytest.raises(ValueError, match="point of triple is not on the special light cone"):
+            lifted.mu_residual()
 
     def test_numpy_integers_are_accepted(self):
         chart = dc.standard_chart(SPINES["theta"](), rank=RANK)

@@ -782,6 +782,15 @@ class TestOrientation:
         assert om.bits == (0, 1, 0)
         assert om.tail(1) == 3 and om.head(1) == 2
 
+    @pytest.mark.parametrize("bits, edge", [((0, -1, 0), 1), ((0, 2, 0), 1), ((0, 1, 0.5), 2), ((None, 1, 0), 0)])
+    def test_from_bits_rejects_a_bit_not_0_or_1(self, bits, edge):
+        with pytest.raises(ValueError, match=r"^orientation bit %s at edge %d is not 0 or 1$" % (bits[edge], edge)):
+            fg.Orientation.from_bits(fg.theta_graph(), bits)
+
+    def test_from_bits_reads_bits_equal_to_0_or_1(self):
+        bits = (True, np.int64(0), 1.0)
+        assert fg.Orientation.from_bits(fg.theta_graph(), bits).bits == (1, 0, 1)
+
     @pytest.mark.parametrize("tails", [(0, 2, 4), tuple(range(0, 20, 2))])
     def test_rejects_tails_not_one_per_edge(self, tails):
         with pytest.raises(ValueError, match="^%d tails given for the 9 edges of the graph$" % len(tails)):

@@ -1,5 +1,7 @@
 """Super Minkowski points: pairing, action, standard position, Ptolemy moves."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -240,14 +242,13 @@ def normalize_triple_chain(a, b, c):
         mk._spinor(p, position)
     g1, _ = normalize_point(c, tol)
     a1 = mk.act(g1, a)
-    mk._reject(abs(a1.x2.body) <= tol, "triple", "%s is not linearly independent")
+    mk._reject(abs(a1.x2.body) <= tol, "triple", "first and third points of %s are linearly dependent")
     x2inv = a1.x2.inverse()
     g12 = sl.smul(g1, sl.stabilizer(-(a1.y * x2inv), -(x2inv * a1.theta), GrassmannNumber(a.rank)))
     b2 = mk.act(g12, b)
-    mk._reject(
-        (b2.x1.body <= tol) | (b2.x2.body <= tol),
-        "triple", "middle point of %s degenerates under normalization",
-    )
+    # b2's x1 pairs it with a, on the x2 axis, and its x2 with c
+    mk._reject(b2.x1.body <= tol, "triple", "first and second points of %s are linearly dependent")
+    mk._reject(b2.x2.body <= tol, "triple", "second and third points of %s are linearly dependent")
     p = fourth_root(b2.x2 * b2.x1.inverse())
     g = sl.smul(g12, sl.diag(p, p.inverse()))
     af, bf, cf = mk.act(g, a), mk.act(g, b), mk.act(g, c)
@@ -308,44 +309,48 @@ B_LARGE = 100 + 5e-6
 
 
 def rejected_triple(reason):
-    """A triple normalize_triple rejects for the given reason, with the
-    `minkowski.EQ_TOL` to reject it under: (a, b, c, tol)."""
+    """A triple (a, b, c) that normalize_triple and mu_invariant reject for
+    the given reason."""
     a, b, c = standard_triple(phi=G1)
+    # s_slot(0.8) with a NaN coefficient of g2 in its theta, which its
+    # spinor does not read
+    nan_c = c.coeffs.copy()
+    nan_c[4, 2] = np.nan
     return {
-        "negative": (c, b, a, 1e-9),
-        # omega(c, a)^2 = r s = 1e-10
-        "dependent": (r_slot(1e-5), b, s_slot(1e-5), 1e-9),
-        # omega(c, b)^2 = s t = 1e-10, with every body above tol
-        "degenerate": (a, t_slot(1e-3, G1), s_slot(1e-7), 1e-9),
+        "negative": (c, b, a),
+        # spinors (0, 1, 0) and (-5e-10, 10, 0): omega(c, a) is -5e-10
+        "dependent": (vec(0.0, 1.0, 0.0), b, vec(2.5e-19, 100.0, -5e-9)),
+        # b the square of (1, 1e-10, 0): omega(b, c) is -1e-10 sqrt(0.8),
+        # with every body above EQ_TOL
+        "degenerate": (a, vec(1.0, 1e-20, 1e-10), c),
         # spinors (1, 1), (1, y) and (1, -1) with y^2 = 1 + 5e-9: b's x2 is
         # 1e-8 below y^2, within the cone check's slack, which makes the
-        # bodies' determinant positive while omega(b, a) = 1 - y is
-        # negative; a tolerance below (1 - y)^2 lets it past the degeneracy
-        # check
-        "not_positive": (
-            vec(1.0, 1.0, 1.0), vec(1.0, 1.0 - 5e-9, float(np.sqrt(1.0 + 5e-9))), vec(1.0, 1.0, -1.0), 1e-20,
-        ),
+        # bodies' determinant positive while the volume, with
+        # omega(a, b) = y - 1 = 2.5e-9, is negative
+        "not_positive": (vec(1.0, 1.0, 1.0), vec(1.0, 1.0 - 5e-9, float(np.sqrt(1.0 + 5e-9))), vec(1.0, 1.0, -1.0)),
         # spinors (100, 0), (100 + 5e-6, 100) and (100, 100), with b's x2
         # raised by 0.9e-7 of its scale, within the cone check's slack: the
-        # bodies' determinant is 4e4, but omega(b, a) is negative, and at
-        # this scale its ratio to omega(c, a) passes the degeneracy check
+        # bodies' determinant is 4e4, but the volume is -5e4
         "not_positive_at_scale": (
-            vec(1e4, 0.0, 0.0), vec(B_LARGE**2, 1e4 + 0.9e-7 * B_LARGE**2, 100 * B_LARGE), vec(1e4, 1e4, 1e4), 1e-9,
+            vec(1e4, 0.0, 0.0), vec(B_LARGE**2, 1e4 + 0.9e-7 * B_LARGE**2, 100 * B_LARGE), vec(1e4, 1e4, 1e4),
         ),
-        "zero_body": (vec(0.0, 0.0, -0.5), b, c, 1e-9),
-        "off_cone": (a, b, vec(0.8, 0.0, 0.0, ZERO, 0.3 * G2), 1e-9),
+        "zero_body": (vec(0.0, 0.0, -0.5), b, c),
+        "off_cone": (a, b, vec(0.8, 0.0, 0.0, ZERO, 0.3 * G2)),
+        "nan": (a, b, mk.SuperVector.wrap(RANK, nan_c)),
     }[reason]
 
 
-# normalize_triple's message for each reason it rejects a triple
+# normalize_triple's and mu_invariant's message for each reason they
+# reject a triple
 TRIPLE_REJECTIONS = {
     "negative": r"triple is not positively oriented \(body determinant -",
-    "dependent": "triple is not linearly independent",
-    "degenerate": "middle point of triple degenerates under normalization",
-    "not_positive": r"triple is not positive \(middle y-body -",
-    "not_positive_at_scale": r"triple is not positive \(middle y-body -",
+    "dependent": "first and third points of triple are linearly dependent",
+    "degenerate": "second and third points of triple are linearly dependent",
+    "not_positive": r"triple is not positively oriented \(body determinant -",
+    "not_positive_at_scale": r"triple is not positively oriented \(body determinant -",
     "zero_body": "first point of triple has zero body",
     "off_cone": "third point of triple is not on the special light cone",
+    "nan": r"third point of triple is not on the special light cone \(gap nan",
 }
 
 
@@ -395,19 +400,19 @@ class TestNormalizeTriple:
             mk.normalize_triple(c, b, a)
 
     @pytest.mark.parametrize("reason", sorted(TRIPLE_REJECTIONS))
-    def test_each_rejection_keeps_the_chains_message(self, reason, monkeypatch):
-        """Each reason is named as the chain named it, and the chain rejects
-        the same triple the same way.  The chain reads the middle point's
-        y-body off the acted point, where it is the bodies' determinant
-        over r s, so past the orientation check its positivity check is
-        reached only through rounding; the frame reads it off the spinors,
-        which may differ from the point by the cone check's slack.  That
-        slack is relative, so at a large scale the frame rejects, at
-        EQ_TOL, a triple that the chain normalizes."""
-        *trip, tol = rejected_triple(reason)
-        monkeypatch.setattr(mk, "EQ_TOL", tol)
-        with pytest.raises(ValueError, match="^" + TRIPLE_REJECTIONS[reason]):
-            mk.normalize_triple(*trip)
+    def test_each_rejection_keeps_the_chains_message(self, reason):
+        """normalize_triple and mu_invariant reject each triple with one
+        message, and the chain rejects it the same way where it can see
+        it.  The chain tests the bodies' determinant and a pair's pairing,
+        omega^2 / 2, against EQ_TOL.  The rule tests the volume of the
+        spinors' omegas, which may differ from the determinant by the cone
+        check's slack, and the omegas themselves.  So the chain rejects
+        the small "not_positive" triple as dependent, where omega(a, b) is
+        2.5e-9, and normalizes the large one."""
+        trip = rejected_triple(reason)
+        for call in (mk.normalize_triple, mk.mu_invariant):
+            with pytest.raises(ValueError, match="^" + TRIPLE_REJECTIONS[reason]):
+                call(*trip)
         if not reason.startswith("not_positive"):
             with pytest.raises(ValueError, match="^" + TRIPLE_REJECTIONS[reason]):
                 normalize_triple_chain(*trip)
@@ -480,20 +485,6 @@ class TestMuInvariant:
             want = (reps[0] + reps[1] + reps[2]) * (1.0 / 3.0)
             rep = mk.mu_invariant(*trip)[0]
             assert (rep - want).max_abs() <= 1e-12 * max(1.0, want.max_abs())
-
-    def test_rejects_disagreeing_rotations(self, monkeypatch):
-        """A formula error that parts the closed form from the odd-direction
-        value of the rotation (a, b, c) is caught."""
-        a, b, c = random_positive_triple(rng(25))
-        real = mk._odd_direction
-
-        def skewed(*args):
-            n_u, n_v, n_w = real(*args)
-            return n_u + 1e-6 * G1, n_v, n_w
-
-        monkeypatch.setattr(mk, "_odd_direction", skewed)
-        with pytest.raises(ValueError, match="^closed form of the triple's invariant disagrees"):
-            mk.mu_invariant(a, b, c)
 
     def test_reflection_flips_sign(self):
         a, b, c = standard_triple(phi=G1)
@@ -659,6 +650,35 @@ class TestSpinorFrame:
         # the counters see the chain's calls
         normalize_triple_chain(*trips[0])
         assert {"act", "smul", "smul_coeffs"} <= set(calls)
+
+
+class TestPositiveTriple:
+    """`_require_positive`'s volume omega_ab omega_bc omega_ca is the
+    bodies' determinant, whatever the signs of the spinors."""
+
+    def test_volume_is_the_orientation_for_any_spinor_signs(self):
+        r = rng(41)
+        for _ in range(10):
+            trip = random_positive_triple(r)
+            for want, (a, b, c) in ((1.0, trip), (-1.0, trip[::-1])):
+                spinors = [mk._spinor(p, pos) for p, pos in zip((a, b, c), mk._POSITIONS)]
+                det = mk.triple_orientation(a, b, c)
+                scale = np.prod([np.abs(p.body3()).max() for p in (a, b, c)])
+                assert np.sign(det) == want and abs(det) > 1e-3 * scale
+                volumes = set()
+                for signs in itertools.product((1.0, -1.0), repeat=3):
+                    sp = [mk._signed(x, sign) for x, sign in zip(spinors, signs)]
+                    volumes.add(np.prod([mk._omega(sp[k], sp[(k + 1) % 3]).body for k in range(3)]))
+                assert len(volumes) == 1
+                assert abs(volumes.pop() - det) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("k, pair", [(0, "first and second"), (1, "second and third"), (2, "first and third")])
+    def test_nan_omega_is_rejected(self, k, pair):
+        omegas = [1.0, -1.0, -1.0]
+        omegas[k] = np.nan
+        with pytest.raises(ValueError, match="^%s points of triple are linearly dependent$" % pair):
+            mk._require_positive(*omegas)
+        mk._require_positive(1.0, -1.0, -1.0)
 
 
 class TestMuInvariantRejects:
