@@ -31,22 +31,22 @@ broadcast against each other.  A call is one pair product over the whole
 stack: every term carries a key (its batch element, and for smul its inner
 index k), and only terms with equal keys pair up.  A term's flat index is
 key << rank | mask, so one mask test on the flat indices tests the keys as
-well.  `_pairs` finds the pairs in one of three ways, all in the same
+well.  `_pairs` finds the pairs in one of two ways, both in the same
 row-major order, so that each output coefficient sums in the same order on
-every path:
+either:
 
 - one masked test of the grid of all pairs of terms, up to _MAX_PAIRS
-  cells, and for a keyed product (a stack, or any smul, keyed on k) up to
-  _GRID_CELLS cells.  Small products are most of the calls, and the grid
-  makes them in a handful of array operations.
-- the same test in bands of at most _MAX_PAIRS cells, for a larger grid:
-  a product of two single elements (one key) takes the grid at any size.
-  The bands are concatenated.
-- the join on the keys, for keyed products above _GRID_CELLS cells.  The
-  grid grows as the product of the whole term counts, the join only as
-  the sum over keys of each key's product: past the bound, measured as
-  the crossover on stacked products of deep lifts, the grid's cells of
-  unequal keys cost more than the join's set-up.
+  cells for a product of two single elements (one key), and up to
+  _GRID_CELLS cells for a keyed product (a stack, or any smul, keyed on
+  k).  Small products are most of the calls, and the grid makes them in a
+  handful of array operations.
+- the join on the keys, above those bounds, in blocks of at most
+  _MAX_PAIRS candidates; a product of two single elements joins with
+  every key 0.  The grid grows as the product of the whole term counts,
+  the join only as the sum over keys of each key's product: past
+  _GRID_CELLS, measured as the crossover on stacked products of deep
+  lifts, the grid's cells of unequal keys cost more than the join's
+  set-up.
 """
 
 import numpy as np
@@ -82,31 +82,15 @@ def _pairs(ia, ib, rank, keyed):
     """(r, c): the pairs of term r of a and term c of b that meet, in
     row-major order.  Terms are flat indices key << rank | mask (ib sorted),
     and two meet when their masks are disjoint and, if keyed, their keys
-    are equal: i & (j | high bits) is then j's key, and nothing else."""
-    cells = ia.size * ib.size
-    if keyed and cells > _GRID_CELLS:
-        blocks = _equal_key_pairs(ia >> rank, ia, ib >> rank, ib & ((1 << rank) - 1))
-    else:
-        if keyed:
-            high = -1 << rank
-            key, fence = ib & high, ib | high
-        else:
-            key, fence = 0, ib
-        if cells <= _MAX_PAIRS:
-            return ((ia[:, None] & fence) == key).nonzero()
-        blocks = _grid_bands(ia, fence, key)
-    r, c = zip(*blocks)
-    return np.concatenate(r), np.concatenate(c)
-
-
-def _grid_bands(ia, fence, key):
-    """Blocks (r, c) of the grid test of _pairs, in bands of rows of at most
-    _MAX_PAIRS cells."""
-    step = max(1, _MAX_PAIRS // fence.size)
-    for lo in range(0, ia.size, step):
-        r, c = ((ia[lo : lo + step, None] & fence) == key).nonzero()
-        r += lo
-        yield r, c
+    are equal: i & (j | high bits) is then j's key, and nothing else.  An
+    unkeyed product is of two single elements, so every key is 0."""
+    if ia.size * ib.size > (_GRID_CELLS if keyed else _MAX_PAIRS):
+        r, c = zip(*_equal_key_pairs(ia >> rank, ia, ib >> rank, ib & ((1 << rank) - 1)))
+        return np.concatenate(r), np.concatenate(c)
+    if keyed:
+        high = -1 << rank
+        return ((ia[:, None] & (ib | high)) == ib & high).nonzero()
+    return ((ia[:, None] & ib) == 0).nonzero()
 
 
 def _equal_key_pairs(ka, ma, kb, mb):

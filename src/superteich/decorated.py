@@ -1,6 +1,8 @@
 """Decorated coordinate charts on a trivalent fatgraph: even lambda-length
 per edge, odd mu-invariant per vertex (the dual triangle), an edge
-orientation tracking the odd sign sheet, and a global sign gauge bit.
+orientation tracking the odd sign sheet, and a global sign gauge bit.  A
+chart holds the lambdas and the mus as two read-only coefficient stacks,
+each checked once when the chart is made (`DecoratedCoords`).
 
 The module implements the super Ptolemy flip on charts, the recursive
 light-cone lift of a chart (one breadth-first level at a time, its fermion
@@ -27,15 +29,15 @@ from . import _kernels
 from . import fatgraph_spin as fg
 from . import superlinalg as sl
 from .grassmann import (
+    EQ_TOL,
     GrassmannNumber,
     _popcount,
     canonicalize_sign,
     common_rank,
     format_grassmann,
-    grassmann,
     odd_derivative,
     parse_grassmann,
-    stack,
+    stack_entries,
 )
 from .minkowski import (
     ElementError,
@@ -51,37 +53,41 @@ from .minkowski import (
 ROOT2 = float(np.sqrt(2.0))
 
 
-def _finite_coord(x, rank, what):
-    x = grassmann(x, rank)
-    if not np.isfinite(x.coeffs).all():
-        raise ValueError("%s has a non-finite coefficient" % what)
-    return x
-
-
-def _even_coord(x, rank, what):
-    x = _finite_coord(x, rank, what)
-    if not x.is_even():
-        raise ValueError("%s must be Grassmann even" % what)
-    if x.body <= 0:
-        raise ValueError("%s needs a positive body, got %g" % (what, x.body))
-    return x
-
-
-def _odd_coord(x, rank, what):
-    x = _finite_coord(x, rank, what)
-    if not x.is_odd():
-        raise ValueError("%s must be Grassmann odd" % what)
-    return x
+def _checked_coords(values, rank, even, names):
+    """values as one read-only (n, 2**rank) array: such an array as it is,
+    or GrassmannNumbers and reals stacked by `stack_entries`.  Each row must
+    be finite, have no coefficient of the other parity above EQ_TOL and, if
+    even, a positive body, by tests that a NaN fails.  A ValueError names
+    the first row at fault, as names[k], and its first failing test."""
+    c = values if isinstance(values, np.ndarray) and values.ndim == 2 else stack_entries(values, rank)[1]
+    ok = [np.isfinite(c).all(axis=1), (np.abs(c[:, (_popcount(rank) & 1) == even]) <= EQ_TOL).all(axis=1)]
+    if even:
+        ok.append(c[:, 0] > 0)
+    ok = np.array(ok)
+    if not ok.all():
+        k = int(np.flatnonzero(~ok.all(axis=0))[0])
+        messages = (
+            "%s has a non-finite coefficient" % names[k],
+            "%s must be Grassmann %s" % (names[k], "even" if even else "odd"),
+            "%s needs a positive body, got %g" % (names[k], c[k, 0]),
+        )
+        raise ValueError(messages[np.flatnonzero(~ok[:, k])[0]])
+    c.flags.writeable = False
+    return c
 
 
 class DecoratedCoords:
     """A decorated chart: lambdas per edge, mus per vertex, an Orientation
-    and a sign gauge in {+1, -1}.  The orientation's graph must be the
-    chart's, or have equal vertices and equal edges: the signs of the lift
-    and of the representation are read off its arrows.  A ValueError names
-    the first edge that differs."""
+    and a sign gauge in {+1, -1}.  Its data are two read-only stacks,
+    lambda_coeffs (E, 2**rank) and mu_coeffs (V, 2**rank); lambdas and mus
+    are tuples of GrassmannNumber views of their rows.  Each comes as a
+    sequence of GrassmannNumbers or reals, or as such a stack, kept without
+    a copy, and is checked once (`_checked_coords`), the lambdas first.
+    The orientation's graph must be the chart's, or have equal vertices and
+    equal edges: the signs of the lift and of the representation are read
+    off its arrows.  A ValueError names the first edge that differs."""
 
-    __slots__ = ("graph", "lambdas", "mus", "orientation", "gauge", "rank")
+    __slots__ = ("graph", "lambda_coeffs", "mu_coeffs", "lambdas", "mus", "orientation", "gauge", "rank")
 
     def __init__(self, graph, lambdas, mus, orientation, gauge=1, rank=None):
         if len(lambdas) != graph.num_edges:
@@ -96,12 +102,12 @@ class DecoratedCoords:
                 raise fg._edge_mismatch(other.edges, graph.edges)
         if gauge not in (1, -1):
             raise ValueError("gauge must be +1 or -1, got %r" % (gauge,))
-        rank = common_rank(list(lambdas) + list(mus), rank)
+        rank = common_rank([*lambdas, *mus], rank)
         self.graph = graph
-        self.lambdas = tuple(
-            _even_coord(x, rank, "lambda[%d]" % j) for j, x in enumerate(lambdas)
-        )
-        self.mus = tuple(_odd_coord(x, rank, "mu[%d]" % v) for v, x in enumerate(mus))
+        self.lambda_coeffs = _checked_coords(lambdas, rank, True, ["lambda[%d]" % j for j in range(graph.num_edges)])
+        self.mu_coeffs = _checked_coords(mus, rank, False, ["mu[%d]" % v for v in range(graph.num_vertices)])
+        self.lambdas = tuple(GrassmannNumber.wrap(rank, c) for c in self.lambda_coeffs)
+        self.mus = tuple(GrassmannNumber.wrap(rank, c) for c in self.mu_coeffs)
         self.orientation = orientation
         self.gauge = gauge
         self.rank = rank
@@ -109,8 +115,8 @@ class DecoratedCoords:
     def replace(self, lambdas=None, mus=None, orientation=None, gauge=None):
         return DecoratedCoords(
             self.graph,
-            self.lambdas if lambdas is None else lambdas,
-            self.mus if mus is None else mus,
+            self.lambda_coeffs if lambdas is None else lambdas,
+            self.mu_coeffs if mus is None else mus,
             self.orientation if orientation is None else orientation,
             self.gauge if gauge is None else gauge,
             rank=self.rank,
@@ -122,7 +128,7 @@ class DecoratedCoords:
     def reflect_vertex(self, v):
         """Resign the chart at one vertex: reverse its incident edges and
         negate its mu-invariant.  A pure gauge move."""
-        mus = list(self.mus)
+        mus = self.mu_coeffs.copy()
         mus[v] = -mus[v]
         return self.replace(mus=mus, orientation=self.orientation.reflect(v))
 
@@ -133,20 +139,18 @@ class DecoratedCoords:
             return False
         if self.orientation.tails != other.orientation.tails or self.gauge != other.gauge:
             return False
-        return all(a.isclose(b) for a, b in zip(self.lambdas, other.lambdas)) and all(
-            a.isclose(b) for a, b in zip(self.mus, other.mus)
-        )
+        pairs = ((self.lambda_coeffs, other.lambda_coeffs), (self.mu_coeffs, other.mu_coeffs))
+        return all(GrassmannNumber.wrap(self.rank, a).isclose(GrassmannNumber.wrap(other.rank, b)) for a, b in pairs)
 
 
 def standard_chart(graph, orientation=None, *, rank):
     """Unit lambda-lengths, and mu_v the generator v + 1."""
     if orientation is None:
         orientation = fg.Orientation.from_bits(graph, (0,) * graph.num_edges)
-    one = GrassmannNumber.scalar(1.0, rank)
     if graph.num_vertices > rank:
         raise ValueError("rank too small for one generator per vertex")
     mus = [GrassmannNumber.generator(v + 1, rank) for v in range(graph.num_vertices)]
-    return DecoratedCoords(graph, [one] * graph.num_edges, mus, orientation)
+    return DecoratedCoords(graph, [1.0] * graph.num_edges, mus, orientation, rank=rank)
 
 
 # -- gauge classes -------------------------------------------------------------
@@ -156,19 +160,17 @@ def canonical_gauge(coords):
     """Deterministic representative of the gauge class (vertex reflections
     and the global sign).  One `fg.gf2_solve` over the reflection rows gives
     the canonical orientation, `orientation_class`'s (the rest), and the
-    vertices whose reflections reach it (the combo); then
-    `canonicalize_sign` of the stacked mus makes the first significant mu
-    coefficient positive, and the gauge bit is +1.  Gauge-equivalent charts
-    map to equal charts (within `grassmann.EQ_TOL` where every mu is below
-    it)."""
+    vertices whose reflections reach it (the combo); then the combo's mu
+    rows are negated, `canonicalize_sign` of the mu stack makes its first
+    significant coefficient positive, and the gauge bit is +1.
+    Gauge-equivalent charts map to equal charts (within `grassmann.EQ_TOL`
+    where every mu is below it)."""
     graph = coords.graph
     combo, rest, _ = fg.gf2_solve(fg._reflection_rows(graph), coords.orientation.bits)
-    mus = [-m if flip else m for m, flip in zip(coords.mus, combo)]
-    _, sign = canonicalize_sign(stack(mus))
-    if sign < 0:
-        mus = [-m for m in mus]
+    signs = np.where(combo, -1.0, 1.0)[:, None]
+    mus, _ = canonicalize_sign(GrassmannNumber.wrap(coords.rank, coords.mu_coeffs * signs))
     orientation = fg.Orientation.from_bits(graph, tuple(int(x) for x in rest))
-    return coords.replace(mus=mus, orientation=orientation, gauge=1)
+    return coords.replace(mus=mus.coeffs, orientation=orientation, gauge=1)
 
 
 def gauge_equal(x, y):
@@ -228,15 +230,12 @@ def _flip_once(coords, e):
     graph = coords.graph
     res = fg.flip(graph, e, coords.orientation)
     edges, v_theta, v_sigma = _quad_labels(coords, e)
-    lam = [coords.lambdas[j] for j in edges]
-    f, nu, mu_new = _ptolemy(*lam, coords.mus[v_sigma], coords.mus[v_theta])
+    f, nu, mu_new = _ptolemy(*(coords.lambdas[j] for j in edges), coords.mus[v_sigma], coords.mus[v_theta])
     v_nu, v_mu = _nu_mu_vertices(graph, coords.orientation, e, res, v_theta, v_sigma)
-    lambdas = list(coords.lambdas)
-    lambdas[e] = f
-    mus = list(coords.mus)
-    mus[v_nu] = nu
-    mus[v_mu] = mu_new
-    return DecoratedCoords(res.graph, lambdas, mus, res.orientation, coords.gauge)
+    lambdas, mus = coords.lambda_coeffs.copy(), coords.mu_coeffs.copy()
+    lambdas[e] = f.coeffs
+    mus[[v_nu, v_mu]] = nu.coeffs, mu_new.coeffs
+    return DecoratedCoords(res.graph, lambdas, mus, res.orientation, coords.gauge, rank=coords.rank)
 
 
 def flip_coords(coords, e):
@@ -335,7 +334,7 @@ def _side_factors(coords):
     series over the 3V values k^2, and three products."""
     graph = coords.graph
     rank = coords.rank
-    lam = np.stack([x.coeffs for x in coords.lambdas])
+    lam = coords.lambda_coeffs
     edges = np.array([[graph.edge_of(h) for h in hs] for hs in graph.vertices])
     e, d, c = edges.reshape(-1), edges[:, [1, 2, 0]].reshape(-1), edges[:, [2, 0, 1]].reshape(-1)
     inv = GrassmannNumber.wrap(rank, lam).inverse().coeffs
@@ -343,7 +342,7 @@ def _side_factors(coords):
     factors[:2] = _kernels.multiply_coeffs(lam[[d, c]], inv[e], rank)
     squares = ROOT2 * _kernels.multiply_coeffs(factors[1], lam[d], rank)
     roots = GrassmannNumber.wrap(rank, squares).sqrt().coeffs
-    sigma = np.stack([m.coeffs for m in coords.mus]) * float(coords.gauge)
+    sigma = coords.mu_coeffs * float(coords.gauge)
     factors[2] = _kernels.multiply_coeffs(roots, sigma.repeat(3, axis=0), rank)
     return _SideFactors(factors, squares, roots)
 
@@ -358,7 +357,7 @@ def _base_triangle(coords, factors, v, side):
     rank = coords.rank
     r, s, t = (factors.squares[3 * v + (side + j) % 3] for j in (1, 2, 0))
     root_r, root_s, root_t = (factors.roots[3 * v + (side + j) % 3] for j in (1, 2, 0))
-    m = coords.mus[v].coeffs * float(coords.gauge)
+    m = coords.mu_coeffs[v] * float(coords.gauge)
     root_tm, tm = _kernels.multiply_coeffs(np.stack([root_t, t]), m, rank)
     zero = np.zeros(1 << rank)
     pts, spinors = [None] * 3, [None] * 3
@@ -775,7 +774,7 @@ def pullback_check(coords, e, details=False):
     jac[block.index(num_edges + v_nu)] = parts[1]
     jac[block.index(num_edges + v_mu)] = parts[2]
     scales = np.zeros_like(jac[0])
-    scales[even] = stack([coords.lambdas[k] for k in block if k < num_edges]).inverse().coeffs
+    scales[even] = GrassmannNumber.wrap(rank, coords.lambda_coeffs[np.array(block)[even]]).inverse().coeffs
     scales[~even, 0] = 1.0
     after, before = (two_form(g)[np.ix_(block, block)] for g in (res.graph, graph))
     gap = np.abs(_pullback_gap(jac, after, before, even, scales)).max(axis=-1)
@@ -800,9 +799,9 @@ def ptolemy_form_identity(sigma, theta, chi):
     are exact (`_jacobian`).  sigma and theta are any odd values, chi any
     even one with a positive body."""
     rank = common_rank((sigma, theta, chi))
-    sigma = _odd_coord(sigma, rank, "sigma")
-    theta = _odd_coord(theta, rank, "theta")
-    chi = _even_coord(chi, rank, "chi")
+    odd = _checked_coords((sigma, theta), rank, False, ("sigma", "theta"))
+    sigma, theta = (GrassmannNumber.wrap(rank, c) for c in odd)
+    chi = GrassmannNumber.wrap(rank, _checked_coords((chi,), rank, True, ("chi",))[0])
     even = np.array([False, False, True])
     _, parts = _jacobian(lambda s, t, c: (*ptolemy_odd(s, t, c), t * s), [sigma, theta, chi], [0, 1, 2], even)
     jac = np.zeros((6, 3, 1 << rank))

@@ -309,7 +309,10 @@ class Orientation:
 
     @classmethod
     def from_bits(cls, graph, bits):
-        """Tail bits[j] (0 or 1) of each edge j's half-edges; a ValueError names an edge with another bit."""
+        """Tail bits[j] (0 or 1) of each edge j's half-edges; a ValueError names
+        a count of bits other than the edge count, or an edge with another bit."""
+        if len(bits) != graph.num_edges:
+            raise ValueError("%d orientation bits given for the %d edges" % (len(bits), graph.num_edges))
         if not {0, 1}.issuperset(bits):
             j, b = next((j, b) for j, b in enumerate(bits) if b not in (0, 1))
             raise ValueError("orientation bit %r at edge %d is not 0 or 1" % (b, j))

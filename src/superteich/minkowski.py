@@ -534,9 +534,9 @@ def _ptolemy_even(ac, bd, e, sigma, theta):
 
 def ptolemy_odd(sigma, theta, chi):
     """Odd invariants (nu, mu) of the two triangles after the flip.  Each
-    argument may be a stack; a cross-ratio without a positive body is
-    rejected, naming the first such element of a stack."""
-    _reject(chi.body <= 0, "cross-ratio", "%s must have positive body")
+    argument may be a stack; a cross-ratio without a positive body, NaN
+    included, is rejected, naming the first such element of a stack."""
+    _reject(~np.greater(chi.body, 0), "cross-ratio", "%s must have positive body")
     rootchi = chi.sqrt()
     denom = (1 + chi).rsqrt()
     nu = (theta * rootchi + sigma) * denom

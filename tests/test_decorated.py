@@ -96,10 +96,14 @@ class TestCoordsText:
              "line 'orient: e0 h1 e1 h2 e2 h4' repeats the orient: line"),
             ("lambda e1 1.0", "lambda e1 nan", "lambda[1] has a non-finite coefficient"),
             ("lambda e1 1.0", "lambda e1 inf", "lambda[1] has a non-finite coefficient"),
+            ("lambda e1 1.0\nlambda e2 1.0", "lambda e1 1.0*g{1}\nlambda e2 nan", "lambda[1] must be Grassmann even"),
+            ("lambda e2 1.0\nmu v0 1.0*g{1}", "lambda e2 nan\nmu v0 1.0", "lambda[2] has a non-finite coefficient"),
+            ("lambda e2 1.0\nmu v0 1.0*g{1}", "lambda e2 -1.0\nmu v0 1.0", "lambda[2] needs a positive body, got -1"),
         ],
         ids=["header", "orient", "lambda_missing", "mu_missing", "gauge_missing", "unrecognized",
              "value_line", "eta_line", "lambd_line",
-             "lambda_odd", "lambda_body", "mu_even", "gauge_twice", "orient_twice", "lambda_nan", "lambda_inf"],
+             "lambda_odd", "lambda_body", "mu_even", "gauge_twice", "orient_twice", "lambda_nan", "lambda_inf",
+             "odd_lambda_before_nan_lambda", "nan_lambda_before_even_mu", "lambda_body_before_even_mu"],
     )
     def test_incomplete_or_bad_chart_is_named(self, old, new, message):
         """A missing line names the edge or vertex it should have given,
@@ -133,7 +137,7 @@ class TestChartRejections:
                 chart.replace(mus=mus)
 
     def test_form_identity_names_the_argument_at_fault(self):
-        """`_even_coord` and `_odd_coord` name the coordinate at fault."""
+        """`_checked_coords` names the argument at fault."""
         g1, g2 = (GrassmannNumber.generator(i, RANK) for i in (1, 2))
         with pytest.raises(ValueError, match=r"^sigma must be Grassmann odd$"):
             dc.ptolemy_form_identity(g1 + 0.5, g2, 2.0)
@@ -143,6 +147,42 @@ class TestChartRejections:
             dc.ptolemy_form_identity(g1, g2, 1 + g1)
         with pytest.raises(ValueError, match=r"^chi needs a positive body, got 0$"):
             dc.ptolemy_form_identity(g1, g2, 0.0)
+
+
+def assert_two_checked_stacks(chart):
+    """The chart's lambdas and mus are views of the rows of its two
+    read-only stacks, and the public constructor, given the chart's own
+    tuples, builds it bit for bit."""
+    for rows, values in ((chart.lambda_coeffs, chart.lambdas), (chart.mu_coeffs, chart.mus)):
+        assert not rows.flags.writeable and len(values) == len(rows)
+        for j, x in enumerate(values):
+            assert x.coeffs.shape == rows[j].shape and np.shares_memory(x.coeffs, rows[j])
+    again = dc.DecoratedCoords(chart.graph, chart.lambdas, chart.mus, chart.orientation, chart.gauge)
+    assert (again.graph, again.orientation, again.gauge, again.rank) == (
+        chart.graph, chart.orientation, chart.gauge, chart.rank)
+    assert again.lambda_coeffs.tobytes() == chart.lambda_coeffs.tobytes()
+    assert again.mu_coeffs.tobytes() == chart.mu_coeffs.tobytes()
+
+
+class TestChartStacks:
+    @pytest.mark.parametrize("name", sorted(SPINES))
+    def test_every_chart_is_two_checked_stacks(self, name):
+        """Charts made by a flip, the canonical gauge, a vertex reflection
+        and `replace` (from a stack or from a list) hold their coordinates
+        as two read-only stacks."""
+        chart = random_chart(np.random.default_rng(5), SPINES[name]())
+        e = flippable(chart.graph)[0]
+        made = [
+            chart,
+            dc._flip_once(chart, e),
+            dc.flip_coords(chart, e),
+            dc.canonical_gauge(chart),
+            chart.reflect_vertex(1),
+            chart.replace(gauge=-chart.gauge),
+            chart.replace(mus=list(chart.mus)),
+        ]
+        for out in made:
+            assert_two_checked_stacks(out)
 
 
 class TestChartOrientation:

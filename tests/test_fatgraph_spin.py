@@ -787,6 +787,11 @@ class TestOrientation:
         with pytest.raises(ValueError, match=r"^orientation bit %s at edge %d is not 0 or 1$" % (bits[edge], edge)):
             fg.Orientation.from_bits(fg.theta_graph(), bits)
 
+    @pytest.mark.parametrize("bits", [(0, 0, 0, 0), (0, 0)])
+    def test_from_bits_rejects_a_count_other_than_the_edge_count(self, bits):
+        with pytest.raises(ValueError, match=r"^%d orientation bits given for the 3 edges$" % len(bits)):
+            fg.Orientation.from_bits(fg.theta_graph(), bits)
+
     def test_from_bits_reads_bits_equal_to_0_or_1(self):
         bits = (True, np.int64(0), 1.0)
         assert fg.Orientation.from_bits(fg.theta_graph(), bits).bits == (1, 0, 1)

@@ -1167,6 +1167,10 @@ class TestPtolemyOdd:
         with pytest.raises(ValueError, match="^cross-ratio must have positive body$"):
             mk.ptolemy_odd(G1, G2, grassmann(-1.0, RANK))
 
+    def test_nan_chi_rejected(self):
+        with pytest.raises(ValueError, match="^cross-ratio must have positive body$"):
+            mk.ptolemy_odd(G1, G2, GrassmannNumber.scalar(np.nan, RANK))
+
     def test_bad_chi_in_a_stack_is_named(self):
         chi = stack([grassmann(x, RANK) for x in (1.5, 0.7, -0.2, 0.0)])
         with pytest.raises(mk.ElementError, match="^cross-ratio 2 must have positive body$") as err:
